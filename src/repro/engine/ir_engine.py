@@ -13,11 +13,15 @@ into a list indexed by pc whose entries are handler closures
   function — the hot ``ADDI+BLT`` / ``SLT+BNEZ`` inductor idioms the
   codegen emits constantly execute without re-entering the dispatch
   loop.  Adjacent integer-compare + ``BEQZ/BNEZ`` pairs additionally
-  fuse into a single Python comparison.
+  fuse into a single Python comparison.  In sequential tables the TEST
+  annotation ops (``SLOOP/EOI/ELOOP/LWL/SWL``) join the run too: each
+  becomes an inline profiler hook call at the clock the legacy arm
+  would pass, plus its 1 cycle in the block's static cost.
 * **specialised singletons** — hand-written closures for the hot
-  non-batchable ops (``LW/SW/LWNV``, ``CALL``, ``RET``, ``INTRIN`` and
-  the TEST annotation ops) with operands pre-bound, so the per-step
-  work is exactly the semantic action plus cycle accounting.
+  non-batchable ops (``LW/SW/LWNV``, ``CALL``, ``RET``, ``INTRIN``,
+  and the annotation ops in stepwise tables) with operands pre-bound,
+  so the per-step work is exactly the semantic action plus cycle
+  accounting.
 * **legacy fallback** — everything rare (ALLOC, CALLV, locks, TLS
   pseudo-ops, …) delegates to ``CpuContext.step_legacy``, the original
   ``if/elif`` interpreter, which stays the single source of truth for
@@ -59,10 +63,11 @@ from ..errors import (ArithmeticException, ArrayIndexException,
                       NullPointerException)
 from ..jit.ir import BRANCH_IR_OPS, IROp
 
-#: Ops a block function may contain: pure register/ALU work with no
-#: memory traffic, no signals, no runtime services and no profiler
-#: hooks.  Raising ops (DIV/REM/NULLCHK/BOUNDCHK) are included — their
-#: raise paths flush pc/instret/time before raising (see module doc).
+#: Ops a block function may contain in every table: pure register/ALU
+#: work with no memory traffic, no signals, no runtime services and no
+#: profiler hooks.  Raising ops (DIV/REM/NULLCHK/BOUNDCHK) are
+#: included — their raise paths flush pc/instret/time before raising
+#: (see module doc).
 BATCHABLE_IR_OPS = frozenset({
     IROp.LI, IROp.MOV, IROp.ADD, IROp.ADDI, IROp.SUB, IROp.MUL, IROp.DIV,
     IROp.REM, IROp.NEG, IROp.AND, IROp.OR, IROp.XOR, IROp.SHL, IROp.SHR,
@@ -81,6 +86,14 @@ _COSTS = {
 
 _ANNOTATION_OPS = frozenset({IROp.SLOOP, IROp.EOI, IROp.ELOOP,
                              IROp.LWL, IROp.SWL})
+
+#: Ops a block of a *sequential* (non-stepwise) table may contain: the
+#: batchable ops plus the TEST annotation ops (Table 2).  An annotation
+#: op touches only the machine's profiler and its own 1 cycle, so the
+#: block calls the hook inline at the exact clock the legacy arm would
+#: pass.  Stepwise tables keep annotations as singletons; annotated
+#: code never runs under TLS.
+SEQUENTIAL_BLOCK_IR_OPS = BATCHABLE_IR_OPS | _ANNOTATION_OPS
 
 #: Ops the event-driven TLS scheduler may execute during *run-ahead*
 #: (see ``repro.tls.runtime``): instructions whose effects are confined
@@ -220,8 +233,10 @@ def build_table(code, unit_name, extra_leaders=(), stepwise=False):
     """Predecode *code* into a pc-indexed list of handler closures."""
     n = len(code)
     if stepwise:
+        block_ops = BATCHABLE_IR_OPS
         leaders = set(range(n))
     else:
+        block_ops = SEQUENTIAL_BLOCK_IR_OPS
         leaders = {0}
         for pc, instr in enumerate(code):
             op = instr.op
@@ -229,7 +244,7 @@ def build_table(code, unit_name, extra_leaders=(), stepwise=False):
                 if isinstance(instr.target, int):
                     leaders.add(instr.target)
                 leaders.add(pc + 1)
-            elif op not in BATCHABLE_IR_OPS:
+            elif op not in block_ops:
                 leaders.add(pc + 1)
         for pc in extra_leaders:
             if pc is not None:
@@ -241,8 +256,8 @@ def build_table(code, unit_name, extra_leaders=(), stepwise=False):
     block_names = {}
     for pc in sorted(leaders):
         op = code[pc].op
-        if op in BATCHABLE_IR_OPS or op in BRANCH_IR_OPS:
-            name, lines = _gen_block(code, pc, leaders, consts)
+        if op in block_ops or op in BRANCH_IR_OPS:
+            name, lines = _gen_block(code, pc, leaders, consts, block_ops)
             block_names[pc] = name
             sources.append("\n".join(lines))
 
@@ -299,10 +314,11 @@ def _legacy(ctx, frame):
 # block (superinstruction) code generation
 # ---------------------------------------------------------------------------
 
-def _block_span(code, start, leaders):
-    """Consecutive batchable pcs from *start*, plus an absorbed branch
-    pc (or None).  A leader interior to the scan ends the block before
-    it — some other block jumps there, so it needs its own entry."""
+def _block_span(code, start, leaders, block_ops):
+    """Consecutive pcs from *start* whose ops are in *block_ops*, plus
+    an absorbed branch pc (or None).  A leader interior to the scan
+    ends the block before it — some other block jumps there, so it
+    needs its own entry."""
     pcs = []
     i = start
     n = len(code)
@@ -312,7 +328,7 @@ def _block_span(code, start, leaders):
         op = code[i].op
         if op in BRANCH_IR_OPS:
             return pcs, i
-        if op not in BATCHABLE_IR_OPS:
+        if op not in block_ops:
             return pcs, None
         pcs.append(i)
         i += 1
@@ -320,7 +336,8 @@ def _block_span(code, start, leaders):
 
 
 def _const(value, consts):
-    """Inline ints; pool floats (repr can't express nan/inf exactly)."""
+    """Inline ints; pool everything else — floats (repr can't express
+    nan/inf exactly) and objects such as a hook's site instruction."""
     if type(value) is int:
         return repr(value)
     consts.append(value)
@@ -337,12 +354,14 @@ def _wrap(expr):
     return "(%s + 0x80000000 & 0xFFFFFFFF) - 0x80000000" % expr
 
 
-def _gen_block(code, start, leaders, consts):
+def _gen_block(code, start, leaders, consts, block_ops):
     """Generate one block function's source.  Returns (name, lines)."""
-    pcs, branch_pc = _block_span(code, start, leaders)
+    pcs, branch_pc = _block_span(code, start, leaders, block_ops)
     name = "_b%d" % start
     lines = ["def %s(ctx, frame):" % name,
              "    regs = frame.regs"]
+    if any(code[pc].op in _ANNOTATION_OPS for pc in pcs):
+        lines.append("    prof = ctx.machine.profiler")
     temp = [0]
 
     def fresh():
@@ -466,6 +485,24 @@ def _gen_block(code, start, leaders, consts):
             lines.extend(_raise_flush(start, pc, cost_done))
             lines.append("        raise ArrayIndexException("
                          "'index %%d, length %%d' %% (%s, %s))" % (ti, tn))
+        elif op in _ANNOTATION_OPS:
+            # TEST hook at the clock the legacy arm passes: after the
+            # block's earlier instructions, before this op's own cycle.
+            now = "ctx.time + %d" % cost_done if cost_done else "ctx.time"
+            aux = _const(instr.aux, consts)
+            if op == IROp.SLOOP:
+                call = "prof.on_sloop(%s, %s, %s)" % (
+                    aux, _const(instr.imm, consts), now)
+            elif op == IROp.EOI:
+                call = "prof.on_eoi(%s, %s)" % (aux, now)
+            elif op == IROp.ELOOP:
+                call = "prof.on_eloop(%s, %s)" % (aux, now)
+            else:
+                call = "prof.on_%s(%s, %s, %s, %s)" % (
+                    "lwl" if op == IROp.LWL else "swl", aux,
+                    _const(instr.imm, consts), now, _const(instr, consts))
+            lines.append("    if prof is not None:")
+            lines.append("        " + call)
         else:                            # pragma: no cover - guarded above
             raise AssertionError("non-batchable op in block: %s" % op)
         cost_done += _COSTS.get(op, 1)
@@ -699,9 +736,10 @@ def _make_intrin(instr, pc):
 
 
 def _make_annotation(instr, pc):
-    """TEST annotation ops (Table 2): profiler hook + 1 cycle.  The
-    hook sees ``ctx.time`` *before* the cycle is charged, exactly like
-    the legacy arms."""
+    """TEST annotation ops (Table 2) in stepwise tables: profiler hook
+    + 1 cycle.  The hook sees ``ctx.time`` *before* the cycle is
+    charged, exactly like the legacy arms.  Sequential tables inline
+    the same hook into their blocks instead (see :func:`_gen_block`)."""
     op = instr.op
     aux = instr.aux
     imm = instr.imm

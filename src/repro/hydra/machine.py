@@ -66,23 +66,48 @@ class PlainMemoryInterface:
     def load(self, addr):
         machine = self.machine
         latency = machine.hierarchy.load_latency(self.ctx.cpu_id, addr)
-        value = machine.memory.load(addr)
-        if machine.profiler is not None:
-            machine.profiler.on_load(addr, self.ctx.time,
-                                     self.ctx.current_site)
-        return value, latency
+        return machine.memory.load(addr), latency
 
     def store(self, addr, value):
         machine = self.machine
         latency = machine.hierarchy.store_latency(self.ctx.cpu_id, addr)
         machine.memory.store(addr, value)
-        if machine.profiler is not None:
-            machine.profiler.on_store(addr, self.ctx.time,
-                                      self.ctx.current_site)
         return latency
 
     def lwnv(self, addr):
         return self.load(addr)
+
+
+class ProfiledMemoryInterface(PlainMemoryInterface):
+    """:class:`PlainMemoryInterface` that also reports every access to
+    the machine's TEST profiler — the interface :class:`CpuContext`
+    gets when ``Machine.profiler`` is set, so the unprofiled runs pay
+    no per-access profiler test."""
+
+    __slots__ = ("on_load", "on_store")
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.on_load = self.machine.profiler.on_load
+        self.on_store = self.machine.profiler.on_store
+
+    # The plain bodies are repeated, not called: this is the profiled
+    # run's hottest path.
+    def load(self, addr):
+        machine = self.machine
+        ctx = self.ctx
+        latency = machine.hierarchy.load_latency(ctx.cpu_id, addr)
+        value = machine.memory.load(addr)
+        self.on_load(addr, ctx.time, ctx.current_site)
+        return value, latency
+
+    def store(self, addr, value):
+        machine = self.machine
+        ctx = self.ctx
+        latency = machine.hierarchy.store_latency(ctx.cpu_id, addr)
+        machine.memory.store(addr, value)
+        self.on_store(addr, ctx.time, ctx.current_site)
+        return latency
 
 
 class CpuContext:
@@ -98,7 +123,8 @@ class CpuContext:
         self.fast = getattr(machine.config, "fastpath", True)
         self.time = 0
         self.frames = []
-        self.mem = PlainMemoryInterface(self)
+        self.mem = (PlainMemoryInterface if machine.profiler is None
+                    else ProfiledMemoryInterface)(self)
         self.status = "idle"
         self.return_value = None
         self.spec = None               # SpecThreadState while speculating

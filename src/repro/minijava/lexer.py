@@ -93,6 +93,9 @@ def tokenize(source):
                 j = i + 2
                 while j < n and source[j] in "0123456789abcdefABCDEF":
                     j += 1
+                if j == i + 2:
+                    raise CompileError("hex literal %r has no digits"
+                                       % source[i:i + 2], line)
                 tokens.append(Token("int", int(source[i:j], 16), line))
                 i = j
                 continue

@@ -15,7 +15,16 @@ dependency analysis* (compare prior store timestamps against thread
 start timestamps, track the critical arc) and the *speculative state
 overflow analysis* (count new cache lines / store-buffer entries per
 thread against the hardware limits).
+
+The hooks run once per simulated access, so they are written for the
+common case: the innermost activation of a loop is found through a
+per-loop stack rather than a scan, and a load whose prior store cannot
+form an arc for a bank (it predates the loop, or it happened in the
+current thread) is rejected inline before any call.  None of this
+changes what the banks compute.
 """
+
+from collections import deque
 
 from ..hydra.config import ALLOCATOR_BASE, CACHE_LINE_SHIFT, HEAP_BASE
 from .stats import LoopStats
@@ -39,13 +48,12 @@ class ComparatorBank:
     def __init__(self, instance, now, history):
         self.instance = instance
         self.history = history
-        self.starts = []            # previous thread start timestamps
+        #: start timestamps of the previous *history* threads, oldest
+        #: first (the bank's history ring)
+        self.starts = deque(maxlen=history)
         self.thread_start = now
         self.entry_ts = now
         self.thread_index = 0
-        self._reset_thread()
-
-    def _reset_thread(self):
         self.load_lines = set()
         self.store_lines = set()
         self.critical = 0.0
@@ -56,11 +64,12 @@ class ComparatorBank:
         facts = (now - self.thread_start, len(self.load_lines),
                  len(self.store_lines), self.critical, self.critical_arc)
         self.starts.append(self.thread_start)
-        if len(self.starts) > self.history:
-            self.starts.pop(0)
         self.thread_start = now
         self.thread_index += 1
-        self._reset_thread()
+        self.load_lines.clear()
+        self.store_lines.clear()
+        self.critical = 0.0
+        self.critical_arc = None
         return facts
 
     def arc_distance(self, store_ts):
@@ -82,12 +91,18 @@ class ComparatorBank:
 class ActiveLoop:
     """One dynamic activation of a prospective STL."""
 
-    __slots__ = ("loop_id", "instance_id", "bank")
+    __slots__ = ("loop_id", "bank", "stats", "local_ts", "shadowed")
 
-    def __init__(self, loop_id, instance_id, bank):
+    def __init__(self, loop_id, bank, stats=None, shadowed=None):
         self.loop_id = loop_id
-        self.instance_id = instance_id
         self.bank = bank
+        self.stats = stats
+        #: carried-local slot -> timestamp of its last SWL in this
+        #: activation
+        self.local_ts = {}
+        #: the enclosing activation of the same loop (recursive
+        #: re-entry), which becomes innermost again when this one exits
+        self.shadowed = shadowed
 
 
 class TestProfiler:
@@ -105,11 +120,16 @@ class TestProfiler:
         self.trace = trace
         self.stats = {}               # loop_id -> LoopStats
         self.active = []              # stack of ActiveLoop
+        #: loop_id -> its innermost ActiveLoop, the top of a per-loop
+        #: stack linked through ActiveLoop.shadowed: recursive re-entry
+        #: resolves to the nearest activation in O(1)
+        self._innermost = {}
+        #: banks of :attr:`active` that are not None, in the same order
+        self._banks = []
         self.banks_in_use = 0
         self.store_ts = {}            # word addr -> (ts, site_key)
         self.line_ts = {}             # line -> ts
-        self.local_ts = {}            # (instance_id, slot) -> (ts, site_key)
-        self._next_instance = 1
+        self._site_keys = {}          # site -> _site_key(site)
         self.events = 0
         self.bank_steals = 0
         self.missed_allocations = 0
@@ -126,6 +146,13 @@ class TestProfiler:
             stats = self.stats[loop_id] = LoopStats(loop_id)
         return stats
 
+    def _site_key(self, site):
+        """:func:`_site_key`, memoized per site."""
+        key = self._site_keys.get(site)
+        if key is None and site is not None:
+            key = self._site_keys[site] = _site_key(site)
+        return key
+
     def _allocate_bank(self, instance, now):
         if self.banks_in_use < self.config.comparator_banks:
             self.banks_in_use += 1
@@ -135,9 +162,8 @@ class TestProfiler:
         for active in self.active:
             if active.bank is None:
                 continue
-            stats = self.stats_for(active.loop_id)
+            stats = active.stats
             if stats.threads >= 3 and stats.overflow_frequency > 0.9:
-                bank = active.bank
                 active.bank = None
                 self.bank_steals += 1
                 if self.trace is not None:
@@ -148,21 +174,26 @@ class TestProfiler:
             self.trace.bank(now, instance.loop_id, "missed")
         return None
 
+    def _sync_banks(self):
+        self._banks = [active.bank for active in self.active
+                       if active.bank is not None]
+
     # -- loop events ----------------------------------------------------------
     def on_sloop(self, loop_id, nslots, now):
         self.events += 1
-        instance_id = self._next_instance
-        self._next_instance += 1
         for outer in self.active:
             self.dynamic_nesting.add((outer.loop_id, loop_id))
         if len(self.active) + 1 > self.max_dynamic_depth:
             self.max_dynamic_depth = len(self.active) + 1
-        active = ActiveLoop(loop_id, instance_id, None)
+        stats = self.stats_for(loop_id)
+        active = ActiveLoop(loop_id, None, stats,
+                            self._innermost.get(loop_id))
         active.bank = self._allocate_bank(active, now)
         self.active.append(active)
+        self._innermost[loop_id] = active
+        self._sync_banks()
         if self.trace is not None:
             self.trace.profile_loop(now, loop_id, "enter")
-        stats = self.stats_for(loop_id)
         stats.entries += 1
         if active.bank is not None:
             stats.profiled_entries += 1
@@ -171,29 +202,35 @@ class TestProfiler:
 
     def on_eoi(self, loop_id, now):
         self.events += 1
-        active = self._find_active(loop_id)
+        active = self._innermost.get(loop_id)
         if active is None:
             return
-        stats = self.stats_for(loop_id)
+        stats = active.stats
         stats.total_iterations += 1
-        if active.bank is None:
+        bank = active.bank
+        if bank is None:
             return
-        self._finish_thread(stats, active.bank, now)
+        self._finish_thread(stats, bank, now)
 
     def on_eloop(self, loop_id, now):
         self.events += 1
-        active = self._find_active(loop_id)
+        active = self._innermost.get(loop_id)
         if active is None:
             return
+        if active.shadowed is None:
+            del self._innermost[loop_id]
+        else:
+            self._innermost[loop_id] = active.shadowed
         # Count the final (possibly partial) thread.
         if active.bank is not None:
-            stats = self.stats_for(loop_id)
+            stats = active.stats
             stats.total_iterations += 1
             self._finish_thread(stats, active.bank, now)
             self.banks_in_use -= 1
         if self.trace is not None:
             self.trace.profile_loop(now, loop_id, "exit")
         self.active.remove(active)
+        self._sync_banks()
 
     def _finish_thread(self, stats, bank, now):
         size, loads, stores, critical, critical_arc = bank.boundary(now)
@@ -201,10 +238,13 @@ class TestProfiler:
         stats.total_thread_cycles += size
         stats.sum_load_lines += loads
         stats.sum_store_lines += stores
-        stats.max_load_lines = max(stats.max_load_lines, loads)
-        stats.max_store_lines = max(stats.max_store_lines, stores)
-        if (loads > self.config.load_buffer_lines
-                or stores > self.config.store_buffer_lines):
+        if loads > stats.max_load_lines:
+            stats.max_load_lines = loads
+        if stores > stats.max_store_lines:
+            stats.max_store_lines = stores
+        config = self.config
+        if (loads > config.load_buffer_lines
+                or stores > config.store_buffer_lines):
             stats.overflow_threads += 1
         if critical > 0.0:
             stats.arc_threads += 1
@@ -216,29 +256,32 @@ class TestProfiler:
                     critical, length, distance, allocator=is_allocator,
                     store_offset=store_offset)
 
-    def _find_active(self, loop_id):
-        for active in reversed(self.active):
-            if active.loop_id == loop_id:
-                return active
-        return None
-
     # -- memory events -----------------------------------------------------------
     def on_load(self, addr, now, site):
         self.events += 1
         if not self.active:
             return
-        entry = self.store_ts.get(addr)
         line = addr >> CACHE_LINE_SHIFT
         line_time = self.line_ts.get(line)
-        for active in self.active:
-            bank = active.bank
-            if bank is None:
-                continue
-            if line_time is None or line_time < bank.thread_start:
-                bank.load_lines.add(line)
-            if entry is not None:
-                self._check_dependency(bank, entry, now, _site_key(site),
-                                       addr=addr)
+        entry = self.store_ts.get(addr)
+        if entry is None:
+            for bank in self._banks:
+                if line_time is None or line_time < bank.thread_start:
+                    bank.load_lines.add(line)
+        else:
+            store_ts = entry[0]
+            key = None
+            for bank in self._banks:
+                thread_start = bank.thread_start
+                if line_time is None or line_time < thread_start:
+                    bank.load_lines.add(line)
+                # An arc needs a store inside this loop activation but
+                # before the current thread (see _check_dependency).
+                if bank.entry_ts <= store_ts < thread_start:
+                    if key is None:
+                        key = self._site_key(site)
+                    self._check_dependency(bank, entry, now, key,
+                                           addr=addr)
         self.line_ts[line] = now
 
     def on_store(self, addr, now, site):
@@ -246,23 +289,22 @@ class TestProfiler:
         if self.active:
             line = addr >> CACHE_LINE_SHIFT
             line_time = self.line_ts.get(line)
-            for active in self.active:
-                bank = active.bank
-                if bank is None:
-                    continue
+            for bank in self._banks:
                 if line_time is None or line_time < bank.thread_start:
                     bank.store_lines.add(line)
             self.line_ts[line] = now
-        self.store_ts[addr] = (now, _site_key(site))
+        self.store_ts[addr] = (now, self._site_key(site))
 
     def _check_dependency(self, bank, entry, now, load_site_key,
                           addr=None):
+        """Record a cross-thread arc from the store in *entry* to a load
+        at *now*.  Callers have already checked ``bank.entry_ts <=
+        store_ts < bank.thread_start``: the store is carried by this
+        loop activation and did not happen in the current thread."""
         store_ts, store_site = entry
-        if store_ts < bank.entry_ts:
-            return                       # not carried by this loop
         distance = bank.arc_distance(store_ts)
-        if distance is None or distance == 0:
-            return                       # too old / intra-thread
+        if distance is None:
+            return                       # older than the history ring
         producer_start = bank.producer_start(distance)
         d_store = store_ts - producer_start
         d_load = now - bank.thread_start
@@ -281,18 +323,22 @@ class TestProfiler:
     # recompiler can map straight back to the communicated variable.
     def on_swl(self, loop_id, slot, now, site):
         self.events += 1
-        active = self._find_active(loop_id)
-        if active is None:
-            return
-        key = ("local", loop_id, slot)
-        self.local_ts[(active.instance_id, slot)] = (now, key)
+        active = self._innermost.get(loop_id)
+        if active is not None:
+            active.local_ts[slot] = now
 
     def on_lwl(self, loop_id, slot, now, site):
         self.events += 1
-        active = self._find_active(loop_id)
-        if active is None or active.bank is None:
+        active = self._innermost.get(loop_id)
+        if active is None:
             return
-        entry = self.local_ts.get((active.instance_id, slot))
-        if entry is not None:
-            self._check_dependency(active.bank, entry, now,
-                                   ("local", loop_id, slot))
+        bank = active.bank
+        if bank is None:
+            return
+        store_ts = active.local_ts.get(slot)
+        # Most reads follow a write in the same thread: test that first.
+        if (store_ts is None or store_ts >= bank.thread_start
+                or store_ts < bank.entry_ts):
+            return
+        key = ("local", loop_id, slot)
+        self._check_dependency(bank, (store_ts, key), now, key)

@@ -16,20 +16,31 @@ any guest program, the predecoded table-dispatch engine and the legacy
 This file enforces that over randomized MiniJava workloads at three
 levels: bare machine runs, the reference bytecode interpreter, and the
 whole Jrpm pipeline (profile → select → TLS).  A small subset runs in
-the default tier; the ~20-workload sweep is marked ``slow``.
+the default tier; the ~20-workload sweep is marked ``slow``.  Unit
+tests at the end pin how sequential blocks inline the TEST annotation
+hooks (``tests/test_profiler_differential.py`` covers whole profiles).
 """
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bytecode import run_program
 from repro.core.pipeline import Jrpm
+from repro.engine.ir_engine import (_ANNOTATION_OPS, _COSTS,
+                                    BATCHABLE_IR_OPS, build_table,
+                                    step_table, tls_cost_map,
+                                    tls_event_map)
+from repro.hydra.cache import MemoryHierarchy
 from repro.hydra.config import HydraConfig
-from repro.hydra.machine import Machine
-from repro.jit.compiler import compile_program
+from repro.hydra.machine import CpuContext, Frame, Machine
+from repro.hydra.memory import Memory
+from repro.jit.compiler import compile_annotated, compile_program
+from repro.jit.ir import IRInstr, IROp
 from repro.minijava import compile_source
+from repro.workloads import lookup
 
 from conftest import wrap_main
 
@@ -249,3 +260,142 @@ class Main {
 @pytest.mark.parametrize("seed", range(20))
 def test_engine_differential_sweep(seed):
     assert_identical(seed, pipeline=True)
+
+
+# ---------------------------------------------------------------------------
+# TEST annotation ops inside sequential blocks
+# ---------------------------------------------------------------------------
+
+class _HookRecorder:
+    """Profiler stand-in: records every hook call with its arguments."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_sloop(self, loop_id, nslots, now):
+        self.calls.append(("sloop", loop_id, nslots, now))
+
+    def on_eoi(self, loop_id, now):
+        self.calls.append(("eoi", loop_id, now))
+
+    def on_eloop(self, loop_id, now):
+        self.calls.append(("eloop", loop_id, now))
+
+    def on_lwl(self, loop_id, slot, now, site):
+        self.calls.append(("lwl", loop_id, slot, now, site))
+
+    def on_swl(self, loop_id, slot, now, site):
+        self.calls.append(("swl", loop_id, slot, now, site))
+
+    def on_load(self, addr, now, site):
+        self.calls.append(("load", addr, now))
+
+    def on_store(self, addr, now, site):
+        self.calls.append(("store", addr, now))
+
+
+def _annotated_unit(raising):
+    """A straight-line unit: ALU work, SLOOP, SWL, a 2-cycle MUL, then
+    *raising* (r1 is 0, so it throws), then RET."""
+    code = [
+        IRInstr(IROp.LI, dst=1, imm=0),
+        IRInstr(IROp.SLOOP, aux=7, imm=1),
+        IRInstr(IROp.ADDI, dst=2, a=1, imm=3),
+        IRInstr(IROp.SWL, aux=7, imm=0),
+        IRInstr(IROp.MUL, dst=3, a=2, b=2),
+        raising,
+        IRInstr(IROp.RET, a=2),
+    ]
+    return SimpleNamespace(code=code, name="T.unit", nregs=6)
+
+
+def _run_to_raise(unit, fastpath):
+    recorder = _HookRecorder()
+    config = HydraConfig(fastpath=fastpath)
+    machine = SimpleNamespace(config=config, profiler=recorder,
+                              hierarchy=MemoryHierarchy(config),
+                              memory=Memory())
+    ctx = CpuContext(machine, 0)
+    ctx.frames = [Frame(unit, [])]
+    dispatches = 0
+    with pytest.raises(Exception) as info:
+        while True:
+            frame = ctx.frames[-1]
+            dispatches += 1
+            if fastpath:
+                frame.handlers[frame.pc](ctx, frame)
+            else:
+                ctx.step_legacy()
+    return {
+        "calls": recorder.calls,
+        "exception": (type(info.value).__name__, str(info.value)),
+        "pc": ctx.frames[-1].pc,
+        "instret": ctx.instret,
+        "time": ctx.time,
+        "compute_cycles": ctx.compute_cycles,
+    }, dispatches
+
+
+_RAISING_AFTER_SWL = [IRInstr(IROp.NULLCHK, a=1),
+                      IRInstr(IROp.BOUNDCHK, a=2, b=1),
+                      IRInstr(IROp.DIV, dst=4, a=2, b=1)]
+
+
+@pytest.mark.parametrize("raising", _RAISING_AFTER_SWL,
+                         ids=["NULLCHK", "BOUNDCHK", "DIV"])
+def test_inlined_swl_hook_before_raise(raising):
+    """A block that raises after an inlined SWL fires the hook exactly
+    once, at the legacy clock value, with the same pc/instret/time
+    flush as ``step_legacy``."""
+    unit = _annotated_unit(raising)
+    fast, fast_dispatches = _run_to_raise(unit, True)
+    legacy, __ = _run_to_raise(unit, False)
+    assert fast == legacy
+    assert fast_dispatches == 1            # one fused block, no splits
+    swl = [call for call in fast["calls"] if call[0] == "swl"]
+    assert swl == [("swl", 7, 0, 3, unit.code[3])]
+    assert fast["calls"][0] == ("sloop", 7, 1, 1)
+    assert (fast["pc"], fast["instret"], fast["time"]) == (6, 6, 6)
+
+
+def test_annotated_code_fuses_annotations_into_blocks():
+    """Sequential tables absorb annotation ops into blocks; the
+    stepwise table, ``tls_event_map`` and ``tls_cost_map`` of the same
+    unit keep them as single-instruction scheduler events."""
+    def generated(handler):
+        return handler.__code__.co_filename.startswith("<ir-engine:")
+
+    config = HydraConfig()
+    compiled = compile_annotated(
+        compile_source(lookup("BitOps").source("small")), config)
+    fused = 0
+    for unit in compiled.methods.values():
+        code = unit.code
+        annotations = [pc for pc, instr in enumerate(code)
+                       if instr.op in _ANNOTATION_OPS]
+        if not annotations:
+            continue
+        table = build_table(code, unit.name)
+        # an annotation right after a block op never starts a block
+        for pc in annotations:
+            if pc > 0 and code[pc - 1].op in BATCHABLE_IR_OPS \
+                    and generated(table[pc - 1]):
+                assert not generated(table[pc])
+                fused += 1
+        steps = step_table(unit)
+        events = tls_event_map(unit)
+        costs = tls_cost_map(unit, config.call_overhead_cycles)
+        for pc in annotations:
+            assert not generated(steps[pc])
+            assert events[pc] == 1
+            assert costs[pc] == 0
+            if pc > 0 and code[pc - 1].op in BATCHABLE_IR_OPS:
+                # a batchable run still ends at the annotation
+                own = _COSTS.get(code[pc - 1].op, 1)
+                assert costs[pc - 1] == own + 1
+    assert fused > 0
+
+    unit = _annotated_unit(_RAISING_AFTER_SWL[0])
+    table = build_table(unit.code, unit.name)
+    assert generated(table[0])
+    assert not any(generated(table[pc]) for pc in range(1, 6))

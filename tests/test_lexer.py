@@ -29,6 +29,13 @@ def test_hex_literal():
     assert kinds("0xff") == [("int", 255)]
 
 
+@pytest.mark.parametrize("src", ["0x", "0X;", "0xg"])
+def test_hex_prefix_without_digits(src):
+    with pytest.raises(CompileError) as info:
+        tokenize("int a;\nint b = " + src)
+    assert info.value.line == 2
+
+
 def test_float_literal():
     assert kinds("3.25") == [("float", 3.25)]
 

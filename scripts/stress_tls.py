@@ -203,6 +203,43 @@ class Main {
 }
 """
 
+SRC["print-in-callee"] = """
+class Main {
+    static int show(int v) { Sys.printInt(v); return v; }
+    static int main() {
+        int[] a = new int[400];
+        for (int i = 0; i < 400; i++) {
+            int x = (i * 37) % 101;
+            a[i] = x;
+            if (i % 40 == 0) { show(x); }
+        }
+        Sys.printInt(a[399]);
+        return 0;
+    }
+}
+"""
+
+SRC["print-in-callee-violating"] = """
+class Main {
+    // the print follows a load that a less-speculative iteration's
+    // late store violates: restarted attempts must drop their prints
+    static int show(int v) { Sys.printInt(v); return v; }
+    static int main() {
+        int[] a = new int[600];
+        int[] c = new int[4];
+        for (int i = 0; i < 600; i++) {
+            if (i % 10 == 0) { show(c[0]); }
+            int x = (i * 37) % 101;
+            x = (x * x + i) % 4096;
+            a[i] = x;
+            if (i % 10 == 9) { c[0] = x; }
+        }
+        Sys.printInt(a[599]);
+        return 0;
+    }
+}
+"""
+
 
 def main():
     names = sys.argv[1:] or list(SRC)

@@ -19,13 +19,14 @@ into a list indexed by pc whose entries are handler closures
   would pass, plus its 1 cycle in the block's static cost.
 * **specialised singletons** — hand-written closures for the hot
   non-batchable ops (``LW/SW/LWNV``, ``CALL``, ``RET``, ``INTRIN``,
+  the per-iteration TLS ops ``STL_EOI_END/STL_EXIT/WAITLOCK/SIGNAL``,
   and the annotation ops in stepwise tables) with operands pre-bound,
   so the per-step work is exactly the semantic action plus cycle
   accounting.
-* **legacy fallback** — everything rare (ALLOC, CALLV, locks, TLS
-  pseudo-ops, …) delegates to ``CpuContext.step_legacy``, the original
-  ``if/elif`` interpreter, which stays the single source of truth for
-  those semantics.
+* **legacy fallback** — everything rare (ALLOC, CALLV, monitors, the
+  remaining TLS pseudo-ops, …) delegates to ``CpuContext.step_legacy``,
+  the original ``if/elif`` interpreter, which stays the single source
+  of truth for those semantics.
 
 Cycle exactness
 ---------------
@@ -86,6 +87,12 @@ _COSTS = {
 
 _ANNOTATION_OPS = frozenset({IROp.SLOOP, IROp.EOI, IROp.ELOOP,
                              IROp.LWL, IROp.SWL})
+
+#: TLS thread-code ops every speculative iteration executes (one
+#: end-of-iteration or exit, plus a WAITLOCK/SIGNAL pair in a
+#: sync-locked loop): specialised singletons, not legacy fallbacks
+_THREAD_SIGNAL_OPS = frozenset({IROp.STL_EOI_END, IROp.STL_EXIT,
+                                IROp.WAITLOCK, IROp.SIGNAL})
 
 #: Ops a block of a *sequential* (non-stepwise) table may contain: the
 #: batchable ops plus the TEST annotation ops (Table 2).  An annotation
@@ -298,6 +305,8 @@ def build_table(code, unit_name, extra_leaders=(), stepwise=False):
             table[pc] = _make_intrin(instr, pc)
         elif op in _ANNOTATION_OPS:
             table[pc] = _make_annotation(instr, pc)
+        elif op in _THREAD_SIGNAL_OPS:
+            table[pc] = _make_thread_signal(instr, pc)
         else:
             # Rare runtime-service / TLS ops, plus the (normally
             # unreachable) interiors of batched blocks: delegate to the
@@ -702,6 +711,39 @@ def _make_ret(instr, pc):
         ctx.compute_cycles += 2
         return None
     return ret
+
+
+def _make_thread_signal(instr, pc):
+    """STL_EOI_END / STL_EXIT / WAITLOCK / SIGNAL: the per-iteration
+    TLS thread-code ops, mirroring their ``step_legacy`` arms (the
+    SIGNAL store goes through the same ``CpuContext._do_signal``)."""
+    from ..hydra.machine import SIG_EOI, SIG_EXIT, SIG_WAIT
+    op = instr.op
+    next_pc = pc + 1
+    if op is IROp.WAITLOCK:
+        def waitlock(ctx, frame):
+            frame.pc = next_pc
+            ctx.instret += 1
+            return SIG_WAIT      # the TLS runtime resolves the lock
+        return waitlock
+    if op is IROp.SIGNAL:
+        def signal(ctx, frame):
+            frame.pc = next_pc
+            ctx.instret += 1
+            cost = ctx._do_signal(instr, frame.regs)
+            ctx.time += cost
+            ctx.compute_cycles += cost
+            return None
+        return signal
+    sig = SIG_EOI if op is IROp.STL_EOI_END else SIG_EXIT
+
+    def thread_end(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        ctx.time += 1
+        ctx.compute_cycles += 1
+        return sig
+    return thread_end
 
 
 def _make_intrin(instr, pc):

@@ -165,7 +165,9 @@ class ProfileDb:
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                # json.dumps runs the C encoder; json.dump would stream
+                # the whole store through the pure-Python one.
+                handle.write(json.dumps(payload))
             os.replace(tmp_path, self.path)
         except BaseException:
             try:

@@ -163,7 +163,7 @@ class ReportCache:
         fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh, separators=(",", ":"))
+                fh.write(json.dumps(payload, separators=(",", ":")))
             os.replace(tmp_path, self.path_for(key))
         except BaseException:
             try:

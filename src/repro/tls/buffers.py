@@ -17,11 +17,6 @@ Models Hydra's TLS data path (paper §2):
 
 from ..hydra.config import CACHE_LINE_SHIFT
 
-#: store-buffer miss sentinel — lets the hot load path answer "does my
-#: buffer hold this word, and what value" with a single dict probe
-_MISSING = object()
-
-
 class SpecThreadState:
     """Speculative state of one thread attempt on one CPU."""
 
@@ -81,14 +76,16 @@ class SpecThreadState:
         self.pending_exception = None
         self.switch_request = None
         self.pending_resets = []
-        self.pending_output = []
+        # Cleared in place: the CPU's ``output_buffer`` aliases this
+        # list for the whole STL entry (a callee's prints land there).
+        self.pending_output.clear()
 
 
 class SpecMemoryInterface:
     """Memory interface installed on a CPU while it runs a speculative
     thread.  Implements forwarding, read tagging and overflow checks."""
 
-    __slots__ = ("ctx", "machine", "runtime", "config", "trace")
+    __slots__ = ("ctx", "machine", "runtime", "config", "trace", "stored")
 
     def __init__(self, ctx, runtime):
         self.ctx = ctx
@@ -98,6 +95,10 @@ class SpecMemoryInterface:
         # Trace collector (or None).  Cached here so the per-first-read
         # guard below is one attribute load, not a machine lookup.
         self.trace = getattr(ctx.machine, "trace", None)
+        #: every word any thread of this STL entry has buffered (never
+        #: shrinks): a word outside it is in no store buffer, so the
+        #: load skips the version search — most speculative loads do
+        self.stored = runtime.stored
 
     # -- lookups --------------------------------------------------------------
     def _find_version(self, addr):
@@ -108,39 +109,13 @@ class SpecMemoryInterface:
         zero instead of faulting — the hardware would likewise return
         garbage, and the thread is doomed to restart anyway.
         """
-        my = self.ctx.spec
-        if addr in my.store_buffer:
-            return my.store_buffer[addr], my.iteration, "own"
-        # Nearest less-speculative forwarder == the highest iteration
-        # below ours holding the word: one pass over the (few) threads
-        # instead of sorting them per load (this is the hottest TLS
-        # memory path).
-        my_iteration = my.iteration
-        source = None
-        source_iteration = -1
-        for thread in self.runtime.threads:
-            iteration = thread.iteration
-            if iteration < my_iteration and iteration > source_iteration \
-                    and addr in thread.store_buffer:
-                source = thread
-                source_iteration = iteration
-        if source is not None:
-            return source.store_buffer[addr], source_iteration, "forward"
-        if addr <= 0 or addr & 3:
-            return 0, -1, "memory"
-        return self.machine.memory.words.get(addr, 0), -1, "memory"
-
-    def load(self, addr):
-        # The version search (== _find_version) is inlined here: this
-        # is the hottest TLS memory path, executed once per speculative
-        # load under both schedulers.
-        ctx = self.ctx
-        my = ctx.spec
-        value = my.store_buffer.get(addr, _MISSING)
-        own = value is not _MISSING
-        if own:
-            latency = 1
-        else:
+        if addr in self.stored:
+            my = self.ctx.spec
+            if addr in my.store_buffer:
+                return my.store_buffer[addr], my.iteration, "own"
+            # Nearest less-speculative forwarder == the highest
+            # iteration below ours holding the word: one pass over the
+            # (few) threads instead of sorting them per load.
             my_iteration = my.iteration
             source = None
             source_iteration = -1
@@ -152,16 +127,32 @@ class SpecMemoryInterface:
                     source = thread
                     source_iteration = iteration
             if source is not None:
-                value = source.store_buffer[addr]
-                latency = self.config.interprocessor_cycles
-            elif addr <= 0 or addr & 3:
-                value = 0
-                latency = 1 if addr <= 0 else \
-                    self.machine.hierarchy.load_latency(ctx.cpu_id, addr)
-            else:
-                value = self.machine.memory.words.get(addr, 0)
-                latency = self.machine.hierarchy.load_latency(
-                    ctx.cpu_id, addr)
+                return source.store_buffer[addr], source_iteration, \
+                    "forward"
+        if addr <= 0 or addr & 3:
+            return 0, -1, "memory"
+        return self.machine.memory.words.get(addr, 0), -1, "memory"
+
+    def load(self, addr):
+        ctx = self.ctx
+        my = ctx.spec
+        if addr in self.stored:
+            value, __, source = self._find_version(addr)
+        else:
+            # The hot path: a word no thread has buffered is read from
+            # committed memory (wild addresses read as zero).
+            source = None
+            value = 0 if addr <= 0 or addr & 3 else \
+                self.machine.memory.words.get(addr, 0)
+        own = source == "own"
+        if own:
+            latency = 1
+        elif source == "forward":
+            latency = self.config.interprocessor_cycles
+        elif addr <= 0:
+            latency = 1
+        else:
+            latency = self.machine.hierarchy.load_latency(ctx.cpu_id, addr)
         # Set the speculative-read tag.  Hydra's L1 tag bits cannot tell
         # *which* version a read consumed, so any later store by a
         # less-speculative thread to a tagged address violates — except
@@ -198,6 +189,7 @@ class SpecMemoryInterface:
     def store(self, addr, value):
         my = self.ctx.spec
         my.store_buffer[addr] = value
+        self.stored.add(addr)
         line = addr >> CACHE_LINE_SHIFT
         my.store_lines.add(line)
         if (len(my.store_lines) > self.config.store_buffer_lines

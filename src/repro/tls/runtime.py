@@ -19,17 +19,24 @@ Two observationally-identical schedulers drive the speculative CPUs:
   branches, calls — the fused superinstructions
   :mod:`repro.engine.ir_engine` builds) and *parks* at its next
   scheduler event: any memory/sync/TLS op that can observe or mutate
-  cross-CPU state.  The scheduler then executes parked events in the
-  same lexicographic ``(clock, cpu-index)`` order the stepwise loop
-  would, so every cross-CPU observable — violation arcs, commits,
+  cross-CPU state.  The scheduler ranks the parks and executes events
+  in the same lexicographic ``(clock, cpu-index)`` order the stepwise
+  loop would, so every cross-CPU observable — violation arcs, commits,
   forwarding, lock acquires, cache counters, trace events — is
-  bit-identical.  Run-ahead is speculative *simulator* state only:
-  when an earlier event restarts/squashes/reads a CPU that ran ahead,
-  the scheduler rewinds it to its segment snapshot and replays
-  per-instruction up to the cut, reproducing the exact stepwise
-  architectural state (registers, clock, instret, pending output).
-  Local ops never touch memory, caches, buffers or the profiler, so
-  phantom run-ahead work leaks nothing observable.
+  bit-identical.  The earliest CPU runs an *event chain*: its event,
+  then its run-ahead to the next one, which it executes at once while
+  it still precedes the runner-up; once overtaken it parks and hands
+  the chain straight to the runner-up (nothing else moved, so no
+  re-ranking and no head service is due).  Run-ahead is speculative
+  *simulator* state only: when an earlier event restarts/squashes/reads
+  a CPU that ran ahead, the scheduler rewinds it to its segment
+  snapshot and replays per-instruction up to the cut, reproducing the
+  exact stepwise architectural state (registers, clock, instret,
+  pending output).  Local ops never touch memory, caches, buffers or
+  the profiler, so phantom run-ahead work leaks nothing observable.
+
+Each :class:`TlsRuntime` (one per machine) keeps one thread-code unit
+per STL, so every dynamic entry reuses its predecoded tables.
 
 The equivalence is enforced end-to-end by
 ``tests/test_scheduler_differential.py`` (byte-identical reports and
@@ -52,10 +59,19 @@ _EXCEPTION = SpecThreadState.EXCEPTION
 _SWITCH = "switch"
 
 _LOCK_POLL_CYCLES = 3
+_NEG_INF = float("-inf")
+#: event scheduler's run-ahead chunk: dispatches under a snapshot before
+#: yielding back, so a wild (doomed-to-restart) thread spinning in a
+#: pure-ALU loop cannot starve the event loop or the step budget
+_CHUNK = 4096
 
 
 class _ThreadCodeUnit:
-    """Adapts an StlDescriptor to the Frame interface (code/nregs/name)."""
+    """Adapts an StlDescriptor to the Frame interface (code/nregs/name).
+
+    One unit per descriptor per :class:`TlsRuntime` (i.e. per machine):
+    every dynamic entry into the STL reuses it, so its handler tables
+    are predecoded once per run, not once per entry."""
 
     __slots__ = ("code", "nregs", "name", "stls", "_dispatch",
                  "_dispatch_step", "_tls_events", "_tls_costs",
@@ -69,7 +85,9 @@ class _ThreadCodeUnit:
         #: predecoded handler table caches (repro.engine.ir_engine):
         #: block-fused for run-ahead / sequential dispatch, stepwise
         #: for the per-instruction oracle scheduler and truncation
-        #: replay, plus the scheduler-event bitmap
+        #: replay, the scheduler-event map and the run-ahead cost
+        #: bounds (which fold in this machine's call overhead, so a
+        #: unit must never be shared across machines)
         self._dispatch = None
         self._dispatch_step = None
         self._tls_events = None
@@ -80,7 +98,8 @@ class _ThreadCodeUnit:
 
 
 class TlsRuntime:
-    """Owns cross-STL state: statistics and the hoisting warm flag."""
+    """Owns cross-STL state: statistics, the hoisting warm flag and the
+    thread-code units (one per descriptor, shared by every entry)."""
 
     def __init__(self, machine):
         self.machine = machine
@@ -88,6 +107,7 @@ class TlsRuntime:
         self.breakdown = TlsStateBreakdown()
         self.stl_stats = {}
         self.last_descriptor = None     # for hoisted startup/shutdown
+        self.units = {}                 # StlDescriptor -> _ThreadCodeUnit
         machine.tls_runtime = self
 
     def stats_for(self, loop_id):
@@ -123,12 +143,21 @@ class _StlExecution:
         self.thread_frames = []
         self.fp_addr = None
         self.entry_reductions = {}
-        self.unit = _ThreadCodeUnit(descriptor)
+        #: every word a thread of this entry has buffered
+        #: (SpecMemoryInterface's forwarding filter)
+        self.stored = set()
+        unit = runtime.units.get(descriptor)
+        if unit is None:
+            unit = runtime.units[descriptor] = _ThreadCodeUnit(descriptor)
+        self.unit = unit
+        self.stats = None                # StlRunStats, bound at startup
         #: runaway guard: *simulated instructions* executed inside this
         #: STL entry (not scheduler iterations), so the budget fires at
         #: the same point under stepwise, event-driven and legacy
         #: dispatch — commits, polls and restarts don't consume it,
-        #: instructions (including raising ones) do.
+        #: instructions (including raising ones) do.  The stepwise loop
+        #: counts them here; the event loop as the sum of its per-CPU
+        #: watermarks (``_counted``).
         self.steps = 0
         self.max_steps = 200_000_000
         # -- event-driven scheduler state (None => stepwise mode) ------
@@ -136,7 +165,7 @@ class _StlExecution:
         #: (time, instret, compute_cycles, acc_compute, pending-output
         #: length, [(frame, pc, regs-copy), ...])
         self._seg = None
-        self._park_kind = None       # "op" | "exc" | "poll" | "run"
+        self._park_kind = None       # "op" | "run" | "poll" | "stl" | "exc"
         self._park_time = None
         self._park_payload = None
         self._counted = None         # instret watermark per CPU
@@ -146,8 +175,8 @@ class _StlExecution:
         self._cut_t = 0.0
         self._cut_i = -1
         #: bumped whenever an event mutates another CPU's schedule
-        #: (restart/squash) — invalidates the event loop's cached
-        #: second-best park position, ending the current event chain
+        #: (restart/squash) — invalidates the event loop's ranking of
+        #: the parks, ending the current event chain
         self._gen = 0
         #: master clock at STL entry — _shutdown charges the elapsed
         #: wall cycles to StlRunStats.wall_cycles (realized-speedup
@@ -157,11 +186,6 @@ class _StlExecution:
     # ------------------------------------------------------------------
     # speculation services used by SpecMemoryInterface
     # ------------------------------------------------------------------
-    def less_speculative(self, spec):
-        return sorted((t for t in self.threads
-                       if t.iteration < spec.iteration),
-                      key=lambda t: -t.iteration)
-
     def is_head(self, spec):
         return spec.iteration == self.head_iteration
 
@@ -220,7 +244,7 @@ class _StlExecution:
         self.breakdown.run_violated += thread.acc_compute
         self.breakdown.wait_violated += thread.acc_wait + wait_extra
         self.breakdown.overhead += thread.acc_overhead
-        stats = self.runtime.stats_for(self.desc.stl_id)
+        stats = self.stats
         stats.restarts += 1
         if primary and cause == "violation":
             self.breakdown.violations += 1
@@ -263,7 +287,6 @@ class _StlExecution:
 
     def _run_stepwise(self):
         self._startup()
-        config = self.config
         threads = self.threads
         ctxs = self.ctxs
         while True:
@@ -333,61 +356,82 @@ class _StlExecution:
 
             if spec.overflowed and not self.is_head(spec) \
                     and spec.state == _RUN:
-                spec.state = _STALLED
-                spec.block_time = ctx.time
-                self.breakdown.overflow_stalls += 1
-                self.runtime.stats_for(self.desc.stl_id).overflow_stalls += 1
-                if self.trace is not None:
-                    load_lines = len(spec.read_lines)
-                    if load_lines > config.load_buffer_lines:
-                        buffer, lines = "load", load_lines
-                    else:
-                        buffer, lines = "store", len(spec.store_lines)
-                    self.trace.overflow(ctx.time, spec.cpu_id,
-                                        self.desc.stl_id, spec.iteration,
-                                        buffer, lines)
+                self._stall(ctx)
                 continue
+            if signal is not None:
+                self._signal(ctx, frame, signal)
 
-            if signal is None:
-                continue
-            if signal == "eoi":
-                overhead = config.overheads.eoi
-                ctx.time += overhead
-                spec.acc_overhead += overhead
-                spec.acc_compute -= 1  # STL_EOI_END's cycle is overhead
-                spec.acc_overhead += 1
-                if self.trace is not None:
-                    self.trace.handler(ctx.time - overhead - 1,
-                                       spec.cpu_id, self.desc.stl_id,
-                                       "eoi", overhead + 1)
-                spec.state = _WAIT_HEAD
-                spec.block_time = ctx.time
-            elif signal == "exit":
-                exit_instr = frame.code[frame.pc - 1]
-                spec.exit_id = exit_instr.aux
-                spec.state = _EXITED
-                spec.block_time = ctx.time
-            elif signal == "wait":
-                self._begin_lock_wait(ctx)
-            elif signal == "done":
-                raise VMError("thread code returned unexpectedly")
+    def _stall(self, ctx):
+        """A non-head thread overflowed its speculative buffers: stall
+        it until it becomes the head (paper §3)."""
+        spec = ctx.spec
+        spec.state = _STALLED
+        spec.block_time = ctx.time
+        self.breakdown.overflow_stalls += 1
+        self.stats.overflow_stalls += 1
+        if self.trace is not None:
+            load_lines = len(spec.read_lines)
+            if load_lines > self.config.load_buffer_lines:
+                buffer, lines = "load", load_lines
+            else:
+                buffer, lines = "store", len(spec.store_lines)
+            self.trace.overflow(ctx.time, spec.cpu_id, self.desc.stl_id,
+                                spec.iteration, buffer, lines)
+
+    def _signal(self, ctx, frame, signal):
+        """Act on a thread-code signal raised by the instruction that
+        just ran in *frame*: end of iteration, loop exit or lock wait."""
+        spec = ctx.spec
+        if signal == "eoi":
+            overhead = self.config.overheads.eoi
+            ctx.time += overhead
+            spec.acc_overhead += overhead
+            spec.acc_compute -= 1  # STL_EOI_END's cycle is overhead
+            spec.acc_overhead += 1
+            if self.trace is not None:
+                self.trace.handler(ctx.time - overhead - 1,
+                                   spec.cpu_id, self.desc.stl_id,
+                                   "eoi", overhead + 1)
+            spec.state = _WAIT_HEAD
+            spec.block_time = ctx.time
+        elif signal == "exit":
+            exit_instr = frame.code[frame.pc - 1]
+            spec.exit_id = exit_instr.aux
+            spec.state = _EXITED
+            spec.block_time = ctx.time
+        elif signal == "wait":
+            self._begin_lock_wait(ctx)
+        elif signal == "done":
+            raise VMError("thread code returned unexpectedly")
 
     # ------------------------------------------------------------------
     # event-driven scheduler
     # ------------------------------------------------------------------
-    #: run-ahead chunk: dispatches before yielding back to the
-    #: scheduler, so a wild (doomed-to-restart) thread spinning in a
-    #: pure-ALU loop cannot starve the event loop or the step budget
-    _CHUNK = 4096
-
     def _run_event(self):
-        """Event-driven main loop: park every runnable CPU at its next
-        scheduler event, then execute parked events in stepwise
-        ``(clock, cpu-index)`` order.  Head-of-queue services (commit,
-        resume, shutdown, switch) run after each event, exactly where
-        the stepwise loop re-checks them.  The event execution body is
-        inlined here (it is the per-event hot path) and mirrors the
-        stepwise loop body statement for statement."""
+        """Event-driven main loop: rank every active CPU by its park
+        position and execute the earliest in stepwise ``(clock,
+        cpu-index)`` order.  Head-of-queue services (commit, resume,
+        shutdown, switch) run before each ranking, exactly where the
+        stepwise loop re-checks them.
+
+        A CPU's park is its next scheduler position: ``"op"`` (an event
+        instruction), ``"run"`` (pending local work — a lower bound on
+        its next event), ``"poll"`` (a lock spin), ``"stl"`` (a nested
+        STL_RUN) or ``"exc"`` (a raise found during run-ahead).  Running
+        CPUs are parked lazily: the ranking parks an unparked one as
+        ``"run"`` at its current clock, and only the earliest CPU runs.
+
+        The earliest CPU executes an *event chain*: its event (mirroring
+        the stepwise loop body statement for statement), then a merged
+        run-ahead through its local instructions — unprotected while
+        every dispatch provably completes below the runner-up, under a
+        segment snapshot once one might cross it — into its next event,
+        which runs at once if it still precedes the runner-up.  When the
+        runner-up overtakes a clean chain, nothing but this CPU's park
+        moved (no restart, no state change), so the head needs no
+        service and the chain hands off to the runner-up without a new
+        ranking.  The whole chain is inlined here: it is the per-event
+        hot path."""
         self._startup()
         n = self.n
         self._seg = seg = [None] * n
@@ -397,8 +441,10 @@ class _StlExecution:
         self._counted = counted = [0] * n
         threads = self.threads
         ctxs = self.ctxs
-        config = self.config
-        call_pad = config.call_overhead_cycles
+        max_steps = self.max_steps
+        call_pad = self.config.call_overhead_cycles
+        tls_event_map(self.unit)
+        tls_cost_map(self.unit, call_pad)
         while True:
             head = threads[self.head_iteration % n]
             hstate = head.state
@@ -416,193 +462,137 @@ class _StlExecution:
                 if hstate is _SWITCH:
                     self._do_switch(head)
                     continue
-                # _WAIT_LOCK head falls through to the event scan.
+                # _WAIT_LOCK head falls through to the ranking.
 
-            # Park every running CPU, then pick the earliest position —
-            # tracking the runner-up too, so a chain of events on the
-            # same CPU can keep executing without rescanning while it
-            # stays ahead of every other CPU.
-            best = -1
-            best_t = 0.0
-            second = -1
-            second_t = 0.0
+            # Rank the active CPUs by park position: the earliest runs,
+            # bounded by the runner-up.  Every active CPU is parked
+            # after this loop (a parked CPU is always active).
+            order = []
             for cpu in range(n):
-                tstate = threads[cpu].state
-                if tstate is _RUN:
-                    if park_kind[cpu] is None:
-                        self._advance(cpu)
-                elif tstate is not _WAIT_LOCK:
-                    continue
-                t = park_time[cpu]
-                if best < 0 or t < best_t:
-                    second = best
-                    second_t = best_t
-                    best = cpu
-                    best_t = t
-                elif second < 0 or t < second_t:
-                    second = cpu
-                    second_t = t
-            if best < 0:
+                if park_kind[cpu] is None:
+                    if threads[cpu].state is not _RUN:
+                        continue
+                    park_kind[cpu] = "run"
+                    t = park_time[cpu] = ctxs[cpu].time
+                else:
+                    t = park_time[cpu]
+                order.append((t, cpu))
+            if not order:
                 raise VMError("TLS deadlock in STL %d" % self.desc.stl_id)
+            order.sort()
+            best_t, best = order[0]
+            if len(order) > 1:
+                second_t, second = order[1]
+            else:
+                second = -1              # sole active CPU: run chunked
+                second_t = _NEG_INF
 
             kind = park_kind[best]
-            if kind == "op":
+            while kind == "op" or kind == "run":
+                # -- one CPU's event chain ------------------------------
                 ctx = ctxs[best]
                 spec = ctx.spec
                 gen = self._gen
-                # Event chain: execute this CPU's parked event, and as
-                # long as the event completes without a state change, a
-                # signal or a cross-CPU restart (which would invalidate
-                # the cached runner-up position or require a head
-                # service), run ahead and execute its next event too
-                # while that event still precedes the runner-up park.
                 # The handler/event/cost tables are hoisted across the
-                # whole chain: event handlers never touch the frame
-                # stack (CALL/RET are *local* ops), so the tables only
-                # change in the run-ahead loop's frame-switch arm.
+                # chain: event handlers never touch the frame stack
+                # except CALLV, and local CALL/RET refresh them below.
+                # (A parked CPU's frame already has its maps: the thread
+                # unit's are built up front, a callee's on entry.)
                 frames = ctx.frames
                 frame = frames[-1]
                 unit = frame.compiled
                 events = unit._tls_events
-                if events is None:
-                    events = tls_event_map(unit)
                 costs = unit._tls_costs
-                if costs is None:
-                    costs = tls_cost_map(unit, call_pad)
                 handlers = frame.handlers
-                # Consume the scan-selected park.  (Chained events are
-                # never parked, so the clears live here and on the
-                # park-consuming continue paths, not in the loop body.)
+                # Consume the park.  Every instruction this CPU ran
+                # before it orders before any later cut, so its segment
+                # snapshot becomes history.
+                at_event = kind == "op"
                 park_kind[best] = None
-                seg[best] = None         # the segment becomes history
+                seg[best] = None
+                kind = None              # set by a hand-off only
                 while True:
-                    # -- one parked instruction-event (stepwise body) --
-                    # ("op" parks are never STL_RUN: the event map
-                    # classifies those separately and they park as
-                    # "stl" — see the dispatcher below.)
-                    self._cut_t = best_t
-                    self._cut_i = best
-                    pc = frame.pc
-                    before = ctx.time
-                    try:
-                        signal = handlers[pc](ctx, frame)
-                    except (GuestException, VMError) as exc:
-                        # Wild speculative execution; real only if it
-                        # reaches the head.
-                        spec.acc_compute += ctx.time - before
-                        self._account(best)
-                        spec.state = _EXCEPTION
-                        spec.pending_exception = exc
-                        spec.block_time = ctx.time
-                        break
-                    spec.acc_compute += ctx.time - before
-
-                    if spec.overflowed and not self.is_head(spec) \
-                            and spec.state is _RUN:
-                        spec.state = _STALLED
-                        spec.block_time = ctx.time
-                        self.breakdown.overflow_stalls += 1
-                        self.runtime.stats_for(
-                            self.desc.stl_id).overflow_stalls += 1
-                        if self.trace is not None:
-                            load_lines = len(spec.read_lines)
-                            if load_lines > config.load_buffer_lines:
-                                buffer, lines = "load", load_lines
-                            else:
-                                buffer, lines = ("store",
-                                                 len(spec.store_lines))
-                            self.trace.overflow(
-                                ctx.time, spec.cpu_id, self.desc.stl_id,
-                                spec.iteration, buffer, lines)
-                        break
-
-                    if signal is not None:
-                        if signal == "eoi":
-                            overhead = config.overheads.eoi
-                            ctx.time += overhead
-                            spec.acc_overhead += overhead
-                            spec.acc_compute -= 1  # STL_EOI_END's cycle
-                            spec.acc_overhead += 1
-                            if self.trace is not None:
-                                self.trace.handler(
-                                    ctx.time - overhead - 1, spec.cpu_id,
-                                    self.desc.stl_id, "eoi",
-                                    overhead + 1)
-                            spec.state = _WAIT_HEAD
+                    if at_event:
+                        # -- one instruction-event (stepwise body) -----
+                        # (never STL_RUN: the event map classifies those
+                        # separately, see the run-ahead below.)
+                        before = self._cut_t = ctx.time
+                        self._cut_i = best
+                        try:
+                            signal = handlers[frame.pc](ctx, frame)
+                        except (GuestException, VMError) as exc:
+                            # Wild speculative execution; real only if
+                            # it reaches the head.
+                            spec.acc_compute += ctx.time - before
+                            self._account(best)
+                            spec.state = _EXCEPTION
+                            spec.pending_exception = exc
                             spec.block_time = ctx.time
-                        elif signal == "exit":
-                            exit_instr = frame.code[frame.pc - 1]
-                            spec.exit_id = exit_instr.aux
-                            spec.state = _EXITED
-                            spec.block_time = ctx.time
-                        elif signal == "wait":
-                            self._begin_lock_wait(ctx)
-                            if spec.state is _WAIT_LOCK:
-                                park_kind[best] = "poll"
-                                park_time[best] = ctx.time
-                        elif signal == "done":
-                            raise VMError(
-                                "thread code returned unexpectedly")
-                        break
-
-                    # Clean completion, thread still running: chain.
-                    if self._gen != gen:
-                        break            # a restart moved other CPUs
-                    top = frames[-1]
-                    if top is not frame:
-                        # CALLV is an event *and* pushes a frame:
-                        # refresh the hoisted tables.
-                        frame = top
-                        unit = frame.compiled
-                        events = unit._tls_events
-                        if events is None:
-                            events = tls_event_map(unit)
-                        costs = unit._tls_costs
-                        if costs is None:
-                            costs = tls_cost_map(unit, call_pad)
-                        handlers = frame.handlers
-                    if second < 0:
-                        # No runner-up: fall back to the generic
-                        # advance (chunked against runaway threads).
-                        self._advance(best)
-                        if park_kind[best] != "op":
                             break
-                        best_t = park_time[best]
-                        park_kind[best] = None
-                        seg[best] = None
-                        # _advance may have moved the frame stack:
-                        # refresh the hoisted tables.
-                        frame = frames[-1]
-                        unit = frame.compiled
-                        events = unit._tls_events
-                        costs = unit._tls_costs
-                        if costs is None:
-                            costs = tls_cost_map(unit, call_pad)
-                        handlers = frame.handlers
-                        continue         # sole active CPU: always next
+                        if signal is None and self._gen == gen \
+                                and not spec.overflowed:
+                            # Clean completion, nothing else moved: the
+                            # run-ahead below settles this event's
+                            # compute cycles together with its own.
+                            t0 = before
+                        else:
+                            spec.acc_compute += ctx.time - before
+                            if spec.overflowed \
+                                    and not self.is_head(spec) \
+                                    and spec.state is _RUN:
+                                self._stall(ctx)
+                                break
+                            if signal is not None:
+                                self._signal(ctx, frame, signal)
+                                if spec.state is _WAIT_LOCK:
+                                    park_kind[best] = "poll"
+                                    park_time[best] = ctx.time
+                                break
+                            if self._gen != gen:
+                                break    # a restart moved other CPUs
+                            t0 = ctx.time
+                        if frames[-1] is not frame:
+                            # CALLV is an event *and* pushes a frame.
+                            frame = frames[-1]
+                            unit = frame.compiled
+                            events = unit._tls_events
+                            if events is None:
+                                events = tls_event_map(unit)
+                            costs = unit._tls_costs
+                            if costs is None:
+                                costs = tls_cost_map(unit, call_pad)
+                            handlers = frame.handlers
+                    else:
+                        t0 = ctx.time
 
-                    # Merged run-ahead.  While every dispatch provably
-                    # completes below the runner-up park position, each
-                    # instruction this CPU executes — local *or* event
-                    # — is immediately the global minimum: no future
-                    # cut can order before it, so it runs with no
-                    # segment snapshot, no park and no rescan.  The
-                    # first dispatch that *might* cross the runner-up
-                    # takes the snapshot, and the loop continues under
-                    # rewind protection exactly like _advance.
+                    # -- merged run-ahead to the next event -------------
+                    # While every dispatch provably completes below the
+                    # runner-up park, each instruction this CPU executes
+                    # is immediately the global minimum: no future cut
+                    # can order before it, so it runs with no snapshot.
+                    # The first dispatch that *might* cross the runner-up
+                    # takes the snapshot; from there the CPU runs under
+                    # rewind protection, at most _CHUNK dispatches (a
+                    # wild thread spinning in a pure-ALU loop must not
+                    # starve the event loop or the step budget).  An
+                    # event still ahead of the runner-up runs next (the
+                    # snapshot, if any, becomes history); a later one
+                    # parks the CPU.
                     acc0 = spec.acc_compute
-                    t0 = ctx.time
-                    exit_kind = 0        # 0 = parked, 1 = event, 2 = exc
                     cur_seg = None
-                    budget = 0
+                    # exit_kind: 0 = left the chain (transitioned, or
+                    # parked off an event), 1 = run the event now,
+                    # 2 = raised ahead of every CPU, 3 = parked at an
+                    # event behind the runner-up
                     while True:
                         pc = frame.pc
                         ev = events[pc]
                         if ev:
                             t = ctx.time
-                            if cur_seg is None and \
-                                    (t < second_t
-                                     or (t == second_t and best < second)):
+                            if t < second_t \
+                                    or (t == second_t and best < second):
+                                if cur_seg is not None:
+                                    seg[best] = None     # now history
                                 if ev == 1:
                                     exit_kind = 1
                                     break
@@ -613,9 +603,14 @@ class _StlExecution:
                                 self._cut_i = best
                                 spec.state = _SWITCH
                                 spec.block_time = t
+                                exit_kind = 0
                                 break
-                            park_kind[best] = "op" if ev == 1 else "stl"
-                            park_time[best] = t
+                            if ev == 1:
+                                exit_kind = 3
+                            else:
+                                park_kind[best] = "stl"
+                                park_time[best] = t
+                                exit_kind = 0
                             break
                         if cur_seg is None:
                             if ctx.time + costs[pc] > second_t:
@@ -637,12 +632,13 @@ class _StlExecution:
                                         [(f, f.pc, f.regs[:])
                                          for f in frames])
                                 seg[best] = cur_seg
-                                budget = self._CHUNK
+                                budget = _CHUNK
                         else:
                             budget -= 1
                             if budget == 0:
                                 park_kind[best] = "run"
                                 park_time[best] = ctx.time
+                                exit_kind = 0
                                 break
                         try:
                             signal = handlers[pc](ctx, frame)
@@ -658,6 +654,7 @@ class _StlExecution:
                                 self._park_payload[best] = exc
                                 park_kind[best] = "exc"
                                 park_time[best] = ctx.time
+                                exit_kind = 0
                             break
                         if signal is not None:
                             # RET drained the frame stack.
@@ -676,12 +673,16 @@ class _StlExecution:
                             ctx.time -= 1
                             ctx.instret -= 1
                             ctx.compute_cycles -= 1
-                            park_kind[best] = "op"
-                            park_time[best] = ctx.time
+                            t = ctx.time
+                            if t < second_t \
+                                    or (t == second_t and best < second):
+                                seg[best] = None
+                                exit_kind = 1    # raises at once
+                            else:
+                                exit_kind = 3
                             break
-                        top = frames[-1]
-                        if top is not frame:     # CALL/RET moved frames
-                            frame = top
+                        if frames[-1] is not frame:  # CALL/RET
+                            frame = frames[-1]
                             unit = frame.compiled
                             events = unit._tls_events
                             if events is None:
@@ -691,16 +692,27 @@ class _StlExecution:
                                 costs = tls_cost_map(unit, call_pad)
                             handlers = frame.handlers
                     spec.acc_compute = acc0 + (ctx.time - t0)
-                    instret = ctx.instret
-                    delta = instret - counted[best]
-                    if delta:
-                        counted[best] = instret
-                        self.steps += delta
-                        if delta > 0 and self.steps > self.max_steps:
-                            raise VMError("STL %d exceeded step budget"
-                                          % self.desc.stl_id)
+                    counted[best] = ctx.instret  # _account, inlined
+                    if sum(counted) > max_steps:
+                        self._budget_exceeded()
+                    if exit_kind == 3:
+                        if second >= 0:
+                            # Overtaken: re-rank this CPU's new park (the
+                            # other parks did not move) and hand off to
+                            # the runner-up.
+                            t = park_time[best] = ctx.time
+                            park_kind[best] = "op"
+                            order[0] = (t, best)
+                            order.sort()
+                            best_t, best = order[0]
+                            second_t, second = order[1]
+                            kind = park_kind[best]
+                            break
+                        seg[best] = None  # sole active CPU: always next
+                        at_event = True
+                        continue
                     if exit_kind == 1:
-                        best_t = ctx.time
+                        at_event = True
                         continue         # chain: this event is next too
                     if exit_kind == 2:
                         self._cut_t = ctx.time
@@ -708,19 +720,11 @@ class _StlExecution:
                         spec.state = _EXCEPTION
                         spec.pending_exception = pending
                         spec.block_time = ctx.time
-                        break
-                    if park_kind[best] != "op":
-                        break            # transitioned or parked non-op
-                    t = park_time[best]
-                    if t < second_t or (t == second_t and best < second):
-                        best_t = t
-                        park_kind[best] = None
-                        seg[best] = None
-                        continue         # still globally minimal
-                    break                # overtaken: full rescan
-            elif kind == "run":          # chunk-yield: resume run-ahead
-                self._advance(best)
-            elif kind == "poll":
+                    break
+
+            if kind is None:
+                continue                 # the chain ended: re-rank
+            if kind == "poll":
                 self._poll_event(best)
             elif kind == "stl":
                 # Nested STL_RUN while speculating: multilevel switch.
@@ -742,106 +746,16 @@ class _StlExecution:
                 park_kind[best] = None
                 seg[best] = None
 
-    def _clear(self, cpu):
-        """The CPU's parked event executed (or its thread left the RUN
-        state at it): the segment becomes immutable history — every
-        later cut orders after this position — so drop it."""
-        self._park_kind[cpu] = None
-        self._seg[cpu] = None
-
     def _account(self, cpu):
-        """Fold the CPU's new instructions into the step budget (the
-        watermark makes this idempotent and truncation-aware)."""
-        ctx = self.ctxs[cpu]
-        delta = ctx.instret - self._counted[cpu]
-        if delta:
-            self._counted[cpu] = ctx.instret
-            self.steps += delta
-            if delta > 0 and self.steps > self.max_steps:
-                raise VMError("STL %d exceeded step budget"
-                              % self.desc.stl_id)
+        """Fold the CPU's instructions into the step budget: the
+        budget counts each CPU's instructions up to its watermark, so
+        this is idempotent and truncation-aware."""
+        self._counted[cpu] = self.ctxs[cpu].instret
+        if sum(self._counted) > self.max_steps:
+            self._budget_exceeded()
 
-    def _advance(self, cpu):
-        """Run *cpu* ahead through local instructions (block dispatch)
-        until it parks at its next scheduler event, raises, or exhausts
-        the run-ahead chunk.  The handler and event tables are hoisted
-        per frame (they only change on CALL/RET)."""
-        ctx = self.ctxs[cpu]
-        spec = ctx.spec
-        frames = ctx.frames
-        seg = self._seg[cpu]
-        if seg is None:                  # fresh segment (not a resume)
-            if len(frames) == 1:
-                frame = frames[0]
-                seg = (ctx.time, ctx.instret, ctx.compute_cycles,
-                       spec.acc_compute, len(spec.pending_output),
-                       frame, frame.pc, frame.regs[:])
-            else:
-                seg = (ctx.time, ctx.instret, ctx.compute_cycles,
-                       spec.acc_compute, len(spec.pending_output),
-                       [(f, f.pc, f.regs[:]) for f in frames])
-            self._seg[cpu] = seg
-        frame = frames[-1]
-        events = frame.compiled._tls_events
-        if events is None:
-            events = tls_event_map(frame.compiled)
-        handlers = frame.handlers
-        budget = self._CHUNK
-        while True:
-            pc = frame.pc
-            ev = events[pc]
-            if ev:
-                kind = "op" if ev == 1 else "stl"
-                break
-            try:
-                signal = handlers[pc](ctx, frame)
-            except (GuestException, VMError) as exc:
-                # Raise-flush left ctx.time at the raising
-                # instruction's pre-step clock — exactly its stepwise
-                # scheduling position.
-                self._park_payload[cpu] = exc
-                kind = "exc"
-                break
-            if signal is not None:
-                # RET drained the frame stack ("thread code returned").
-                # Undo the step and park *before* it so the event loop
-                # raises at the exact stepwise position — an earlier
-                # event may legitimately restart this thread first.
-                frame.pc = pc
-                frames.append(frame)
-                ctx.status = "running"
-                ctx.return_value = None
-                ctx.time -= 1
-                ctx.instret -= 1
-                ctx.compute_cycles -= 1
-                kind = "op"
-                break
-            top = frames[-1]
-            if top is not frame:         # CALL/RET changed frames
-                frame = top
-                events = frame.compiled._tls_events
-                if events is None:
-                    events = tls_event_map(frame.compiled)
-                handlers = frame.handlers
-            budget -= 1
-            if budget == 0:
-                kind = "run"
-                break
-        self._park_kind[cpu] = kind
-        self._park_time[cpu] = ctx.time
-        if kind != "run":
-            # Settle the local run's compute cycles (assignment from
-            # the snapshot: idempotent under later truncation).
-            spec.acc_compute = seg[3] + (ctx.time - seg[0])
-        # _account, inlined (this is the per-event hot path)
-        instret = ctx.instret
-        delta = instret - self._counted[cpu]
-        if delta:
-            self._counted[cpu] = instret
-            self.steps += delta
-            if delta > 0 and self.steps > self.max_steps:
-                raise VMError("STL %d exceeded step budget"
-                              % self.desc.stl_id)
+    def _budget_exceeded(self):
+        raise VMError("STL %d exceeded step budget" % self.desc.stl_id)
 
     def _poll_event(self, cpu):
         """One lock poll at its stepwise position, plus wake-at-release
@@ -871,18 +785,13 @@ class _StlExecution:
         ctx.time += _LOCK_POLL_CYCLES
 
         # earliest possible position of any other CPU's next event
+        # (every active CPU is parked while an event executes)
         bound_t = None
         bound_i = -1
-        threads = self.threads
+        park_kind = self._park_kind
         for other in range(self.n):
-            if other == cpu:
-                continue
-            state = threads[other].state
-            if state == _RUN or state == _WAIT_LOCK:
-                if self._park_kind[other] is not None:
-                    t = self._park_time[other]
-                else:
-                    t = self.ctxs[other].time
+            if other != cpu and park_kind[other] is not None:
+                t = self._park_time[other]
                 if bound_t is None or t < bound_t:
                     bound_t = t
                     bound_i = other
@@ -958,7 +867,7 @@ class _StlExecution:
         master.time += startup_cost
         self.breakdown.overhead += startup_cost
         self.breakdown.stl_entries += 1
-        stats = self.runtime.stats_for(desc.stl_id)
+        self.stats = stats = self.runtime.stats_for(desc.stl_id)
         stats.entries += 1
         if self.trace is not None:
             self.trace.stl(master.time - startup_cost, master.cpu_id,
@@ -1049,7 +958,7 @@ class _StlExecution:
         self.breakdown.commits += 1
         load_lines = len(thread.read_lines)
         store_lines = len(thread.store_lines)
-        stats = self.runtime.stats_for(self.desc.stl_id)
+        stats = self.stats
         stats.threads_committed += 1
         stats.cycles_total += thread.acc_compute
         stats.sum_load_lines += load_lines
@@ -1214,8 +1123,7 @@ class _StlExecution:
         # Attribute the workers' executed instructions to the master so
         # RunResult.instructions covers the whole simulation.
         master.instret += sum(ctx.instret for ctx in self.ctxs)
-        self.runtime.stats_for(self.desc.stl_id).wall_cycles += \
-            master.time - self.entry_master_time
+        self.stats.wall_cycles += master.time - self.entry_master_time
         self.machine.stack_release(self.fp_addr)
         return thread.exit_id
 
@@ -1225,8 +1133,7 @@ class _StlExecution:
         now = max(ctx.time, self.last_commit_time)
         self._drain_store_buffer(thread)
         self.master.time = now + self.config.overheads.shutdown
-        self.runtime.stats_for(self.desc.stl_id).wall_cycles += \
-            self.master.time - self.entry_master_time
+        self.stats.wall_cycles += self.master.time - self.entry_master_time
         self.machine.stack_release(self.fp_addr)
         raise thread.pending_exception
 
@@ -1271,7 +1178,7 @@ class _StlExecution:
                 self.breakdown.wait_violated += other.acc_wait
                 self.breakdown.overhead += other.acc_overhead
                 self.breakdown.squashes += 1
-                self.runtime.stats_for(self.desc.stl_id).restarts += 1
+                self.stats.restarts += 1
                 if self.trace is not None:
                     self.trace.thread_span(other.start_time, now,
                                            other.cpu_id,
@@ -1291,7 +1198,7 @@ class _StlExecution:
         ctx.mem = PlainMemoryInterface(ctx)
         ctx.output_buffer = None
         try:
-            exit_id = _StlExecution(self.runtime, ctx, inner_desc).run()
+            exit_id = self.runtime.run_stl(ctx, inner_desc)
         finally:
             ctx.spec = saved_spec
             ctx.mem = saved_mem

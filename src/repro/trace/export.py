@@ -205,7 +205,7 @@ def chrome_trace(collector, name="jrpm"):
 def write_chrome_trace(collector, path, name="jrpm"):
     """Serialize :func:`chrome_trace` to *path*; returns the path."""
     with open(path, "w") as fh:
-        json.dump(chrome_trace(collector, name=name), fh)
+        fh.write(json.dumps(chrome_trace(collector, name=name)))
     return path
 
 

@@ -101,6 +101,17 @@ def test_records_round_trip(db_path):
         assert rebuilt.to_dict() == entry
 
 
+def test_store_file_is_json_dumps_of_its_payload(db_path):
+    """The store is published in one ``json.dumps`` write: the file is
+    byte-for-byte the compact encoding of its payload, after a cold
+    run and after the warm run that rewrites it."""
+    for __ in range(2):
+        _run(db_path)
+        with open(db_path) as handle:
+            text = handle.read()
+        assert text == json.dumps(ProfileDb(db_path).export())
+
+
 def test_validate_profdb_dict_rejects_malformed():
     assert validate_profdb_dict([]) == ["top level: not an object"]
     assert any("schema" in p for p in validate_profdb_dict({}))

@@ -17,14 +17,10 @@ class _StubExecution:
 
     def __init__(self, threads):
         self.threads = threads
+        self.stored = set()
         self.overflowed = []
         self.stores = []
         self.head_iteration = min(t.iteration for t in threads)
-
-    def less_speculative(self, spec):
-        return sorted((t for t in self.threads
-                       if t.iteration < spec.iteration),
-                      key=lambda t: -t.iteration)
 
     def is_head(self, spec):
         return spec.iteration == self.head_iteration

@@ -194,3 +194,108 @@ def test_stl_stats_recorded_per_loop():
         assert stats.entries >= 1
         assert stats.threads_committed > 0
         assert stats.avg_thread_cycles > 0
+
+
+# -- thread-code tables: built once per (run, STL) ----------------------------
+
+#: the outer loop prints, so only the inner loop is speculated — and it
+#: is entered once per outer iteration
+INNER_STL_REENTERED = wrap_main("""
+    int[] a = new int[64];
+    int s = 0;
+    for (int r = 0; r < 40; r++) {
+        for (int i = 0; i < 64; i++) { a[i] = a[i] * 3 + r + i; }
+        s = s + a[r];
+        Sys.printInt(s);
+    }
+    return s;
+""")
+
+MULTILEVEL_SWITCH = wrap_main("""
+    int[] data = new int[4000];
+    int t = 0;
+    for (int f = 0; f < 160; f++) {
+        t += (f * 13) % 7;
+        if ((f & 31) == 0) {
+            for (int k = 0; k < 200; k++) { data[k] = data[k] + f + k; }
+        }
+    }
+    int s = 0;
+    for (int k = 0; k < 200; k++) { s += data[k]; }
+    Sys.printInt(t);
+    Sys.printInt(s);
+    return t;
+""")
+
+
+def _count_thread_code_builds(monkeypatch, source, scheduler):
+    """Run the pipeline once, counting ``build_table`` calls per
+    (thread-code unit, stepwise) key."""
+    from repro.engine import ir_engine
+    builds = {}
+    build_table = ir_engine.build_table
+
+    def counted(code, unit_name, extra_leaders=(), stepwise=False):
+        if "$stl" in unit_name:
+            key = (unit_name, stepwise)
+            builds[key] = builds.get(key, 0) + 1
+        return build_table(code, unit_name, extra_leaders, stepwise)
+
+    monkeypatch.setattr(ir_engine, "build_table", counted)
+    report = run(source, config=HydraConfig(scheduler=scheduler))
+    monkeypatch.undo()
+    payload = report.to_dict()
+    payload.pop("config")
+    return report, builds, payload
+
+
+@pytest.mark.parametrize("source, reentered", [
+    (INNER_STL_REENTERED, 40), (MULTILEVEL_SWITCH, 5)],
+    ids=["inner-loop", "multilevel-switch"])
+def test_thread_code_tables_built_once_per_stl(monkeypatch, source,
+                                               reentered):
+    payloads = []
+    for scheduler in ("event", "stepwise"):
+        report, builds, payload = _count_thread_code_builds(
+            monkeypatch, source, scheduler)
+        assert report.outputs_match()
+        entries = [stats.entries
+                   for stats in report.stl_run_stats.values()]
+        assert max(entries) == reentered
+        assert builds and set(builds.values()) == {1}, builds
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
+def test_thread_code_units_are_per_machine(monkeypatch):
+    """The run-ahead cost map folds in the machine's CALL overhead, so
+    two machines never share a thread-code unit."""
+    from repro.jit.ir import IROp
+    from repro.tls.runtime import TlsRuntime
+    source = wrap_main("""
+        int[] a = new int[600];
+        for (int i = 0; i < 600; i++) { a[i] = step(i) + step(i + 1); }
+        Sys.printInt(a[599]);
+        return 0;
+    """, prelude="static int step(int x) { return (x * 5 + 7) % 2048; }")
+    units = []
+    run_stl = TlsRuntime.run_stl
+
+    def spy(runtime, master_ctx, descriptor):
+        exit_id = run_stl(runtime, master_ctx, descriptor)
+        units.append((runtime.config.call_overhead_cycles,
+                      runtime.units[descriptor]))
+        return exit_id
+
+    monkeypatch.setattr(TlsRuntime, "run_stl", spy)
+    for pad in (2, 9):
+        assert run(source, config=HydraConfig(
+            call_overhead_cycles=pad)).outputs_match()
+    assert {pad for pad, __ in units} == {2, 9}
+    assert len({id(unit) for __, unit in units}) == 2
+    for pad, unit in units:
+        calls = [(pc, instr) for pc, instr in enumerate(unit.code)
+                 if instr.op is IROp.CALL]
+        assert calls
+        for pc, instr in calls:
+            assert unit._tls_costs[pc] == pad + len(instr.args or ())

@@ -220,3 +220,54 @@ def test_reduction_merge_order_independent_for_ints():
     report = pipeline(src)
     assert report.outputs_match()
     assert report.tls_speedup > 2.0
+
+
+# -- speculative output from a callee -----------------------------------------
+
+SHOW = "static int show(int v) { Sys.printInt(v); return v; }"
+
+CALLEE_PRINT = wrap_main("""
+    int[] a = new int[400];
+    for (int i = 0; i < 400; i++) {
+        int x = i * 3;
+        a[i] = x;
+        if (i % 40 == 0) { show(x); }
+    }
+    Sys.printInt(a[399]);
+    return 0;
+""", prelude=SHOW)
+
+CALLEE_PRINT_VIOLATING = wrap_main("""
+    int[] b = new int[400];
+    b[0] = 1;
+    for (int i = 1; i < 400; i++) {
+        b[i] = (b[i-1] * 3 + 1) & 1023;
+        if (i % 40 == 0) { show(b[i]); }
+    }
+    Sys.printInt(b[399]);
+    return 0;
+""", prelude=SHOW)
+
+
+@pytest.mark.parametrize("scheduler", ["event", "stepwise"])
+def test_callee_prints_commit_in_order(scheduler):
+    """A callee's prints are buffered with the speculative thread and
+    reach the output when it commits — for every thread, not only the
+    first one each CPU runs."""
+    config = HydraConfig(scheduler=scheduler)
+    report = pipeline(CALLEE_PRINT, config=config)
+    assert report.plans                  # the loop ran speculatively
+    assert len(report.sequential.output) == 11
+    assert report.tls.output == report.sequential.output
+
+
+@pytest.mark.parametrize("scheduler", ["event", "stepwise"])
+def test_callee_prints_of_restarted_attempts_are_discarded(scheduler):
+    """Under RAW violations each restart drops the attempt's buffered
+    prints: the committed output is exactly the sequential one."""
+    config = HydraConfig(min_predicted_speedup=0.0, scheduler=scheduler)
+    report = pipeline(CALLEE_PRINT_VIOLATING, config=config)
+    assert report.plans
+    assert report.breakdown.violations > 0
+    assert len(report.sequential.output) == 10
+    assert report.tls.output == report.sequential.output

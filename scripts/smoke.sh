@@ -26,7 +26,11 @@
 #    pushes a pipelined client burst through it (second identical
 #    request must be a store hit), drains it gracefully, and checks
 #    the daemon exits 0 — the serve → client → drain path of
-#    docs/service.md;
+#    docs/service.md; then a `--profdb` daemon serves BitOps, euler and
+#    decJpeg four times each: every reply after the first must be a
+#    byte-identical warm start, and no worker may be spawned after the
+#    first batch (scripts/check_daemon_warm.py — persistent workers
+#    and their compile cache);
 # 8. runs one workload twice against a shared profile DB: the first
 #    run records a consensus profile, the second must warm-start from
 #    it (skipping the baseline and TEST executions) with an identical
@@ -155,6 +159,7 @@ assert drained["drained"] is True and drained["failed"] == 0
 client.close()
 PYEOF
 wait "$SERVE_PID" && echo "serve:  drained cleanly (exit 0)"
+python scripts/check_daemon_warm.py --workdir "$(mktemp -d -p "$CACHE_DIR")"
 
 echo
 echo "== smoke: profile DB warm start + schema check =="

@@ -12,6 +12,7 @@
 benchmark harness needs into a :class:`JrpmReport`.
 """
 
+import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -430,11 +431,17 @@ class Jrpm:
 
     def __init__(self, config=None, stl_options=None, vm_options=None,
                  trace=None, options=None, analysis=False, profdb=None,
-                 warm_start=None):
+                 warm_start=None, compile_cache=None):
         """``options`` (a :class:`repro.service.RunOptions`) is the
         preferred single knob; the per-object kwargs remain for callers
         that build the pieces themselves and override the corresponding
-        ``options`` projection when both are given."""
+        ``options`` projection when both are given.
+
+        ``compile_cache`` is internal to the service's pool workers: a
+        :class:`~repro.service.jobs.CompileCache` that memoizes the
+        parse, the annotated compile and the recompile across requests.
+        The default ``None`` compiles everything afresh, so library
+        callers hold no compiled code between runs."""
         if options is not None:
             config = config or options.hydra_config()
             stl_options = stl_options or options.stl_options()
@@ -469,6 +476,7 @@ class Jrpm:
         #: (always profile; still records).
         self.profdb = self._normalize_profdb(profdb)
         self.warm_start = warm_start or "auto"
+        self.compile_cache = compile_cache
 
     @staticmethod
     def _normalize_profdb(profdb):
@@ -517,7 +525,7 @@ class Jrpm:
             analysis_report = analyze_program(
                 program, threshold=self.config.min_predicted_speedup)
             prune = analysis_report.prune_set()
-        annotated = compile_annotated(program, self.config, prune=prune)
+        annotated = self.annotate(program, prune)
         if self.trace is not None:
             self.trace.set_phase("profile")
         profiler = TestProfiler(self.config, annotated.loop_table,
@@ -528,6 +536,14 @@ class Jrpm:
                                measurement=measurement,
                                annotations=annotation_count(annotated),
                                analysis=analysis_report)
+
+    def annotate(self, program, prune=None):
+        """Step 1's compile alone: *program* with TEST annotations
+        (``prune`` as for :func:`~repro.jit.compiler.compile_annotated`)."""
+        return self._compiled(
+            lambda: compile_annotated(program, self.config, prune=prune),
+            lambda: ("annotated", program, self._config_key(),
+                     tuple(sorted(prune.items())) if prune else None))
 
     def make_selector(self, loop_table):
         """The §3.1 selector configured for this Jrpm instance."""
@@ -550,8 +566,14 @@ class Jrpm:
         if not plans:
             return None
         program = self._program_of(source_or_program)
-        return recompile_with_stls(program, self.config, plans,
-                                   self.stl_options)
+        return self._compiled(
+            lambda: recompile_with_stls(program, self.config, plans,
+                                        self.stl_options),
+            lambda: ("recompiled", program, self._config_key(),
+                     _json_key(self.stl_options.to_dict()),
+                     _json_key(self.vm_options.to_dict()),
+                     _json_key({str(loop_id): plan.to_dict()
+                                for loop_id, plan in plans.items()})))
 
     def execute_tls(self, recompiled, plans, args=(), fallback=None):
         """Step 5: run the speculative code on the Hydra simulator.
@@ -752,11 +774,28 @@ class Jrpm:
                 predicted -= saved
         return max(predicted, report.sequential.cycles * 0.05)
 
-    @staticmethod
-    def _program_of(source_or_program):
+    def _program_of(self, source_or_program):
         if isinstance(source_or_program, str):
-            return compile_source(source_or_program)
+            return self._compiled(lambda: compile_source(source_or_program),
+                                  lambda: ("program", source_or_program))
         return source_or_program
+
+    def _compiled(self, build, key):
+        """``build()``, memoized under ``key()`` in the attached compile
+        cache (if any; without one no key is built).  Keys are content:
+        source text, the Program parsed from it (unique per source in
+        the cache), canonical JSON of the options and plans."""
+        if self.compile_cache is None:
+            return build()
+        return self.compile_cache.get(key(), build)
+
+    def _config_key(self):
+        return _json_key(self.config.to_dict())
+
+
+def _json_key(data):
+    """Canonical JSON of a dict: the cache-key form of options/plans."""
+    return json.dumps(data, sort_keys=True)
 
 
 def run_jrpm(source, name="program", config=None, **kwargs):

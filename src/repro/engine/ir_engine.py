@@ -48,13 +48,15 @@ Two table granularities exist per code unit:
   so they occur at identical clock values either way.
 * :func:`step_table` — single-instruction handlers (same specialised
   closures, no multi-instruction blocks, no compare+branch fusion).
-  Used by the TLS event loop, whose smallest-clock scheduler
+  Used by the stepwise TLS scheduler under ``fastpath``, which
   interleaves CPUs *between individual instructions*: a batched block
   would let one thread's clock overrun a concurrent violating store
   and inflate its squashed-work accounting.  Stepwise tables keep the
   interleaving — and therefore every violation/restart cycle count —
   bit-identical to the legacy engine while still replacing the
-  if/elif chain with one table index + pre-bound closure call.
+  if/elif chain with one table index + pre-bound closure call.  (The
+  event scheduler builds none: it runs ahead on block tables and
+  replays truncations through ``step_legacy``.)
 """
 
 import math

@@ -11,6 +11,11 @@ remote writes).
 
 from .config import CACHE_LINE_SHIFT
 
+#: stand-in for a set no line was ever filled into: membership tests
+#: read it like an empty set, and :meth:`SetAssociativeCache.fill`
+#: swaps in a real dict at the first fill
+_UNTOUCHED = frozenset()
+
 
 class SetAssociativeCache:
     """LRU set-associative cache tracking which line addresses are present."""
@@ -18,8 +23,10 @@ class SetAssociativeCache:
     def __init__(self, size_bytes, assoc, line_bytes=32):
         self.num_sets = max(1, size_bytes // (line_bytes * assoc))
         self.assoc = assoc
-        # Each set is a dict line_addr -> last-use tick (LRU via counter).
-        self.sets = [dict() for __ in range(self.num_sets)]
+        # Each set is a dict line_addr -> last-use tick (LRU via counter),
+        # allocated at its first fill: most of the L2's 8,192 sets are
+        # never touched by a run.
+        self.sets = [_UNTOUCHED] * self.num_sets
         self.tick = 0
         self.hits = 0
         self.misses = 0
@@ -45,18 +52,20 @@ class SetAssociativeCache:
         if line in cache_set:
             cache_set[line] = self.tick
             return
-        if len(cache_set) >= self.assoc:
+        if cache_set is _UNTOUCHED:
+            cache_set = self.sets[line % self.num_sets] = {}
+        elif len(cache_set) >= self.assoc:
             victim = min(cache_set, key=cache_set.get)
             del cache_set[victim]
         cache_set[line] = self.tick
 
     def invalidate(self, line):
         cache_set = self._set_for(line)
-        cache_set.pop(line, None)
+        if line in cache_set:
+            del cache_set[line]
 
     def flush(self):
-        for cache_set in self.sets:
-            cache_set.clear()
+        self.sets = [_UNTOUCHED] * self.num_sets
 
 
 class MemoryHierarchy:

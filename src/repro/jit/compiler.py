@@ -60,6 +60,10 @@ class CompiledProgram:
         self.loop_table = {}                  # loop_id -> LoopMeta
         self.compile_cycles = 0
         self.selected_stls = {}               # loop_id -> StlPlan (tls mode)
+        #: TLS thread-code units, built by the runtime at first entry
+        #: and kept with the code they predecode (tls mode):
+        #: {call_overhead_cycles: {StlDescriptor: unit}}
+        self.tls_units = {}
 
     def add(self, compiled):
         self.methods[compiled.name] = compiled

@@ -18,7 +18,6 @@ statistics, so a warm run can never perturb the consensus it was
 derived from — warm run N+1 equals warm run 1 equals cold.
 """
 
-from ..jit.compiler import compile_annotated
 from ..tracer.stats import LoopStats
 from .records import PROVENANCE_WARM, site_key, split_site_key
 
@@ -78,7 +77,7 @@ def warm_report(jrpm, program, name, args):
                           force=jrpm.warm_start == "force")
     if entry is None:
         return None
-    annotated = compile_annotated(program, jrpm.config)
+    annotated = jrpm.annotate(program)
     joined = rejoin_stats(entry, annotated.loop_table)
     if joined is None:
         return None

@@ -1,38 +1,45 @@
-"""Crash-isolated process pool for pipeline runs.
+"""Crash-isolated, persistent process pool for pipeline runs.
 
 ``concurrent.futures.ProcessPoolExecutor`` marks the whole pool broken
-when one worker dies; the suite runner instead wants *per-run* fault
-isolation: a worker segfaulting (or being OOM-killed) on one workload
-must not poison the other 25.  This pool therefore manages workers
-explicitly:
+when one worker dies; the suite runner and the daemon instead want
+*per-run* fault isolation: a worker segfaulting (or being OOM-killed)
+on one workload must not poison the others.  This pool therefore
+manages workers explicitly:
 
-* each worker owns a private task queue, so the parent always knows
-  exactly which task a dead worker was running;
+* workers start with the first :meth:`ProcessPool.map` and serve every
+  later call until :meth:`ProcessPool.close` (or the end of a ``with``
+  block), so per-process state a worker builds up — the service's
+  compile cache — outlives a batch;
+* each worker talks to the parent over a private pipe, so the parent
+  always knows exactly which task a dead worker was running, and a
+  killed worker can never wedge a channel another worker writes to;
 * a worker that dies mid-task is replaced and its task retried once
   (``retries=1``) before being reported as ``crashed``;
-* a task exceeding ``timeout`` seconds gets its worker terminated and
-  is reported as ``timeout`` (no retry — simulated workloads are
+* each task has its own deadline (its ``timeout``, else the pool's);
+  a task past it gets its worker terminated and replaced, and is
+  reported as ``timeout`` (no retry — simulated workloads are
   deterministic, it would time out again);
 * in-worker Python exceptions travel back as formatted tracebacks with
   status ``error``.
 
-The executed callable must be module-level (picklable) so the pool also
-works under the ``spawn`` start method; ``fork`` is preferred when the
-platform offers it because workers then inherit the warm interpreter.
+The executed callable must be picklable (a module-level function, or an
+instance of a module-level class) so the pool also works under the
+``spawn`` start method; ``fork`` is preferred when the platform offers
+it because workers then inherit the warm interpreter.  Each worker runs
+its own copy of the callable, so state the callable keeps (a cache)
+is per worker.
 """
 
 import os
 import time
 import traceback
 import multiprocessing
-import queue as queue_module
+from multiprocessing.connection import wait
 from dataclasses import dataclass
 
 from ..log import get_logger
 from ..metrics import get_registry
 
-#: how often the parent polls results / liveness (seconds)
-_POLL_INTERVAL = 0.05
 #: grace period for worker shutdown before termination (seconds)
 _JOIN_TIMEOUT = 2.0
 
@@ -50,7 +57,8 @@ def _pool_metrics():
         "retries": registry.counter(
             "jrpm_pool_retries", "Tasks re-queued after a worker crash"),
         "workers": registry.counter(
-            "jrpm_pool_workers_spawned", "Worker processes started"),
+            "jrpm_pool_workers_spawned",
+            "Worker processes started (pool start plus replacements)"),
         "occupancy": registry.gauge(
             "jrpm_pool_busy_workers",
             "Busy pool workers (high-water within the last map)"),
@@ -77,10 +85,13 @@ class TaskOutcome:
         return self.status == "ok"
 
 
-def _worker_main(fn, task_queue, result_queue):
-    """Worker loop: pull (task_id, payload), run fn, push the result."""
+def _worker_main(fn, conn):
+    """Worker loop: receive (task_id, payload), run fn, send the result."""
     while True:
-        item = task_queue.get()
+        try:
+            item = conn.recv()
+        except EOFError:
+            return
         if item is None:
             return
         task_id, payload = item
@@ -90,45 +101,47 @@ def _worker_main(fn, task_queue, result_queue):
         except KeyboardInterrupt:
             raise
         except BaseException as exc:
-            result_queue.put((task_id, "error", None,
-                              time.perf_counter() - start,
-                              "%s: %s\n%s" % (type(exc).__name__, exc,
-                                              traceback.format_exc()),
-                              os.getpid()))
+            conn.send((task_id, "error", None, time.perf_counter() - start,
+                       "%s: %s\n%s" % (type(exc).__name__, exc,
+                                       traceback.format_exc()),
+                       os.getpid()))
         else:
-            result_queue.put((task_id, "ok", value,
-                              time.perf_counter() - start, None,
-                              os.getpid()))
+            conn.send((task_id, "ok", value, time.perf_counter() - start,
+                       None, os.getpid()))
 
 
 class _Worker:
-    __slots__ = ("process", "task_queue", "task_id", "started_at")
+    __slots__ = ("process", "conn", "task_id", "started_at", "deadline")
 
-    def __init__(self, ctx, fn, result_queue):
-        self.task_queue = ctx.Queue()
-        self.process = ctx.Process(
-            target=_worker_main,
-            args=(fn, self.task_queue, result_queue), daemon=True)
+    def __init__(self, ctx, fn):
+        self.conn, child = ctx.Pipe()
+        self.process = ctx.Process(target=_worker_main, args=(fn, child),
+                                   daemon=True)
         self.process.start()
+        child.close()
         self.task_id = None
         self.started_at = None
+        self.deadline = None
 
     @property
     def idle(self):
         return self.task_id is None
 
-    def assign(self, task_id, payload):
+    def assign(self, task_id, payload, timeout):
         self.task_id = task_id
         self.started_at = time.perf_counter()
-        self.task_queue.put((task_id, payload))
+        self.deadline = (None if timeout is None
+                         else self.started_at + timeout)
+        self.conn.send((task_id, payload))
 
     def release(self):
         self.task_id = None
         self.started_at = None
+        self.deadline = None
 
     def stop(self):
         try:
-            self.task_queue.put(None)
+            self.conn.send(None)
         except (OSError, ValueError):
             pass
 
@@ -139,6 +152,7 @@ class _Worker:
             if self.process.is_alive():  # pragma: no cover - stuck kernel
                 self.process.kill()
                 self.process.join(_JOIN_TIMEOUT)
+        self.conn.close()
 
 
 def _make_context(name=None):
@@ -149,7 +163,8 @@ def _make_context(name=None):
 
 
 class ProcessPool:
-    """Run ``fn(payload)`` for many payloads across worker processes."""
+    """Run ``fn(payload)`` for many payloads across worker processes
+    that persist across :meth:`map` calls until :meth:`close`."""
 
     def __init__(self, fn, jobs, timeout=None, retries=1,
                  start_method=None):
@@ -160,30 +175,53 @@ class ProcessPool:
         self.timeout = timeout
         self.retries = retries
         self.start_method = start_method
+        self._ctx = None
+        self._workers = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    @property
+    def pids(self):
+        """Pids of the live workers (empty before the first map)."""
+        return [worker.process.pid for worker in self._workers]
+
+    def _spawn(self, metrics):
+        metrics["workers"].inc()
+        return _Worker(self._ctx, self.fn)
 
     def map(self, tasks, on_outcome=None):
-        """Execute ``[(task_id, payload), ...]``; returns
+        """Execute ``[(task_id, payload[, timeout]), ...]``; returns
         ``{task_id: TaskOutcome}`` (one entry per task, in any order).
 
-        *on_outcome* (optional callable) observes each settled outcome
-        as it arrives — used for progress reporting.
+        A task's optional third element is its own timeout in seconds
+        (``None``: no deadline); a task without one gets the pool's
+        *timeout*.  Each task's deadline starts when a worker picks it
+        up.  *on_outcome* (optional callable)
+        observes each settled outcome as it arrives — used for progress
+        reporting.
         """
-        tasks = list(tasks)
         outcomes = {}
-        if not tasks:
+        entries = [(task[0], task[1],
+                    task[2] if len(task) > 2 else self.timeout)
+                   for task in tasks]
+        if not entries:
             return outcomes
-        payloads = dict(tasks)
-        if len(payloads) != len(tasks):
+        payloads = {task_id: (payload, timeout)
+                    for task_id, payload, timeout in entries}
+        if len(payloads) != len(entries):
             raise ValueError("duplicate task ids in pool submission")
 
-        ctx = _make_context(self.start_method)
-        result_queue = ctx.Queue()
-        pending = [task_id for task_id, _ in tasks]
-        attempts = {task_id: 0 for task_id, _ in tasks}
-        workers = [_Worker(ctx, self.fn, result_queue)
-                   for _ in range(min(self.jobs, len(tasks)))]
         metrics = _pool_metrics()
-        metrics["workers"].inc(len(workers))
+        if self._ctx is None:
+            self._ctx = _make_context(self.start_method)
+            self._workers = [self._spawn(metrics) for _ in range(self.jobs)]
+        workers = self._workers
+        pending = [task_id for task_id, _, _ in entries]
+        attempts = dict.fromkeys(payloads, 0)
 
         def settle(outcome):
             outcomes[outcome.task_id] = outcome
@@ -196,38 +234,63 @@ class ProcessPool:
             if on_outcome is not None:
                 on_outcome(outcome)
 
+        def replace(index):
+            workers[index].kill()
+            workers[index] = self._spawn(metrics)
+
         try:
-            while len(outcomes) < len(tasks):
-                # 1. hand work to idle workers
-                for worker in workers:
-                    if pending and worker.idle and worker.process.is_alive():
-                        task_id = pending.pop(0)
-                        attempts[task_id] += 1
-                        worker.assign(task_id, payloads[task_id])
+            while len(outcomes) < len(entries):
+                # 1. hand work to idle workers, replacing any that died
+                #    idle (between batches)
+                for index, worker in enumerate(workers):
+                    if not (pending and worker.idle):
+                        continue
+                    if not worker.process.is_alive():
+                        _log.warning("idle worker pid %s exited (exitcode "
+                                     "%s); replacing", worker.process.pid,
+                                     worker.process.exitcode)
+                        replace(index)
+                        worker = workers[index]
+                    task_id = pending.pop(0)
+                    attempts[task_id] += 1
+                    payload, timeout = payloads[task_id]
+                    try:
+                        worker.assign(task_id, payload, timeout)
+                    except OSError:
+                        pass            # died since the check: step 3
                 busy = sum(1 for worker in workers if not worker.idle)
                 occupancy = metrics["occupancy"]
                 if busy > occupancy.value:
                     occupancy.set(busy)
 
-                # 2. drain finished results (before liveness checks, so a
-                #    worker that finished then exited is not miscounted
-                #    as a crash)
-                drained = False
-                try:
-                    while True:
+                # 2. wait for a result, a worker exit or the next deadline;
+                #    drain finished results before the liveness checks, so
+                #    a worker that finished then exited is not miscounted
+                #    as a crash
+                running = [worker for worker in workers if not worker.idle]
+                deadlines = [worker.deadline for worker in running
+                             if worker.deadline is not None]
+                if running:
+                    wait([handle for worker in running
+                          for handle in (worker.conn,
+                                         worker.process.sentinel)],
+                         max(0.0, min(deadlines) - time.perf_counter())
+                         if deadlines else None)
+                for worker in workers:
+                    if worker.idle:
+                        continue
+                    try:
+                        if not worker.conn.poll():
+                            continue
                         (task_id, status, value, wall, error,
-                         pid) = result_queue.get(
-                            timeout=0.0 if drained else _POLL_INTERVAL)
-                        drained = True
-                        settle(TaskOutcome(
-                            task_id=task_id, status=status, value=value,
-                            error=error, wall_time=wall,
-                            attempts=attempts[task_id], pid=pid))
-                        for worker in workers:
-                            if worker.task_id == task_id:
-                                worker.release()
-                except queue_module.Empty:
-                    pass
+                         pid) = worker.conn.recv()
+                    except (EOFError, OSError):
+                        continue                # dead: step 3 sees it
+                    settle(TaskOutcome(
+                        task_id=task_id, status=status, value=value,
+                        error=error, wall_time=wall,
+                        attempts=attempts[task_id], pid=pid))
+                    worker.release()
 
                 # 3. crash / timeout surveillance
                 now = time.perf_counter()
@@ -235,12 +298,8 @@ class ProcessPool:
                     if worker.idle:
                         continue
                     task_id = worker.task_id
-                    if task_id in outcomes:       # settled in step 2
-                        worker.release()
-                        continue
                     if not worker.process.is_alive():
                         wall = now - worker.started_at
-                        worker.release()
                         if attempts[task_id] <= self.retries:
                             metrics["retries"].inc()
                             _log.warning(
@@ -254,32 +313,32 @@ class ProcessPool:
                                 task_id=task_id, status="crashed",
                                 error="worker process died (exitcode %s)"
                                       % worker.process.exitcode,
-                                wall_time=wall,
-                                attempts=attempts[task_id],
+                                wall_time=wall, attempts=attempts[task_id],
                                 pid=worker.process.pid))
-                        workers[index] = _Worker(ctx, self.fn,
-                                                 result_queue)
-                        metrics["workers"].inc()
-                    elif (self.timeout is not None
-                            and now - worker.started_at > self.timeout):
-                        worker.kill()
-                        wall = now - worker.started_at
+                        replace(index)
+                    elif worker.deadline is not None and now > worker.deadline:
+                        replace(index)
                         settle(TaskOutcome(
                             task_id=task_id, status="timeout",
-                            error="run exceeded %.0fs timeout"
-                                  % self.timeout,
-                            wall_time=wall, attempts=attempts[task_id],
+                            error="run exceeded %gs timeout"
+                                  % payloads[task_id][1],
+                            wall_time=now - worker.started_at,
+                            attempts=attempts[task_id],
                             pid=worker.process.pid))
-                        worker.release()
-                        workers[index] = _Worker(ctx, self.fn,
-                                                 result_queue)
-                        metrics["workers"].inc()
-        finally:
-            for worker in workers:
-                worker.stop()
-            for worker in workers:
-                worker.process.join(_JOIN_TIMEOUT)
-            for worker in workers:
-                worker.kill()
-            result_queue.close()
+        except BaseException:
+            # an interrupted map leaves workers mid-task: start afresh
+            self.close()
+            raise
         return outcomes
+
+    def close(self):
+        """Stop every worker (politely, then by force); idempotent.  A
+        later :meth:`map` starts a fresh set."""
+        workers, self._workers = self._workers, []
+        self._ctx = None
+        for worker in workers:
+            worker.stop()
+        for worker in workers:
+            worker.process.join(_JOIN_TIMEOUT)
+        for worker in workers:
+            worker.kill()

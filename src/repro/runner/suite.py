@@ -307,14 +307,15 @@ class SuiteRunner:
                 outcomes[index] = self._run_inline(index, request)
                 emit("ran     %s" % request.label)
             return outcomes
-        pool = ProcessPool(execute_request, jobs=self.jobs,
-                           timeout=self.timeout,
-                           start_method=self.start_method)
         by_index = dict(indexed_requests)
-        return pool.map(
-            indexed_requests,
-            on_outcome=lambda outcome: emit(
-                "ran     %s" % by_index[outcome.task_id].label))
+        with ProcessPool(execute_request,
+                         jobs=min(self.jobs, len(indexed_requests)),
+                         timeout=self.timeout,
+                         start_method=self.start_method) as pool:
+            return pool.map(
+                indexed_requests,
+                on_outcome=lambda outcome: emit(
+                    "ran     %s" % by_index[outcome.task_id].label))
 
     @staticmethod
     def _run_inline(index, request):

@@ -7,18 +7,30 @@ picklable, shippable to a crash-isolated worker, and memoizable by
 fingerprint: the daemon's artifact store keys results on
 :func:`job_fingerprint` and never re-executes an identical spec.
 
-``execute_job`` must stay module-level (picklable under ``spawn``).
+``execute_job`` and :class:`CachedExecutor` must stay module-level
+(picklable under ``spawn``).
+
+Pool workers outlive a batch, so each keeps a :class:`CompileCache`:
+a repeated request skips the parse, the annotated compile and the
+recompile (with the predecode tables hanging off the compiled code),
+and runs only what a request must — profile DB reads and writes,
+selection, the simulated runs and report assembly.
 """
 
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..metrics import MetricsRegistry, observe_report_dict
+from ..metrics import MetricsRegistry, get_registry, observe_report_dict
 from ..metrics.registry import swap_registry
-from ..minijava import compile_source
 from ..runner.cache import cache_key
 from .options import RunOptions
+
+#: compile-cache capacity, in artifacts: each program held whole costs
+#: three (parsed program, annotated compile, recompiled program), so
+#: this covers the 26-program workload registry with room to spare
+COMPILE_CACHE_ENTRIES = 96
 
 
 @dataclass
@@ -75,7 +87,64 @@ def job_fingerprint(spec, salt=None):
                             "options": material})
 
 
-def execute_job(spec):
+class CompileCache:
+    """Bounded LRU of compile artifacts, kept by one pool worker across
+    requests and handed to :class:`~repro.core.pipeline.Jrpm` as its
+    ``compile_cache``.
+
+    Keys are content (see ``Jrpm._compiled``): ``("program", source)``
+    -> the parsed Program; ``("annotated", program, config, prune)`` ->
+    the annotated compile; ``("recompiled", program, config, stl
+    options, vm options, plans)`` -> the recompiled program, which
+    carries its STL thread-code units and every predecode table built
+    on it.  A program key is the Program object the same cache parsed
+    from its source, so all three kinds are content-addressed.
+
+    Only compiled code is cached: a run reads it and adds nothing but
+    the predecode tables it builds lazily.  Never cached: profile DB
+    state, selection, simulated runs, reports.
+    """
+
+    def __init__(self):
+        self._entries = OrderedDict()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def get(self, key, build):
+        """The artifact under *key*, built by ``build()`` on a miss
+        (evicting the least recently used past capacity)."""
+        entries = self._entries
+        if key in entries:
+            outcome = "hit"
+            entries.move_to_end(key)
+        else:
+            outcome = "miss"
+            entries[key] = build()
+            if len(entries) > COMPILE_CACHE_ENTRIES:
+                entries.popitem(last=False)
+        get_registry().counter(
+            "jrpm_compile_cache_lookups",
+            "Worker compile-cache lookups by artifact kind and outcome",
+            labels=("kind", "outcome")).labels(
+                kind=key[0], outcome=outcome).inc()
+        return entries[key]
+
+
+class CachedExecutor:
+    """:func:`execute_job` with a :class:`CompileCache` — the callable
+    the daemon's pool runs.  Every worker gets its own copy (``fork``
+    copies it, ``spawn`` unpickles it), so each fills its own cache and
+    the daemon's copy stays empty."""
+
+    def __init__(self):
+        self.compile_cache = CompileCache()
+
+    def __call__(self, spec):
+        return execute_job(spec, compile_cache=self.compile_cache)
+
+
+def execute_job(spec, compile_cache=None):
     """Run one verb end to end; returns a JSON-safe result dict.
 
     Raises on bad verbs and on output-verification failure so the pool
@@ -105,7 +174,9 @@ def execute_job(spec):
     previous = swap_registry(scoped)
     try:
         start = time.perf_counter()
-        result = _VERB_TABLE[spec.verb](spec)
+        jrpm = spec.options.make_jrpm(compile_cache)
+        result = _VERB_TABLE[spec.verb](
+            spec, jrpm, jrpm._program_of(spec.source))
         result["wall_time"] = time.perf_counter() - start
         if isinstance(result.get("report"), dict):
             observe_report_dict(result["report"],
@@ -120,28 +191,22 @@ def execute_job(spec):
 
 # -- per-verb implementations ------------------------------------------------
 
-def _jrpm_of(spec):
-    return spec.options.make_jrpm(), compile_source(spec.source)
-
-
-def _do_compile(spec):
-    jrpm, program = _jrpm_of(spec)
+def _do_compile(spec, jrpm, program):
     baseline = jrpm.compile_baseline(program, spec.options.args)
     return {"compile_cycles": baseline.compile_cycles,
             "measurement": baseline.measurement.to_dict()}
 
 
-def _profile_artifacts(spec):
-    jrpm, program = _jrpm_of(spec)
+def _profile_artifacts(spec, jrpm, program):
     profile = jrpm.profile(program, spec.options.args)
     selector = jrpm.make_selector(profile.loop_table)
     plans = selector.select(profile.stats,
                             profile.profiler.dynamic_nesting)
-    return jrpm, program, profile, selector, plans
+    return profile, selector, plans
 
 
-def _do_profile(spec):
-    _, _, profile, selector, plans = _profile_artifacts(spec)
+def _do_profile(spec, jrpm, program):
+    profile, selector, plans = _profile_artifacts(spec, jrpm, program)
     loops = {}
     for loop_id in sorted(profile.stats):
         stats = profile.stats[loop_id]
@@ -171,14 +236,14 @@ def _do_profile(spec):
             "selected": sorted(plans)}
 
 
-def _do_select(spec):
-    _, _, _, _, plans = _profile_artifacts(spec)
+def _do_select(spec, jrpm, program):
+    _, _, plans = _profile_artifacts(spec, jrpm, program)
     return {"plans": {str(loop_id): plan.to_dict()
                       for loop_id, plan in plans.items()}}
 
 
-def _do_recompile(spec):
-    jrpm, program, _, _, plans = _profile_artifacts(spec)
+def _do_recompile(spec, jrpm, program):
+    _, _, plans = _profile_artifacts(spec, jrpm, program)
     recompiled = jrpm.recompile(program, plans)
     return {"stls": len(plans),
             "recompile_cycles": (recompiled.compile_cycles
@@ -209,15 +274,13 @@ def _stamp_request(jrpm, spec):
         jrpm.trace.request_id = spec.request_id
 
 
-def _do_run(spec):
-    jrpm, program = _jrpm_of(spec)
+def _do_run(spec, jrpm, program):
     _stamp_request(jrpm, spec)
     report = jrpm.run(program, name=spec.name, args=spec.options.args)
     return _finish_run(spec, report)
 
 
-def _do_run_adaptive(spec):
-    jrpm, program = _jrpm_of(spec)
+def _do_run_adaptive(spec, jrpm, program):
     _stamp_request(jrpm, spec)
     report = jrpm.run_adaptive(program, name=spec.name,
                                args=spec.options.args,
@@ -226,7 +289,7 @@ def _do_run_adaptive(spec):
     return _finish_run(spec, report)
 
 
-def _do_analyze(spec):
+def _do_analyze(spec, jrpm, program):
     """Static dependence analysis cross-checked against a TEST profile.
 
     Profiles *without* pruning so every predicted arc can be compared
@@ -234,7 +297,6 @@ def _do_analyze(spec):
     so callers can see where static pruning and dynamic selection
     agree.
     """
-    jrpm, program = _jrpm_of(spec)
     analysis, profile = jrpm.analyze(program, spec.options.args)
     selector = jrpm.make_selector(profile.loop_table)
     plans = selector.select(profile.stats,

@@ -84,10 +84,11 @@ class RunOptions:
             parallel_allocator=self.parallel_allocator,
             speculation_aware_locks=self.speculation_aware_locks)
 
-    def make_jrpm(self):
-        """A :class:`Jrpm` facade configured from these options."""
+    def make_jrpm(self, compile_cache=None):
+        """A :class:`Jrpm` facade configured from these options
+        (*compile_cache*: see :class:`Jrpm`)."""
         from ..core.pipeline import Jrpm
-        return Jrpm(options=self)
+        return Jrpm(options=self, compile_cache=compile_cache)
 
     # -- serialization (wire protocol + artifact-store keys) -----------------
     def to_dict(self):

@@ -11,16 +11,21 @@ execution policy:
   into one **batch** and shards it across the crash-isolating
   :class:`~repro.runner.pool.ProcessPool` — identical specs inside a
   batch are **coalesced** into a single execution whose result settles
-  every duplicate;
+  every duplicate.  The scheduler owns one pool for its whole life:
+  the workers start with the first batch and stop on drain, so each
+  keeps its compile cache (:class:`~repro.service.jobs.CompileCache`)
+  across requests;
 * per-request **timeouts** (``RunOptions.timeout``, falling back to the
-  scheduler default) terminate the stuck worker and fail only that
-  request; a worker **crash** retries the job once on a fresh worker
-  before reporting it;
+  scheduler default) are per-job deadlines: a job past its deadline
+  has its worker terminated and replaced, failing only that request,
+  while the rest of its batch runs on; a worker **crash** retries the
+  job once on a replacement worker before reporting it;
 * results are memoized in the shared
   :class:`~repro.service.store.ArtifactStore` so later identical
   requests never reach the pool at all;
-* :meth:`drain` stops intake and waits until every accepted job has
-  settled — the graceful-shutdown half of the daemon's lifecycle.
+* :meth:`drain` stops intake, waits until every accepted job has
+  settled and stops the workers — the graceful-shutdown half of the
+  daemon's lifecycle.
 
 Futures are ``concurrent.futures.Future`` so the asyncio daemon can
 ``asyncio.wrap_future`` them and synchronous tests can ``result()``.
@@ -34,7 +39,7 @@ from concurrent.futures import Future
 from ..log import get_logger
 from ..metrics import get_registry
 from ..runner.pool import ProcessPool
-from .jobs import execute_job
+from .jobs import CachedExecutor
 
 _log = get_logger("service.scheduler")
 
@@ -120,6 +125,12 @@ class JobScheduler:
         self.failed = 0
         self.batches = 0
         self.coalesced = 0
+        #: one worker pool for the scheduler's whole life: its workers
+        #: start with the first batch, keep their compile caches
+        #: across batches, and stop when the scheduler drains
+        self._pool = ProcessPool(CachedExecutor(), jobs=self.jobs,
+                                 timeout=timeout,
+                                 start_method=start_method)
         self._thread = threading.Thread(target=self._dispatch_loop,
                                         name="jrpm-scheduler",
                                         daemon=True)
@@ -169,9 +180,10 @@ class JobScheduler:
 
     # -- lifecycle ---------------------------------------------------------
     def drain(self, timeout=None):
-        """Stop accepting new work and block until every accepted job
-        has settled.  Idempotent; the dispatcher stays alive so a
-        drained scheduler still answers ``stats``."""
+        """Stop accepting new work, block until every accepted job has
+        settled, then stop the pool's workers.  Idempotent; the
+        dispatcher stays alive so a drained scheduler still answers
+        ``stats``."""
         with self._lock:
             self._accepting = False
             self._wake.notify()
@@ -185,6 +197,9 @@ class JobScheduler:
                         "drain timed out with %d queued, %d in flight"
                         % (len(self._queue), self._in_flight))
                 self._idle.wait(timeout=remaining)
+        # nothing is queued or in flight and intake is closed for good,
+        # so the dispatcher never touches the pool again
+        self._pool.close()
 
     def close(self):
         """Drain, then stop the dispatcher thread."""
@@ -232,7 +247,7 @@ class JobScheduler:
     def _run_batch(self, batch):
         """Execute one batch: re-check the store (an earlier batch may
         have warmed it), coalesce duplicates, shard the rest across the
-        pool grouped by effective timeout."""
+        pool, each job under its own effective timeout."""
         with self._lock:
             self.batches += 1
         _sched_counter("jrpm_scheduler_batches", "Batches dispatched")
@@ -254,28 +269,20 @@ class JobScheduler:
                 unique[key] = (spec, [future])
         if not unique:
             return
-        by_timeout = {}
+        outcomes = self._pool.map(
+            [(key, spec, spec.options.timeout or self.timeout)
+             for key, (spec, _) in unique.items()])
         for key, (spec, futures) in unique.items():
-            effective = spec.options.timeout or self.timeout
-            by_timeout.setdefault(effective, []).append(
-                (key, spec, futures))
-        for effective, group in by_timeout.items():
-            pool = ProcessPool(execute_job, jobs=self.jobs,
-                               timeout=effective,
-                               start_method=self.start_method)
-            outcomes = pool.map([(key, spec)
-                                 for key, spec, _ in group])
-            for key, spec, futures in group:
-                outcome = outcomes[key]
-                if outcome.ok:
-                    self.store.put(spec, outcome.value)
-                    for future in futures:
-                        self._settle_ok(future, outcome.value)
-                else:
-                    error = JobFailed(outcome.status, outcome.error
-                                      or "job failed")
-                    for future in futures:
-                        self._settle_error(future, error)
+            outcome = outcomes[key]
+            if outcome.ok:
+                self.store.put(spec, outcome.value)
+                for future in futures:
+                    self._settle_ok(future, outcome.value)
+            else:
+                error = JobFailed(outcome.status,
+                                  outcome.error or "job failed")
+                for future in futures:
+                    self._settle_error(future, error)
 
     def _settle_ok(self, future, value):
         with self._lock:

@@ -35,15 +35,17 @@ Two observationally-identical schedulers drive the speculative CPUs:
   pending output).  Local ops never touch memory, caches, buffers or
   the profiler, so phantom run-ahead work leaks nothing observable.
 
-Each :class:`TlsRuntime` (one per machine) keeps one thread-code unit
-per STL, so every dynamic entry reuses its predecoded tables.
+Each STL gets one thread-code unit, kept on the recompiled program
+(per CALL overhead), so every dynamic entry — and every later run of a
+program the service's compile cache kept — reuses its predecoded
+tables.
 
 The equivalence is enforced end-to-end by
 ``tests/test_scheduler_differential.py`` (byte-identical reports and
 trace streams across the workload registry).
 """
 
-from ..engine.ir_engine import step_table, tls_cost_map, tls_event_map
+from ..engine.ir_engine import tls_cost_map, tls_event_map
 from ..errors import GuestException, VMError
 from ..jit.ir import IROp
 from ..jit.patterns import merge_reduction
@@ -69,9 +71,9 @@ _CHUNK = 4096
 class _ThreadCodeUnit:
     """Adapts an StlDescriptor to the Frame interface (code/nregs/name).
 
-    One unit per descriptor per :class:`TlsRuntime` (i.e. per machine):
-    every dynamic entry into the STL reuses it, so its handler tables
-    are predecoded once per run, not once per entry."""
+    One unit per descriptor and CALL overhead, kept on the recompiled
+    program: every dynamic entry into the STL reuses it, so its handler
+    tables are predecoded once per program, not once per entry."""
 
     __slots__ = ("code", "nregs", "name", "stls", "_dispatch",
                  "_dispatch_step", "_tls_events", "_tls_costs",
@@ -84,10 +86,10 @@ class _ThreadCodeUnit:
         self.stls = {}
         #: predecoded handler table caches (repro.engine.ir_engine):
         #: block-fused for run-ahead / sequential dispatch, stepwise
-        #: for the per-instruction oracle scheduler and truncation
-        #: replay, the scheduler-event map and the run-ahead cost
-        #: bounds (which fold in this machine's call overhead, so a
-        #: unit must never be shared across machines)
+        #: for the per-instruction oracle scheduler, the scheduler-event
+        #: map and the run-ahead cost bounds (which fold in the
+        #: machine's call overhead, so a unit is never shared across
+        #: call overheads)
         self._dispatch = None
         self._dispatch_step = None
         self._tls_events = None
@@ -99,7 +101,8 @@ class _ThreadCodeUnit:
 
 class TlsRuntime:
     """Owns cross-STL state: statistics, the hoisting warm flag and the
-    thread-code units (one per descriptor, shared by every entry)."""
+    thread-code units (one per descriptor, shared by every entry and
+    kept on the recompiled program for this machine's call overhead)."""
 
     def __init__(self, machine):
         self.machine = machine
@@ -107,7 +110,8 @@ class TlsRuntime:
         self.breakdown = TlsStateBreakdown()
         self.stl_stats = {}
         self.last_descriptor = None     # for hoisted startup/shutdown
-        self.units = {}                 # StlDescriptor -> _ThreadCodeUnit
+        self.units = machine.compiled.tls_units.setdefault(
+            self.config.call_overhead_cycles, {})   # StlDescriptor -> unit
         machine.tls_runtime = self
 
     def stats_for(self, loop_id):
@@ -817,7 +821,9 @@ class _StlExecution:
         whose pre-step clock orders before ``self._cut``.  Replay only
         re-executes deterministic register-local work, so the resulting
         architectural state is bit-identical to the stepwise
-        scheduler's at this point."""
+        scheduler's at this point.  It runs through ``step_legacy``,
+        the cycle-accounting reference: replays are short and rare, so
+        the event scheduler builds no single-instruction tables."""
         seg = self._seg[cpu]
         if seg is None:
             return
@@ -844,8 +850,7 @@ class _StlExecution:
         cut_t = self._cut_t
         cut_i = self._cut_i
         while ctx.time < cut_t or (ctx.time == cut_t and cpu < cut_i):
-            frame = ctx.frames[-1]
-            step_table(frame.compiled)[frame.pc](ctx, frame)
+            ctx.step_legacy()
         spec.acc_compute = acc0 + (ctx.time - t0)
         self._seg[cpu] = None
         self._account(cpu)

@@ -6,7 +6,9 @@ about the registry (size/variant resolution).
 """
 
 import json
+import multiprocessing
 import os
+import signal
 import time
 
 import pytest
@@ -257,11 +259,126 @@ def test_pool_gives_up_after_retry():
 
 
 def test_pool_enforces_timeout():
-    pool = ProcessPool(_sleep, jobs=1, timeout=0.5)
-    start = time.perf_counter()
-    outcomes = pool.map([(0, None)])
+    with ProcessPool(_sleep, jobs=1, timeout=0.5) as pool:
+        start = time.perf_counter()
+        outcomes = pool.map([(0, None)])
     assert outcomes[0].status == "timeout"
     assert time.perf_counter() - start < 15
+
+
+# ---------------------------------------------------------------------------
+# process pool lifecycle: workers persist across map() until close()
+# ---------------------------------------------------------------------------
+
+def _pid(seconds):
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _die_once(marker):
+    """Crash the first worker that runs this task, succeed after."""
+    if not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(5)
+    return os.getpid()
+
+
+@pytest.fixture
+def pool_registry():
+    from repro.metrics import MetricsRegistry
+    from repro.metrics.registry import swap_registry
+    registry = MetricsRegistry()
+    previous = swap_registry(registry)
+    yield registry
+    swap_registry(previous)
+
+
+def _spawned(registry):
+    return registry.counter("jrpm_pool_workers_spawned", "").value
+
+
+def _live_children(pids):
+    return [child.pid for child in multiprocessing.active_children()
+            if child.pid in pids]
+
+
+def test_pool_workers_serve_consecutive_maps(pool_registry):
+    with ProcessPool(_pid, jobs=2) as pool:
+        first = pool.map([(i, 0.05) for i in range(4)])
+        pids = pool.pids
+        second = pool.map([(i, 0.05) for i in range(4)])
+        assert pool.pids == pids
+    assert {outcome.value for outcome in first.values()} <= set(pids)
+    assert {outcome.value for outcome in second.values()} <= set(pids)
+    assert _spawned(pool_registry) == 2
+
+
+def test_pool_crash_retries_on_replacement_then_serves_next_batch(
+        tmp_path, pool_registry):
+    warm = tmp_path / "warm"
+    warm.touch()                                # no crash: start workers
+    with ProcessPool(_die_once, jobs=2) as pool:
+        pool.map([(0, str(warm))])
+        pids = pool.pids
+        assert _spawned(pool_registry) == 2
+        outcome = pool.map([(0, str(tmp_path / "crash"))])[0]
+        assert outcome.ok and outcome.attempts == 2
+        assert _spawned(pool_registry) == 3          # one replacement
+        assert len(set(pool.pids) - set(pids)) == 1
+        assert outcome.value in pool.pids
+        again = pool.map([(i, str(tmp_path / "crash")) for i in range(3)])
+        assert all(o.ok and o.attempts == 1 for o in again.values())
+        assert _spawned(pool_registry) == 3
+
+
+def test_pool_replaces_a_worker_that_died_between_maps(pool_registry):
+    with ProcessPool(_pid, jobs=2) as pool:
+        pool.map([(0, 0.0), (1, 0.0)])
+        dead = pool.pids[0]
+        os.kill(dead, signal.SIGKILL)
+        while _live_children([dead]):
+            time.sleep(0.01)
+        outcomes = pool.map([(i, 0.0) for i in range(4)])
+        assert all(o.ok and o.attempts == 1 for o in outcomes.values())
+        assert dead not in pool.pids
+        assert _spawned(pool_registry) == 3
+
+
+def test_pool_timeout_kills_only_its_own_worker(pool_registry):
+    with ProcessPool(_pid, jobs=2) as pool:
+        pool.map([(0, 0.0), (1, 0.0)])
+        pids = pool.pids
+        outcomes = pool.map([("stuck", 30.0, 0.5), ("quick", 1.0, 20.0)])
+        assert outcomes["stuck"].status == "timeout"
+        assert outcomes["quick"].ok
+        survivor = outcomes["quick"].value
+        assert survivor in pids and survivor in pool.pids
+        assert outcomes["stuck"].pid in pids
+        assert outcomes["stuck"].pid not in pool.pids
+        assert not _live_children([outcomes["stuck"].pid])
+        assert _spawned(pool_registry) == 3
+
+
+def test_pool_runs_a_mixed_timeout_batch_concurrently():
+    with ProcessPool(_pid, jobs=2) as pool:
+        pool.map([(0, 0.0), (1, 0.0)])           # workers up before timing
+        start = time.perf_counter()
+        outcomes = pool.map([(0, 1.0, 30.0), (1, 1.0, 60.0)])
+        elapsed = time.perf_counter() - start
+    assert all(outcome.ok for outcome in outcomes.values())
+    assert outcomes[0].value != outcomes[1].value
+    assert elapsed < 1.9, elapsed
+
+
+def test_pool_close_leaves_no_live_children():
+    pool = ProcessPool(_pid, jobs=2)
+    pool.map([(0, 0.0), (1, 0.0)])
+    pids = pool.pids
+    assert len(_live_children(pids)) == 2
+    pool.close()
+    assert pool.pids == []
+    assert not _live_children(pids)
+    pool.close()                                # idempotent
 
 
 # ---------------------------------------------------------------------------

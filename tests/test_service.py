@@ -14,6 +14,7 @@ Covers the PR-6 acceptance surface:
 """
 
 import asyncio
+import json
 import os
 import socket as socket_module
 import threading
@@ -28,6 +29,7 @@ from repro.service import (ArtifactStore, JobScheduler, JobSpec,
                            JrpmClient, JrpmServer, JrpmServiceError,
                            RunOptions, Session, coerce_run_options,
                            execute_job, protocol)
+from repro.workloads import lookup
 from conftest import wrap_main
 
 TINY = wrap_main("""
@@ -334,6 +336,120 @@ def test_local_and_remote_sessions_return_identical_reports(service):
 def test_execute_job_rejects_unknown_verb():
     with pytest.raises(ValueError, match="unknown verb"):
         execute_job(JobSpec(verb="nope", source=TINY))
+
+
+# ---------------------------------------------------------------------------
+# persistent workers and their compile cache
+# ---------------------------------------------------------------------------
+
+def _canonical(result):
+    """A job result without its wall time and metric delta, as JSON."""
+    result = dict(result)
+    result.pop("wall_time", None)
+    result.pop("metrics", None)
+    return json.dumps(result, sort_keys=True)
+
+
+def test_scheduler_workers_outlive_a_batch_and_stop_on_drain(tmp_path):
+    import multiprocessing
+    exec_log = str(tmp_path / "exec.log")
+    scheduler = JobScheduler(ArtifactStore(), jobs=1, timeout=60.0)
+    try:
+        for source in (TINY, OTHER):
+            spec = JobSpec(verb="compile", source=source,
+                           exec_log=exec_log)
+            assert scheduler.submit(spec).future.result(timeout=60)
+        pids = scheduler._pool.pids
+        scheduler.drain()
+    finally:
+        scheduler.close()
+    with open(exec_log) as fh:
+        executions = fh.read().split()
+    assert executions == [str(pids[0])] * 2, "one worker for both batches"
+    assert not [child for child in multiprocessing.active_children()
+                if child.pid in pids]
+
+
+def test_profdb_daemon_warm_runs_are_byte_identical(tmp_path):
+    """A ``--profdb`` daemon serves one warm ``run`` three times from a
+    worker whose compile cache holds the program: the replies equal
+    each other and an in-process ``Jrpm.run`` byte for byte."""
+    from repro.metrics import MetricsRegistry, reset_registry
+    reset_registry()    # other tests in this process fold metrics too
+    source = lookup("BitOps").source("small")
+    fixture = ServiceFixture(tmp_path, jobs=1,
+                             profdb_path=str(tmp_path / "daemon.json"))
+    try:
+        with fixture.client() as client:
+            payload = client.job_payload(source, name="BitOps")
+            replies = [client.request("run", payload) for _ in range(4)]
+            registry = MetricsRegistry.from_dict(
+                client.metrics()["metrics"])
+    finally:
+        fixture.stop()
+    reports = [json.dumps(reply["report"], sort_keys=True)
+               for reply in replies]
+    local_db = str(tmp_path / "local.json")
+    cold = Jrpm(profdb=local_db).run(source, name="BitOps")
+    warm = Jrpm(profdb=local_db).run(source, name="BitOps")
+    assert warm.profile_provenance == "warm"
+    assert reports[0] == json.dumps(cold.to_dict(), sort_keys=True)
+    assert reports[1] == reports[2] == reports[3] \
+        == json.dumps(warm.to_dict(), sort_keys=True)
+    lookups = registry.get("jrpm_compile_cache_lookups")
+    hits = {key: child.value for key, child in lookups.series()}
+    assert hits[("program", "hit")] == 3
+    assert hits[("recompiled", "hit")] >= 2
+
+
+@pytest.fixture(scope="module")
+def warm_compile_cache():
+    """A compile cache that every verb has already run BitOps through."""
+    from repro.service.jobs import CompileCache
+    cache = CompileCache()
+    source = lookup("BitOps").source("small")
+    for verb in ("run", "profile", "analyze", "run_adaptive"):
+        execute_job(JobSpec(verb, source, name="BitOps",
+                            options=RunOptions(epochs=3)),
+                    compile_cache=cache)
+    return cache
+
+
+@pytest.mark.parametrize("verb", ["profile", "analyze", "run_adaptive"])
+def test_cached_compiles_serve_every_verb_like_a_fresh_worker(
+        warm_compile_cache, verb):
+    """Runs never write into the cached Program or compiled programs: a
+    verb answered from a warm cache equals a fresh worker's answer."""
+    spec = JobSpec(verb, lookup("BitOps").source("small"), name="BitOps",
+                   options=RunOptions(epochs=3))
+    size = len(warm_compile_cache)
+    cached = execute_job(spec, compile_cache=warm_compile_cache)
+    assert len(warm_compile_cache) == size, "every compile was a hit"
+    assert _canonical(cached) == _canonical(execute_job(spec))
+
+
+def test_compile_cache_is_a_bounded_lru():
+    from repro.service.jobs import COMPILE_CACHE_ENTRIES, CompileCache
+    from repro.workloads import names
+    assert COMPILE_CACHE_ENTRIES >= 3 * len(names())
+    cache = CompileCache()
+    built = []
+
+    def get(key):
+        return cache.get(("program", key),
+                         lambda: built.append(key) or key)
+
+    for key in range(COMPILE_CACHE_ENTRIES):
+        get(key)
+    get(0)                                   # 0 is now the newest entry
+    get(COMPILE_CACHE_ENTRIES)               # evicts 1, the oldest
+    assert len(cache) == COMPILE_CACHE_ENTRIES
+    assert len(built) == COMPILE_CACHE_ENTRIES + 1
+    get(0)
+    assert len(built) == COMPILE_CACHE_ENTRIES + 1, "0 must survive"
+    get(1)
+    assert built[-1] == 1, "1 must have been evicted"
+    assert len(cache) == COMPILE_CACHE_ENTRIES
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,8 @@ class AdaptController:
         ``adaptation`` attribute is the epoch/decision log."""
         jrpm = self.jrpm
         program = jrpm._program_of(source_or_program)
-        baseline = jrpm.compile_baseline(program, args)
         profile_artifact = jrpm.profile(program, args)
+        baseline = profile_artifact.baseline()
         selector = jrpm.make_selector(profile_artifact.loop_table)
         profile_stats = profile_artifact.stats
         nesting = profile_artifact.profiler.dynamic_nesting

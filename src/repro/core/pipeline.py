@@ -380,10 +380,12 @@ class JrpmReport:
 
 @dataclass
 class BaselineArtifact:
-    """Artifact of :meth:`Jrpm.compile_baseline` — the plain native
-    compile plus its sequential reference run."""
+    """Step 0's artifact: the sequential reference run.
+    :meth:`Jrpm.compile_baseline` simulates the plain native compile;
+    :meth:`ProfileArtifact.baseline` derives the same measurement from
+    the TEST run (``compiled`` is then ``None``)."""
 
-    compiled: object                 # CompiledProgram (plain native)
+    compiled: object                 # CompiledProgram (plain) or None
     measurement: RunMeasurement
     compile_cycles: int
 
@@ -397,6 +399,33 @@ class ProfileArtifact:
     measurement: RunMeasurement
     annotations: int
     analysis: object = None          # AnalysisReport or None
+    #: annotation-only instructions the run retired, 1 cycle each
+    #: (:attr:`repro.hydra.machine.CpuContext.annotation_instret`)
+    annotation_instructions: int = 0
+
+    def baseline(self):
+        """The sequential baseline, derived without a simulation.
+
+        The annotated code is the plain native code plus annotation-only
+        instructions, each costing 1 cycle and touching nothing but the
+        profiler, so the baseline's cycles and instructions are this
+        run's minus :attr:`annotation_instructions`; GC cycles, output,
+        return value and guest exception are this run's.  The compile is
+        charged per bytecode, so both compiles cost the same.
+        ``tests/test_pipeline.py`` checks the result against
+        :meth:`Jrpm.compile_baseline`.
+        """
+        test = self.measurement
+        extra = self.annotation_instructions
+        measurement = RunMeasurement(
+            cycles=test.cycles - extra,
+            instructions=test.instructions - extra,
+            gc_cycles=test.gc_cycles, output=list(test.output),
+            return_value=test.return_value,
+            guest_exception=test.guest_exception)
+        return BaselineArtifact(
+            compiled=None, measurement=measurement,
+            compile_cycles=self.annotated.compile_cycles)
 
     @property
     def loop_table(self):
@@ -426,7 +455,9 @@ class Jrpm:
     :meth:`recompile`, :meth:`execute_tls` — each returning its
     artifact, so callers (the CLI profiler, the parallel suite runner,
     ablation sweeps) can reuse individual phases.  :meth:`run` is a
-    thin facade chaining all five into a :class:`JrpmReport`.
+    thin facade chaining them into a :class:`JrpmReport`; it takes the
+    baseline from the TEST run (:meth:`ProfileArtifact.baseline`), so
+    :meth:`compile_baseline` is the simulated reference for it.
     """
 
     def __init__(self, config=None, stl_options=None, vm_options=None,
@@ -500,7 +531,8 @@ class Jrpm:
 
     # -- staged pipeline -----------------------------------------------------
     def compile_baseline(self, source_or_program, args=()):
-        """Step 0: plain native compile + sequential reference run."""
+        """Step 0: plain native compile + sequential reference run
+        (:meth:`run` derives the same artifact from the TEST run)."""
         program = self._program_of(source_or_program)
         plain = compile_program(program, self.config)
         machine = Machine(plain, self.config)
@@ -531,11 +563,13 @@ class Jrpm:
         profiler = TestProfiler(self.config, annotated.loop_table,
                                 trace=self.trace)
         machine = Machine(annotated, self.config, profiler=profiler)
-        measurement = RunMeasurement.from_result(machine.run(*args))
-        return ProfileArtifact(annotated=annotated, profiler=profiler,
-                               measurement=measurement,
-                               annotations=annotation_count(annotated),
-                               analysis=analysis_report)
+        result = machine.run(*args)
+        return ProfileArtifact(
+            annotated=annotated, profiler=profiler,
+            measurement=RunMeasurement.from_result(result),
+            annotations=annotation_count(annotated),
+            analysis=analysis_report,
+            annotation_instructions=result.annotation_instructions)
 
     def annotate(self, program, prune=None):
         """Step 1's compile alone: *program* with TEST annotations
@@ -679,6 +713,11 @@ class Jrpm:
         construction; see :mod:`repro.profdb.warmstart`).  Cold runs
         are recorded back into the DB.  Analysis runs always profile
         live (the cross-check needs real TEST arcs).
+
+        A cold run simulates the program at most twice: the TEST run,
+        whose measurement also yields the baseline
+        (:meth:`ProfileArtifact.baseline`), and the TLS run when
+        something was selected.
         """
         program = self._program_of(source_or_program)
         if (self.profdb is not None and self.warm_start != "off"
@@ -687,8 +726,8 @@ class Jrpm:
             report = warm_report(self, program, name, args)
             if report is not None:
                 return report
-        baseline = self.compile_baseline(program, args)
         profile_artifact = self.profile(program, args)
+        baseline = profile_artifact.baseline()
         plans = self.select(profile_artifact)
         recompiled = self.recompile(program, plans)
         tls_artifact = self.execute_tls(recompiled, plans, args,

@@ -16,7 +16,10 @@ into a list indexed by pc whose entries are handler closures
   fuse into a single Python comparison.  In sequential tables the TEST
   annotation ops (``SLOOP/EOI/ELOOP/LWL/SWL``) join the run too: each
   becomes an inline profiler hook call at the clock the legacy arm
-  would pass, plus its 1 cycle in the block's static cost.
+  would pass, plus its 1 cycle in the block's static cost.  A block
+  also adds its static count of annotation-only instructions (those
+  ops and an absorbed annotation-stub ``J``) to
+  ``ctx.annotation_instret``, as it does ``instret``.
 * **specialised singletons** — hand-written closures for the hot
   non-batchable ops (``LW/SW/LWNV``, ``CALL``, ``RET``, ``INTRIN``,
   the per-iteration TLS ops ``STL_EOI_END/STL_EXIT/WAITLOCK/SIGNAL``,
@@ -64,7 +67,8 @@ import math
 from ..bytecode.instructions import f2i, i32, idiv, irem, u32
 from ..errors import (ArithmeticException, ArrayIndexException,
                       NullPointerException)
-from ..jit.ir import BRANCH_IR_OPS, IROp
+from ..jit.ir import (ANNOTATION_IR_OPS, ANNOTATION_STUB, BRANCH_IR_OPS,
+                      IROp)
 
 #: Ops a block function may contain in every table: pure register/ALU
 #: work with no memory traffic, no signals, no runtime services and no
@@ -87,9 +91,6 @@ _COSTS = {
     IROp.DIV: 12, IROp.REM: 12, IROp.FDIV: 12, IROp.FREM: 12,
 }
 
-_ANNOTATION_OPS = frozenset({IROp.SLOOP, IROp.EOI, IROp.ELOOP,
-                             IROp.LWL, IROp.SWL})
-
 #: TLS thread-code ops every speculative iteration executes (one
 #: end-of-iteration or exit, plus a WAITLOCK/SIGNAL pair in a
 #: sync-locked loop): specialised singletons, not legacy fallbacks
@@ -102,7 +103,7 @@ _THREAD_SIGNAL_OPS = frozenset({IROp.STL_EOI_END, IROp.STL_EXIT,
 #: block calls the hook inline at the exact clock the legacy arm would
 #: pass.  Stepwise tables keep annotations as singletons; annotated
 #: code never runs under TLS.
-SEQUENTIAL_BLOCK_IR_OPS = BATCHABLE_IR_OPS | _ANNOTATION_OPS
+SEQUENTIAL_BLOCK_IR_OPS = BATCHABLE_IR_OPS | ANNOTATION_IR_OPS
 
 #: Ops the event-driven TLS scheduler may execute during *run-ahead*
 #: (see ``repro.tls.runtime``): instructions whose effects are confined
@@ -305,7 +306,7 @@ def build_table(code, unit_name, extra_leaders=(), stepwise=False):
             table[pc] = _make_ret(instr, pc)
         elif op == IROp.INTRIN:
             table[pc] = _make_intrin(instr, pc)
-        elif op in _ANNOTATION_OPS:
+        elif op in ANNOTATION_IR_OPS:
             table[pc] = _make_annotation(instr, pc)
         elif op in _THREAD_SIGNAL_OPS:
             table[pc] = _make_thread_signal(instr, pc)
@@ -371,7 +372,7 @@ def _gen_block(code, start, leaders, consts, block_ops):
     name = "_b%d" % start
     lines = ["def %s(ctx, frame):" % name,
              "    regs = frame.regs"]
-    if any(code[pc].op in _ANNOTATION_OPS for pc in pcs):
+    if any(code[pc].op in ANNOTATION_IR_OPS for pc in pcs):
         lines.append("    prof = ctx.machine.profiler")
     temp = [0]
 
@@ -380,6 +381,7 @@ def _gen_block(code, start, leaders, consts, block_ops):
         return "_t%d" % temp[0]
 
     cost_done = 0                       # cycles of fully-executed instrs
+    annotations_done = 0                # annotation ops among them
     for pc in pcs:
         instr = code[pc]
         op = instr.op
@@ -409,7 +411,8 @@ def _gen_block(code, start, leaders, consts, block_ops):
                        else ("irem", "% by zero"))
             lines.append("    %s = regs[%d]" % (t, b))
             lines.append("    if %s == 0:" % t)
-            lines.extend(_raise_flush(start, pc, cost_done))
+            lines.extend(_raise_flush(start, pc, cost_done,
+                                      annotations_done))
             lines.append("        raise ArithmeticException(%r)" % msg)
             lines.append("    regs[%d] = %s(regs[%d], %s)"
                          % (d, fn, a, t))
@@ -486,17 +489,20 @@ def _gen_block(code, start, leaders, consts, block_ops):
             lines.append("    regs[%d] = f2i(regs[%d])" % (d, a))
         elif op == IROp.NULLCHK:
             lines.append("    if regs[%d] == 0:" % a)
-            lines.extend(_raise_flush(start, pc, cost_done))
+            lines.extend(_raise_flush(start, pc, cost_done,
+                                      annotations_done))
             lines.append("        raise NullPointerException(UNIT_NAME)")
         elif op == IROp.BOUNDCHK:
             ti, tn = fresh(), fresh()
             lines.append("    %s = regs[%d]" % (ti, a))
             lines.append("    %s = regs[%d]" % (tn, b))
             lines.append("    if %s < 0 or %s >= %s:" % (ti, ti, tn))
-            lines.extend(_raise_flush(start, pc, cost_done))
+            lines.extend(_raise_flush(start, pc, cost_done,
+                                      annotations_done))
             lines.append("        raise ArrayIndexException("
                          "'index %%d, length %%d' %% (%s, %s))" % (ti, tn))
-        elif op in _ANNOTATION_OPS:
+        elif op in ANNOTATION_IR_OPS:
+            annotations_done += 1
             # TEST hook at the clock the legacy arm passes: after the
             # block's earlier instructions, before this op's own cycle.
             now = "ctx.time + %d" % cost_done if cost_done else "ctx.time"
@@ -523,6 +529,9 @@ def _gen_block(code, start, leaders, consts, block_ops):
         end_pc = start + count
         lines.append("    frame.pc = %d" % end_pc)
         lines.append("    ctx.instret += %d" % count)
+        if annotations_done:
+            lines.append("    ctx.annotation_instret += %d"
+                         % annotations_done)
         lines.append("    ctx.time += %d" % cost_done)
         lines.append("    ctx.compute_cycles += %d" % cost_done)
         lines.append("    return None")
@@ -532,7 +541,11 @@ def _gen_block(code, start, leaders, consts, block_ops):
     branch = code[branch_pc]
     count = branch_pc - start + 1
     total = cost_done + 1
+    if branch.op == IROp.J and branch.aux == ANNOTATION_STUB:
+        annotations_done += 1
     lines.append("    ctx.instret += %d" % count)
+    if annotations_done:
+        lines.append("    ctx.annotation_instret += %d" % annotations_done)
     lines.append("    ctx.time += %d" % total)
     lines.append("    ctx.compute_cycles += %d" % total)
     if branch.op == IROp.J:
@@ -547,12 +560,15 @@ def _gen_block(code, start, leaders, consts, block_ops):
     return name, lines
 
 
-def _raise_flush(start, pc, cost_done):
+def _raise_flush(start, pc, cost_done, annotations_done):
     """Flush lines (8-space indent) before a raise at *pc*: the legacy
     dispatcher increments pc/instret before executing, so the raising
     instruction is counted, while its cycle cost is not yet added."""
     out = ["        frame.pc = %d" % (pc + 1),
            "        ctx.instret += %d" % (pc - start + 1)]
+    if annotations_done:
+        out.append("        ctx.annotation_instret += %d"
+                   % annotations_done)
     if cost_done:
         out.append("        ctx.time += %d" % cost_done)
         out.append("        ctx.compute_cycles += %d" % cost_done)
@@ -793,6 +809,7 @@ def _make_annotation(instr, pc):
         def sloop(ctx, frame):
             frame.pc = next_pc
             ctx.instret += 1
+            ctx.annotation_instret += 1
             profiler = ctx.machine.profiler
             if profiler is not None:
                 profiler.on_sloop(aux, imm, ctx.time)
@@ -804,6 +821,7 @@ def _make_annotation(instr, pc):
         def eoi(ctx, frame):
             frame.pc = next_pc
             ctx.instret += 1
+            ctx.annotation_instret += 1
             profiler = ctx.machine.profiler
             if profiler is not None:
                 profiler.on_eoi(aux, ctx.time)
@@ -815,6 +833,7 @@ def _make_annotation(instr, pc):
         def eloop(ctx, frame):
             frame.pc = next_pc
             ctx.instret += 1
+            ctx.annotation_instret += 1
             profiler = ctx.machine.profiler
             if profiler is not None:
                 profiler.on_eloop(aux, ctx.time)
@@ -826,6 +845,7 @@ def _make_annotation(instr, pc):
         def lwl(ctx, frame):
             frame.pc = next_pc
             ctx.instret += 1
+            ctx.annotation_instret += 1
             profiler = ctx.machine.profiler
             if profiler is not None:
                 profiler.on_lwl(aux, imm, ctx.time, instr)
@@ -837,6 +857,7 @@ def _make_annotation(instr, pc):
     def swl(ctx, frame):
         frame.pc = next_pc
         ctx.instret += 1
+        ctx.annotation_instret += 1
         profiler = ctx.machine.profiler
         if profiler is not None:
             profiler.on_swl(aux, imm, ctx.time, instr)

@@ -18,7 +18,7 @@ from ..bytecode.module import WORD
 from ..engine.ir_engine import dispatch_table, step_table
 from ..errors import (ArithmeticException, ArrayIndexException,
                       GuestException, NullPointerException, VMError)
-from ..jit.ir import IROp
+from ..jit.ir import ANNOTATION_IR_OPS, ANNOTATION_STUB, IROp
 from ..vm import intrinsics
 from ..vm.gc import GarbageCollector
 from ..vm.heap import Allocator
@@ -115,7 +115,8 @@ class CpuContext:
 
     __slots__ = ("machine", "cpu_id", "time", "frames", "mem", "status",
                  "return_value", "spec", "output_buffer", "instret",
-                 "current_site", "compute_cycles", "fast")
+                 "annotation_instret", "current_site", "compute_cycles",
+                 "fast")
 
     def __init__(self, machine, cpu_id):
         self.machine = machine
@@ -130,6 +131,10 @@ class CpuContext:
         self.spec = None               # SpecThreadState while speculating
         self.output_buffer = None      # buffered prints during speculation
         self.instret = 0
+        #: annotation-only instructions retired (annotation ops and
+        #: stub jumps, :data:`~repro.jit.ir.ANNOTATION_STUB`), 1 cycle
+        #: each: ``instret``/``time`` minus this is the plain run's
+        self.annotation_instret = 0
         self.current_site = None
         self.compute_cycles = 0
 
@@ -271,6 +276,8 @@ class CpuContext:
             regs[instr.dst] = f2i(regs[instr.a])
         elif op == IROp.J:
             frame.pc = instr.target
+            if instr.aux == ANNOTATION_STUB:
+                self.annotation_instret += 1
         elif op == IROp.BEQ:
             if regs[instr.a] == regs[instr.b]:
                 frame.pc = instr.target
@@ -358,24 +365,21 @@ class CpuContext:
                                             self.spec is not None)
         elif op == IROp.TRAP:
             raise GuestException(instr.aux or "Trap")
-        elif op == IROp.SLOOP:
-            if self.machine.profiler is not None:
-                self.machine.profiler.on_sloop(instr.aux, instr.imm,
-                                               self.time)
-        elif op == IROp.EOI:
-            if self.machine.profiler is not None:
-                self.machine.profiler.on_eoi(instr.aux, self.time)
-        elif op == IROp.ELOOP:
-            if self.machine.profiler is not None:
-                self.machine.profiler.on_eloop(instr.aux, self.time)
-        elif op == IROp.LWL:
-            if self.machine.profiler is not None:
-                self.machine.profiler.on_lwl(instr.aux, instr.imm, self.time,
-                                             instr)
-        elif op == IROp.SWL:
-            if self.machine.profiler is not None:
-                self.machine.profiler.on_swl(instr.aux, instr.imm, self.time,
-                                             instr)
+        elif op in ANNOTATION_IR_OPS:
+            self.annotation_instret += 1
+            profiler = self.machine.profiler
+            if profiler is None:
+                pass
+            elif op == IROp.SLOOP:
+                profiler.on_sloop(instr.aux, instr.imm, self.time)
+            elif op == IROp.EOI:
+                profiler.on_eoi(instr.aux, self.time)
+            elif op == IROp.ELOOP:
+                profiler.on_eloop(instr.aux, self.time)
+            elif op == IROp.LWL:
+                profiler.on_lwl(instr.aux, instr.imm, self.time, instr)
+            else:
+                profiler.on_swl(instr.aux, instr.imm, self.time, instr)
         elif op == IROp.STL_RUN:
             # Delegate the whole speculative region to the TLS runtime.
             exit_id = self.machine.tls_runtime.run_stl(self, instr.aux)
@@ -472,6 +476,8 @@ class RunResult:
     def __init__(self, machine, ctx, guest_exception=None):
         self.cycles = ctx.time
         self.instructions = ctx.instret
+        #: see :attr:`CpuContext.annotation_instret`
+        self.annotation_instructions = ctx.annotation_instret
         self.output = list(machine.output)
         self.return_value = ctx.return_value
         self.gc_cycles = machine.gc_cycles

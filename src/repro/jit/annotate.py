@@ -15,7 +15,7 @@ recompiler (which re-translates from bytecode) can find the same loop.
 
 from ..vm import intrinsics
 from .cfg import build_cfg, find_natural_loops
-from .ir import IRInstr, IROp, Label, label_instr
+from .ir import ANNOTATION_STUB, IRInstr, IROp, Label, label_instr
 from .patterns import KIND_GENERAL, classify_carried_locals
 
 
@@ -251,7 +251,8 @@ class Annotator:
             head_label = self._ensure_label(cfg, head, inserts)
             term.target = stub_label
             appends.append([label_instr(stub_label), ann,
-                            IRInstr(IROp.J, target=head_label)])
+                            IRInstr(IROp.J, target=head_label,
+                                    aux=ANNOTATION_STUB)])
         else:
             # Fallthrough edge: insert right after the tail block.
             inserts.append((tail.end, [ann]))

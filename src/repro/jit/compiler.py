@@ -11,7 +11,7 @@ Three entry points mirroring the Jrpm pipeline (paper Fig. 1):
 
 from ..hydra.config import STATICS_BASE
 from .annotate import annotate_method
-from .ir import IROp
+from .ir import ANNOTATION_IR_OPS
 from .optimize import optimize
 from .translate import StaticLayout, Translator
 
@@ -123,9 +123,5 @@ def compile_annotated(program, config, prune=None):
 
 def annotation_count(compiled):
     """Number of annotation instructions in a compiled program."""
-    annotation_ops = (IROp.SLOOP, IROp.EOI, IROp.ELOOP, IROp.LWL, IROp.SWL)
-    count = 0
-    for method in compiled.methods.values():
-        count += sum(1 for instr in method.code
-                     if instr.op in annotation_ops)
-    return count
+    return sum(1 for method in compiled.methods.values()
+               for instr in method.code if instr.op in ANNOTATION_IR_OPS)

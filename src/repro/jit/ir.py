@@ -109,6 +109,17 @@ BRANCH_IR_OPS = frozenset({
 
 COND_IR_BRANCHES = BRANCH_IR_OPS - {IROp.J}
 
+#: TEST annotation ops (Table 2): a profiler hook plus 1 cycle each.
+ANNOTATION_IR_OPS = frozenset({IROp.SLOOP, IROp.EOI, IROp.ELOOP,
+                               IROp.LWL, IROp.SWL})
+
+#: ``aux`` of the ``J`` closing an annotation stub (a taken branch
+#: retargeted through an annotation, :mod:`repro.jit.annotate`).  With
+#: the annotation ops these are the *annotation-only* instructions:
+#: removing them leaves the plain native code, so an annotated run
+#: minus their count (1 cycle each) is exactly the baseline run.
+ANNOTATION_STUB = "annotation-stub"
+
 #: Ops after which control never falls through.
 IR_TERMINATORS = frozenset({IROp.J, IROp.RET, IROp.TRAP, IROp.STL_EOI_END,
                             IROp.STL_EXIT})

@@ -29,16 +29,15 @@ import pytest
 
 from repro.bytecode import run_program
 from repro.core.pipeline import Jrpm
-from repro.engine.ir_engine import (_ANNOTATION_OPS, _COSTS,
-                                    BATCHABLE_IR_OPS, build_table,
-                                    step_table, tls_cost_map,
-                                    tls_event_map)
+from repro.engine.ir_engine import (_COSTS, BATCHABLE_IR_OPS,
+                                    build_table, step_table,
+                                    tls_cost_map, tls_event_map)
 from repro.hydra.cache import MemoryHierarchy
 from repro.hydra.config import HydraConfig
 from repro.hydra.machine import CpuContext, Frame, Machine
 from repro.hydra.memory import Memory
 from repro.jit.compiler import compile_annotated, compile_program
-from repro.jit.ir import IRInstr, IROp
+from repro.jit.ir import ANNOTATION_IR_OPS, IRInstr, IROp
 from repro.minijava import compile_source
 from repro.workloads import lookup
 
@@ -331,6 +330,7 @@ def _run_to_raise(unit, fastpath):
         "exception": (type(info.value).__name__, str(info.value)),
         "pc": ctx.frames[-1].pc,
         "instret": ctx.instret,
+        "annotation_instret": ctx.annotation_instret,
         "time": ctx.time,
         "compute_cycles": ctx.compute_cycles,
     }, dispatches
@@ -356,6 +356,7 @@ def test_inlined_swl_hook_before_raise(raising):
     assert swl == [("swl", 7, 0, 3, unit.code[3])]
     assert fast["calls"][0] == ("sloop", 7, 1, 1)
     assert (fast["pc"], fast["instret"], fast["time"]) == (6, 6, 6)
+    assert fast["annotation_instret"] == 2  # the SLOOP and the SWL
 
 
 def test_annotated_code_fuses_annotations_into_blocks():
@@ -372,7 +373,7 @@ def test_annotated_code_fuses_annotations_into_blocks():
     for unit in compiled.methods.values():
         code = unit.code
         annotations = [pc for pc, instr in enumerate(code)
-                       if instr.op in _ANNOTATION_OPS]
+                       if instr.op in ANNOTATION_IR_OPS]
         if not annotations:
             continue
         table = build_table(code, unit.name)

@@ -4,6 +4,8 @@ import pytest
 
 from repro import Jrpm, compile_source
 from repro.hydra.config import HydraConfig
+from repro.hydra.machine import Machine
+from repro.workloads import all_workloads, lookup
 
 from conftest import wrap_main
 
@@ -128,11 +130,16 @@ def test_retargetability_more_cpus(report):
 # -- staged pipeline API ------------------------------------------------------
 
 def test_staged_api_matches_run_facade(report):
-    """Driving the five stages by hand reproduces run() exactly."""
+    """Driving the five stages by hand, with the simulated baseline,
+    reproduces run() (which derives its baseline from TEST) exactly."""
     jrpm = Jrpm()
     program = compile_source(PROGRAM)
     baseline = jrpm.compile_baseline(program)
     profile = jrpm.profile(program)
+    derived = profile.baseline()
+    assert derived.compiled is None
+    assert derived.measurement.to_dict() == baseline.measurement.to_dict()
+    assert derived.compile_cycles == baseline.compile_cycles
     plans = jrpm.select(profile)
     recompiled = jrpm.recompile(program, plans)
     tls = jrpm.execute_tls(recompiled, plans,
@@ -140,6 +147,134 @@ def test_staged_api_matches_run_facade(report):
     staged = jrpm.assemble_report("pipeline-test", baseline, profile,
                                   plans, tls)
     assert staged.to_dict() == report.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# derived baseline: ProfileArtifact.baseline() vs compile_baseline()
+# ---------------------------------------------------------------------------
+
+def assert_derived_baseline_exact(source, config=None, analysis=False):
+    """The baseline run() derives from the TEST run equals the simulated
+    reference field for field; returns both measurements."""
+    jrpm = Jrpm(config=config, analysis=analysis)
+    program = compile_source(source)
+    simulated = jrpm.compile_baseline(program)
+    profile = jrpm.profile(program)
+    derived = profile.baseline()
+    assert derived.measurement.to_dict() == simulated.measurement.to_dict()
+    assert derived.compile_cycles == simulated.compile_cycles
+    assert profile.annotation_instructions > 0
+    return profile.measurement, derived.measurement
+
+
+#: the default tier's registry workloads, one per category; the
+#: ``slow`` tier runs all 26
+FAST_TIER = ("BitOps", "LuFactor", "decJpeg")
+
+
+@pytest.mark.parametrize("fastpath", [True, False],
+                         ids=["fast", "reference"])
+@pytest.mark.parametrize("name", [
+    pytest.param(w.name, marks=() if w.name in FAST_TIER
+                 else pytest.mark.slow) for w in all_workloads()])
+def test_derived_baseline_registry(name, fastpath):
+    assert_derived_baseline_exact(lookup(name).source("small"),
+                                  HydraConfig(fastpath=fastpath))
+
+
+def test_derived_baseline_with_static_pruning():
+    assert_derived_baseline_exact(lookup("BitOps").source("small"),
+                                  analysis=True)
+
+
+#: programs the registry never exercises: GC inside an annotated loop,
+#: and guest exceptions thrown mid-loop after annotation ops (the
+#: divide raises inside a fast-engine block that ran an LWL)
+ADVERSARIAL = {
+    "gc": wrap_main("""
+        int s = 0;
+        for (int i = 0; i < 300; i++) {
+            int[] t = new int[16];
+            t[i % 16] = i;
+            s = s * 3 + t[i % 16];
+        }
+        Sys.printInt(s);
+        return s;
+    """),
+    "array-index": wrap_main("""
+        int[] a = new int[40];
+        int s = 1;
+        Sys.printInt(s);
+        for (int i = 0; i < 60; i++) {
+            s = s * 3 + i;
+            a[i] = s;
+        }
+        return s;
+    """),
+    "divide-by-zero": wrap_main("""
+        int s = 7;
+        Sys.printInt(s);
+        for (int i = 0; i < 60; i++) {
+            s = (s * 7 + 1000 / (i - 25)) % 1009;
+        }
+        return s;
+    """),
+}
+
+
+@pytest.mark.parametrize("fastpath", [True, False],
+                         ids=["fast", "reference"])
+@pytest.mark.parametrize("case", sorted(ADVERSARIAL))
+def test_derived_baseline_adversarial(case, fastpath):
+    config = HydraConfig(fastpath=fastpath, gc_threshold_bytes=2048)
+    test, derived = assert_derived_baseline_exact(ADVERSARIAL[case], config)
+    assert derived.output
+    if case == "gc":
+        assert derived.gc_cycles > 0
+        assert derived.guest_exception is None
+    else:
+        assert type(derived.guest_exception).__name__ == {
+            "array-index": "ArrayIndexException",
+            "divide-by-zero": "ArithmeticException"}[case]
+    assert test.cycles > derived.cycles
+
+
+def _count_simulations(monkeypatch):
+    """Record the compile mode of every ``Machine.run``."""
+    modes = []
+    run = Machine.run
+
+    def counted(machine, *args, **kwargs):
+        modes.append(machine.compiled.mode)
+        return run(machine, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counted)
+    return modes
+
+
+def test_cold_run_simulates_twice(monkeypatch):
+    modes = _count_simulations(monkeypatch)
+    report = Jrpm().run(compile_source(PROGRAM))
+    assert report.plans
+    assert modes == ["annotated", "tls"]
+
+
+def test_cold_run_without_plans_simulates_once(monkeypatch):
+    modes = _count_simulations(monkeypatch)
+    report = Jrpm().run(compile_source(wrap_main("""
+        int x = 1 + 2;
+        Sys.printInt(x);
+        return x;
+    """)))
+    assert not report.plans
+    assert modes == ["annotated"]
+
+
+def test_adaptive_run_never_simulates_the_plain_program(monkeypatch):
+    modes = _count_simulations(monkeypatch)
+    Jrpm().run_adaptive(compile_source(PROGRAM), epochs=2)
+    assert modes[0] == "annotated"
+    assert "plain" not in modes
 
 
 def test_staged_artifacts_expose_their_measurements():

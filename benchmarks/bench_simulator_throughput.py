@@ -3,12 +3,11 @@ figure a user of this reproduction cares about: how many simulated
 instructions per wall-clock second the behavioral simulator delivers,
 sequentially and under TLS.
 
-Each case measures the predecoded fastpath engine (the default) with
-pytest-benchmark and then takes a single timed legacy-dispatch
-(``--no-fastpath``) run of the same work, so every
-``benchmarks/results/throughput_*.txt`` records the fastpath-vs-legacy
-rate pair and the engine speedup stays visible in the perf trajectory
-(see docs/performance.md).
+Each case measures the fast engine (the default) with pytest-benchmark
+and then takes a single timed reference-engine (``--engine reference``)
+run of the same work, so every ``benchmarks/results/throughput_*.txt``
+records the fast-vs-reference rate pair and the engine speedup stays
+visible in the perf trajectory (see docs/performance.md).
 """
 
 import time
@@ -53,7 +52,7 @@ def test_sequential_simulation_throughput(benchmark):
     result = benchmark(run_once)
     rate = result.instructions / benchmark.stats["mean"]
 
-    legacy_config = HydraConfig(fastpath=False)
+    legacy_config = HydraConfig(engine="reference")
     legacy_compiled = compile_program(compile_source(KERNEL),
                                       legacy_config)
     start = time.perf_counter()
@@ -66,9 +65,9 @@ def test_sequential_simulation_throughput(benchmark):
     write_result("throughput_sequential", [
         "sequential simulator throughput",
         "  %d simulated instructions / run" % result.instructions,
-        "  fastpath:      ~%.0f simulated instructions / wall second"
+        "  fast:      ~%.0f simulated instructions / wall second"
         % rate,
-        "  --no-fastpath: ~%.0f simulated instructions / wall second"
+        "  reference: ~%.0f simulated instructions / wall second"
         % legacy_rate,
         "  engine speedup: %.2fx" % (rate / legacy_rate),
     ], metrics={"instructions": result.instructions,
@@ -79,7 +78,7 @@ def test_sequential_simulation_throughput(benchmark):
        regression={"instructions": "lower_is_better"})
     assert result.guest_exception is None
     assert rate > 10_000     # sanity floor for pure-Python simulation
-    # the predecoded engine must stay comfortably ahead of the legacy
+    # the predecoded engine must stay comfortably ahead of the if/elif
     # dispatch chain (acceptance: >= 2x the pre-engine baseline rate)
     assert rate > 2 * legacy_rate
 
@@ -88,13 +87,11 @@ def test_sequential_simulation_throughput(benchmark):
 def test_tls_simulation_throughput(benchmark):
     """Speculative-mode throughput: the step-5 TLS run re-executed on
     prebuilt STL code (profiling and selection staged out), under the
-    default event-driven scheduler, the stepwise oracle, and the
-    legacy dispatch (``scripts/bench_tls_scheduler.py`` is the
-    standalone version of this measurement)."""
+    fast engine's event-driven scheduler and the reference engine's
+    stepwise scan."""
 
-    def stage(fastpath, scheduler="event"):
-        jrpm = Jrpm(config=HydraConfig(fastpath=fastpath,
-                                       scheduler=scheduler))
+    def stage(engine):
+        jrpm = Jrpm(config=HydraConfig(engine=engine))
         program = compile_source(KERNEL)
         baseline = jrpm.compile_baseline(program)
         profile = jrpm.profile(program)
@@ -104,7 +101,7 @@ def test_tls_simulation_throughput(benchmark):
             "throughput kernel no longer selects an STL"
         return jrpm, recompiled, plans, baseline
 
-    jrpm, recompiled, plans, baseline = stage(fastpath=True)
+    jrpm, recompiled, plans, baseline = stage("fast")
 
     def run_tls():
         return jrpm.execute_tls(recompiled, plans,
@@ -114,46 +111,37 @@ def test_tls_simulation_throughput(benchmark):
     instructions = artifact.measurement.instructions
     rate = instructions / benchmark.stats["mean"]
 
-    def timed_once(fastpath, scheduler):
-        jrpm_x, code_x, plans_x, base_x = stage(fastpath, scheduler)
-        start = time.perf_counter()
-        artifact_x = jrpm_x.execute_tls(code_x, plans_x,
-                                        fallback=base_x.measurement)
-        elapsed = time.perf_counter() - start
-        # observational-exactness spot check across all executions
-        assert artifact_x.measurement.cycles == artifact.measurement.cycles
-        assert artifact_x.measurement.instructions == instructions
-        return artifact_x.measurement.instructions / elapsed
-
-    stepwise_rate = timed_once(True, "stepwise")
-    legacy_rate = timed_once(False, "stepwise")
+    jrpm_x, code_x, plans_x, base_x = stage("reference")
+    start = time.perf_counter()
+    artifact_x = jrpm_x.execute_tls(code_x, plans_x,
+                                    fallback=base_x.measurement)
+    legacy_rate = instructions / (time.perf_counter() - start)
+    # observational-exactness spot check across the engines
+    assert artifact_x.measurement.cycles == artifact.measurement.cycles
+    assert artifact_x.measurement.instructions == instructions
 
     write_result("throughput_tls", [
         "TLS-mode simulator throughput (step-5 speculative run)",
         "  %d simulated instructions / run" % instructions,
-        "  %d simulated cycles / run (identical across all three"
-        " executions)" % artifact.measurement.cycles,
-        "  event scheduler (default):  ~%.0f simulated instructions"
+        "  %d simulated cycles / run (identical in both engines)"
+        % artifact.measurement.cycles,
+        "  fast (event scheduler):         ~%.0f simulated instructions"
         " / wall second" % rate,
-        "  stepwise scheduler:         ~%.0f simulated instructions"
-        " / wall second" % stepwise_rate,
-        "  legacy (--no-fastpath):     ~%.0f simulated instructions"
+        "  reference (stepwise scheduler): ~%.0f simulated instructions"
         " / wall second" % legacy_rate,
-        "  event / stepwise: %.2fx    event / legacy: %.2fx"
-        % (rate / stepwise_rate, rate / legacy_rate),
+        "  fast / reference: %.2fx" % (rate / legacy_rate),
         "  (same-run ratio pairs are the stable signal; absolute"
         " rates move with host load)",
     ], metrics={"instructions": instructions,
                 "cycles": artifact.measurement.cycles,
                 "event_insn_per_sec": rate,
-                "stepwise_insn_per_sec": stepwise_rate,
-                "legacy_insn_per_sec": legacy_rate,
-                "event_vs_stepwise": rate / stepwise_rate},
+                "legacy_insn_per_sec": legacy_rate},
        config={"kernel": "throughput", "mode": "tls"},
        regression={"cycles": "lower_is_better"})
     assert rate > 10_000
-    # the event scheduler must stay comfortably ahead of the scan
-    assert rate > 1.5 * stepwise_rate
+    # the fast engine must stay comfortably ahead of the reference
+    # engine (the same margin as the sequential case)
+    assert rate > 2 * legacy_rate
 
 
 @pytest.mark.benchmark(group="throughput")
@@ -169,7 +157,7 @@ def test_full_pipeline_throughput(benchmark):
                  + report.tls.instructions)
 
     start = time.perf_counter()
-    legacy_report = Jrpm(config=HydraConfig(fastpath=False)).run(
+    legacy_report = Jrpm(config=HydraConfig(engine="reference")).run(
         program, name="throughput")
     legacy_elapsed = time.perf_counter() - start
     assert legacy_report.tls.cycles == report.tls.cycles
@@ -181,7 +169,7 @@ def test_full_pipeline_throughput(benchmark):
         "  speculative: %d instructions" % report.tls.instructions,
         "  total simulated: %d" % simulated,
         "  TLS speedup: %.2fx" % report.tls_speedup,
-        "  fastpath wall: %.2fs   --no-fastpath wall: %.2fs (%.2fx)"
+        "  fast wall: %.2fs   reference wall: %.2fs (%.2fx)"
         % (benchmark.stats["mean"], legacy_elapsed,
            legacy_elapsed / benchmark.stats["mean"]),
     ], metrics={"total_simulated_instructions": simulated,

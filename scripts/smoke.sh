@@ -15,13 +15,10 @@
 #    payload against the repro.analysis schema — including the
 #    soundness invariant that no loop is both statically pruned and
 #    dynamically selected (see docs/analysis.md);
-# 6. runs one workload under both execution engines — the predecoded
-#    fastpath (the default) and the legacy if/elif dispatch
-#    (--no-fastpath) — and diffs the serialized JSON reports: the two
-#    engines must be cycle-exact (see docs/performance.md); then does
-#    the same A/B across the two TLS schedulers — event-driven (the
-#    default) and the stepwise oracle (--scheduler stepwise) — which
-#    must be observationally identical, byte for byte;
+# 6. checks the golden report digests of one workload per category
+#    in both engines (`--engine fast` and `--engine reference`), which
+#    share one digest per workload: the engines must be cycle-exact,
+#    byte for byte (see docs/performance.md);
 # 7. starts the persistent daemon (`jrpm serve`) on a unix socket,
 #    pushes a pipelined client burst through it (second identical
 #    request must be a store hit), drains it gracefully, and checks
@@ -86,50 +83,8 @@ python -m repro analyze BitOps --size small --json \
 python scripts/check_analysis_report.py "$CACHE_DIR/analysis.json"
 
 echo
-echo "== smoke: fastpath vs --no-fastpath (cycle-exact A/B) =="
-for engine in fastpath legacy; do
-    python - "$engine" "$CACHE_DIR/report-$engine.json" <<'PYEOF'
-import json, sys
-from repro.core.pipeline import Jrpm
-from repro.hydra.config import HydraConfig
-from repro.minijava import compile_source
-from repro.workloads import lookup
-
-engine, out_path = sys.argv[1], sys.argv[2]
-source = lookup("BitOps").source("small")
-config = HydraConfig(fastpath=(engine == "fastpath"))
-report = Jrpm(config=config).run(compile_source(source), name="BitOps")
-payload = report.to_dict()
-payload.pop("config", None)   # differs by the fastpath flag itself
-with open(out_path, "w") as fh:
-    json.dump(payload, fh, indent=1, sort_keys=True, default=str)
-PYEOF
-done
-diff "$CACHE_DIR/report-fastpath.json" "$CACHE_DIR/report-legacy.json" \
-    && echo "engines agree: reports byte-identical"
-
-echo
-echo "== smoke: event vs stepwise TLS scheduler (cycle-exact A/B) =="
-for sched in event stepwise; do
-    python - "$sched" "$CACHE_DIR/report-$sched.json" <<'PYEOF'
-import json, sys
-from repro.core.pipeline import Jrpm
-from repro.hydra.config import HydraConfig
-from repro.minijava import compile_source
-from repro.workloads import lookup
-
-sched, out_path = sys.argv[1], sys.argv[2]
-source = lookup("BitOps").source("small")
-config = HydraConfig(scheduler=sched)
-report = Jrpm(config=config).run(compile_source(source), name="BitOps")
-payload = report.to_dict()
-payload.pop("config", None)   # differs by the scheduler field itself
-with open(out_path, "w") as fh:
-    json.dump(payload, fh, indent=1, sort_keys=True, default=str)
-PYEOF
-done
-diff "$CACHE_DIR/report-event.json" "$CACHE_DIR/report-stepwise.json" \
-    && echo "schedulers agree: reports byte-identical"
+echo "== smoke: golden report digests, fast == reference (fast tier) =="
+python -m pytest -q -m "not slow" tests/test_golden_reports.py
 
 echo
 echo "== smoke: serve -> client -> drain =="

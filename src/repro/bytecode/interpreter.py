@@ -9,11 +9,7 @@ the property-based test suite).
 
 import math
 
-from ..errors import (ArithmeticException, ArrayIndexException,
-                      NullPointerException, VMError)
-from ..vm import intrinsics
-from .instructions import f2i, i32, idiv, irem, u32
-from .opcodes import Op
+from ..errors import VMError
 
 
 class GuestObject:
@@ -69,23 +65,19 @@ class InterpreterResult:
 class Interpreter:
     """Executes a sealed :class:`Program` with Java semantics.
 
-    *fastpath* (default True) routes execution through the predecoded
-    dispatch engine (:mod:`repro.engine.bc_engine`): per-method handler
-    tables with fused straight-line superinstruction blocks.  Printed
-    output, return values, exception behaviour and the ``instructions``
-    counter are identical to the legacy if/elif loop (``fastpath=
-    False``), which stays available for debugging and as the
-    differential-test baseline.
+    Execution runs through the predecoded dispatch tables of
+    :mod:`repro.engine.bc_engine` (per-method handler tables with fused
+    straight-line superinstruction blocks); ``instructions`` counts
+    executed bytecodes and a run past ``max_instructions`` raises
+    :class:`~repro.errors.VMError`.
     """
 
-    def __init__(self, program, max_instructions=200_000_000,
-                 fastpath=True):
+    def __init__(self, program, max_instructions=200_000_000):
         self.program = program.seal()
         self.statics = {}
         self.output = []
         self.instructions = 0
         self.max_instructions = max_instructions
-        self.fastpath = fastpath
 
     # -- public API -----------------------------------------------------------
     def run(self, *args):
@@ -94,264 +86,13 @@ class Interpreter:
         return InterpreterResult(value, self.output, self.instructions)
 
     def call(self, method, args):
-        frame = _Frame(method, args)
-        if self.fastpath:
-            from ..engine.bc_engine import execute_bytecode
-            return execute_bytecode(self, frame)
-        return self._execute(frame)
+        from ..engine.bc_engine import execute_bytecode
+        return execute_bytecode(self, _Frame(method, args))
 
     # -- helpers ----------------------------------------------------------------
     def _static_key(self, class_name, field_name):
         field = self.program.resolve_field(class_name, field_name)
         return (field.owner.name, field.name), field
-
-    def _check_ref(self, ref, what):
-        if ref is None:
-            raise NullPointerException(what)
-        return ref
-
-    def _check_index(self, array, index):
-        if index < 0 or index >= len(array.data):
-            raise ArrayIndexException("index %d, length %d"
-                                      % (index, len(array.data)))
-
-    # -- main loop ----------------------------------------------------------------
-    def _execute(self, frame):
-        code = frame.method.code
-        stack = frame.stack
-        local_vars = frame.locals
-        while True:
-            instr = code[frame.pc]
-            frame.pc += 1
-            self.instructions += 1
-            if self.instructions > self.max_instructions:
-                raise VMError("instruction budget exceeded")
-            op = instr.op
-            arg = instr.arg
-
-            if op == Op.ICONST or op == Op.FCONST:
-                stack.append(arg)
-            elif op == Op.LOAD:
-                stack.append(local_vars[arg])
-            elif op == Op.STORE:
-                local_vars[arg] = stack.pop()
-            elif op == Op.IINC:
-                index, delta = arg
-                local_vars[index] = i32(local_vars[index] + delta)
-            elif op == Op.IADD:
-                b = stack.pop()
-                stack[-1] = i32(stack[-1] + b)
-            elif op == Op.ISUB:
-                b = stack.pop()
-                stack[-1] = i32(stack[-1] - b)
-            elif op == Op.IMUL:
-                b = stack.pop()
-                stack[-1] = i32(stack[-1] * b)
-            elif op == Op.IDIV:
-                b = stack.pop()
-                if b == 0:
-                    raise ArithmeticException("/ by zero")
-                stack[-1] = idiv(stack[-1], b)
-            elif op == Op.IREM:
-                b = stack.pop()
-                if b == 0:
-                    raise ArithmeticException("% by zero")
-                stack[-1] = irem(stack[-1], b)
-            elif op == Op.INEG:
-                stack[-1] = i32(-stack[-1])
-            elif op == Op.IAND:
-                b = stack.pop()
-                stack[-1] = i32(stack[-1] & b)
-            elif op == Op.IOR:
-                b = stack.pop()
-                stack[-1] = i32(stack[-1] | b)
-            elif op == Op.IXOR:
-                b = stack.pop()
-                stack[-1] = i32(stack[-1] ^ b)
-            elif op == Op.ISHL:
-                b = stack.pop() & 31
-                stack[-1] = i32(stack[-1] << b)
-            elif op == Op.ISHR:
-                b = stack.pop() & 31
-                stack[-1] = i32(stack[-1] >> b)
-            elif op == Op.IUSHR:
-                b = stack.pop() & 31
-                stack[-1] = i32(u32(stack[-1]) >> b)
-            elif op == Op.FADD:
-                b = stack.pop()
-                stack[-1] = stack[-1] + b
-            elif op == Op.FSUB:
-                b = stack.pop()
-                stack[-1] = stack[-1] - b
-            elif op == Op.FMUL:
-                b = stack.pop()
-                stack[-1] = stack[-1] * b
-            elif op == Op.FDIV:
-                b = stack.pop()
-                stack[-1] = (stack[-1] / b if b != 0.0 else
-                             _float_div_by_zero(stack[-1]))
-            elif op == Op.FREM:
-                b = stack.pop()
-                stack[-1] = (_java_frem(stack[-1], b) if b != 0.0
-                             else float("nan"))
-            elif op == Op.FNEG:
-                stack[-1] = -stack[-1]
-            elif op == Op.I2F:
-                stack[-1] = float(stack[-1])
-            elif op == Op.F2I:
-                stack[-1] = f2i(stack[-1])
-            elif op == Op.FCMP:
-                b = stack.pop()
-                a = stack.pop()
-                if a != a or b != b:
-                    stack.append(-1)   # fcmpl: NaN compares as -1
-                else:
-                    stack.append((a > b) - (a < b))
-            elif op == Op.GOTO:
-                frame.pc = arg
-            elif op == Op.IFEQ:
-                if stack.pop() == 0:
-                    frame.pc = arg
-            elif op == Op.IFNE:
-                if stack.pop() != 0:
-                    frame.pc = arg
-            elif op == Op.IFLT:
-                if stack.pop() < 0:
-                    frame.pc = arg
-            elif op == Op.IFGE:
-                if stack.pop() >= 0:
-                    frame.pc = arg
-            elif op == Op.IFGT:
-                if stack.pop() > 0:
-                    frame.pc = arg
-            elif op == Op.IFLE:
-                if stack.pop() <= 0:
-                    frame.pc = arg
-            elif op == Op.IF_ICMPEQ:
-                b = stack.pop()
-                if stack.pop() == b:
-                    frame.pc = arg
-            elif op == Op.IF_ICMPNE:
-                b = stack.pop()
-                if stack.pop() != b:
-                    frame.pc = arg
-            elif op == Op.IF_ICMPLT:
-                b = stack.pop()
-                if stack.pop() < b:
-                    frame.pc = arg
-            elif op == Op.IF_ICMPGE:
-                b = stack.pop()
-                if stack.pop() >= b:
-                    frame.pc = arg
-            elif op == Op.IF_ICMPGT:
-                b = stack.pop()
-                if stack.pop() > b:
-                    frame.pc = arg
-            elif op == Op.IF_ICMPLE:
-                b = stack.pop()
-                if stack.pop() <= b:
-                    frame.pc = arg
-            elif op == Op.IF_ACMPEQ:
-                b = stack.pop()
-                if stack.pop() is b:
-                    frame.pc = arg
-            elif op == Op.IF_ACMPNE:
-                b = stack.pop()
-                if stack.pop() is not b:
-                    frame.pc = arg
-            elif op == Op.IFNULL:
-                if stack.pop() is None:
-                    frame.pc = arg
-            elif op == Op.IFNONNULL:
-                if stack.pop() is not None:
-                    frame.pc = arg
-            elif op == Op.NEWARRAY_I:
-                stack[-1] = GuestArray("int", stack[-1])
-            elif op == Op.NEWARRAY_F:
-                stack[-1] = GuestArray("float", stack[-1])
-            elif op == Op.NEWARRAY_A:
-                stack[-1] = GuestArray("ref", stack[-1])
-            elif op == Op.ARRAYLENGTH:
-                array = self._check_ref(stack.pop(), "arraylength")
-                stack.append(len(array.data))
-            elif op in (Op.IALOAD, Op.FALOAD, Op.AALOAD):
-                index = stack.pop()
-                array = self._check_ref(stack.pop(), "array load")
-                self._check_index(array, index)
-                stack.append(array.data[index])
-            elif op in (Op.IASTORE, Op.FASTORE, Op.AASTORE):
-                value = stack.pop()
-                index = stack.pop()
-                array = self._check_ref(stack.pop(), "array store")
-                self._check_index(array, index)
-                array.data[index] = value
-            elif op == Op.NEW:
-                stack.append(GuestObject(self.program.get_class(arg)))
-            elif op == Op.GETFIELD:
-                obj = self._check_ref(stack.pop(), "getfield %s" % (arg,))
-                stack.append(obj.fields[arg[1]])
-            elif op == Op.PUTFIELD:
-                value = stack.pop()
-                obj = self._check_ref(stack.pop(), "putfield %s" % (arg,))
-                obj.fields[arg[1]] = value
-            elif op == Op.GETSTATIC:
-                key, field = self._static_key(*arg)
-                default = 0.0 if field.type.is_float() else (
-                    None if field.type.is_reference() else 0)
-                stack.append(self.statics.get(key, default))
-            elif op == Op.PUTSTATIC:
-                key, _field = self._static_key(*arg)
-                self.statics[key] = stack.pop()
-            elif op == Op.INVOKESTATIC:
-                callee = self.program.resolve_method(*arg)
-                nargs = len(callee.param_types)
-                args = stack[len(stack) - nargs:]
-                del stack[len(stack) - nargs:]
-                result = self.call(callee, args)
-                if not callee.return_type.is_void():
-                    stack.append(result)
-            elif op == Op.INVOKEVIRTUAL:
-                callee = self.program.resolve_method(*arg)
-                nargs = len(callee.param_types)
-                args = stack[len(stack) - nargs:]
-                del stack[len(stack) - nargs:]
-                receiver = self._check_ref(stack.pop(), "invoke %s" % (arg,))
-                # Virtual dispatch on the receiver's runtime class.
-                actual = receiver.cls.find_method(callee.name)
-                result = self.call(actual, [receiver] + args)
-                if not callee.return_type.is_void():
-                    stack.append(result)
-            elif op == Op.RETURN:
-                return None
-            elif op == Op.RETURN_VALUE:
-                return stack.pop()
-            elif op in (Op.MONITORENTER, Op.MONITOREXIT):
-                self._check_ref(stack.pop(), "monitor")
-            elif op == Op.INTRINSIC:
-                name, nargs = arg
-                intrinsic = intrinsics.lookup(name)
-                args = stack[len(stack) - nargs:]
-                del stack[len(stack) - nargs:]
-                if intrinsic.is_output:
-                    self.output.append(args[0])
-                else:
-                    result = intrinsic.fn(*args)
-                    if intrinsic.has_result():
-                        stack.append(result)
-            elif op == Op.POP:
-                stack.pop()
-            elif op == Op.DUP:
-                stack.append(stack[-1])
-            elif op == Op.DUP_X1:
-                stack.insert(-2, stack[-1])
-            elif op == Op.SWAP:
-                stack[-1], stack[-2] = stack[-2], stack[-1]
-            elif op == Op.ACONST_NULL:
-                stack.append(None)
-            elif op == Op.NOP:
-                pass
-            else:
-                raise VMError("unhandled opcode %s" % op)
 
 
 def _float_div_by_zero(numerator):
@@ -367,6 +108,6 @@ def _java_frem(a, b):
     return math.fmod(a, b)
 
 
-def run_program(program, *args, fastpath=True):
+def run_program(program, *args):
     """Convenience: interpret *program* and return its result record."""
-    return Interpreter(program, fastpath=fastpath).run(*args)
+    return Interpreter(program).run(*args)

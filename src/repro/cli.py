@@ -43,6 +43,7 @@ import sys
 
 from .core.pipeline import Jrpm
 from .core.report import format_report, format_suite_summary
+from .hydra.config import ENGINES
 from .minijava import compile_source
 
 
@@ -64,18 +65,12 @@ def _add_hw_flags(parser):
                         help="number of simulated CPUs (default 4)")
     parser.add_argument("--old-handlers", action="store_true",
                         help="use the paper's 'Old' handler overheads")
-    parser.add_argument("--no-fastpath", action="store_true",
-                        help="disable the predecoded dispatch engine and "
-                             "run the legacy if/elif interpreters "
-                             "(cycle-identical, ~4x slower; for debugging "
-                             "and A/B benchmarking — see docs/performance.md)")
-    parser.add_argument("--scheduler", default="event",
-                        choices=["event", "stepwise"],
-                        help="TLS scheduler: event = event-driven batched "
-                             "execution (default), stepwise = one "
-                             "instruction per scheduler scan "
-                             "(observationally identical, slower; the "
-                             "differential oracle — see "
+    parser.add_argument("--engine", default="fast", choices=ENGINES,
+                        help="fast = predecoded tables + event-driven TLS "
+                             "scheduler (default); reference = the if/elif "
+                             "dispatcher + stepwise TLS scheduler "
+                             "(cycle-identical, several times slower; the "
+                             "differential reference — see "
                              "docs/performance.md)")
 
 
@@ -86,8 +81,7 @@ def _options_from(args):
     return RunOptions(
         cpus=args.cpus,
         old_handlers=getattr(args, "old_handlers", False),
-        fastpath=not getattr(args, "no_fastpath", False),
-        scheduler=getattr(args, "scheduler", "event"),
+        engine=getattr(args, "engine", "fast"),
         trace=bool(getattr(args, "trace", False)
                    or getattr(args, "trace_out", None)),
         adapt=bool(getattr(args, "adapt", False)),
@@ -96,12 +90,6 @@ def _options_from(args):
         policy=getattr(args, "policy", None) or "threshold",
         profile_db=getattr(args, "profdb", None),
         warm_start=getattr(args, "warm_start", "auto"))
-
-
-def _config_from(args):
-    """Deprecated shim retained for external scripts that imported it;
-    the CLI itself now routes through :func:`_options_from`."""
-    return _options_from(args).hydra_config()
 
 
 def cmd_run(args):

@@ -13,7 +13,6 @@ benchmark harness needs into a :class:`JrpmReport`.
 """
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 from ..serialize import REPORT_SCHEMA_VERSION, check_schema_version
@@ -750,7 +749,7 @@ class Jrpm:
 
     def run_adaptive(self, source_or_program, name="program", args=(),
                      policy=None, epochs=4, stop_on_converged=True,
-                     verify=False, adapt_epochs=None):
+                     verify=False):
         """Run the pipeline under the epoch-based feedback controller.
 
         Unlike :meth:`run` (one-shot: the TEST profile is trusted
@@ -763,12 +762,6 @@ class Jrpm:
         defaults).
         """
         from ..adapt import AdaptController, make_policy
-        if adapt_epochs is not None:
-            warnings.warn(
-                "Jrpm.run_adaptive(adapt_epochs=...) is deprecated; "
-                "use epochs= (or RunOptions.epochs)",
-                DeprecationWarning, stacklevel=2)
-            epochs = adapt_epochs
         if isinstance(policy, str):
             policy = make_policy(policy)
         controller = AdaptController(self, policy=policy, epochs=epochs,

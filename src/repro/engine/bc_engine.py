@@ -10,15 +10,13 @@ never touch ``frame.stack`` at all, so the codegen's hottest idioms —
 ``LOAD + LOAD + IADD``, ``ICONST + IADD``, compare+branch — fuse into
 single Python expressions (the classic superinstruction win).  Opcodes
 with heap/object/call effects stay one-per-dispatch as specialised
-closures mirroring the legacy ``Interpreter._execute`` arms exactly
-(including exception messages).
+closures (each raising Java's exception type and message).
 
-Observable-behaviour exactness: printed output, return values,
-exception type/message and the ``instructions`` counter are identical
-to the legacy loop.  The only intentional divergence is *when* the
-instruction-budget VMError fires: blocks check the budget once per
-block rather than once per instruction, so a run that exceeds the
-budget may overrun by at most one straight-line block before raising.
+This module *is* the bytecode oracle: there is no second interpreter
+loop.  ``instructions`` counts every executed bytecode.  The instruction
+budget is checked once per block rather than once per instruction, so
+a run that exceeds ``max_instructions`` may overrun by at most one
+straight-line block before raising :class:`~repro.errors.VMError`.
 """
 
 from ..errors import (ArithmeticException, ArrayIndexException,
@@ -58,8 +56,7 @@ _IF_REF = {Op.IF_ACMPEQ: ("%s is %s", 2), Op.IF_ACMPNE: ("%s is not %s", 2),
 
 def execute_bytecode(interp, frame):
     """Drive *frame* to completion on the predecoded table; returns the
-    method's return value (fast-path replacement for
-    ``Interpreter._execute``)."""
+    method's return value."""
     method = frame.method
     table = getattr(method, "_fast_table", None)
     if table is None:

@@ -22,10 +22,9 @@ into a list indexed by pc whose entries are handler closures
   ``ctx.annotation_instret``, as it does ``instret``.
 * **specialised singletons** — hand-written closures for the hot
   non-batchable ops (``LW/SW/LWNV``, ``CALL``, ``RET``, ``INTRIN``,
-  the per-iteration TLS ops ``STL_EOI_END/STL_EXIT/WAITLOCK/SIGNAL``,
-  and the annotation ops in stepwise tables) with operands pre-bound,
-  so the per-step work is exactly the semantic action plus cycle
-  accounting.
+  and the per-iteration TLS ops ``STL_EOI_END/STL_EXIT/WAITLOCK/SIGNAL``)
+  with operands pre-bound, so the per-step work is exactly the semantic
+  action plus cycle accounting.
 * **legacy fallback** — everything rare (ALLOC, CALLV, monitors, the
   remaining TLS pseudo-ops, …) delegates to ``CpuContext.step_legacy``,
   the original ``if/elif`` interpreter, which stays the single source
@@ -42,24 +41,15 @@ instruction's *predecessors* are flushed before the raise, and
 ``ctx.current_site`` / profiler hook arguments are bound to
 content-identical ``(unit_name, instr)`` tuples.
 
-Two table granularities exist per code unit:
-
-* :func:`dispatch_table` — fully batched blocks.  Used wherever a
-  single simulated CPU runs alone (``Machine.run``'s sequential loop),
-  where executing a straight-line run atomically cannot change any
-  observable: memory accesses and signals are always step boundaries,
-  so they occur at identical clock values either way.
-* :func:`step_table` — single-instruction handlers (same specialised
-  closures, no multi-instruction blocks, no compare+branch fusion).
-  Used by the stepwise TLS scheduler under ``fastpath``, which
-  interleaves CPUs *between individual instructions*: a batched block
-  would let one thread's clock overrun a concurrent violating store
-  and inflate its squashed-work accounting.  Stepwise tables keep the
-  interleaving — and therefore every violation/restart cycle count —
-  bit-identical to the legacy engine while still replacing the
-  if/elif chain with one table index + pre-bound closure call.  (The
-  event scheduler builds none: it runs ahead on block tables and
-  replays truncations through ``step_legacy``.)
+One table granularity exists per code unit, :func:`dispatch_table`'s
+fully batched blocks.  It serves ``Machine.run``'s sequential loop,
+where a single simulated CPU runs alone and executing a straight-line
+run atomically cannot change any observable (memory accesses and
+signals are always step boundaries, so they occur at identical clock
+values either way), and the event-driven TLS scheduler's run-ahead
+between scheduler events, whose truncations replay through
+``step_legacy`` (see ``repro.tls.runtime``).  The reference engine (``HydraConfig.engine = "reference"``) dispatches
+through no table: it steps ``step_legacy`` one instruction at a time.
 """
 
 import math
@@ -97,12 +87,11 @@ _COSTS = {
 _THREAD_SIGNAL_OPS = frozenset({IROp.STL_EOI_END, IROp.STL_EXIT,
                                 IROp.WAITLOCK, IROp.SIGNAL})
 
-#: Ops a block of a *sequential* (non-stepwise) table may contain: the
-#: batchable ops plus the TEST annotation ops (Table 2).  An annotation
-#: op touches only the machine's profiler and its own 1 cycle, so the
-#: block calls the hook inline at the exact clock the legacy arm would
-#: pass.  Stepwise tables keep annotations as singletons; annotated
-#: code never runs under TLS.
+#: Ops a block of a *sequential* table may contain: the batchable ops
+#: plus the TEST annotation ops (Table 2).  An annotation op touches
+#: only the machine's profiler and its own 1 cycle, so the block calls
+#: the hook inline at the exact clock the legacy arm would pass;
+#: annotated code never runs under TLS.
 SEQUENTIAL_BLOCK_IR_OPS = BATCHABLE_IR_OPS | ANNOTATION_IR_OPS
 
 #: Ops the event-driven TLS scheduler may execute during *run-ahead*
@@ -152,23 +141,6 @@ def dispatch_table(unit):
             unit._dispatch = table
         except (AttributeError, TypeError):
             pass                        # uncacheable unit: rebuild per frame
-    return table
-
-
-def step_table(unit):
-    """Single-instruction handler table for *unit*, cached on the unit.
-
-    Same handlers as :func:`dispatch_table` but with every pc its own
-    block: the TLS event loop's smallest-clock scheduler needs
-    per-instruction clock granularity (see module docstring).
-    """
-    table = getattr(unit, "_dispatch_step", None)
-    if table is None:
-        table = build_table(unit.code, unit.name, stepwise=True)
-        try:
-            unit._dispatch_step = table
-        except (AttributeError, TypeError):
-            pass
     return table
 
 
@@ -239,6 +211,8 @@ def tls_cost_map(unit, call_overhead_cycles):
     return costs
 
 
+# ``stepwise`` (one block per pc) has no caller here; it stays because
+# perfbench/sweep_pass.py wraps this function and forwards it.
 def build_table(code, unit_name, extra_leaders=(), stepwise=False):
     """Predecode *code* into a pc-indexed list of handler closures."""
     n = len(code)
@@ -306,8 +280,6 @@ def build_table(code, unit_name, extra_leaders=(), stepwise=False):
             table[pc] = _make_ret(instr, pc)
         elif op == IROp.INTRIN:
             table[pc] = _make_intrin(instr, pc)
-        elif op in ANNOTATION_IR_OPS:
-            table[pc] = _make_annotation(instr, pc)
         elif op in _THREAD_SIGNAL_OPS:
             table[pc] = _make_thread_signal(instr, pc)
         else:
@@ -793,75 +765,3 @@ def _make_intrin(instr, pc):
         ctx.compute_cycles += cycles
         return None
     return intrin
-
-
-def _make_annotation(instr, pc):
-    """TEST annotation ops (Table 2) in stepwise tables: profiler hook
-    + 1 cycle.  The hook sees ``ctx.time`` *before* the cycle is
-    charged, exactly like the legacy arms.  Sequential tables inline
-    the same hook into their blocks instead (see :func:`_gen_block`)."""
-    op = instr.op
-    aux = instr.aux
-    imm = instr.imm
-    next_pc = pc + 1
-
-    if op == IROp.SLOOP:
-        def sloop(ctx, frame):
-            frame.pc = next_pc
-            ctx.instret += 1
-            ctx.annotation_instret += 1
-            profiler = ctx.machine.profiler
-            if profiler is not None:
-                profiler.on_sloop(aux, imm, ctx.time)
-            ctx.time += 1
-            ctx.compute_cycles += 1
-            return None
-        return sloop
-    if op == IROp.EOI:
-        def eoi(ctx, frame):
-            frame.pc = next_pc
-            ctx.instret += 1
-            ctx.annotation_instret += 1
-            profiler = ctx.machine.profiler
-            if profiler is not None:
-                profiler.on_eoi(aux, ctx.time)
-            ctx.time += 1
-            ctx.compute_cycles += 1
-            return None
-        return eoi
-    if op == IROp.ELOOP:
-        def eloop(ctx, frame):
-            frame.pc = next_pc
-            ctx.instret += 1
-            ctx.annotation_instret += 1
-            profiler = ctx.machine.profiler
-            if profiler is not None:
-                profiler.on_eloop(aux, ctx.time)
-            ctx.time += 1
-            ctx.compute_cycles += 1
-            return None
-        return eloop
-    if op == IROp.LWL:
-        def lwl(ctx, frame):
-            frame.pc = next_pc
-            ctx.instret += 1
-            ctx.annotation_instret += 1
-            profiler = ctx.machine.profiler
-            if profiler is not None:
-                profiler.on_lwl(aux, imm, ctx.time, instr)
-            ctx.time += 1
-            ctx.compute_cycles += 1
-            return None
-        return lwl
-
-    def swl(ctx, frame):
-        frame.pc = next_pc
-        ctx.instret += 1
-        ctx.annotation_instret += 1
-        profiler = ctx.machine.profiler
-        if profiler is not None:
-            profiler.on_swl(aux, imm, ctx.time, instr)
-        ctx.time += 1
-        ctx.compute_cycles += 1
-        return None
-    return swl

@@ -93,11 +93,11 @@ class MemoryHierarchy:
         self.l2 = SetAssociativeCache(config.l2_size_bytes, config.l2_assoc,
                                       config.line_bytes)
         #: last access: (cpu, line, kind) — invalidated by any
-        #: non-matching access and by :meth:`flush_l1`.  Disabled (kept
-        #: ``None`` forever) under ``--no-fastpath`` so the legacy
-        #: engine really is the unmodified reference path.
+        #: non-matching access and by :meth:`flush_l1`.  Enabled only
+        #: for the fast engine (kept ``None`` forever otherwise) so the
+        #: reference engine really is the unmodified reference path.
         self._memo = None
-        self._memo_enabled = getattr(config, "fastpath", True)
+        self._memo_enabled = config.engine == "fast"
 
     def load_latency(self, cpu, addr):
         line = addr >> CACHE_LINE_SHIFT

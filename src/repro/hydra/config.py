@@ -25,6 +25,17 @@ HEAP_LIMIT = 0x4000_0000
 CACHE_LINE_BYTES = 32
 CACHE_LINE_SHIFT = 5
 
+#: Values of :attr:`HydraConfig.engine`.
+ENGINES = ("fast", "reference")
+
+
+def check_engine(engine):
+    """Raise ``ValueError`` unless *engine* is one of :data:`ENGINES`
+    (a mistyped engine must not yield a report)."""
+    if engine not in ENGINES:
+        raise ValueError("unknown engine %r (known: %s)"
+                         % (engine, ", ".join(ENGINES)))
+
 
 @dataclass
 class SpeculationOverheads:
@@ -59,25 +70,16 @@ class HydraConfig:
     num_cpus: int = 4
 
     # -- execution engine ---------------------------------------------------
-    #: Predecoded threaded-dispatch engine (repro.engine): table-driven
-    #: handler dispatch, fused superinstruction blocks and the memory
-    #: hierarchy's consecutive-access memo.  Cycle-exact with the
-    #: legacy if/elif dispatcher (enforced by the differential oracle
-    #: in tests/test_engine_differential.py); set False — CLI
-    #: ``--no-fastpath`` — for debugging or A/B benchmarking.
-    fastpath: bool = True
-
-    #: TLS scheduling discipline (repro.tls.runtime): ``"event"`` (the
-    #: default) parks each speculative CPU at its next memory/sync/
-    #: commit event and executes the straight-line run in between as
-    #: batched superinstruction blocks, interleaving CPUs only at event
-    #: boundaries; ``"stepwise"`` is the original smallest-clock
-    #: per-instruction loop, kept as the differential oracle (CLI
-    #: ``--scheduler``).  Both are observationally cycle-exact
-    #: (tests/test_scheduler_differential.py); the event scheduler
-    #: requires ``fastpath`` and silently degrades to stepwise without
-    #: it, so ``--no-fastpath`` remains the unmodified reference path.
-    scheduler: str = "event"
+    #: How the machine executes (one of :data:`ENGINES`, CLI
+    #: ``--engine``).  ``"fast"`` runs predecoded handler tables with
+    #: fused superinstruction blocks (repro.engine), the memory
+    #: hierarchy's consecutive-access memo and the event-driven TLS
+    #: scheduler.  ``"reference"`` runs the if/elif ``step_legacy``
+    #: dispatcher and the stepwise smallest-clock TLS scheduler: the
+    #: cycle-accounting and TLS event-order references.  The two are
+    #: cycle-exact (tests/test_engine_differential.py and the golden
+    #: report digests, one per workload for both engines).
+    engine: str = "fast"
 
     # -- memory hierarchy (paper Fig. 2) ---------------------------------------
     l1_size_bytes: int = 16 * 1024
@@ -142,6 +144,9 @@ class HydraConfig:
     virtual_dispatch_cycles: int = 2    # on top of the meta-word load
     alloc_service_cycles: int = 6
     lock_acquire_cycles: int = 3
+
+    def __post_init__(self):
+        check_engine(self.engine)
 
     def lines_of(self, size_bytes):
         return size_bytes // self.line_bytes

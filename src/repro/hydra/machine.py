@@ -4,18 +4,21 @@ Execution advances per-CPU clocks.  Sequential runs drive one
 :class:`CpuContext` to completion through batched superinstruction
 blocks; the TLS runtime drives four of them under a scheduler that
 totally orders memory/sync/commit events on the simulated clock, which
-makes violation detection exact.  The reference (stepwise) scheduler
-realizes that order by always stepping the smallest-clock CPU one
-instruction at a time; the default event-driven scheduler batches the
-straight-line work between events and charges the identical cycles at
-event boundaries (``HydraConfig.scheduler``, docs/performance.md).
+makes violation detection exact.  ``HydraConfig.engine`` picks one of
+two cycle-exact ways to do both (docs/performance.md): ``"fast"`` runs
+predecoded handler tables (:mod:`repro.engine.ir_engine`) under the
+event-driven TLS scheduler, which batches the straight-line work
+between events and charges the identical cycles at event boundaries;
+``"reference"`` runs :meth:`CpuContext.step_legacy`, the if/elif
+dispatcher, under the stepwise scheduler, which always steps the
+smallest-clock CPU one instruction at a time.
 """
 
 import math
 
 from ..bytecode.instructions import f2i, i32, idiv, irem, u32
 from ..bytecode.module import WORD
-from ..engine.ir_engine import dispatch_table, step_table
+from ..engine.ir_engine import dispatch_table
 from ..errors import (ArithmeticException, ArrayIndexException,
                       GuestException, NullPointerException, VMError)
 from ..jit.ir import ANNOTATION_IR_OPS, ANNOTATION_STUB, IROp
@@ -121,7 +124,7 @@ class CpuContext:
     def __init__(self, machine, cpu_id):
         self.machine = machine
         self.cpu_id = cpu_id
-        self.fast = getattr(machine.config, "fastpath", True)
+        self.fast = machine.config.engine == "fast"
         self.time = 0
         self.frames = []
         self.mem = (PlainMemoryInterface if machine.profiler is None
@@ -158,25 +161,10 @@ class CpuContext:
         self.status = "running"
 
     # -- the interpreter ------------------------------------------------------
-    def step(self):
-        """Execute one dispatch unit; returns a signal or None.
-
-        Fast path (the default): index the frame's predecoded handler
-        table by pc — one dispatch may execute a whole straight-line
-        block of instructions (see :mod:`repro.engine.ir_engine`), but
-        every memory access, signal and runtime service is still its
-        own dispatch, so the TLS event loop's view of the simulated
-        clock is unchanged.  ``HydraConfig.fastpath = False`` routes
-        through :meth:`step_legacy`, the original single-instruction
-        if/elif dispatcher.
-        """
-        if self.fast:
-            frame = self.frames[-1]
-            return step_table(frame.compiled)[frame.pc](self, frame)
-        return self.step_legacy()
-
     def step_legacy(self):
-        """Execute one instruction the legacy way (if/elif chain)."""
+        """Execute one instruction through the if/elif chain: the
+        reference engine's dispatcher and the cycle-accounting oracle
+        the predecoded tables must match; returns a signal or None."""
         frame = self.frames[-1]
         code = frame.code
         instr = code[frame.pc]

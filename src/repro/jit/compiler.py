@@ -20,8 +20,7 @@ class CompiledMethod:
     """Executable form of one method."""
 
     __slots__ = ("name", "code", "nregs", "ir", "owner", "simple_name",
-                 "stls", "_dispatch", "_dispatch_step", "_tls_events",
-                 "_tls_costs")
+                 "stls", "_dispatch", "_tls_events", "_tls_costs")
 
     def __init__(self, ir_method, owner, simple_name):
         self.ir = ir_method
@@ -35,7 +34,6 @@ class CompiledMethod:
         #: :func:`repro.engine.ir_engine.dispatch_table` ("code-install
         #: time" predecoding — rebuilt never, shared by every Frame)
         self._dispatch = None
-        self._dispatch_step = None
         #: per-pc scheduler-event bitmap for the event-driven TLS
         #: scheduler (repro.engine.ir_engine.tls_event_map), same lazy
         #: caching discipline as the dispatch tables

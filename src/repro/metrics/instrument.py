@@ -9,7 +9,7 @@ the fold happens once per finished run: :func:`observe_report_dict`
 walks a serialized report and increments the TLS counters
 (commits/violations/restarts/squashes/overflow stalls), buffer
 high-water-mark gauges, per-phase simulated instruction/cycle
-counters, and the per-scheduler simulated-insn/s throughput gauge.
+counters, and the per-engine simulated-insn/s throughput gauge.
 
 Both the daemon (on every served ``run``/``run_adaptive`` report) and
 the in-process :class:`~repro.service.client.LocalSession` call this,
@@ -25,16 +25,14 @@ def observe_report_dict(report_dict, wall_seconds=None, registry=None):
 
     *wall_seconds*, when given, is the wall-clock duration of the run
     that produced the report; combined with the report's simulated
-    instruction counts it updates the per-scheduler
+    instruction counts it updates the per-engine
     ``jrpm_run_simulated_insn_per_sec`` throughput gauge.
     """
     if not report_dict:
         return
     registry = registry or get_registry()
     config = report_dict.get("config") or {}
-    scheduler = config.get("scheduler", "event")
-    if not config.get("fastpath", True):
-        scheduler = "legacy"
+    engine = config.get("engine", "fast")
 
     runs = registry.counter(
         "jrpm_runs", "Pipeline runs folded into this registry",
@@ -61,8 +59,8 @@ def observe_report_dict(report_dict, wall_seconds=None, registry=None):
     if wall_seconds and total_insns:
         registry.gauge(
             "jrpm_run_simulated_insn_per_sec",
-            "Simulated instructions per wall second, by TLS scheduler",
-            labels=("scheduler",)).labels(scheduler=scheduler).set(
+            "Simulated instructions per wall second, by engine",
+            labels=("engine",)).labels(engine=engine).set(
                 total_insns / wall_seconds)
 
     breakdown = report_dict.get("breakdown")

@@ -31,13 +31,11 @@ from ..metrics import get_registry
 from ..serialize import REPORT_SCHEMA_VERSION
 
 #: bump to invalidate every existing cache entry on *key-layout*
-#: changes (2: execution-engine identity — fastpath vs legacy dispatch
-#: — became explicit key material; 3: the TLS scheduler — event-driven
-#: vs stepwise — joined it for the same reason, see :func:`cache_key`).
+#: changes (4: the two engine entries folded into ``config.engine``).
 #: The *report-payload* layout is keyed separately via
 #: :data:`repro.serialize.REPORT_SCHEMA_VERSION`, so a report-schema
 #: bump invalidates entries without touching this constant.
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 _CODE_FINGERPRINT = None
 
@@ -83,19 +81,11 @@ def cache_key(source, args, config, stl_options, vm_options, salt=None,
     trace aggregates and must not collide with untraced ones).  ``None``
     keeps keys identical to pre-*extra* versions of this function.
 
-    The executing **engine** (predecoded fastpath vs legacy dispatch,
-    ``HydraConfig.fastpath``) participates explicitly: the two engines
-    are cycle-identical by construction, but a report produced by one
-    must never be served as evidence about the other — A/B comparisons
-    (``--no-fastpath``, ``scripts/smoke.sh``) rely on both runs really
-    happening.  ``fastpath`` is also part of ``config.to_dict()``, but
-    the explicit key survives config serializations that drop unknown
-    fields.  The TLS **scheduler** (event-driven vs stepwise,
-    ``HydraConfig.scheduler``) participates for the same reason: the
-    schedulers are observationally identical by construction, and the
-    differential checks (``--scheduler stepwise``,
-    ``scripts/smoke.sh``) must never be short-circuited by a cached
-    report from the other one.
+    The executing engine (``HydraConfig.engine``) is key material
+    through ``config.to_dict()``: the two engines are cycle-identical
+    by construction, but a report produced by one must never be served
+    as evidence about the other — ``--engine reference`` comparisons
+    rely on both runs really happening.
     """
     key_material = {
         "format": CACHE_FORMAT,
@@ -103,9 +93,6 @@ def cache_key(source, args, config, stl_options, vm_options, salt=None,
         "source": hashlib.sha256(source.encode()).hexdigest(),
         "args": list(args),
         "options": options_fingerprint(config, stl_options, vm_options),
-        "engine": ("fastpath" if getattr(config, "fastpath", True)
-                   else "legacy"),
-        "scheduler": getattr(config, "scheduler", "event"),
         "code": salt if salt is not None else code_fingerprint()}
     if extra:
         key_material["extra"] = extra

@@ -336,25 +336,19 @@ class SuiteRunner:
 
     # -- conveniences ------------------------------------------------------------
     def run_suite(self, size="default", workloads=None, config=None,
-                  stl_options=None, vm_options=None, args=None,
-                  progress=None, options=None, trace=None, adapt=None,
-                  adapt_epochs=None, adapt_policy=None):
+                  stl_options=None, vm_options=None, progress=None,
+                  options=None):
         """Run the (sub)suite; returns ``{workload name: JrpmReport}``
         in registry order.
 
-        ``options`` (a :class:`repro.service.RunOptions`) is the
-        canonical way to shape the runs; the scattered per-call kwargs
-        (``trace``/``adapt``/``adapt_epochs``/``adapt_policy``) remain
-        as a deprecated shim folded in by
-        :func:`repro.service.options.coerce_run_options`.  Explicit
-        ``config``/``stl_options``/``vm_options`` objects still win
-        over the ``options`` projections.
+        ``options`` (a :class:`repro.service.RunOptions`, default
+        ``RunOptions()``) shapes the runs.  Explicit
+        ``config``/``stl_options``/``vm_options`` objects win over the
+        ``options`` projections.
         """
-        from ..service.options import coerce_run_options
+        from ..service.options import RunOptions
         from ..workloads import all_workloads
-        options = coerce_run_options(
-            options, trace=trace, adapt=adapt, args=args,
-            adapt_epochs=adapt_epochs, adapt_policy=adapt_policy)
+        options = options or RunOptions()
         selected = workloads or [w.name for w in all_workloads()]
         requests = []
         for name in selected:

@@ -23,7 +23,7 @@ semantics.
 from .client import JrpmClient, JrpmServiceError, LocalSession, Session
 from .daemon import JrpmServer, run_server
 from .jobs import VERBS, JobSpec, execute_job, job_fingerprint
-from .options import RunOptions, coerce_run_options
+from .options import RunOptions
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .scheduler import (Draining, JobFailed, JobScheduler, QueueFull,
                         ServiceError)
@@ -32,7 +32,7 @@ from .store import ArtifactStore
 
 __all__ = ["Session", "JrpmClient", "LocalSession", "JrpmServiceError",
            "JrpmServer", "run_server",
-           "RunOptions", "coerce_run_options",
+           "RunOptions",
            "JobSpec", "execute_job", "job_fingerprint", "VERBS",
            "JobScheduler", "ServiceError", "JobFailed", "QueueFull",
            "Draining",

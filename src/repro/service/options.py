@@ -1,33 +1,18 @@
 """`RunOptions` — the one options dataclass for every Jrpm surface.
 
-Before this module, each entry point grew its own knob spelling:
-``Jrpm.run_adaptive(epochs=...)`` vs ``RunRequest.adapt_epochs`` vs
-``--adapt-epochs``; ``Jrpm(trace=...)`` vs ``--trace``; ``--jobs`` on
-the suite vs ``jobs=`` on the runner.  :class:`RunOptions` is the
-single spelling: the client/session API, the service wire protocol,
-the CLI and the suite runner all build their per-subsystem objects
+The client/session API, the service wire protocol, the CLI and the
+suite runner all build their per-subsystem objects
 (:class:`~repro.hydra.config.HydraConfig`,
 :class:`~repro.jit.stl.StlOptions`,
-:class:`~repro.core.pipeline.VmOptions`) from one instance of it.
-
-The legacy kwargs stay accepted everywhere through
-:func:`coerce_run_options`, which folds them in with a
-``DeprecationWarning`` (see README "Migrating to RunOptions").
+:class:`~repro.core.pipeline.VmOptions`) from one instance of it, so
+each knob has a single spelling everywhere.
 """
 
-import warnings
 from dataclasses import dataclass, fields
 
 from ..core.pipeline import VmOptions
-from ..hydra.config import HydraConfig, SpeculationOverheads
+from ..hydra.config import HydraConfig, SpeculationOverheads, check_engine
 from ..jit.stl import StlOptions
-
-#: legacy kwarg name -> canonical RunOptions field
-LEGACY_ALIASES = {
-    "adapt_epochs": "epochs",
-    "adapt_policy": "policy",
-    "num_cpus": "cpus",
-}
 
 
 @dataclass
@@ -37,8 +22,7 @@ class RunOptions:
     # -- simulated hardware --------------------------------------------------
     cpus: int = 4
     old_handlers: bool = False           # paper Table 1 "Old" overheads
-    fastpath: bool = True                # predecoded dispatch engine
-    scheduler: str = "event"             # TLS scheduler: event | stepwise
+    engine: str = "fast"                 # "fast" | "reference"
 
     # -- VM-level modifications (paper §5) -----------------------------------
     parallel_allocator: bool = True
@@ -47,8 +31,8 @@ class RunOptions:
     # -- observability / adaptation ------------------------------------------
     trace: bool = False                  # attach the repro.trace collector
     adapt: bool = False                  # run under the adapt controller
-    epochs: int = 4                      # adaptive epochs (was adapt_epochs)
-    policy: str = "threshold"            # adaptive policy (was adapt_policy)
+    epochs: int = 4                      # adaptive epochs
+    policy: str = "threshold"            # adaptive policy
 
     # -- static analysis (repro.analysis) ------------------------------------
     analysis: bool = False               # prune + cross-check statically
@@ -64,12 +48,12 @@ class RunOptions:
 
     def __post_init__(self):
         self.args = tuple(self.args)
+        check_engine(self.engine)
 
     # -- projections to the per-subsystem option objects ---------------------
     def hydra_config(self):
         """The simulated-hardware configuration these options imply."""
-        config = HydraConfig(num_cpus=self.cpus, fastpath=self.fastpath,
-                             scheduler=self.scheduler)
+        config = HydraConfig(num_cpus=self.cpus, engine=self.engine)
         if self.old_handlers:
             config.overheads = SpeculationOverheads.old_handlers()
         return config
@@ -108,30 +92,3 @@ class RunOptions:
                 "unknown RunOptions field(s): %s (known: %s)"
                 % (", ".join(sorted(unknown)), ", ".join(sorted(known))))
         return RunOptions(**data)
-
-
-def coerce_run_options(options=None, _stacklevel=3, **legacy):
-    """Build the effective :class:`RunOptions` for a legacy call site.
-
-    ``options`` wins when given; any non-``None`` legacy kwarg is folded
-    into a copy with a :class:`DeprecationWarning` naming the canonical
-    spelling.  Used by the ``Jrpm`` facade, the CLI and
-    ``SuiteRunner.run_suite`` so old callers keep working for one
-    release.
-    """
-    effective = RunOptions(**options.to_dict()) if options is not None \
-        else RunOptions()
-    for name, value in legacy.items():
-        if value is None:
-            continue
-        canonical = LEGACY_ALIASES.get(name, name)
-        if canonical not in {f.name for f in fields(RunOptions)}:
-            raise TypeError("unknown option %r" % (name,))
-        if name in LEGACY_ALIASES:
-            warnings.warn(
-                "%s= is deprecated; use RunOptions(%s=...)"
-                % (name, canonical), DeprecationWarning,
-                stacklevel=_stacklevel)
-        setattr(effective, canonical, value)
-    effective.args = tuple(effective.args)
-    return effective

@@ -7,14 +7,15 @@ happen in order, RAW violations restart the violated thread and every
 more-speculative thread, and the exiting thread — once it is the head —
 runs STL_SHUTDOWN and hands control back to the master.
 
-Two observationally-identical schedulers drive the speculative CPUs:
+Two observationally-identical schedulers drive the speculative CPUs,
+one per ``HydraConfig.engine``:
 
-* **stepwise** — the original loop: always advance the runnable CPU
-  with the smallest local clock by *one instruction*, so memory events
-  are totally ordered on the simulated clock and violation detection
-  is exact.  Kept as the differential oracle (``--scheduler
-  stepwise``).
-* **event-driven** (the default, requires ``fastpath``) — each CPU
+* **stepwise** (``engine = "reference"``) — the original loop: always
+  advance the runnable CPU with the smallest local clock by *one
+  instruction* of ``step_legacy``, so memory events are totally ordered
+  on the simulated clock and violation detection is exact.  It is the
+  TLS event-order reference.
+* **event-driven** (``engine = "fast"``, the default) — each CPU
   *runs ahead* through its straight-line local work (ALU blocks,
   branches, calls — the fused superinstructions
   :mod:`repro.engine.ir_engine` builds) and *parks* at its next
@@ -42,7 +43,8 @@ tables.
 
 The equivalence is enforced end-to-end by
 ``tests/test_scheduler_differential.py`` (byte-identical reports and
-trace streams across the workload registry).
+trace streams) and by the golden report digests, one per workload for
+both engines.
 """
 
 from ..engine.ir_engine import tls_cost_map, tls_event_map
@@ -76,8 +78,7 @@ class _ThreadCodeUnit:
     tables are predecoded once per program, not once per entry."""
 
     __slots__ = ("code", "nregs", "name", "stls", "_dispatch",
-                 "_dispatch_step", "_tls_events", "_tls_costs",
-                 "warm_entries")
+                 "_tls_events", "_tls_costs", "warm_entries")
 
     def __init__(self, descriptor):
         self.code = descriptor.thread_code
@@ -85,13 +86,10 @@ class _ThreadCodeUnit:
         self.name = "%s$stl%d" % (descriptor.method_name, descriptor.stl_id)
         self.stls = {}
         #: predecoded handler table caches (repro.engine.ir_engine):
-        #: block-fused for run-ahead / sequential dispatch, stepwise
-        #: for the per-instruction oracle scheduler, the scheduler-event
-        #: map and the run-ahead cost bounds (which fold in the
-        #: machine's call overhead, so a unit is never shared across
-        #: call overheads)
+        #: the block-fused run-ahead table, the scheduler-event map and
+        #: the run-ahead cost bounds (which fold in the machine's call
+        #: overhead, so a unit is never shared across call overheads)
         self._dispatch = None
-        self._dispatch_step = None
         self._tls_events = None
         self._tls_costs = None
         #: every commit re-enters the thread code at warm_entry, so the
@@ -157,11 +155,10 @@ class _StlExecution:
         self.stats = None                # StlRunStats, bound at startup
         #: runaway guard: *simulated instructions* executed inside this
         #: STL entry (not scheduler iterations), so the budget fires at
-        #: the same point under stepwise, event-driven and legacy
-        #: dispatch — commits, polls and restarts don't consume it,
-        #: instructions (including raising ones) do.  The stepwise loop
-        #: counts them here; the event loop as the sum of its per-CPU
-        #: watermarks (``_counted``).
+        #: the same point under both schedulers — commits, polls and
+        #: restarts don't consume it, instructions (including raising
+        #: ones) do.  The stepwise loop counts them here; the event
+        #: loop as the sum of its per-CPU watermarks (``_counted``).
         self.steps = 0
         self.max_steps = 200_000_000
         # -- event-driven scheduler state (None => stepwise mode) ------
@@ -278,14 +275,10 @@ class _StlExecution:
 
     # ------------------------------------------------------------------
     def run(self):
-        """Simulate this STL entry with the configured scheduler.
-
-        The event-driven scheduler needs the predecoded engine's block
-        functions and per-instruction step tables, so ``--no-fastpath``
-        always runs stepwise (keeping the legacy engine an unmodified
-        reference path, like the hierarchy memo)."""
-        if (getattr(self.config, "scheduler", "event") == "event"
-                and getattr(self.config, "fastpath", True)):
+        """Simulate this STL entry with the configured engine's
+        scheduler: event-driven for ``"fast"``, stepwise for
+        ``"reference"``."""
+        if self.config.engine == "fast":
             return self._run_event()
         return self._run_stepwise()
 
@@ -335,7 +328,7 @@ class _StlExecution:
 
             before = ctx.time
             try:
-                signal = ctx.step()
+                signal = ctx.step_legacy()
             except GuestException as exc:
                 spec.acc_compute += ctx.time - before
                 self.steps += 1          # the raising instruction counts

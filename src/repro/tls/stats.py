@@ -12,13 +12,13 @@ one of the paper's categories once the fate of the thread is known:
 
 Serial time (everything outside STLs) is tracked by the pipeline.
 
-Attribution is scheduler-independent: both TLS schedulers
-(`repro.tls.runtime`, event-driven and stepwise) settle each thread's
-``acc_compute`` from the same per-thread clock deltas before any
-state transition is serviced, so batching local runs between
-scheduler events never moves a cycle across these categories — the
-breakdown is byte-identical under ``--scheduler event`` and
-``--scheduler stepwise`` (enforced by
+Attribution is engine-independent: both TLS schedulers
+(`repro.tls.runtime`, event-driven for ``engine = "fast"`` and stepwise
+for ``engine = "reference"``) settle each thread's ``acc_compute`` from
+the same per-thread clock deltas before any state transition is
+serviced, so batching local runs between scheduler events never moves
+a cycle across these categories — the breakdown is byte-identical
+under ``--engine fast`` and ``--engine reference`` (enforced by
 ``tests/test_scheduler_differential.py``).
 """
 

@@ -14,9 +14,9 @@ budget enforced by ``benchmarks/bench_trace_overhead.py``.
 
 Event *order* is part of the simulator's observational contract:
 every emission site fires at a simulated timestamp determined by the
-total order of scheduler events, which both TLS schedulers reproduce
-identically — a trace recorded under ``--scheduler event`` is
-byte-for-byte the trace recorded under ``--scheduler stepwise``
+total order of scheduler events, which both engines' TLS schedulers
+reproduce identically — a trace recorded under ``--engine fast`` is
+byte-for-byte the trace recorded under ``--engine reference``
 (enforced by ``tests/test_scheduler_differential.py``).
 """
 

@@ -1,24 +1,26 @@
-"""Differential oracle: predecoded fastpath engine vs legacy dispatch.
+"""Differential oracle: the fast engine vs the reference engine.
 
-The tentpole invariant of ``repro.engine`` is **cycle exactness**: for
-any guest program, the predecoded table-dispatch engine and the legacy
-``if/elif`` interpreters must agree on *every* observable —
+The invariant of ``HydraConfig.engine`` is **cycle exactness**: for any
+guest program, ``"fast"`` (predecoded handler tables, the event-driven
+TLS scheduler) and ``"reference"`` (the ``step_legacy`` if/elif
+dispatcher, the stepwise TLS scheduler) must agree on *every*
+observable —
 
 * printed output, return value and guest-exception behaviour,
 * ``instret`` (simulated instruction count) and total simulated cycles,
 * cache hit/miss counters of every level (the memory-hierarchy memo
   fast path must be counter-exact),
 * per-STL TLS statistics: commits, violations, squashes, restarts and
-  the cycle breakdown (the stepwise TLS tables must preserve the
-  smallest-clock interleaving bit-for-bit),
+  the cycle breakdown,
 * the full serialized pipeline report.
 
-This file enforces that over randomized MiniJava workloads at three
-levels: bare machine runs, the reference bytecode interpreter, and the
-whole Jrpm pipeline (profile → select → TLS).  A small subset runs in
-the default tier; the ~20-workload sweep is marked ``slow``.  Unit
-tests at the end pin how sequential blocks inline the TEST annotation
-hooks (``tests/test_profiler_differential.py`` covers whole profiles).
+This file enforces that over randomized MiniJava workloads at two
+levels: bare machine runs, which must also print what the bytecode
+interpreter prints, and the whole Jrpm pipeline (profile → select →
+TLS).  A small subset runs in the default tier; the ~20-workload
+sweep is marked ``slow``.  Unit tests at the end pin how sequential
+blocks inline the TEST annotation hooks
+(``tests/test_profiler_differential.py`` covers whole profiles).
 """
 
 import json
@@ -30,8 +32,9 @@ import pytest
 from repro.bytecode import run_program
 from repro.core.pipeline import Jrpm
 from repro.engine.ir_engine import (_COSTS, BATCHABLE_IR_OPS,
-                                    build_table, step_table,
-                                    tls_cost_map, tls_event_map)
+                                    SEQUENTIAL_BLOCK_IR_OPS, build_table,
+                                    dispatch_table, tls_cost_map,
+                                    tls_event_map)
 from repro.hydra.cache import MemoryHierarchy
 from repro.hydra.config import HydraConfig
 from repro.hydra.machine import CpuContext, Frame, Machine
@@ -124,8 +127,11 @@ def random_workload(seed):
 # observables at each level
 # ---------------------------------------------------------------------------
 
-def machine_observables(program, fastpath):
-    config = HydraConfig(fastpath=fastpath)
+ENGINES = ("fast", "reference")
+
+
+def machine_observables(program, engine):
+    config = HydraConfig(engine=engine)
     compiled = compile_program(program, config)
     machine = Machine(compiled, config)
     result = machine.run()
@@ -139,19 +145,10 @@ def machine_observables(program, fastpath):
     }
 
 
-def interpreter_observables(program, fastpath):
-    result = run_program(program, fastpath=fastpath)
-    return {
-        "return_value": result.return_value,
-        "output": list(result.output),
-        "instructions": result.instructions,
-    }
-
-
-def pipeline_observables(source, fastpath):
+def pipeline_observables(source, engine):
     """Canonical JSON of the full pipeline report, minus the config
-    (whose ``fastpath`` field differs by construction)."""
-    report = Jrpm(config=HydraConfig(fastpath=fastpath)).run(source)
+    (whose ``engine`` field differs by construction)."""
+    report = Jrpm(config=HydraConfig(engine=engine)).run(source)
     payload = report.to_dict()
     payload.pop("config", None)
     return json.dumps(payload, sort_keys=True, default=str)
@@ -160,19 +157,18 @@ def pipeline_observables(source, fastpath):
 def assert_identical(seed, pipeline=False):
     source = random_workload(seed)
     program = compile_source(source)
-    fast = machine_observables(program, True)
-    legacy = machine_observables(program, False)
-    assert fast == legacy, (
-        "machine diverged (seed %d)\nfast=%r\nlegacy=%r\nsrc=%s"
-        % (seed, fast, legacy, source))
-    fast_i = interpreter_observables(program, True)
-    legacy_i = interpreter_observables(program, False)
-    assert fast_i == legacy_i, (
-        "interpreter diverged (seed %d)\nfast=%r\nlegacy=%r"
-        % (seed, fast_i, legacy_i))
+    fast = machine_observables(program, "fast")
+    reference = machine_observables(program, "reference")
+    assert fast == reference, (
+        "machine diverged (seed %d)\nfast=%r\nreference=%r\nsrc=%s"
+        % (seed, fast, reference, source))
+    oracle = run_program(program)
+    assert (fast["output"], fast["return_value"]) \
+        == (list(oracle.output), oracle.return_value), \
+        "machine disagrees with the bytecode oracle (seed %d)" % seed
     if pipeline:
-        assert pipeline_observables(source, True) \
-            == pipeline_observables(source, False), \
+        assert pipeline_observables(source, "fast") \
+            == pipeline_observables(source, "reference"), \
             "pipeline report diverged (seed %d)\nsrc=%s" % (seed, source)
 
 
@@ -192,20 +188,17 @@ def test_pipeline_differential(seed):
 
 def test_tls_statistics_identical():
     """Violation/restart/commit counts and the cycle breakdown of every
-    executed STL must match across engines (stepwise-table invariant)."""
+    executed STL must match across engines."""
     source = random_workload(7)          # chain+carried → violations
-    reports = {}
-    for fastpath in (True, False):
-        config = HydraConfig(fastpath=fastpath)
-        reports[fastpath] = Jrpm(config=config).run(source)
-    fast, legacy = reports[True], reports[False]
-    assert fast.breakdown.to_dict() == legacy.breakdown.to_dict()
+    fast, reference = (Jrpm(config=HydraConfig(engine=engine)).run(source)
+                       for engine in ENGINES)
+    assert fast.breakdown.to_dict() == reference.breakdown.to_dict()
     fast_stats = {k: v.to_dict() for k, v in fast.stl_run_stats.items()}
-    legacy_stats = {k: v.to_dict()
-                    for k, v in legacy.stl_run_stats.items()}
-    assert fast_stats == legacy_stats
-    assert fast.tls.cycles == legacy.tls.cycles
-    assert fast.tls.instructions == legacy.tls.instructions
+    reference_stats = {k: v.to_dict()
+                       for k, v in reference.stl_run_stats.items()}
+    assert fast_stats == reference_stats
+    assert fast.tls.cycles == reference.tls.cycles
+    assert fast.tls.instructions == reference.tls.instructions
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +220,9 @@ def test_exception_differential(label, body):
                        " { warm = warm + i * 3; }\n"
                        "        Sys.printInt(warm);\n        " + body)
     program = compile_source(source)
-    fast = machine_observables(program, True)
-    legacy = machine_observables(program, False)
-    assert fast == legacy, "exception path diverged: %s" % label
+    fast = machine_observables(program, "fast")
+    reference = machine_observables(program, "reference")
+    assert fast == reference, "exception path diverged: %s" % label
     assert fast["exception"] != "None"
 
 
@@ -245,9 +238,9 @@ class Main {
 }
 """)
     program = compile_source(source)
-    fast = machine_observables(program, True)
-    legacy = machine_observables(program, False)
-    assert fast == legacy
+    fast = machine_observables(program, "fast")
+    reference = machine_observables(program, "reference")
+    assert fast == reference
     assert fast["exception"] != "None"
 
 
@@ -308,9 +301,9 @@ def _annotated_unit(raising):
     return SimpleNamespace(code=code, name="T.unit", nregs=6)
 
 
-def _run_to_raise(unit, fastpath):
+def _run_to_raise(unit, engine):
     recorder = _HookRecorder()
-    config = HydraConfig(fastpath=fastpath)
+    config = HydraConfig(engine=engine)
     machine = SimpleNamespace(config=config, profiler=recorder,
                               hierarchy=MemoryHierarchy(config),
                               memory=Memory())
@@ -321,7 +314,7 @@ def _run_to_raise(unit, fastpath):
         while True:
             frame = ctx.frames[-1]
             dispatches += 1
-            if fastpath:
+            if engine == "fast":
                 frame.handlers[frame.pc](ctx, frame)
             else:
                 ctx.step_legacy()
@@ -348,9 +341,9 @@ def test_inlined_swl_hook_before_raise(raising):
     once, at the legacy clock value, with the same pc/instret/time
     flush as ``step_legacy``."""
     unit = _annotated_unit(raising)
-    fast, fast_dispatches = _run_to_raise(unit, True)
-    legacy, __ = _run_to_raise(unit, False)
-    assert fast == legacy
+    fast, fast_dispatches = _run_to_raise(unit, "fast")
+    reference, __ = _run_to_raise(unit, "reference")
+    assert fast == reference
     assert fast_dispatches == 1            # one fused block, no splits
     swl = [call for call in fast["calls"] if call[0] == "swl"]
     assert swl == [("swl", 7, 0, 3, unit.code[3])]
@@ -360,9 +353,9 @@ def test_inlined_swl_hook_before_raise(raising):
 
 
 def test_annotated_code_fuses_annotations_into_blocks():
-    """Sequential tables absorb annotation ops into blocks; the
-    stepwise table, ``tls_event_map`` and ``tls_cost_map`` of the same
-    unit keep them as single-instruction scheduler events."""
+    """The dispatch table absorbs annotation ops into blocks; the
+    ``tls_event_map`` and ``tls_cost_map`` of the same unit keep them
+    as single-instruction scheduler events."""
     def generated(handler):
         return handler.__code__.co_filename.startswith("<ir-engine:")
 
@@ -376,18 +369,22 @@ def test_annotated_code_fuses_annotations_into_blocks():
                        if instr.op in ANNOTATION_IR_OPS]
         if not annotations:
             continue
-        table = build_table(code, unit.name)
-        # an annotation right after a block op never starts a block
-        for pc in annotations:
-            if pc > 0 and code[pc - 1].op in BATCHABLE_IR_OPS \
-                    and generated(table[pc - 1]):
-                assert not generated(table[pc])
-                fused += 1
-        steps = step_table(unit)
+        table = dispatch_table(unit)
         events = tls_event_map(unit)
         costs = tls_cost_map(unit, config.call_overhead_cycles)
         for pc in annotations:
-            assert not generated(steps[pc])
+            # inside a generated block: the nearest generated entry at
+            # or before pc leads a run of block ops that reaches pc
+            leader = pc
+            while not generated(table[leader]):
+                leader -= 1
+            assert all(code[q].op in SEQUENTIAL_BLOCK_IR_OPS
+                       for q in range(leader, pc + 1))
+            # an annotation right after a block op never starts a block
+            if pc > 0 and code[pc - 1].op in BATCHABLE_IR_OPS \
+                    and generated(table[pc - 1]):
+                assert not generated(table[pc])
+            fused += leader < pc
             assert events[pc] == 1
             assert costs[pc] == 0
             if pc > 0 and code[pc - 1].op in BATCHABLE_IR_OPS:

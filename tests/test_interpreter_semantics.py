@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.bytecode import Interpreter
 from repro.bytecode.instructions import f2i, i32, idiv, irem, u32
 from repro.errors import (ArithmeticException, ArrayIndexException,
-                          NullPointerException)
+                          NullPointerException, VMError)
+from repro.minijava import compile_source
 
 from conftest import interp, wrap_main
 
@@ -255,3 +257,37 @@ class Main {
 }
 """
         assert interp(src).return_value == 40320
+
+
+class TestInstructionCount:
+    """``instructions`` counts every executed bytecode; the counts below
+    are hand-counted from the programs' bytecode."""
+
+    def test_straight_line(self):
+        # ICONST STORE LOAD ICONST IADD STORE LOAD RETURN_VALUE
+        result = interp(wrap_main("int x = 3; int y = x + 4; return y;"))
+        assert (result.return_value, result.instructions) == (7, 8)
+
+    def test_loop(self):
+        # 4 to set up s and i; 3 per test (LOAD ICONST IF_ICMPGE) x 4;
+        # 6 per body (LOAD LOAD IADD STORE IINC GOTO) x 3; 2 to return
+        result = interp(wrap_main(
+            "int s = 0; for (int i = 0; i < 3; i++) { s = s + i; }"
+            " return s;"))
+        assert (result.return_value, result.instructions) == (3, 36)
+
+    def test_call(self):
+        # main: ICONST INVOKESTATIC RETURN_VALUE;
+        # twice: LOAD LOAD IADD RETURN_VALUE
+        result = interp(wrap_main(
+            "return Main.twice(5);",
+            prelude="static int twice(int v) { return v + v; }"))
+        assert (result.return_value, result.instructions) == (10, 7)
+
+    def test_budget_exceeded_raises(self):
+        program = compile_source(wrap_main(
+            "int s = 0; for (int i = 0; i < 1000; i++) { s = s + i; }"
+            " return s;"))
+        assert Interpreter(program).run().instructions > 1000
+        with pytest.raises(VMError):
+            Interpreter(program, max_instructions=1000).run()

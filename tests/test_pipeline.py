@@ -172,14 +172,13 @@ def assert_derived_baseline_exact(source, config=None, analysis=False):
 FAST_TIER = ("BitOps", "LuFactor", "decJpeg")
 
 
-@pytest.mark.parametrize("fastpath", [True, False],
-                         ids=["fast", "reference"])
+@pytest.mark.parametrize("engine", ["fast", "reference"])
 @pytest.mark.parametrize("name", [
     pytest.param(w.name, marks=() if w.name in FAST_TIER
                  else pytest.mark.slow) for w in all_workloads()])
-def test_derived_baseline_registry(name, fastpath):
+def test_derived_baseline_registry(name, engine):
     assert_derived_baseline_exact(lookup(name).source("small"),
-                                  HydraConfig(fastpath=fastpath))
+                                  HydraConfig(engine=engine))
 
 
 def test_derived_baseline_with_static_pruning():
@@ -222,11 +221,10 @@ ADVERSARIAL = {
 }
 
 
-@pytest.mark.parametrize("fastpath", [True, False],
-                         ids=["fast", "reference"])
+@pytest.mark.parametrize("engine", ["fast", "reference"])
 @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
-def test_derived_baseline_adversarial(case, fastpath):
-    config = HydraConfig(fastpath=fastpath, gc_threshold_bytes=2048)
+def test_derived_baseline_adversarial(case, engine):
+    config = HydraConfig(engine=engine, gc_threshold_bytes=2048)
     test, derived = assert_derived_baseline_exact(ADVERSARIAL[case], config)
     assert derived.output
     if case == "gc":

@@ -1,12 +1,12 @@
-"""Differential oracle: TEST profiling under the fast engine vs legacy.
+"""Differential oracle: TEST profiling under the fast vs reference engine.
 
 The fast engine fuses the TEST annotation ops (SLOOP/EOI/ELOOP/LWL/SWL)
 into its sequential superinstruction blocks, and the profiler resolves
 loop activations through per-loop stacks and rejects most arcs before
 calling into the dependency analysis.  None of that may change what the
 comparator banks compute.  For each program, ``Jrpm.profile`` under
-``HydraConfig(fastpath=True)`` must agree with ``fastpath=False`` (the
-``step_legacy`` dispatcher, one hook call per annotation) on —
+``HydraConfig(engine="fast")`` must agree with ``engine="reference"``
+(the ``step_legacy`` dispatcher, one hook call per annotation) on —
 
 * every ``LoopStats.to_dict()``, in discovery order,
 * ``dynamic_nesting`` and ``max_dynamic_depth``,
@@ -34,9 +34,9 @@ from repro.workloads import all_workloads, lookup
 from conftest import wrap_main
 
 
-def profile_observables(source, fastpath, traced=False, **config_fields):
+def profile_observables(source, engine, traced=False, **config_fields):
     """Canonical JSON of everything the TEST profile run observed."""
-    config = HydraConfig(fastpath=fastpath, **config_fields)
+    config = HydraConfig(engine=engine, **config_fields)
     jrpm = Jrpm(config=config, trace=TraceOptions() if traced else None)
     artifact = jrpm.profile(compile_source(source))
     profiler = artifact.profiler
@@ -57,11 +57,11 @@ def profile_observables(source, fastpath, traced=False, **config_fields):
 
 
 def assert_identical(source, label, traced=False, **config_fields):
-    fast, profiler = profile_observables(source, True, traced,
+    fast, profiler = profile_observables(source, "fast", traced,
                                          **config_fields)
-    legacy, __ = profile_observables(source, False, traced,
-                                     **config_fields)
-    assert fast == legacy, "TEST profile diverged: %s" % label
+    reference, __ = profile_observables(source, "reference", traced,
+                                        **config_fields)
+    assert fast == reference, "TEST profile diverged: %s" % label
     return profiler
 
 

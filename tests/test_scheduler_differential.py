@@ -1,10 +1,11 @@
-"""Differential oracle: event-driven TLS scheduler vs stepwise scan.
+"""Differential oracle: TLS under the fast engine vs the reference engine.
 
-The tentpole invariant of the event-driven scheduler
-(:meth:`repro.tls.runtime.TlsRuntime._run_event`) is **observational
-cycle exactness**: for any guest program, batching straight-line
-non-memory runs between scheduler events must reproduce the stepwise
-smallest-clock interleaving bit-for-bit —
+The fast engine's event-driven TLS scheduler
+(:meth:`repro.tls.runtime.TlsRuntime._run_event`) must be
+**observationally cycle-exact** with the reference engine's stepwise
+scan over ``step_legacy``: for any guest program, batching
+straight-line non-memory runs between scheduler events must reproduce
+the stepwise smallest-clock interleaving bit-for-bit —
 
 * printed output, return value and guest-exception behaviour,
 * total simulated cycles and instructions of the TLS run,
@@ -14,11 +15,15 @@ smallest-clock interleaving bit-for-bit —
 * the cycle-level trace event stream (timestamps, CPUs, durations,
   payloads — byte-identical Chrome-trace JSON).
 
-This file enforces that over randomized MiniJava workloads plus
-targeted programs forcing every speculative control path: RAW
-violations, buffer-overflow stalls, deferred guest exceptions and
-lock-contention (WAITLOCK/SIGNAL) scheduling.  A subset runs in the
-default tier; the full 26-workload registry sweep is marked ``slow``.
+This file enforces that over targeted programs forcing every
+speculative control path — RAW violations, buffer-overflow stalls,
+deferred guest exceptions and lock-contention (WAITLOCK/SIGNAL)
+scheduling — and, with the trace collector attached, over randomized
+MiniJava workloads and every registry workload.
+``tests/test_engine_differential.py`` compares the untraced reports of
+the same random workloads, and the golden report digests those of the
+registry.  A subset runs in the default tier; the sweeps are marked
+``slow``.
 """
 
 import json
@@ -28,46 +33,52 @@ import pytest
 from repro.core.pipeline import Jrpm
 from repro.hydra.config import HydraConfig
 from repro.minijava import compile_source
+from repro.trace import TraceOptions, chrome_trace
 
 from conftest import wrap_main
 from test_engine_differential import random_workload
 
-SCHEDULERS = ("event", "stepwise")
+ENGINES = ("fast", "reference")
 
 
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------
 
-def report_observables(source, scheduler, config=None, **kwargs):
+def report_observables(source, engine, config=None, traced=False):
     """Canonical JSON of the full pipeline report, minus the config
-    (whose ``scheduler`` field differs by construction)."""
+    (whose ``engine`` field differs by construction), plus the Chrome
+    trace when *traced*."""
     config = config or HydraConfig()
-    config.scheduler = scheduler
-    report = Jrpm(config=config, **kwargs).run(compile_source(source))
+    config.engine = engine
+    report = Jrpm(config=config, trace=TraceOptions() if traced else None
+                  ).run(compile_source(source))
     payload = report.to_dict()
     payload.pop("config", None)
+    if traced:
+        payload = [payload, chrome_trace(report.trace, name="diff")]
     return json.dumps(payload, sort_keys=True, default=str)
 
 
-def assert_identical(source, label, config_factory=None, **kwargs):
+def assert_identical(source, label, config_factory=None, traced=False):
     observed = {}
-    for scheduler in SCHEDULERS:
+    for engine in ENGINES:
         config = config_factory() if config_factory else None
-        observed[scheduler] = report_observables(
-            source, scheduler, config=config, **kwargs)
-    assert observed["event"] == observed["stepwise"], (
-        "schedulers diverged: %s\nsrc=%s" % (label, source))
+        observed[engine] = report_observables(
+            source, engine, config=config, traced=traced)
+    assert observed["fast"] == observed["reference"], (
+        "engines diverged: %s\nsrc=%s" % (label, source))
 
 
 # ---------------------------------------------------------------------------
-# default tier: randomized workloads (same generator as the engine
-# differential — chain/carried variants force violations and restarts)
+# default tier: traced randomized workloads (same generator as the
+# engine differential — chain/carried variants force violations and
+# restarts)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("seed", range(6))
 def test_scheduler_differential_random(seed):
-    assert_identical(random_workload(seed), "seed %d" % seed)
+    assert_identical(random_workload(seed), "seed %d" % seed, traced=True)
 
 
 # ---------------------------------------------------------------------------
@@ -164,34 +175,19 @@ def test_lock_contention_path():
 def test_lock_contention_trace_stream():
     """Byte-identical Chrome-trace event streams (timestamps, CPUs,
     durations, violation arcs) on the lock-contention workload."""
-    from repro.trace import TraceOptions, chrome_trace
-    streams = {}
-    for scheduler in SCHEDULERS:
-        config = HydraConfig(scheduler=scheduler)
-        report = Jrpm(config=config, trace=TraceOptions()).run(
-            compile_source(LOCK_CONTENTION))
-        streams[scheduler] = json.dumps(
-            chrome_trace(report.trace, name="diff"), sort_keys=True)
-    assert streams["event"] == streams["stepwise"]
+    assert_identical(LOCK_CONTENTION, "lock contention", traced=True)
 
 
 def test_violation_trace_stream():
     """Same, on the forced-violation workload: restart/violation events
     carry exact cycle stamps through truncation-and-replay."""
-    from repro.trace import TraceOptions, chrome_trace
-    streams = {}
-    for scheduler in SCHEDULERS:
-        config = HydraConfig(scheduler=scheduler,
-                             min_predicted_speedup=0.0)
-        report = Jrpm(config=config, trace=TraceOptions()).run(
-            compile_source(FORCED_VIOLATIONS))
-        streams[scheduler] = json.dumps(
-            chrome_trace(report.trace, name="diff"), sort_keys=True)
-    assert streams["event"] == streams["stepwise"]
+    assert_identical(
+        FORCED_VIOLATIONS, "forced violations", traced=True,
+        config_factory=lambda: HydraConfig(min_predicted_speedup=0.0))
 
 
 # ---------------------------------------------------------------------------
-# slow tier: every registry workload, full-report comparison
+# slow tier: every registry workload and more random ones, traced
 # ---------------------------------------------------------------------------
 
 def _workload_names():
@@ -204,10 +200,10 @@ def _workload_names():
 def test_scheduler_differential_registry(name):
     from repro.workloads.registry import lookup
     source = lookup(name).source("small")
-    assert_identical(source, name)
+    assert_identical(source, name, traced=True)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(6, 20))
 def test_scheduler_differential_random_sweep(seed):
-    assert_identical(random_workload(seed), "seed %d" % seed)
+    assert_identical(random_workload(seed), "seed %d" % seed, traced=True)

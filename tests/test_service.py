@@ -10,7 +10,7 @@ Covers the PR-6 acceptance surface:
 * graceful-drain ordering (in-flight responses before the drain ack),
 * ``Session.local()`` equivalence with ``Jrpm.run()`` (byte-identical
   reports),
-* ``RunOptions`` deprecation shims and schema/protocol version gating.
+* ``RunOptions`` strictness and schema/protocol version gating.
 """
 
 import asyncio
@@ -19,16 +19,15 @@ import os
 import socket as socket_module
 import threading
 import time
-import warnings
 
 import pytest
 
 from repro.core.pipeline import Jrpm, JrpmReport
+from repro.hydra.config import HydraConfig
 from repro.serialize import REPORT_SCHEMA_VERSION, SchemaVersionError
 from repro.service import (ArtifactStore, JobScheduler, JobSpec,
                            JrpmClient, JrpmServer, JrpmServiceError,
-                           RunOptions, Session, coerce_run_options,
-                           execute_job, protocol)
+                           RunOptions, Session, execute_job, protocol)
 from repro.workloads import lookup
 from conftest import wrap_main
 
@@ -225,6 +224,20 @@ def test_bad_requests_get_clear_errors(service):
                                    "options": {"warp_speed": 9}})
         assert excinfo.value.kind == "bad-request"
         assert "warp_speed" in str(excinfo.value)
+
+
+def test_bad_engine_is_a_bad_request_before_queueing(service):
+    """A mistyped engine value, or the removed ``fastpath`` option,
+    is rejected before any job is queued — never run and cached."""
+    with service.client() as client:
+        for options, needle in (({"engine": "bogus"}, "bogus"),
+                                ({"fastpath": False}, "fastpath")):
+            with pytest.raises(JrpmServiceError) as excinfo:
+                client.request("run", {"source": TINY,
+                                       "options": options})
+            assert excinfo.value.kind == "bad-request"
+            assert needle in str(excinfo.value)
+        assert client.stats()["scheduler"]["accepted"] == 0
 
 
 def test_protocol_version_mismatch_is_rejected(service):
@@ -453,7 +466,7 @@ def test_compile_cache_is_a_bounded_lru():
 
 
 # ---------------------------------------------------------------------------
-# RunOptions + deprecation shims
+# RunOptions
 # ---------------------------------------------------------------------------
 
 def test_run_options_round_trip_and_strictness():
@@ -464,26 +477,15 @@ def test_run_options_round_trip_and_strictness():
         RunOptions.from_dict({"adapt_epochs": 3})
 
 
-def test_coerce_run_options_warns_on_legacy_names():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        options = coerce_run_options(None, adapt_epochs=9,
-                                     adapt_policy="null")
-    assert options.epochs == 9
-    assert options.policy == "null"
-    messages = [str(w.message) for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-    assert any("adapt_epochs" in message for message in messages)
-    assert any("adapt_policy" in message for message in messages)
-
-
-def test_run_adaptive_adapt_epochs_kwarg_is_deprecated_but_works():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = Jrpm().run_adaptive(TINY, name="tiny", adapt_epochs=2)
-    assert report.adaptation.epochs_run <= 2
-    assert any(issubclass(w.category, DeprecationWarning)
-               for w in caught)
+def test_run_options_reject_an_unknown_engine():
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        RunOptions(engine="bogus")
+    with pytest.raises(ValueError, match="unknown engine"):
+        RunOptions.from_dict({"engine": "stepwise"})
+    with pytest.raises(ValueError, match="unknown engine"):
+        HydraConfig(engine="legacy")
+    assert RunOptions(engine="reference").hydra_config().engine \
+        == "reference"
 
 
 def test_run_suite_accepts_run_options(tmp_path):
@@ -493,18 +495,6 @@ def test_run_suite_accepts_run_options(tmp_path):
         size="small", workloads=["BitOps"],
         options=RunOptions(adapt=True, epochs=2))
     assert reports["BitOps"].adaptation is not None
-
-
-def test_run_suite_legacy_adapt_epochs_warns(tmp_path):
-    from repro.runner import SuiteRunner
-    runner = SuiteRunner(jobs=1, use_cache=False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        reports = runner.run_suite(size="small", workloads=["BitOps"],
-                                   adapt=True, adapt_epochs=2)
-    assert reports["BitOps"].adaptation is not None
-    assert any(issubclass(w.category, DeprecationWarning)
-               for w in caught)
 
 
 # ---------------------------------------------------------------------------

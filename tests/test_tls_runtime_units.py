@@ -228,21 +228,20 @@ MULTILEVEL_SWITCH = wrap_main("""
 """)
 
 
-def _count_thread_code_builds(monkeypatch, source, scheduler):
+def _count_thread_code_builds(monkeypatch, source, engine):
     """Run the pipeline once, counting ``build_table`` calls per
-    (thread-code unit, stepwise) key."""
+    thread-code unit."""
     from repro.engine import ir_engine
     builds = {}
     build_table = ir_engine.build_table
 
-    def counted(code, unit_name, extra_leaders=(), stepwise=False):
+    def counted(code, unit_name, *rest):
         if "$stl" in unit_name:
-            key = (unit_name, stepwise)
-            builds[key] = builds.get(key, 0) + 1
-        return build_table(code, unit_name, extra_leaders, stepwise)
+            builds[unit_name] = builds.get(unit_name, 0) + 1
+        return build_table(code, unit_name, *rest)
 
     monkeypatch.setattr(ir_engine, "build_table", counted)
-    report = run(source, config=HydraConfig(scheduler=scheduler))
+    report = run(source, config=HydraConfig(engine=engine))
     monkeypatch.undo()
     payload = report.to_dict()
     payload.pop("config")
@@ -255,9 +254,9 @@ def _count_thread_code_builds(monkeypatch, source, scheduler):
 def test_thread_code_tables_built_once_per_stl(monkeypatch, source,
                                                reentered):
     payloads = []
-    for scheduler in ("event", "stepwise"):
+    for engine in ("fast", "reference"):
         report, builds, payload = _count_thread_code_builds(
-            monkeypatch, source, scheduler)
+            monkeypatch, source, engine)
         assert report.outputs_match()
         entries = [stats.entries
                    for stats in report.stl_run_stats.values()]

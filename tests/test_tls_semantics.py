@@ -249,23 +249,28 @@ CALLEE_PRINT_VIOLATING = wrap_main("""
 """, prelude=SHOW)
 
 
-@pytest.mark.parametrize("scheduler", ["event", "stepwise"])
-def test_callee_prints_commit_in_order(scheduler):
+#: test ids name the TLS scheduler each engine drives
+ENGINES = pytest.mark.parametrize("engine", ["fast", "reference"],
+                                  ids=["event", "stepwise"])
+
+
+@ENGINES
+def test_callee_prints_commit_in_order(engine):
     """A callee's prints are buffered with the speculative thread and
     reach the output when it commits — for every thread, not only the
     first one each CPU runs."""
-    config = HydraConfig(scheduler=scheduler)
+    config = HydraConfig(engine=engine)
     report = pipeline(CALLEE_PRINT, config=config)
     assert report.plans                  # the loop ran speculatively
     assert len(report.sequential.output) == 11
     assert report.tls.output == report.sequential.output
 
 
-@pytest.mark.parametrize("scheduler", ["event", "stepwise"])
-def test_callee_prints_of_restarted_attempts_are_discarded(scheduler):
+@ENGINES
+def test_callee_prints_of_restarted_attempts_are_discarded(engine):
     """Under RAW violations each restart drops the attempt's buffered
     prints: the committed output is exactly the sequential one."""
-    config = HydraConfig(min_predicted_speedup=0.0, scheduler=scheduler)
+    config = HydraConfig(min_predicted_speedup=0.0, engine=engine)
     report = pipeline(CALLEE_PRINT_VIOLATING, config=config)
     assert report.plans
     assert report.breakdown.violations > 0

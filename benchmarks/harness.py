@@ -1,17 +1,20 @@
 """Shared infrastructure for the experiment benchmarks.
 
 Every paper table/figure is regenerated by one ``bench_*.py`` file; the
-expensive artifact — a full five-step pipeline run per workload — is
-produced by the :mod:`repro.runner` subsystem:
+expensive artifact is a full five-step pipeline run per workload:
 
 * :func:`baseline_reports` fans the 26 default-configuration runs
-  across ``JRPM_BENCH_JOBS`` worker processes (default: up to 4),
-* every run — baseline or ablation — is memoized twice: in-process for
-  the lifetime of one pytest invocation (keyed ``(name, variant,
-  tag)``, exactly the old harness contract) and on disk in the
-  content-addressed report cache under ``benchmarks/.cache/`` (keyed by
-  source + config fingerprint + code version), so re-running any bench
-  script warm is near-instant.
+  across ``JRPM_BENCH_JOBS`` worker processes (default: up to 4) as
+  :class:`~repro.service.jobs.JobSpec`\ s through
+  :class:`~repro.runner.SuiteRunner`, which memoizes them on disk in
+  the content-addressed report cache under ``benchmarks/.cache/`` —
+  re-running any bench script warm is near-instant;
+* :func:`run_workload` runs the ``manual`` variant the same way, and an
+  ablation (a :class:`HydraConfig`, :class:`StlOptions` or
+  :class:`VmOptions` that ``RunOptions`` cannot express) in-process
+  through ``Jrpm.run``;
+* every run is memoized in-process for the lifetime of one pytest
+  invocation, keyed ``(name, variant, tag)``.
 
 Set ``JRPM_BENCH_NO_CACHE=1`` to bypass the persistent cache and
 ``JRPM_BENCH_JOBS=1`` to force serial in-process execution.
@@ -27,9 +30,9 @@ import telemetry
 from repro.core.pipeline import Jrpm, VmOptions
 from repro.hydra.config import HydraConfig
 from repro.jit.stl import StlOptions
-from repro.minijava import compile_source
-from repro.runner import RunRequest, SuiteMetrics, SuiteRunner
-from repro.workloads import all_workloads, lookup
+from repro.runner import SuiteMetrics, SuiteRunner
+from repro.service.jobs import JobSpec, resolve_workload
+from repro.workloads import all_workloads
 
 #: benchmark data-set size used throughout the harness (keeps the full
 #: 26-benchmark sweep tractable under behavioral simulation)
@@ -42,31 +45,25 @@ JOBS = max(1, int(os.environ.get("JRPM_BENCH_JOBS",
                                  min(4, os.cpu_count() or 1))))
 USE_CACHE = os.environ.get("JRPM_BENCH_NO_CACHE", "") not in ("1", "true")
 
-#: shared metrics across every run of this process (cache counters etc.)
+#: shared metrics across every suite run of this process
 METRICS = SuiteMetrics()
 
 _REPORT_CACHE = {}
-_PROGRAM_CACHE = {}
 
 
-def program_of(name, variant="base"):
-    key = (name, variant)
-    if key not in _PROGRAM_CACHE:
-        workload = lookup(name)
-        source = (workload.manual_source(SIZE) if variant == "manual"
-                  else workload.source(SIZE))
-        _PROGRAM_CACHE[key] = compile_source(source)
-    return _PROGRAM_CACHE[key]
-
-
-def _run_requests(keyed_requests, jobs):
-    """Run (memo-key, RunRequest) pairs through the suite runner and
-    fill the in-process memo."""
+def _run_specs(keyed_specs, jobs):
+    """Run (memo-key, JobSpec) pairs through the suite runner and fill
+    the in-process memo."""
     runner = SuiteRunner(jobs=jobs, use_cache=USE_CACHE, metrics=METRICS)
-    reports = runner.run([request for _, request in keyed_requests])
-    for (key, _), report in zip(keyed_requests, reports):
+    reports = runner.run([spec for _, spec in keyed_specs])
+    for (key, _), report in zip(keyed_specs, reports):
         _REPORT_CACHE[key] = report
     return reports
+
+
+def _spec(name, variant="base"):
+    source, name = resolve_workload(name, SIZE, variant)
+    return JobSpec(verb="run", source=source, name=name)
 
 
 def run_workload(name, variant="base", config=None, stl_options=None,
@@ -75,26 +72,33 @@ def run_workload(name, variant="base", config=None, stl_options=None,
 
     The report comes from (in order): the in-process memo, the on-disk
     report cache, or a fresh simulation — output verification included.
+    Ablations (any of *config*, *stl_options*, *vm_options* given) skip
+    the on-disk cache.
     """
     key = (name, variant, tag)
-    if key not in _REPORT_CACHE:
-        request = RunRequest(workload=name, variant=variant, size=SIZE,
-                             config=config, stl_options=stl_options,
-                             vm_options=vm_options, tag=tag)
-        _run_requests([(key, request)], jobs=1)
-    return _REPORT_CACHE[key]
+    if key in _REPORT_CACHE:
+        return _REPORT_CACHE[key]
+    if config is None and stl_options is None and vm_options is None:
+        _run_specs([(key, _spec(name, variant))], jobs=1)
+        return _REPORT_CACHE[key]
+    source, name = resolve_workload(name, SIZE, variant)
+    report = Jrpm(config=config, stl_options=stl_options,
+                  vm_options=vm_options).run(source, name=name)
+    if not report.outputs_match():
+        raise AssertionError(
+            "%s: speculative output diverged from sequential" % name)
+    _REPORT_CACHE[key] = report
+    return report
 
 
 def baseline_reports():
     """Default-configuration reports for all 26 workloads (cache misses
     fan out across ``JOBS`` worker processes)."""
-    missing = [
-        (("%s" % w.name, "base", "default"),
-         RunRequest(workload=w.name, size=SIZE))
-        for w in all_workloads()
-        if (w.name, "base", "default") not in _REPORT_CACHE]
+    missing = [((w.name, "base", "default"), _spec(w.name))
+               for w in all_workloads()
+               if (w.name, "base", "default") not in _REPORT_CACHE]
     if missing:
-        _run_requests(missing, jobs=JOBS)
+        _run_specs(missing, jobs=JOBS)
     return {w.name: _REPORT_CACHE[(w.name, "base", "default")]
             for w in all_workloads()}
 
@@ -132,5 +136,5 @@ def default_config():
 
 __all__ = ["SIZE", "JOBS", "USE_CACHE", "METRICS", "run_workload",
            "baseline_reports", "write_result", "geomean",
-           "default_config", "program_of", "Jrpm", "HydraConfig",
+           "default_config", "Jrpm", "HydraConfig",
            "StlOptions", "VmOptions"]

@@ -36,7 +36,13 @@ def report_digest(name, engine):
     from repro.hydra.config import HydraConfig
     from repro.workloads import lookup
     jrpm = Jrpm(config=HydraConfig(engine=engine))
-    payload = jrpm.run(lookup(name).source(SIZE), name=name).to_dict()
+    return payload_digest(
+        jrpm.run(lookup(name).source(SIZE), name=name).to_dict())
+
+
+def payload_digest(payload):
+    """SHA-256 of one report dict (``JrpmReport.to_dict()``) without
+    its ``config.engine`` field; *payload* is modified."""
     del payload["config"]["engine"]
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()

@@ -141,7 +141,7 @@ class ThresholdPolicy(AdaptPolicy):
         return decisions
 
 
-#: CLI / RunRequest registry: ``--policy`` names map here.
+#: CLI / ``RunOptions.policy`` registry: ``--policy`` names map here.
 POLICIES = {
     ThresholdPolicy.name: ThresholdPolicy,
     NullPolicy.name: NullPolicy,

@@ -104,32 +104,24 @@ def cmd_run(args):
     return 0 if report.outputs_match() else 1
 
 
-class _WorkloadError(Exception):
-    """Unusable bench/trace target (e.g. no manual variant)."""
-
-
-def _resolve_workload_source(args):
-    """(source, name) for a bench/trace target: registry name, or a
-    MiniJava file path (anything that exists on disk)."""
+def _workload_source(args):
+    """(source, name) for a bench/trace/adapt/analyze target: a MiniJava
+    file path (anything that exists on disk), else a registry workload.
+    Raises :class:`ValueError` for an unusable target (unknown workload,
+    no manual variant)."""
     if os.path.exists(args.name):
         with open(args.name) as fh:
             return fh.read(), args.name
-    from .workloads import lookup
-    workload = lookup(args.name)
-    if getattr(args, "manual", False):
-        source = workload.manual_source(args.size)
-        if source is None:
-            raise _WorkloadError("%s has no manual variant"
-                                 % workload.name)
-    else:
-        source = workload.source(args.size)
-    return source, workload.name
+    from .service.jobs import resolve_workload
+    return resolve_workload(
+        args.name, args.size,
+        "manual" if getattr(args, "manual", False) else "base")
 
 
 def cmd_bench(args):
     try:
-        source, name = _resolve_workload_source(args)
-    except _WorkloadError as error:
+        source, name = _workload_source(args)
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 2
     options = _options_from(args)
@@ -165,8 +157,8 @@ def _emit_trace(report, name, out, timeline=False):
 
 def cmd_trace(args):
     try:
-        source, name = _resolve_workload_source(args)
-    except _WorkloadError as error:
+        source, name = _workload_source(args)
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 2
     from .trace import TraceOptions
@@ -183,8 +175,8 @@ def cmd_adapt(args):
     """Adaptive recompilation: run epochs under the feedback
     controller, print (or emit as JSON) the decision log."""
     try:
-        source, name = _resolve_workload_source(args)
-    except _WorkloadError as error:
+        source, name = _workload_source(args)
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 2
     from .adapt import make_policy
@@ -214,8 +206,8 @@ def cmd_analyze(args):
     """Static dependence analysis cross-checked against a TEST run
     (``analyze`` verb; docs/analysis.md)."""
     try:
-        source, name = _resolve_workload_source(args)
-    except _WorkloadError as error:
+        source, name = _workload_source(args)
+    except ValueError as error:
         print(error, file=sys.stderr)
         return 2
     from .analysis import AnalysisReport
@@ -270,6 +262,9 @@ def cmd_suite(args):
         print(error, file=sys.stderr)
         print(runner.metrics.summary(), file=sys.stderr)
         return 1
+    except ValueError as error:         # unknown workload: nothing ran
+        print(error, file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(_suite_json(reports, runner.metrics), indent=2,
                          sort_keys=True))
@@ -277,9 +272,9 @@ def cmd_suite(args):
         print(format_suite_summary(reports))
     # metrics go to stderr so stdout stays byte-comparable across --jobs
     print(runner.metrics.summary(), file=sys.stderr)
-    if runner.cache.root:
+    if runner.store.disk_cache is not None:
         runner.metrics.write_jsonl(
-            os.path.join(runner.cache.root, "metrics.jsonl"))
+            os.path.join(runner.store.disk_cache.root, "metrics.jsonl"))
     return 0
 
 

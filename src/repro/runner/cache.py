@@ -11,15 +11,17 @@ of
 * the **code version** of this package (a salt hashed over every
   ``repro/**/*.py`` so stale reports never survive a code change),
 
-so warm re-runs of any bench script can be served from disk in
-milliseconds instead of re-simulating for seconds.  Entries are JSON
-files named by the SHA-256 of a canonical JSON encoding of the key
-material, stored flat under the cache root (default
-``benchmarks/.cache/``).
+so warm re-runs can be served from disk in milliseconds instead of
+re-simulating for seconds.  :func:`cache_key` hashes that material;
+:func:`repro.service.jobs.job_fingerprint` — the one key every surface
+uses — adds the verb, the report name and the result-affecting run
+options.  Entries are JSON files named by the key, stored flat under
+the cache root (default ``benchmarks/.cache/``); the
+:class:`~repro.service.store.ArtifactStore` is their only writer.
 
-Writes are atomic (tempfile + rename) so concurrent workers or suites
-can share one cache directory; corrupt or truncated entries read as
-misses and are discarded.
+Writes are atomic (tempfile + rename) so concurrent workers, suites
+and daemons can share one cache directory; corrupt or truncated entries
+read as misses and are discarded.
 """
 
 import hashlib
@@ -31,11 +33,13 @@ from ..metrics import get_registry
 from ..serialize import REPORT_SCHEMA_VERSION
 
 #: bump to invalidate every existing cache entry on *key-layout*
-#: changes (4: the two engine entries folded into ``config.engine``).
+#: changes (5: one key for every surface, ``job_fingerprint``, with the
+#: report name as key material; one payload shape, written by
+#: ``ArtifactStore.put``).
 #: The *report-payload* layout is keyed separately via
 #: :data:`repro.serialize.REPORT_SCHEMA_VERSION`, so a report-schema
 #: bump invalidates entries without touching this constant.
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 _CODE_FINGERPRINT = None
 
@@ -61,6 +65,21 @@ def code_fingerprint():
                     digest.update(fh.read())
         _CODE_FINGERPRINT = digest.hexdigest()
     return _CODE_FINGERPRINT
+
+
+def default_cache_dir():
+    """``$JRPM_CACHE_DIR`` or ``benchmarks/.cache`` next to the package
+    (falls back to ``./benchmarks/.cache`` outside a checkout)."""
+    env = os.environ.get("JRPM_CACHE_DIR")
+    if env:
+        return env
+    package_dir = os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))              # .../src/repro
+    repo_root = os.path.dirname(os.path.dirname(package_dir))
+    candidate = os.path.join(repo_root, "benchmarks")
+    if os.path.isdir(candidate):
+        return os.path.join(candidate, ".cache")
+    return os.path.join(os.getcwd(), "benchmarks", ".cache")
 
 
 def options_fingerprint(config, stl_options, vm_options):
@@ -158,42 +177,3 @@ class ReportCache:
             except OSError:
                 pass
             raise
-
-    def clear(self):
-        if not os.path.isdir(self.root):
-            return 0
-        removed = 0
-        for filename in os.listdir(self.root):
-            if filename.endswith(".json") or filename.endswith(".tmp"):
-                try:
-                    os.unlink(os.path.join(self.root, filename))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-    def __len__(self):
-        if not os.path.isdir(self.root):
-            return 0
-        return sum(1 for name in os.listdir(self.root)
-                   if name.endswith(".json"))
-
-
-class NullCache(ReportCache):
-    """Cache disabled: every lookup misses, nothing is stored."""
-
-    def __init__(self):
-        super().__init__(root=None)
-
-    def get(self, key):
-        self.misses += 1
-        return None
-
-    def put(self, key, payload):
-        pass
-
-    def clear(self):
-        return 0
-
-    def __len__(self):
-        return 0

@@ -16,12 +16,10 @@ from dataclasses import asdict, dataclass, field
 
 @dataclass
 class RunRecord:
-    """Metrics for one pipeline run (one workload variant)."""
+    """Metrics for one pipeline run (one job spec)."""
 
-    workload: str
-    variant: str = "base"
-    size: str = "default"
-    tag: str = "default"
+    name: str                   # the report name (a registry workload)
+    verb: str = "run"           # run | run_adaptive
     status: str = "ok"          # ok | error | crashed | timeout
     cache_hit: bool = False
     wall_time: float = 0.0      # seconds (worker-side for misses)
@@ -204,9 +202,8 @@ class SuiteMetrics:
                 % (len(self.retried),
                    "" if len(self.retried) == 1 else "s"))
         for failure in self.failures:
-            out("FAILED: %s/%s [%s] %s: %s"
-                % (failure.workload, failure.variant, failure.size,
-                   failure.status,
+            out("FAILED: %s/%s %s: %s"
+                % (failure.name, failure.verb, failure.status,
                    (failure.error or "").splitlines()[0]
                    if failure.error else ""))
         return "\n".join(lines)

@@ -85,8 +85,30 @@ class TaskOutcome:
         return self.status == "ok"
 
 
+def run_task(fn, task_id, payload):
+    """``fn(payload)`` in this process, as a :class:`TaskOutcome`
+    (status ``ok``, or ``error`` with the formatted traceback) — the
+    body of every worker, and the inline path of ``jrpm suite --jobs
+    1``."""
+    start = time.perf_counter()
+    try:
+        value = fn(payload)
+    except KeyboardInterrupt:
+        raise
+    except BaseException as exc:
+        return TaskOutcome(
+            task_id=task_id, status="error",
+            error="%s: %s\n%s" % (type(exc).__name__, exc,
+                                  traceback.format_exc()),
+            wall_time=time.perf_counter() - start, pid=os.getpid())
+    return TaskOutcome(task_id=task_id, status="ok", value=value,
+                       wall_time=time.perf_counter() - start,
+                       pid=os.getpid())
+
+
 def _worker_main(fn, conn):
-    """Worker loop: receive (task_id, payload), run fn, send the result."""
+    """Worker loop: receive (task_id, payload), run fn, send the
+    outcome."""
     while True:
         try:
             item = conn.recv()
@@ -94,20 +116,7 @@ def _worker_main(fn, conn):
             return
         if item is None:
             return
-        task_id, payload = item
-        start = time.perf_counter()
-        try:
-            value = fn(payload)
-        except KeyboardInterrupt:
-            raise
-        except BaseException as exc:
-            conn.send((task_id, "error", None, time.perf_counter() - start,
-                       "%s: %s\n%s" % (type(exc).__name__, exc,
-                                       traceback.format_exc()),
-                       os.getpid()))
-        else:
-            conn.send((task_id, "ok", value, time.perf_counter() - start,
-                       None, os.getpid()))
+        conn.send(run_task(fn, *item))
 
 
 class _Worker:
@@ -282,14 +291,11 @@ class ProcessPool:
                     try:
                         if not worker.conn.poll():
                             continue
-                        (task_id, status, value, wall, error,
-                         pid) = worker.conn.recv()
+                        outcome = worker.conn.recv()
                     except (EOFError, OSError):
                         continue                # dead: step 3 sees it
-                    settle(TaskOutcome(
-                        task_id=task_id, status=status, value=value,
-                        error=error, wall_time=wall,
-                        attempts=attempts[task_id], pid=pid))
+                    outcome.attempts = attempts[outcome.task_id]
+                    settle(outcome)
                     worker.release()
 
                 # 3. crash / timeout surveillance

@@ -22,7 +22,7 @@ import socket
 
 from ..core.pipeline import JrpmReport
 from . import protocol
-from .jobs import JobSpec, execute_job
+from .jobs import JobSpec, execute_job, resolve_workload
 from .options import RunOptions
 from .store import ArtifactStore
 
@@ -35,25 +35,6 @@ class JrpmServiceError(RuntimeError):
     def __init__(self, kind, message):
         self.kind = kind
         super().__init__("[%s] %s" % (kind, message))
-
-
-def _resolve_source(source, workload, size, variant, name):
-    """(source text, report name) from either an inline source or a
-    registry workload reference — shared by the local session (the
-    daemon does the same resolution server-side)."""
-    if source is not None:
-        return source, name or "program"
-    if workload is None:
-        raise ValueError("need either source= or workload=")
-    from ..workloads import lookup
-    entry = lookup(workload)
-    if variant == "manual":
-        text = entry.manual_source(size)
-        if text is None:
-            raise ValueError("%s has no manual variant" % entry.name)
-    else:
-        text = entry.source(size)
-    return text, name or entry.name
 
 
 class Session:
@@ -165,10 +146,14 @@ class LocalSession(Session):
 
     def _job(self, verb, source, kwargs):
         shape, options = self._split_kwargs(dict(kwargs))
-        text, name = _resolve_source(source, shape["workload"],
-                                     shape["size"], shape["variant"],
-                                     shape["name"])
-        spec = JobSpec(verb=verb, source=text, name=name,
+        name = shape["name"]
+        if source is None:
+            if shape["workload"] is None:
+                raise ValueError("need either source= or workload=")
+            source, registry_name = resolve_workload(
+                shape["workload"], shape["size"], shape["variant"])
+            name = name or registry_name
+        spec = JobSpec(verb=verb, source=source, name=name or "program",
                        options=options)
         if self.store is not None:
             cached = self.store.get(spec)

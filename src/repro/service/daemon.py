@@ -24,11 +24,10 @@ import time
 from ..log import get_logger
 from ..metrics import MetricsHttpServer, get_registry, render
 from ..serialize import REPORT_SCHEMA_VERSION
-from ..runner.cache import NullCache, ReportCache
-from ..runner.suite import default_cache_dir
+from ..runner.cache import ReportCache, default_cache_dir
 from . import protocol
 from ..profdb import PROFDB_SCHEMA_VERSION, ProfileDb
-from .jobs import VERBS, JobSpec
+from .jobs import VERBS, JobSpec, resolve_workload
 from .options import RunOptions
 from .scheduler import JobScheduler, ServiceError
 from .stats import ServiceStats
@@ -50,10 +49,8 @@ class JrpmServer:
         self.socket_path = socket_path
         self.host = host
         self.port = port
-        if use_cache:
-            disk_cache = ReportCache(cache_dir or default_cache_dir())
-        else:
-            disk_cache = NullCache()
+        disk_cache = (ReportCache(cache_dir or default_cache_dir())
+                      if use_cache else None)
         self.store = ArtifactStore(max_entries=store_entries,
                                    disk_cache=disk_cache)
         self.scheduler = JobScheduler(
@@ -339,17 +336,10 @@ class JrpmServer:
                 raise ValueError(
                     "payload needs either 'source' (MiniJava text) or "
                     "'workload' (registry name)")
-            from ..workloads import lookup
-            workload = lookup(workload_name)
-            size = payload.get("size", "default")
-            if payload.get("variant", "base") == "manual":
-                source = workload.manual_source(size)
-                if source is None:
-                    raise ValueError("%s has no manual variant"
-                                     % workload.name)
-            else:
-                source = workload.source(size)
-            name = name or workload.name
+            source, registry_name = resolve_workload(
+                workload_name, payload.get("size", "default"),
+                payload.get("variant", "base"))
+            name = name or registry_name
         return JobSpec(verb=verb, source=source,
                        name=name or "program", options=options,
                        crash_marker=payload.get("crash_marker"),

@@ -4,8 +4,10 @@ A :class:`JobSpec` is one verb applied to one MiniJava source under one
 :class:`~repro.service.options.RunOptions` — nothing else.  Every verb
 recomputes its own prerequisites from the source, so a spec is fully
 picklable, shippable to a crash-isolated worker, and memoizable by
-fingerprint: the daemon's artifact store keys results on
-:func:`job_fingerprint` and never re-executes an identical spec.
+fingerprint: the artifact store keys results on :func:`job_fingerprint`
+and never re-executes an identical spec.  The daemon, ``Session`` and
+``jrpm suite`` all run jobs this way, and :func:`resolve_workload` is
+the one registry lookup behind their ``workload=`` references.
 
 ``execute_job`` and :class:`CachedExecutor` must stay module-level
 (picklable under ``spawn``).
@@ -55,35 +57,65 @@ class JobSpec:
     #: result carries the id of the request that actually executed.
     request_id: str = None
 
-    def fingerprint(self, salt=None):
-        """Content-addressed key (see :func:`job_fingerprint`)."""
-        return job_fingerprint(self, salt=salt)
-
 
 VERBS = ("compile", "profile", "select", "recompile", "run",
          "run_adaptive", "analyze")
 
+#: RunOptions fields that are not fingerprint material: ``timeout`` and
+#: ``verify`` shape *how* a job runs, not what it computes; ``args`` is
+#: first-class key material; the profile DB is mutable cross-run state
+#: (the store bypasses jobs that attach one), so it must not fork the
+#: keyspace either.  ``adapt`` only picks a caller's verb (``jrpm
+#: suite``, ``jrpm bench``), and the verb is key material itself.
+_UNKEYED_OPTIONS = ("timeout", "verify", "args", "profile_db",
+                    "warm_start", "adapt")
+
+#: the adaptive controller's knobs: key material under ``run_adaptive``
+#: only, inert for every other verb
+_ADAPT_OPTIONS = ("epochs", "policy")
+
+
+def resolve_workload(workload, size="default", variant="base"):
+    """``(source text, registry name)`` of one registry workload
+    variant (``"base"`` or ``"manual"``).
+
+    Raises :class:`ValueError` for an unknown workload, size or a
+    missing manual variant, so every surface can answer with a one-line
+    diagnostic."""
+    from ..workloads import lookup
+    try:
+        entry = lookup(workload)
+    except KeyError as error:
+        raise ValueError(error.args[0]) from None
+    if variant == "manual":
+        source = entry.manual_source(size)
+        if source is None:
+            raise ValueError("%s has no manual variant" % entry.name)
+    else:
+        source = entry.source(size)
+    return source, entry.name
+
 
 def job_fingerprint(spec, salt=None):
-    """Content-addressed key for one job, compatible with the report
-    cache's keying discipline (source + options + code version), with
-    the verb and the result-affecting option fields as extra material.
-    """
+    """The one content-addressed key of a job — the daemon's, the
+    session's and ``jrpm suite``'s, so the same run is the same store
+    entry and the same report-cache file on every surface.
+
+    Key material: the verb, the report name (the report embeds it), the
+    source, the args, the option projections and code version (via
+    :func:`~repro.runner.cache.cache_key`) and every result-affecting
+    :class:`RunOptions` field."""
     options = spec.options
     material = options.to_dict()
-    # timeout/verify shape *how* the job runs, not what it computes
-    material.pop("timeout", None)
-    material.pop("verify", None)
-    material.pop("args", None)         # already first-class key material
-    # the profile DB is mutable cross-run state: results produced with
-    # it attached are not content-addressed (the store bypasses them),
-    # so it must not fork the keyspace either
-    material.pop("profile_db", None)
-    material.pop("warm_start", None)
+    for name in _UNKEYED_OPTIONS:
+        del material[name]
+    if spec.verb != "run_adaptive":
+        for name in _ADAPT_OPTIONS:
+            del material[name]
     return cache_key(spec.source, options.args, options.hydra_config(),
                      options.stl_options(), options.vm_options(),
                      salt=salt,
-                     extra={"service-verb": spec.verb,
+                     extra={"verb": spec.verb, "name": spec.name,
                             "options": material})
 
 

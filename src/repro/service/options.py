@@ -44,7 +44,7 @@ class RunOptions:
     # -- run shape -----------------------------------------------------------
     args: tuple = ()                     # guest program arguments
     verify: bool = True                  # assert sequential == TLS output
-    timeout: float = None                # per-request seconds (service only)
+    timeout: float = None                # per-run seconds (pool workers)
 
     def __post_init__(self):
         self.args = tuple(self.args)

@@ -1,19 +1,20 @@
 """Shared artifact store: the daemon's warm state.
 
 One store instance is shared by every connection and every scheduler
-batch.  It memoizes finished job results — compiled-baseline
-measurements, TEST profiles, STL plan sets, full reports — keyed by the
-same content-addressed fingerprints as the suite's report cache
-(source + options + code version + verb), so a second identical request
-is served in microseconds without recompiling anything.
+batch of a daemon (and by every run of one ``jrpm suite``).  It
+memoizes finished job results — compiled-baseline measurements, TEST
+profiles, STL plan sets, full reports — keyed by
+:func:`~repro.service.jobs.job_fingerprint`, so a second identical
+request is served in microseconds without recompiling anything.
 
 Two tiers:
 
 * an in-memory dict (bounded, LRU eviction) serves the hot path;
 * optionally, a persistent :class:`~repro.runner.cache.ReportCache`
-  underneath makes ``run``/``run_adaptive`` results survive daemon
-  restarts and lets the daemon share warm state with ``jrpm suite``
-  (same on-disk format: a payload dict with a ``report`` entry).
+  underneath (``disk_cache``; ``None`` = no disk tier) makes
+  ``run``/``run_adaptive`` results survive daemon restarts.  The daemon
+  and ``jrpm suite`` key it the same way and this class is its only
+  writer, so a report cached by one is a hit for the other.
 
 Thread-safe: the scheduler thread writes while asyncio handlers read.
 """
@@ -23,6 +24,7 @@ from collections import OrderedDict
 
 from ..metrics import get_registry
 from ..runner.cache import code_fingerprint
+from .jobs import job_fingerprint
 
 #: verbs whose results carry a full JrpmReport dict and therefore may
 #: ride the persistent on-disk report cache
@@ -34,7 +36,7 @@ class ArtifactStore:
 
     def __init__(self, max_entries=512, disk_cache=None):
         self.max_entries = max_entries
-        self.disk_cache = disk_cache       # ReportCache / NullCache / None
+        self.disk_cache = disk_cache       # ReportCache, or None
         self._entries = OrderedDict()      # fingerprint -> result dict
         self._lock = threading.Lock()
         self.hits = 0
@@ -51,7 +53,7 @@ class ArtifactStore:
 
     def key_of(self, spec):
         """Content-addressed store key for one job spec."""
-        return spec.fingerprint(salt=self.salt())
+        return job_fingerprint(spec, salt=self.salt())
 
     # -- lookup / insert ---------------------------------------------------
     def get(self, spec, count=True):
@@ -102,10 +104,8 @@ class ArtifactStore:
         if self.disk_cache is not None and spec.verb in PERSISTENT_VERBS \
                 and "report" in result:
             self.disk_cache.put(key, {
-                "workload": spec.name,
-                "variant": "service",
-                "size": "service",
-                "tag": spec.verb,
+                "name": spec.name,
+                "verb": spec.verb,
                 "wall_time": result.get("wall_time", 0.0),
                 "report": result["report"],
             })
@@ -154,6 +154,5 @@ class ArtifactStore:
                 "hit_rate": round(self.hit_rate, 4),
                 "hits_by_verb": dict(self.hits_by_verb),
                 "misses_by_verb": dict(self.misses_by_verb),
-                "persistent": self.disk_cache is not None
-                              and self.disk_cache.root is not None,
+                "persistent": self.disk_cache is not None,
             }

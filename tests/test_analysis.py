@@ -280,18 +280,6 @@ def test_run_options_analysis_changes_fingerprint():
     assert job_fingerprint(plain) != job_fingerprint(analyzed_spec)
 
 
-def test_run_request_cache_key_diverges_on_analysis():
-    from repro.runner.suite import RunRequest
-    from repro.service.options import RunOptions
-    plain = RunRequest.from_options("BitOps", RunOptions(),
-                                    size="small")
-    flagged = RunRequest.from_options("BitOps",
-                                      RunOptions(analysis=True),
-                                      size="small")
-    assert flagged.analysis
-    assert plain.cache_key() != flagged.cache_key()
-
-
 def test_report_carries_analysis_through_round_trip():
     from repro.core.pipeline import JrpmReport
     program = compile_source(lookup("BitOps").source("small"))

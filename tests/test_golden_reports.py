@@ -7,7 +7,8 @@ produce; ``scripts/regen_report_digests.py`` computes and regenerates
 it.  A speedup must leave every digest unchanged; a
 deliberate report change regenerates the manifest in the same commit.
 The default tier checks one workload per category, the ``slow`` tier
-all of them.
+all of them; the default tier also checks the reports ``jrpm suite``
+produces through the job path on two workers.
 """
 
 import importlib.util
@@ -45,3 +46,12 @@ def test_manifest_covers_the_registry():
 @pytest.mark.parametrize("name,engine", list(_cases()))
 def test_report_digest(name, engine):
     assert digests.report_digest(name, engine) == MANIFEST[name]
+
+
+def test_suite_reports_match_the_manifest():
+    from repro.runner import SuiteRunner
+    reports = SuiteRunner(jobs=2, use_cache=False).run_suite(
+        size=digests.SIZE, workloads=list(FAST_TIER))
+    assert {name: digests.payload_digest(report.to_dict())
+            for name, report in reports.items()} \
+        == {name: MANIFEST[name] for name in FAST_TIER}

@@ -331,8 +331,8 @@ def test_suite_metrics_record_provenance(db_path):
     cold = _run(db_path)
     warm = _run(db_path)
     metrics = SuiteMetrics()
-    metrics.record(RunRecord.from_report(cold, workload="loopy"))
-    metrics.record(RunRecord.from_report(warm, workload="loopy"))
+    metrics.record(RunRecord.from_report(cold, name="loopy"))
+    metrics.record(RunRecord.from_report(warm, name="loopy"))
     records = [r.to_dict() for r in metrics.records]
     assert records[0]["profile_provenance"] == "cold"
     assert records[1]["profile_provenance"] == "warm"
@@ -454,13 +454,13 @@ def test_run_options_round_trip_with_profdb_fields(db_path):
 
 
 def test_job_fingerprint_ignores_profdb_fields(db_path):
-    from repro.service import JobSpec
+    from repro.service import JobSpec, job_fingerprint
     plain = JobSpec(verb="run", source=LOOPY, name="x",
                     options=RunOptions())
     backed = JobSpec(verb="run", source=LOOPY, name="x",
                      options=RunOptions(profile_db=db_path,
                                         warm_start="force"))
-    assert plain.fingerprint() == backed.fingerprint()
+    assert job_fingerprint(plain) == job_fingerprint(backed)
 
 
 def test_artifact_store_bypasses_profdb_jobs(db_path):

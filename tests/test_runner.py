@@ -1,8 +1,8 @@
 """Tests for the parallel suite runner, report cache and serialization.
 
-Tiny synthetic workloads (explicit ``source=``) keep the multiprocess
-tests fast; real registry workloads appear only where the contract is
-about the registry (size/variant resolution).
+Tiny synthetic job specs (explicit sources) keep the multiprocess tests
+fast; real registry workloads appear only where the contract is about
+the registry (size/variant resolution, sharing with the daemon).
 """
 
 import json
@@ -14,11 +14,12 @@ import time
 import pytest
 
 from repro.core.pipeline import Jrpm, JrpmReport
-from repro.hydra.config import HydraConfig
 from repro.minijava import compile_source
-from repro.runner import (ProcessPool, ReportCache, RunRequest,
-                          SuiteMetrics, SuiteRunError, SuiteRunner,
-                          cache_key)
+from repro.runner import (ProcessPool, ReportCache, SuiteMetrics,
+                          SuiteRunError, SuiteRunner)
+from repro.service import JobSpec, RunOptions, Session, job_fingerprint
+from repro.service.jobs import resolve_workload
+from repro.service.store import ArtifactStore
 
 #: a small but genuinely parallelizable program (reduction loop)
 TINY = """
@@ -37,10 +38,11 @@ class Main {
 TINY_B = TINY.replace("4000", "3000")
 
 
-def tiny_request(**kwargs):
-    kwargs.setdefault("workload", "tiny")
-    kwargs.setdefault("source", TINY)
-    return RunRequest(**kwargs)
+def tiny_spec(source=TINY, verb="run", name="tiny", crash_marker=None,
+              **options):
+    return JobSpec(verb=verb, source=source, name=name,
+                   options=RunOptions(**options),
+                   crash_marker=crash_marker)
 
 
 # ---------------------------------------------------------------------------
@@ -97,54 +99,61 @@ class Main {
 def test_cache_hit_and_invalidation(tmp_path):
     cache_dir = str(tmp_path / "cache")
     cold = SuiteRunner(jobs=1, cache_dir=cache_dir)
-    [report] = cold.run([tiny_request()])
+    [report] = cold.run([tiny_spec()])
     assert cold.metrics.hits == 0 and cold.metrics.misses == 1
 
-    # identical request -> hit
+    # identical spec -> hit
     warm = SuiteRunner(jobs=1, cache_dir=cache_dir)
-    [cached] = warm.run([tiny_request()])
+    [cached] = warm.run([tiny_spec()])
     assert warm.metrics.hits == 1 and warm.metrics.misses == 0
     assert cached.to_dict() == report.to_dict()
 
     # config change -> miss
     cfg = SuiteRunner(jobs=1, cache_dir=cache_dir)
-    cfg.run([tiny_request(config=HydraConfig(num_cpus=2))])
+    cfg.run([tiny_spec(cpus=2)])
     assert cfg.metrics.misses == 1
 
     # source change -> miss
     src = SuiteRunner(jobs=1, cache_dir=cache_dir)
-    src.run([tiny_request(source=TINY_B)])
+    src.run([tiny_spec(source=TINY_B)])
     assert src.metrics.misses == 1
 
     # code-version salt participates in the key
-    key_now = tiny_request().cache_key()
-    key_other = tiny_request().cache_key(salt="different-code-version")
+    key_now = job_fingerprint(tiny_spec())
+    key_other = job_fingerprint(tiny_spec(),
+                                salt="different-code-version")
     assert key_now != key_other
 
 
 def test_cache_key_diverges_on_adapt_knobs():
     """Adaptive runs must never alias one-shot cache entries (and the
     adaptation knobs themselves are part of the key)."""
-    base = tiny_request().cache_key()
-    adapt = tiny_request(adapt=True).cache_key()
+    base = job_fingerprint(tiny_spec())
+    adapt = job_fingerprint(tiny_spec(verb="run_adaptive"))
     assert adapt != base
-    assert tiny_request(adapt=True, adapt_epochs=7).cache_key() != adapt
-    assert tiny_request(adapt=True,
-                        adapt_policy="null").cache_key() != adapt
-    # the epoch/policy knobs are inert while adapt is off
-    assert tiny_request(adapt_epochs=7).cache_key() == base
+    assert job_fingerprint(tiny_spec(verb="run_adaptive",
+                                     epochs=7)) != adapt
+    assert job_fingerprint(tiny_spec(verb="run_adaptive",
+                                     policy="null")) != adapt
+    # the epoch/policy knobs and the verb-implied adapt flag are inert
+    # for every other verb
+    assert job_fingerprint(tiny_spec(epochs=7)) == base
+    assert job_fingerprint(tiny_spec(policy="null")) == base
+    assert job_fingerprint(tiny_spec(adapt=True)) == base
+    assert job_fingerprint(tiny_spec(verb="profile", epochs=7)) \
+        == job_fingerprint(tiny_spec(verb="profile"))
 
 
 def test_cached_adapt_run_preserves_adaptation_log(tmp_path):
     cache_dir = str(tmp_path / "cache")
     cold = SuiteRunner(jobs=1, cache_dir=cache_dir)
-    [report] = cold.run([tiny_request(adapt=True, adapt_epochs=2)])
+    [report] = cold.run([tiny_spec(verb="run_adaptive", epochs=2)])
     assert cold.metrics.misses == 1
     assert report.adaptation is not None
     assert report.adaptation.epochs_run >= 1
 
     warm = SuiteRunner(jobs=1, cache_dir=cache_dir)
-    [cached] = warm.run([tiny_request(adapt=True, adapt_epochs=2)])
+    [cached] = warm.run([tiny_spec(verb="run_adaptive", epochs=2)])
     assert warm.metrics.hits == 1
     assert cached.adaptation is not None
     assert cached.adaptation.to_dict() == report.adaptation.to_dict()
@@ -153,24 +162,50 @@ def test_cached_adapt_run_preserves_adaptation_log(tmp_path):
 
 def test_cache_corrupt_entry_reads_as_miss(tmp_path):
     cache = ReportCache(str(tmp_path))
-    key = cache_key(TINY, (), HydraConfig(),
-                    __import__("repro.jit.stl", fromlist=["StlOptions"])
-                    .StlOptions(),
-                    __import__("repro.core.pipeline",
-                               fromlist=["VmOptions"]).VmOptions())
+    spec = tiny_spec()
+    key = job_fingerprint(spec)
     cache.put(key, {"report": {"bogus": True}})
     assert cache.get(key) is not None
     with open(cache.path_for(key), "w") as fh:
         fh.write("{truncated")
-    assert cache.get(key) is None           # corrupt -> miss
+    assert ArtifactStore(disk_cache=cache).get(spec) is None  # -> miss
     assert not os.path.exists(cache.path_for(key))   # and removed
 
 
-def test_no_cache_runner_stores_nothing(tmp_path):
+def test_no_cache_runner_stores_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("JRPM_CACHE_DIR", str(tmp_path))
     runner = SuiteRunner(jobs=1, use_cache=False)
-    runner.run([tiny_request()])
+    runner.run([tiny_spec()])
     assert runner.metrics.misses == 1
-    assert len(runner.cache) == 0
+    assert runner.store.disk_cache is None
+    assert os.listdir(str(tmp_path)) == []
+    again = SuiteRunner(jobs=1, use_cache=False)
+    again.run([tiny_spec()])
+    assert again.metrics.misses == 1
+
+
+def test_suite_and_daemon_store_share_warm_state(tmp_path):
+    """A suite run and an ArtifactStore over the same cache directory
+    key one run identically: each side's entry is a hit for the
+    other."""
+    suite_dir = str(tmp_path / "suite-first")
+    SuiteRunner(cache_dir=suite_dir).run_suite(size="small",
+                                               workloads=["BitOps"])
+    store = ArtifactStore(disk_cache=ReportCache(suite_dir))
+    report = Session.local(store=store).run(workload="BitOps",
+                                            size="small")
+    assert (store.hits, store.misses) == (1, 0)
+    assert report.name == "BitOps"
+
+    store_dir = str(tmp_path / "store-first")
+    store = ArtifactStore(disk_cache=ReportCache(store_dir))
+    direct = Session.local(store=store).run(workload="BitOps",
+                                            size="small")
+    assert store.misses == 1
+    runner = SuiteRunner(cache_dir=store_dir)
+    reports = runner.run_suite(size="small", workloads=["BitOps"])
+    assert (runner.metrics.hits, runner.metrics.misses) == (1, 0)
+    assert reports["BitOps"].to_dict() == direct.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -178,19 +213,41 @@ def test_no_cache_runner_stores_nothing(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_parallel_reports_identical_to_serial(tmp_path):
-    requests = [tiny_request(), tiny_request(source=TINY_B, tag="b")]
-    serial = SuiteRunner(jobs=1, use_cache=False).run(
-        [tiny_request(), tiny_request(source=TINY_B, tag="b")])
-    parallel = SuiteRunner(jobs=4, use_cache=False).run(requests)
+    specs = [tiny_spec(), tiny_spec(source=TINY_B, name="b")]
+    serial = SuiteRunner(jobs=1, use_cache=False).run(specs)
+    parallel = SuiteRunner(jobs=4, use_cache=False).run(specs)
     assert len(serial) == len(parallel) == 2
     for left, right in zip(serial, parallel):
         assert left.to_dict() == right.to_dict()
 
 
+def test_suite_metrics_are_the_same_at_every_jobs():
+    """Pool workers' metric deltas fold into the parent registry, so a
+    suite accounts the same simulated work at ``--jobs 1`` and ``N``."""
+    from repro.metrics import MetricsRegistry
+    from repro.metrics.registry import swap_registry
+
+    def accounted(jobs):
+        registry = MetricsRegistry()
+        previous = swap_registry(registry)
+        try:
+            SuiteRunner(jobs=jobs, use_cache=False).run(
+                [tiny_spec(), tiny_spec(source=TINY_B, name="b")])
+        finally:
+            swap_registry(previous)
+        return {name: [(key, child.value)
+                       for key, child in registry.get(name).series()]
+                for name in ("jrpm_runs", "jrpm_run_simulated_cycles")}
+
+    inline = accounted(1)
+    assert inline["jrpm_runs"] == [(("cold",), 2.0)]
+    assert accounted(2) == inline
+
+
 def test_worker_crash_is_retried_once(tmp_path):
     marker = str(tmp_path / "crash.marker")
     runner = SuiteRunner(jobs=2, use_cache=False)
-    [report] = runner.run([tiny_request(crash_marker=marker)])
+    [report] = runner.run([tiny_spec(crash_marker=marker)])
     record = runner.metrics.records[-1]
     assert record.status == "ok"
     assert record.attempts == 2              # died once, retried once
@@ -199,7 +256,7 @@ def test_worker_crash_is_retried_once(tmp_path):
 
 
 def test_failed_run_raises_with_diagnostics(tmp_path):
-    bad = tiny_request(source="class Main { static int main() { return }")
+    bad = tiny_spec(source="class Main { static int main() { return }")
     runner = SuiteRunner(jobs=1, use_cache=False)
     with pytest.raises(SuiteRunError) as excinfo:
         runner.run([bad])
@@ -212,8 +269,15 @@ def test_manual_variant_resolution_errors_before_running():
     name = next(w.name for w in all_workloads()
                 if not w.has_manual_variant)
     with pytest.raises(ValueError, match="manual"):
-        RunRequest(workload=name, variant="manual",
-                   size="small").resolve_source()
+        resolve_workload(name, "small", "manual")
+
+
+def test_unknown_workload_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown workload 'Nope'"):
+        resolve_workload("Nope")
+    with pytest.raises(ValueError, match="unknown workload 'Nope'"):
+        SuiteRunner(use_cache=False).run_suite(size="small",
+                                               workloads=["Nope"])
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +451,10 @@ def test_pool_close_leaves_no_live_children():
 
 def test_metrics_jsonl_and_summary(tmp_path):
     runner = SuiteRunner(jobs=1, cache_dir=str(tmp_path / "c"))
-    runner.run([tiny_request()])
+    runner.run([tiny_spec()])
     warm = SuiteRunner(jobs=1, cache_dir=str(tmp_path / "c"),
                        metrics=runner.metrics)
-    warm.run([tiny_request()])
+    warm.run([tiny_spec()])
     metrics = warm.metrics
     assert metrics.hits == 1 and metrics.misses == 1
     assert metrics.hit_rate == 0.5
@@ -403,6 +467,7 @@ def test_metrics_jsonl_and_summary(tmp_path):
     runs = [line for line in lines if line["event"] == "run"]
     assert len(runs) == 2
     assert {run["cache_hit"] for run in runs} == {True, False}
+    assert {(run["name"], run["verb"]) for run in runs} == {("tiny", "run")}
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +507,16 @@ def test_cli_suite_json_subset(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["metrics"]["cache_hits"] == 1
     assert data["metrics"]["cache_hit_rate"] == 1.0
+
+
+@pytest.mark.parametrize("argv", [["suite", "--only", "Nope"],
+                                  ["bench", "Nope"]],
+                         ids=["suite", "bench"])
+def test_cli_unknown_workload_is_a_one_line_diagnostic(argv, capsys):
+    from repro.cli import main
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("unknown workload 'Nope'")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

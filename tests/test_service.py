@@ -338,6 +338,17 @@ def test_local_session_memoizes_in_artifact_store():
         assert store_stats["misses_by_verb"]["profile"] == 1
 
 
+def test_cached_report_answers_to_its_own_name():
+    """The report embeds its name, so the name is key material: a run
+    of the same source under another name is a miss, not a replay."""
+    with Session.local() as session:
+        assert session.run(TINY, name="alpha").name == "alpha"
+        assert session.run(TINY, name="beta").name == "beta"
+        assert session.run(TINY, name="alpha").name == "alpha"
+        store_stats = session.stats()["store"]
+        assert (store_stats["hits"], store_stats["misses"]) == (1, 2)
+
+
 def test_local_and_remote_sessions_return_identical_reports(service):
     with Session.local() as session:
         local_report = session.run(TINY, name="tiny")

@@ -257,14 +257,20 @@ def test_verbose_report_shows_restarts_and_high_water_marks():
 # ---------------------------------------------------------------------------
 
 def test_runner_traced_request_uses_distinct_cache_key(tmp_path):
-    from repro.runner import RunRequest, SuiteRunner
-    plain = RunRequest(workload="BitOps", size="small")
-    traced = RunRequest(workload="BitOps", size="small", trace=True)
-    assert plain.cache_key(salt="s") != traced.cache_key(salt="s")
+    from repro.runner import SuiteRunner
+    from repro.service import JobSpec, RunOptions, job_fingerprint
+    from repro.service.jobs import resolve_workload
+    source, name = resolve_workload("BitOps", "small")
+
+    def spec(trace):
+        return JobSpec(verb="run", source=source, name=name,
+                       options=RunOptions(trace=trace))
+
+    assert (job_fingerprint(spec(False), salt="s")
+            != job_fingerprint(spec(True), salt="s"))
 
     runner = SuiteRunner(jobs=1, cache_dir=str(tmp_path / "cache"))
-    (report,) = runner.run([RunRequest(workload="BitOps", size="small",
-                                       trace=True)])
+    (report,) = runner.run([spec(True)])
     assert report.trace_aggregates is not None
     record = runner.metrics.records[-1]
     assert record.trace_events == report.trace_aggregates.events_recorded
@@ -273,8 +279,7 @@ def test_runner_traced_request_uses_distinct_cache_key(tmp_path):
 
     # warm hit returns the aggregates from the cache
     runner2 = SuiteRunner(jobs=1, cache_dir=str(tmp_path / "cache"))
-    (cached,) = runner2.run([RunRequest(workload="BitOps", size="small",
-                                        trace=True)])
+    (cached,) = runner2.run([spec(True)])
     assert runner2.metrics.records[-1].cache_hit
     assert (cached.trace_aggregates.to_dict()
             == report.trace_aggregates.to_dict())

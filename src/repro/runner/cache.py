@@ -91,27 +91,29 @@ def options_fingerprint(config, stl_options, vm_options):
         sort_keys=True, separators=(",", ":"))
 
 
-def cache_key(source, args, config, stl_options, vm_options, salt=None,
-              extra=None):
+def cache_key(source, args, options, salt=None, extra=None):
     """Content-addressed key for one pipeline run.
 
-    *extra* is an optional JSON-safe dict of additional key material
-    (e.g. ``{"trace": True}`` for traced runs, whose reports carry
-    trace aggregates and must not collide with untraced ones).  ``None``
-    keeps keys identical to pre-*extra* versions of this function.
+    *options* is the :func:`options_fingerprint` JSON of the run's
+    three option objects (a caller keying many runs under one options
+    value computes it once).  *extra* is an optional JSON-safe dict of
+    additional key material (e.g. ``{"trace": True}`` for traced runs,
+    whose reports carry trace aggregates and must not collide with
+    untraced ones).  ``None`` keeps keys identical to pre-*extra*
+    versions of this function.
 
     The executing engine (``HydraConfig.engine``) is key material
-    through ``config.to_dict()``: the two engines are cycle-identical
-    by construction, but a report produced by one must never be served
-    as evidence about the other — ``--engine reference`` comparisons
-    rely on both runs really happening.
+    through *options* (``config.to_dict()``): the two engines are
+    cycle-identical by construction, but a report produced by one must
+    never be served as evidence about the other — ``--engine
+    reference`` comparisons rely on both runs really happening.
     """
     key_material = {
         "format": CACHE_FORMAT,
         "schema": REPORT_SCHEMA_VERSION,
         "source": hashlib.sha256(source.encode()).hexdigest(),
         "args": list(args),
-        "options": options_fingerprint(config, stl_options, vm_options),
+        "options": options,
         "code": salt if salt is not None else code_fingerprint()}
     if extra:
         key_material["extra"] = extra

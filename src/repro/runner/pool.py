@@ -30,7 +30,10 @@ its own copy of the callable, so state the callable keeps (a cache)
 is per worker.
 """
 
+import contextlib
 import os
+import signal
+import threading
 import time
 import traceback
 import multiprocessing
@@ -85,16 +88,54 @@ class TaskOutcome:
         return self.status == "ok"
 
 
-def run_task(fn, task_id, payload):
+class _Deadline(BaseException):
+    """An inline run passed its deadline.  A ``BaseException``, so the
+    job's own ``except Exception`` handlers cannot swallow it."""
+
+
+@contextlib.contextmanager
+def _deadline(timeout):
+    """Interrupt the block with :class:`_Deadline` after *timeout*
+    seconds, by a SIGALRM timer.  The timer needs the main thread;
+    elsewhere, or without a timeout, the block runs unbounded."""
+    if (timeout is None or not hasattr(signal, "setitimer")
+            or threading.current_thread() is not threading.main_thread()):
+        yield
+        return
+    armed = True
+
+    def expire(signum, frame):
+        if armed:
+            raise _Deadline()
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, timeout)
+    try:
+        yield
+    finally:
+        armed = False
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_task(fn, task_id, payload, timeout=None):
     """``fn(payload)`` in this process, as a :class:`TaskOutcome`
     (status ``ok``, or ``error`` with the formatted traceback) — the
     body of every worker, and the inline path of ``jrpm suite --jobs
-    1``."""
+    1``.  *timeout* bounds the inline path the way the pool bounds a
+    worker: a run past it is interrupted and reported as ``timeout``
+    (main thread only, see :func:`_deadline`)."""
     start = time.perf_counter()
     try:
-        value = fn(payload)
+        with _deadline(timeout):
+            value = fn(payload)
     except KeyboardInterrupt:
         raise
+    except _Deadline:
+        return TaskOutcome(
+            task_id=task_id, status="timeout",
+            error="run exceeded %gs timeout" % timeout,
+            wall_time=time.perf_counter() - start, pid=os.getpid())
     except BaseException as exc:
         return TaskOutcome(
             task_id=task_id, status="error",

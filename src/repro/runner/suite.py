@@ -24,7 +24,6 @@ into output, which keeps ``--jobs N`` byte-identical to ``--jobs 1``.
 """
 
 from ..core.pipeline import JrpmReport
-from ..metrics import get_registry
 from .cache import ReportCache, default_cache_dir
 from .metrics import RunRecord, SuiteMetrics
 from .pool import ProcessPool, run_task
@@ -115,15 +114,18 @@ class SuiteRunner:
         return reports
 
     def _execute(self, misses, specs, emit):
-        """``{index: TaskOutcome}`` for the missed specs.  A worker's
-        metric delta folds into this process's registry, so suite
-        metrics are the same at every ``jobs``; an inline job folds its
-        own."""
+        """``{index: TaskOutcome}`` for the missed specs, each run
+        under ``spec.options.timeout or self.timeout`` at every
+        ``jobs``.  A worker's metric delta folds into this process's
+        registry, so suite metrics are the same at every ``jobs``; an
+        inline job folds its own."""
+        from ..service.jobs import fold_metrics
         if self.jobs == 1:
             outcomes = {}
             for index in misses:
-                outcomes[index] = run_task(self._executor, index,
-                                           specs[index])
+                outcomes[index] = run_task(
+                    self._executor, index, specs[index],
+                    timeout=specs[index].options.timeout or self.timeout)
                 emit("ran     %s" % specs[index].name)
         else:
             with ProcessPool(self._executor,
@@ -138,9 +140,7 @@ class SuiteRunner:
                         "ran     %s" % specs[outcome.task_id].name))
         for outcome in outcomes.values():
             if outcome.ok:
-                delta = outcome.value.pop("metrics", None)
-                if delta and self.jobs > 1:
-                    get_registry().merge(delta)
+                fold_metrics(outcome.value, merge=self.jobs > 1)
         return outcomes
 
     # -- conveniences ------------------------------------------------------------

@@ -195,28 +195,33 @@ class JrpmServer:
             response = protocol.make_error(
                 request_id, "error",
                 "%s: %s" % (type(error).__name__, error))
-        ok = bool(response.get("ok"))
+        # a success frame comes encoded, an error frame as its dict
+        ok = isinstance(response, bytes)
+        if not ok:
+            response = protocol.encode_frame(response)
         self.stats.observe(verb, time.perf_counter() - started, ok=ok)
         async with write_lock:
             try:
-                writer.write(protocol.encode_frame(response))
+                writer.write(response)
                 await writer.drain()
             except (ConnectionResetError, OSError):
                 pass                     # client went away mid-reply
 
     async def _dispatch(self, request_id, verb, payload, started):
+        """The reply to one request: a success frame's wire bytes, or
+        an error frame (dict)."""
+        def reply(result):
+            return protocol.encode_response(
+                request_id, protocol.encode_result(result),
+                elapsed=time.perf_counter() - started)
+
         if verb == "ping":
-            return protocol.make_response(
-                request_id,
-                {"pong": True,
-                 "protocol": protocol.PROTOCOL_VERSION,
-                 "report_schema": REPORT_SCHEMA_VERSION,
-                 "draining": self._draining},
-                elapsed=time.perf_counter() - started)
+            return reply({"pong": True,
+                          "protocol": protocol.PROTOCOL_VERSION,
+                          "report_schema": REPORT_SCHEMA_VERSION,
+                          "draining": self._draining})
         if verb == "stats":
-            return protocol.make_response(
-                request_id, self.stats_snapshot(),
-                elapsed=time.perf_counter() - started)
+            return reply(self.stats_snapshot())
         if verb == "metrics":
             registry = get_registry()
             fmt = (payload or {}).get("format", "json")
@@ -232,35 +237,25 @@ class JrpmServer:
             if self.metrics_server is not None:
                 result["http_endpoint"] = "%s:%d" % (
                     self.metrics_host, self.metrics_port)
-            return protocol.make_response(
-                request_id, result,
-                elapsed=time.perf_counter() - started)
+            return reply(result)
         if verb == "version":
             from .. import package_version
-            return protocol.make_response(
-                request_id,
-                {"version": package_version(),
-                 "protocol": protocol.PROTOCOL_VERSION,
-                 "report_schema": REPORT_SCHEMA_VERSION,
-                 "profdb_schema": PROFDB_SCHEMA_VERSION},
-                elapsed=time.perf_counter() - started)
+            return reply({"version": package_version(),
+                          "protocol": protocol.PROTOCOL_VERSION,
+                          "report_schema": REPORT_SCHEMA_VERSION,
+                          "profdb_schema": PROFDB_SCHEMA_VERSION})
         if verb == "profdb":
             try:
                 result = self._profdb_op(payload or {})
             except (KeyError, TypeError, ValueError) as error:
                 return protocol.make_error(request_id, "bad-request",
                                            str(error))
-            return protocol.make_response(
-                request_id, result,
-                elapsed=time.perf_counter() - started)
+            return reply(result)
         if verb == "drain":
             await self._drain()
-            return protocol.make_response(
-                request_id,
-                {"drained": True,
-                 "completed": self.scheduler.completed,
-                 "failed": self.scheduler.failed},
-                elapsed=time.perf_counter() - started)
+            return reply({"drained": True,
+                          "completed": self.scheduler.completed,
+                          "failed": self.scheduler.failed})
         if verb not in VERBS:
             return protocol.make_error(
                 request_id, "bad-request",
@@ -278,24 +273,20 @@ class JrpmServer:
             return protocol.make_error(request_id, error.kind,
                                        str(error))
         try:
-            result = await asyncio.wrap_future(job.future)
+            if job.cached:             # a store hit settles at submit
+                result = job.future.result()
+            else:
+                result = await asyncio.wrap_future(job.future)
         except ServiceError as error:
             return protocol.make_error(request_id, error.kind,
                                        str(error))
-        # Fold the worker's metric delta exactly once: the pop mutates
-        # the store-resident dict, so replays of this result (store
-        # hits, coalesced futures) never double-count.
-        metrics_delta = result.pop("metrics", None)
-        if metrics_delta:
-            try:
-                get_registry().merge(metrics_delta)
-            except ValueError as error:     # schema drift across builds
-                _log.warning("dropping worker metrics: %s", error)
+        # the result is final (the scheduler folded its metric delta):
+        # a stored one is encoded once, shared by every reply serving it
         if isinstance(result.get("report"), dict):
             self.stats.absorb_report(result["report"])
-        return protocol.make_response(
-            request_id, result, cached=job.cached,
-            elapsed=time.perf_counter() - started)
+        return protocol.encode_response(
+            request_id, self.store.result_text(job.key, result),
+            cached=job.cached, elapsed=time.perf_counter() - started)
 
     def _profdb_op(self, payload):
         """The ``profdb`` control verb: stats / export / gc on the

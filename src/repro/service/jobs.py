@@ -19,15 +19,19 @@ and runs only what a request must — profile DB reads and writes,
 selection, the simulated runs and report assembly.
 """
 
+import functools
 import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
+from ..log import get_logger
 from ..metrics import MetricsRegistry, get_registry, observe_report_dict
 from ..metrics.registry import swap_registry
-from ..runner.cache import cache_key
+from ..runner.cache import cache_key, options_fingerprint
 from .options import RunOptions
+
+_log = get_logger("service.jobs")
 
 #: compile-cache capacity, in artifacts: each program held whole costs
 #: three (parsed program, annotated compile, recompiled program), so
@@ -74,6 +78,16 @@ _UNKEYED_OPTIONS = ("timeout", "verify", "args", "profile_db",
 #: only, inert for every other verb
 _ADAPT_OPTIONS = ("epochs", "policy")
 
+#: the keyed :class:`RunOptions` fields under ``run_adaptive`` and under
+#: every other verb
+_KEYED_ADAPTIVE = tuple(f.name for f in fields(RunOptions)
+                        if f.name not in _UNKEYED_OPTIONS)
+_KEYED_PLAIN = tuple(name for name in _KEYED_ADAPTIVE
+                     if name not in _ADAPT_OPTIONS)
+
+#: distinct keyed option values whose key material stays memoized
+OPTIONS_KEY_ENTRIES = 256
+
 
 def resolve_workload(workload, size="default", variant="base"):
     """``(source text, registry name)`` of one registry workload
@@ -104,19 +118,37 @@ def job_fingerprint(spec, salt=None):
     Key material: the verb, the report name (the report embeds it), the
     source, the args, the option projections and code version (via
     :func:`~repro.runner.cache.cache_key`) and every result-affecting
-    :class:`RunOptions` field."""
+    :class:`RunOptions` field.  The options-dependent part is computed
+    once per distinct keyed value (:func:`_options_key`); only the
+    source's hash and the final hash are per call."""
     options = spec.options
-    material = options.to_dict()
-    for name in _UNKEYED_OPTIONS:
-        del material[name]
-    if spec.verb != "run_adaptive":
-        for name in _ADAPT_OPTIONS:
-            del material[name]
-    return cache_key(spec.source, options.args, options.hydra_config(),
-                     options.stl_options(), options.vm_options(),
-                     salt=salt,
+    names = (_KEYED_ADAPTIVE if spec.verb == "run_adaptive"
+             else _KEYED_PLAIN)
+    values = [getattr(options, name) for name in names]
+    try:
+        options_json, material = _options_key(names, *values)
+    except TypeError:                  # an unhashable value: no memo
+        options_json, material = _options_key.__wrapped__(names, *values)
+    return cache_key(spec.source, options.args, options_json, salt=salt,
                      extra={"verb": spec.verb, "name": spec.name,
                             "options": material})
+
+
+@functools.lru_cache(maxsize=OPTIONS_KEY_ENTRIES, typed=True)
+def _options_key(names, *values):
+    """``(options_fingerprint JSON, keyed field dict)`` of the keyed
+    field *values* named by *names*.  ``hydra_config()``,
+    ``stl_options()`` and ``vm_options()`` read keyed fields only, so
+    both parts are pure functions of the arguments; ``typed`` keeps
+    ``cpus=1`` and ``cpus=True`` (equal hashes, different JSON) apart.
+    The returned dict is shared by every hit and must not be
+    mutated."""
+    material = dict(zip(names, values))
+    options = RunOptions(**material)
+    return (options_fingerprint(options.hydra_config(),
+                                options.stl_options(),
+                                options.vm_options()),
+            material)
 
 
 class CompileCache:
@@ -219,6 +251,20 @@ def execute_job(spec, compile_cache=None):
         previous.merge(scoped.to_dict())
     result["metrics"] = scoped.to_dict()
     return result
+
+
+def fold_metrics(result, merge=True):
+    """Pop a job result's metric delta (:func:`execute_job`), making the
+    result final before it is stored or replied, and merge the delta
+    into this process's registry unless *merge* is false (the job ran
+    in this process and already folded its own).  Called once per
+    execution, so a replayed result never counts twice."""
+    delta = result.pop("metrics", None)
+    if delta and merge:
+        try:
+            get_registry().merge(delta)
+        except ValueError as error:     # schema drift across builds
+            _log.warning("dropping worker metrics: %s", error)
 
 
 # -- per-verb implementations ------------------------------------------------

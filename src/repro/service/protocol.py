@@ -29,6 +29,12 @@ Error ``kind`` is one of ``bad-request`` | ``error`` | ``crashed`` |
 The protocol version covers only this envelope; mismatches are
 rejected with kind ``protocol`` and the supported version echoed back
 so clients can fail fast with a clear message.
+
+Every frame is compact JSON with sorted keys.  A success frame is
+written by :func:`encode_response` around a result that is already
+encoded (:func:`encode_result`): the artifact store encodes each stored
+result once and every reply that serves it splices in the same text,
+byte-identical to encoding the whole frame at once.
 """
 
 import json
@@ -51,11 +57,30 @@ class ProtocolError(ValueError):
     """Malformed frame (bad JSON, wrong version, missing fields)."""
 
 
+#: compact separators (frames are machine-to-machine), sorted keys
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
+def encode_result(value):
+    """The canonical JSON text of one frame value."""
+    return _ENCODER.encode(value)
+
+
 def encode_frame(frame):
-    """Serialize one frame to its wire line (bytes, newline-terminated).
-    Compact separators: frames are machine-to-machine."""
-    return (json.dumps(frame, separators=(",", ":"), sort_keys=True)
-            + "\n").encode("utf-8")
+    """Serialize one frame to its wire line (bytes, newline-terminated)."""
+    return (encode_result(frame) + "\n").encode("utf-8")
+
+
+def encode_response(request_id, result_json, cached=False, elapsed=0.0):
+    """The wire line of a success frame carrying *result_json*, the
+    :func:`encode_result` text of the verb's JSON-safe result — the
+    bytes ``encode_frame`` gives the whole frame, keys in sorted
+    order."""
+    return ('{"cached":%s,"elapsed":%s,"id":%s,"ok":true,"result":%s,'
+            '"v":%d}\n' % (encode_result(cached),
+                           encode_result(round(elapsed, 6)),
+                           encode_result(request_id), result_json,
+                           PROTOCOL_VERSION)).encode("utf-8")
 
 
 def decode_frame(line):
@@ -76,13 +101,6 @@ def make_request(request_id, verb, payload=None):
     """A client->daemon frame for one verb invocation."""
     return {"v": PROTOCOL_VERSION, "id": request_id, "verb": verb,
             "payload": payload or {}}
-
-
-def make_response(request_id, result, cached=False, elapsed=0.0):
-    """A success frame carrying the verb's JSON-safe result."""
-    return {"v": PROTOCOL_VERSION, "id": request_id, "ok": True,
-            "cached": cached, "elapsed": round(elapsed, 6),
-            "result": result}
 
 
 def make_error(request_id, kind, message):

@@ -22,7 +22,9 @@ execution policy:
   job once on a replacement worker before reporting it;
 * results are memoized in the shared
   :class:`~repro.service.store.ArtifactStore` so later identical
-  requests never reach the pool at all;
+  requests never reach the pool at all; a result is final when it
+  settles (its worker's metric delta already folded into the
+  registry), so replies may share its encoding;
 * :meth:`drain` stops intake, waits until every accepted job has
   settled and stops the workers — the graceful-shutdown half of the
   daemon's lifecycle.
@@ -39,7 +41,7 @@ from concurrent.futures import Future
 from ..log import get_logger
 from ..metrics import get_registry
 from ..runner.pool import ProcessPool
-from .jobs import CachedExecutor
+from .jobs import CachedExecutor, fold_metrics
 
 _log = get_logger("service.scheduler")
 
@@ -92,10 +94,11 @@ class JobFailed(ServiceError):
 class ScheduledJob:
     """Handle for one accepted submission."""
 
-    __slots__ = ("spec", "future", "cached", "enqueued_at")
+    __slots__ = ("spec", "key", "future", "cached", "enqueued_at")
 
-    def __init__(self, spec, future, cached):
+    def __init__(self, spec, key, future, cached):
         self.spec = spec
+        self.key = key                 # the spec's store fingerprint
         self.future = future
         self.cached = cached
         self.enqueued_at = time.perf_counter()
@@ -141,7 +144,8 @@ class JobScheduler:
         """Accept one spec; returns a :class:`ScheduledJob` whose future
         settles with the result dict.  Store hits settle immediately
         (``cached=True``) and never occupy a queue slot."""
-        cached = self.store.get(spec)
+        key = self.store.key_of(spec)
+        cached = self.store.get(spec, key=key)
         if cached is not None:
             future = Future()
             future.set_result(cached)
@@ -151,7 +155,7 @@ class JobScheduler:
             _sched_counter("jrpm_scheduler_submits",
                            "Submissions by admission outcome",
                            outcome="store_hit")
-            return ScheduledJob(spec, future, cached=True)
+            return ScheduledJob(spec, key, future, cached=True)
         with self._lock:
             if not self._accepting:
                 self.rejected += 1
@@ -168,7 +172,7 @@ class JobScheduler:
                     "queue full (%d jobs pending); retry later"
                     % len(self._queue))
             future = Future()
-            self._queue.append((spec, future))
+            self._queue.append((spec, key, future))
             self.accepted += 1
             depth = len(self._queue)
             self._wake.notify()
@@ -176,7 +180,7 @@ class JobScheduler:
                        "Submissions by admission outcome",
                        outcome="accepted")
         _sched_gauges(depth, self._in_flight)
-        return ScheduledJob(spec, future, cached=False)
+        return ScheduledJob(spec, key, future, cached=False)
 
     # -- lifecycle ---------------------------------------------------------
     def drain(self, timeout=None):
@@ -247,18 +251,19 @@ class JobScheduler:
     def _run_batch(self, batch):
         """Execute one batch: re-check the store (an earlier batch may
         have warmed it), coalesce duplicates, shard the rest across the
-        pool, each job under its own effective timeout."""
+        pool, each job under its own effective timeout.  A finished
+        job's metric delta is folded into the registry here, once,
+        so the result it settles and stores is final."""
         with self._lock:
             self.batches += 1
         _sched_counter("jrpm_scheduler_batches", "Batches dispatched")
         _log.debug("dispatching batch of %d", len(batch))
         unique = {}                     # fingerprint -> (spec, [futures])
-        for spec, future in batch:
-            cached = self.store.get(spec, count=False)
+        for spec, key, future in batch:
+            cached = self.store.get(spec, count=False, key=key)
             if cached is not None:
                 self._settle_ok(future, cached)
                 continue
-            key = self.store.key_of(spec)
             if key in unique:
                 unique[key][1].append(future)
                 with self._lock:
@@ -275,7 +280,8 @@ class JobScheduler:
         for key, (spec, futures) in unique.items():
             outcome = outcomes[key]
             if outcome.ok:
-                self.store.put(spec, outcome.value)
+                fold_metrics(outcome.value)
+                self.store.put(spec, outcome.value, key=key)
                 for future in futures:
                     self._settle_ok(future, outcome.value)
             else:

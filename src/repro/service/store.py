@@ -16,6 +16,14 @@ Two tiers:
   and ``jrpm suite`` key it the same way and this class is its only
   writer, so a report cached by one is a hit for the other.
 
+A result the daemon stores is final: the scheduler folds a job's
+metric delta out of it before :meth:`ArtifactStore.put`, and nothing
+mutates it afterwards.  So each entry is encoded for the wire at most once
+(:meth:`ArtifactStore.result_text`, lazily, the first time a reply
+needs it); the miss that filled the entry and every later hit splice
+the same text into their replies, and the text is evicted with its
+entry.
+
 Thread-safe: the scheduler thread writes while asyncio handlers read.
 """
 
@@ -25,6 +33,7 @@ from collections import OrderedDict
 from ..metrics import get_registry
 from ..runner.cache import code_fingerprint
 from .jobs import job_fingerprint
+from .protocol import encode_result
 
 #: verbs whose results carry a full JrpmReport dict and therefore may
 #: ride the persistent on-disk report cache
@@ -38,6 +47,7 @@ class ArtifactStore:
         self.max_entries = max_entries
         self.disk_cache = disk_cache       # ReportCache, or None
         self._entries = OrderedDict()      # fingerprint -> result dict
+        self._texts = {}                   # fingerprint -> encoded result
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -56,10 +66,11 @@ class ArtifactStore:
         return job_fingerprint(spec, salt=self.salt())
 
     # -- lookup / insert ---------------------------------------------------
-    def get(self, spec, count=True):
+    def get(self, spec, count=True, key=None):
         """Memoized result for *spec*, or ``None``.  Counts the verb's
         hit/miss unless ``count=False`` (the scheduler's in-batch
         re-check, which would double-book the submit-time miss).
+        *key* is the spec's :meth:`key_of`, when the caller has it.
 
         Jobs with a profile DB attached always miss: their result
         depends on the DB's mutable cross-run state (a warm report must
@@ -70,7 +81,8 @@ class ArtifactStore:
                 with self._lock:
                     self._count(spec.verb, hit=False)
             return None
-        key = self.key_of(spec)
+        if key is None:
+            key = self.key_of(spec)
         with self._lock:
             result = self._entries.get(key)
             if result is not None:
@@ -93,12 +105,14 @@ class ArtifactStore:
                 self._count(spec.verb, hit=False)
         return None
 
-    def put(self, spec, result):
-        """Memoize a finished job's result under its fingerprint.
-        Profile-DB-backed jobs are not memoized (see :meth:`get`)."""
+    def put(self, spec, result, key=None):
+        """Memoize a finished job's final result under its fingerprint
+        (*key*, as in :meth:`get`).  Profile-DB-backed jobs are not
+        memoized (see :meth:`get`)."""
         if getattr(spec.options, "profile_db", None):
             return
-        key = self.key_of(spec)
+        if key is None:
+            key = self.key_of(spec)
         with self._lock:
             self._remember(key, result)
         if self.disk_cache is not None and spec.verb in PERSISTENT_VERBS \
@@ -110,11 +124,30 @@ class ArtifactStore:
                 "report": result["report"],
             })
 
+    def result_text(self, key, result):
+        """:func:`~repro.service.protocol.encode_result` of *result*.
+        When *result* is the entry under *key*, the first call encodes
+        it and every later one returns the same text; any other result
+        (a profile-DB job's, an entry since evicted or replaced) is
+        encoded afresh."""
+        with self._lock:
+            if self._entries.get(key) is result:
+                text = self._texts.get(key)
+                if text is not None:
+                    return text
+        text = encode_result(result)
+        with self._lock:
+            if self._entries.get(key) is result:
+                self._texts[key] = text
+        return text
+
     def _remember(self, key, result):
         self._entries[key] = result
         self._entries.move_to_end(key)
+        self._texts.pop(key, None)
         while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+            evicted, _ = self._entries.popitem(last=False)
+            self._texts.pop(evicted, None)
 
     def _count(self, verb, hit):
         if hit:

@@ -264,6 +264,22 @@ def test_failed_run_raises_with_diagnostics(tmp_path):
     assert runner.metrics.failures
 
 
+def test_inline_run_honours_its_timeout():
+    """``--jobs 1`` runs in this process, under the same per-run
+    deadline a pool worker gets, reported the same way."""
+    runner = SuiteRunner(jobs=1, use_cache=False)
+    started = time.perf_counter()
+    with pytest.raises(SuiteRunError) as excinfo:
+        runner.run([JobSpec(verb="run", source=TINY, name="tiny",
+                            options=RunOptions(timeout=1.0),
+                            delay=4.0)])
+    assert time.perf_counter() - started < 3.0
+    [(_, status, error)] = excinfo.value.failures
+    assert status == "timeout"
+    assert "1s timeout" in error
+    assert runner.metrics.records[-1].status == "timeout"
+
+
 def test_manual_variant_resolution_errors_before_running():
     from repro.workloads import all_workloads
     name = next(w.name for w in all_workloads()

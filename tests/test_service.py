@@ -535,7 +535,8 @@ def test_cache_key_depends_on_report_schema(monkeypatch):
     from repro.jit.stl import StlOptions
     from repro.core.pipeline import VmOptions
     from repro.hydra.config import HydraConfig
-    key_args = (TINY, (), HydraConfig(), StlOptions(), VmOptions())
+    key_args = (TINY, (), cache_module.options_fingerprint(
+        HydraConfig(), StlOptions(), VmOptions()))
     before = cache_module.cache_key(*key_args, salt="s")
     monkeypatch.setattr(cache_module, "REPORT_SCHEMA_VERSION",
                         REPORT_SCHEMA_VERSION + 1)
@@ -632,3 +633,185 @@ def test_traced_daemon_run_correlates_request_id(service):
         assert stamped
         assert all(e["args"]["request_id"] == request_id
                    for e in stamped)
+
+
+# ---------------------------------------------------------------------------
+# store hits from bytes: keys and wire frames stay what they were
+# ---------------------------------------------------------------------------
+
+#: ``job_fingerprint(..., salt="s")`` of BitOps at size "small", as the
+#: key was computed before its options part was memoized
+PINNED_KEYS = {
+    ("run", "default"):
+        "55a070c13b48c9ebe9ca03fd56b336fe31b205de2ea9749c5c8a79baa38d8eaf",
+    ("run", "cpus2-trace"):
+        "5de76a6548d8e43d2fc62cdda212aa56270c30d555f7999101030dbd3daab96b",
+    ("run", "old-reference-epochs3"):
+        "3b261a2411cbf6aebe4d4a0fb45abb8fa6204dcaaa53bb823d1d3aad6ac6d7db",
+    ("run_adaptive", "default"):
+        "a4467efa7e7bf9efb6b170b4d8b7b24dbbd25c7d928a4d74f123f3d20cdfedde",
+    ("run_adaptive", "cpus2-trace"):
+        "3659fafcc11dd47038a6ba145ceef80c19120cd4a6c2f928aebc7ece4dc5d510",
+    ("run_adaptive", "old-reference-epochs3"):
+        "41ad4c13cc52bf0927ec5c19a8d42a8fc5102477436147096418cdc1d2b7ad2d",
+    ("profile", "default"):
+        "6fda580194984a00399216a28e0b2e4e9ddd5deb7d85467f36a14c71e36a4cf6",
+    ("profile", "cpus2-trace"):
+        "1bb91a6232ffb2e85745b4b91784ea4a3b568d3d642fe6b6ee0f075d450418c8",
+    ("profile", "old-reference-epochs3"):
+        "5f513fa88b8e990fd987c26a9f8363e4ffb4b0bcbaf912d0daea1fa464223ff9",
+}
+
+PINNED_OPTIONS = {
+    "default": dict(),
+    "cpus2-trace": dict(cpus=2, trace=True),
+    "old-reference-epochs3": dict(old_handlers=True, engine="reference",
+                                  epochs=3),
+}
+
+
+def _bitops_spec(verb, **options):
+    return JobSpec(verb=verb, source=lookup("BitOps").source("small"),
+                   name="BitOps", options=RunOptions(**options))
+
+
+def test_job_fingerprint_keys_are_pinned():
+    from repro.service import job_fingerprint
+    for _ in range(2):                 # cold, then memoized
+        for (verb, label), digest in PINNED_KEYS.items():
+            spec = _bitops_spec(verb, **PINNED_OPTIONS[label])
+            assert job_fingerprint(spec, salt="s") == digest, (verb, label)
+
+
+def test_job_fingerprint_follows_a_mutated_option():
+    """The memo is keyed on the field values, not on the options
+    object: changing a keyed field after a lookup changes the key."""
+    from repro.service import job_fingerprint
+    spec = _bitops_spec("run")
+    assert job_fingerprint(spec, salt="s") == PINNED_KEYS["run", "default"]
+    spec.options.cpus = 2
+    spec.options.trace = True
+    assert job_fingerprint(spec, salt="s") == \
+        PINNED_KEYS["run", "cpus2-trace"]
+    spec.options.epochs = 3            # inert under run ...
+    assert job_fingerprint(spec, salt="s") == \
+        PINNED_KEYS["run", "cpus2-trace"]
+    spec.verb = "run_adaptive"         # ... key material under run_adaptive
+    assert job_fingerprint(spec, salt="s") != job_fingerprint(
+        _bitops_spec("run_adaptive", cpus=2, trace=True), salt="s")
+    # equal hashes, different JSON: True and 1 key apart
+    assert job_fingerprint(_bitops_spec("run", cpus=True), salt="s") != \
+        job_fingerprint(_bitops_spec("run", cpus=1), salt="s")
+    # a wire value the memo cannot hash is keyed as before, unmemoized
+    assert job_fingerprint(_bitops_spec("run", cpus=[2]), salt="s") == \
+        "10c7d6a0e5f1e99a2dcaa6961835f82c63307288d27d3a40d0dff5eb931b3bcc"
+
+
+def test_encode_response_equals_the_whole_frame_encoding():
+    result = execute_job(JobSpec(verb="run", source=TINY, name="tiny"))
+    result_json = protocol.encode_result(result)
+    for request_id in ("r1", 7, None, "über-日本",
+                       {"b": 1, "a": [2]}):
+        for cached in (False, True):
+            for elapsed in (0.0, 0.2134567891, 1e-07, 12.5, 3):
+                frame = {"v": protocol.PROTOCOL_VERSION, "id": request_id,
+                         "ok": True, "cached": cached,
+                         "elapsed": round(elapsed, 6), "result": result}
+                assert protocol.encode_response(
+                    request_id, result_json, cached, elapsed) == \
+                    protocol.encode_frame(frame)
+
+
+def _raw_result_text(line):
+    """The ``result`` text of one encoded success frame (keys sorted,
+    so it is the span between ``"result":`` and the trailing ``v``)."""
+    head, tail = b',"result":', b',"v":%d}\n' % protocol.PROTOCOL_VERSION
+    assert line.endswith(tail)
+    return line[line.index(head) + len(head):-len(tail)]
+
+
+def test_miss_and_hit_replies_carry_identical_result_bytes(service):
+    raw = socket_module.socket(socket_module.AF_UNIX,
+                               socket_module.SOCK_STREAM)
+    raw.settimeout(60.0)
+    raw.connect(service.socket_path)
+    try:
+        reader = raw.makefile("rb")
+        payload = {"source": TINY, "name": "tiny",
+                   "options": RunOptions().to_dict()}
+        lines = []
+        for request_id in ("miss", "hit"):
+            raw.sendall(protocol.encode_frame(
+                protocol.make_request(request_id, "run", payload)))
+            lines.append(reader.readline())
+    finally:
+        raw.close()
+    miss, hit = (json.loads(line) for line in lines)
+    assert (miss["cached"], hit["cached"]) == (False, True)
+    assert "metrics" not in miss["result"]
+    assert _raw_result_text(lines[0]) == _raw_result_text(lines[1])
+
+
+def test_store_encodes_each_entry_once_and_evicts_its_text():
+    store = ArtifactStore(max_entries=2)
+    specs = [JobSpec(verb="compile", source=source, name=name)
+             for source, name in ((TINY, "a"), (OTHER, "b"), (TINY, "c"))]
+    keys = [store.key_of(spec) for spec in specs]
+    results = [{"name": spec.name, "cycles": [index] * 50}
+               for index, spec in enumerate(specs)]
+    texts = []
+    for spec, key, result in zip(specs[:2], keys, results):
+        store.put(spec, result)
+        texts.append(store.result_text(key, result))
+        assert store.result_text(key, result) is texts[-1]
+        assert texts[-1] == protocol.encode_result(result)
+    store.put(specs[2], results[2])            # evicts entry 0
+    store.result_text(keys[2], results[2])
+    assert store.get(specs[0], count=False) is None
+    assert set(store._texts) == {keys[1], keys[2]}
+    again = store.result_text(keys[0], results[0])
+    assert again == texts[0] and again is not texts[0]
+    assert keys[0] not in store._texts
+    # a result that is not the stored entry is encoded, never kept
+    other = dict(results[1])
+    assert store.result_text(keys[1], other) is not texts[1]
+    assert store.result_text(keys[1], results[1]) is texts[1]
+
+
+def test_store_texts_stay_consistent_under_concurrent_puts():
+    """Puts, evictions and lazy encodes from many threads at once: every
+    text returned matches its result, and no text outlives its entry."""
+    import sys
+    store = ArtifactStore(max_entries=3)
+    specs = [JobSpec(verb="compile", source=TINY, name="n%d" % index)
+             for index in range(8)]
+    keys = [store.key_of(spec) for spec in specs]
+    errors = []
+
+    def churn(offset):
+        try:
+            for step in range(300):
+                index = (offset + step) % len(specs)
+                result = {"name": specs[index].name, "step": step}
+                store.put(specs[index], result)
+                text = store.result_text(keys[index], result)
+                if text != protocol.encode_result(result):
+                    errors.append((index, step))
+        except Exception as error:         # surfaced by the assert below
+            errors.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=churn, args=(offset,))
+                   for offset in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert set(store._texts) <= set(store._entries)
+    assert len(store) <= 3

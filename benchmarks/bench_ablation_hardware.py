@@ -3,154 +3,94 @@ argument of §1 ("decompositions can be tailored dynamically for specific
 hardware"): CPU count sweep, speculative buffer sizing, and the cost of
 the write-through memory system."""
 
-import pytest
+from repro.minijava import compile_source
+from repro.workloads import lookup
 
-from harness import HydraConfig, geomean, run_workload, write_result
+from harness import (HydraConfig, Jrpm, geomean, run_workload,
+                     write_result)
 
 SWEEP_BENCHMARKS = ["IDEA", "raytrace", "FourierTest", "decJpeg", "euler"]
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_cpu_count_sweep(benchmark):
+def test_cpu_count_sweep():
     rows = ["CPU count sweep (geomean speedup over %s)"
             % ", ".join(SWEEP_BENCHMARKS)]
-
-    def experiment():
-        means = {}
-        for cpus in (2, 4, 8):
-            speedups = []
-            for name in SWEEP_BENCHMARKS:
-                report = run_workload(name, tag="cpus%d" % cpus,
-                                      config=HydraConfig(num_cpus=cpus))
-                speedups.append(report.tls_speedup)
-            means[cpus] = geomean(speedups)
-            rows.append("  %d CPUs: geomean %.2fx" % (cpus, means[cpus]))
-        return means
-
-    means = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    means = {}
+    for cpus in (2, 4, 8):
+        speedups = []
+        for name in SWEEP_BENCHMARKS:
+            report = run_workload(name, tag="cpus%d" % cpus,
+                                  config=HydraConfig(num_cpus=cpus))
+            speedups.append(report.tls_speedup)
+        means[cpus] = geomean(speedups)
+        rows.append("  %d CPUs: geomean %.2fx" % (cpus, means[cpus]))
     assert means[2] < means[4] < means[8]
     assert means[8] > 4.0
-    write_result(
-        "ablation_cpus", rows,
-        metrics={"geomean_%dcpus" % c: m for c, m in means.items()},
-        config={"benchmarks": SWEEP_BENCHMARKS},
-        regression={"geomean_4cpus": "higher_is_better",
-                    "geomean_8cpus": "higher_is_better"})
+    write_result("ablation_cpus", rows)
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_store_buffer_sizing(benchmark):
+def test_store_buffer_sizing():
     """Shrinking the store buffers forces overflow stalls on loops that
     the default hardware runs cleanly (the fft/large-iteration effect of
     §6.2)."""
     rows = ["store-buffer sizing on euler (2D stencil)"]
-
-    def experiment():
-        default = run_workload("euler")
-        tiny = run_workload(
-            "euler", tag="tiny-buffers",
-            config=HydraConfig(store_buffer_lines=2, load_buffer_lines=16))
-        rows.append("  default buffers: %.2fx, %d overflow stalls"
-                    % (default.tls_speedup,
-                       default.breakdown.overflow_stalls))
-        rows.append("  tiny buffers:    %.2fx, %d overflow stalls"
-                    % (tiny.tls_speedup, tiny.breakdown.overflow_stalls))
-        return default.tls_speedup, tiny.tls_speedup
-
-    default_speedup, tiny_speedup = benchmark.pedantic(
-        experiment, rounds=1, iterations=1)
+    default = run_workload("euler")
+    tiny = run_workload(
+        "euler", tag="tiny-buffers",
+        config=HydraConfig(store_buffer_lines=2, load_buffer_lines=16))
+    rows.append("  default buffers: %.2fx, %d overflow stalls"
+                % (default.tls_speedup, default.breakdown.overflow_stalls))
+    rows.append("  tiny buffers:    %.2fx, %d overflow stalls"
+                % (tiny.tls_speedup, tiny.breakdown.overflow_stalls))
     # With tiny buffers either the selector avoids the loops (fewer
     # STLs -> less speedup) or stalls eat the gain.
-    assert tiny_speedup <= default_speedup + 0.05
-    write_result("ablation_buffers", rows,
-                 metrics={"default_speedup": default_speedup,
-                          "tiny_buffer_speedup": tiny_speedup},
-                 config={"workload": "euler"},
-                 regression={"default_speedup": "higher_is_better"})
+    assert tiny.tls_speedup <= default.tls_speedup + 0.05
+    write_result("ablation_buffers", rows)
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_interprocessor_latency_matters_for_sync(benchmark):
+def test_interprocessor_latency_matters_for_sync():
     """Synchronizing locks forward values between CPUs, so inflating the
     interprocessor latency slows sync-bound benchmarks."""
     rows = ["interprocessor latency on monteCarlo (sync-lock bound)"]
-
-    def experiment():
-        fast = run_workload("monteCarlo")
-        slow = run_workload(
-            "monteCarlo", tag="slow-bus",
-            config=HydraConfig(interprocessor_cycles=60))
-        rows.append("  10-cycle forwarding: %.2fx" % fast.tls_speedup)
-        rows.append("  60-cycle forwarding: %.2fx" % slow.tls_speedup)
-        return fast.tls_speedup, slow.tls_speedup
-
-    fast_speedup, slow_speedup = benchmark.pedantic(
-        experiment, rounds=1, iterations=1)
-    assert slow_speedup < fast_speedup
-    write_result("ablation_interprocessor", rows,
-                 metrics={"fast_bus_speedup": fast_speedup,
-                          "slow_bus_speedup": slow_speedup},
-                 config={"workload": "monteCarlo"},
-                 regression={"fast_bus_speedup": "higher_is_better"})
+    fast = run_workload("monteCarlo")
+    slow = run_workload(
+        "monteCarlo", tag="slow-bus",
+        config=HydraConfig(interprocessor_cycles=60))
+    rows.append("  10-cycle forwarding: %.2fx" % fast.tls_speedup)
+    rows.append("  60-cycle forwarding: %.2fx" % slow.tls_speedup)
+    assert slow.tls_speedup < fast.tls_speedup
+    write_result("ablation_interprocessor", rows)
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_profile_iteration_target(benchmark):
+def test_profile_iteration_target():
     """§8 future work: 'how much profiling is needed before
     recompilation' — sweep the 1000-iteration heuristic."""
     rows = ["profiling iteration target sweep on raytrace"]
-
-    def experiment():
-        totals = {}
-        for target in (100, 1000, 10000):
-            report = run_workload(
-                "raytrace", tag="target%d" % target,
-                config=HydraConfig(profile_iteration_target=target))
-            totals[target] = report.total_speedup
-            rows.append("  target %5d iterations: total speedup %.2fx "
-                        "(profile fraction %.2f)"
-                        % (target, report.total_speedup,
-                           report.profile_fraction))
-        return totals
-
-    totals = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    totals = {}
+    for target in (100, 1000, 10000):
+        report = run_workload(
+            "raytrace", tag="target%d" % target,
+            config=HydraConfig(profile_iteration_target=target))
+        totals[target] = report.total_speedup
+        rows.append("  target %5d iterations: total speedup %.2fx "
+                    "(profile fraction %.2f)"
+                    % (target, report.total_speedup,
+                       report.profile_fraction))
     # Less profiling -> less time spent in the slow annotated run.
     assert totals[100] >= totals[10000]
-    write_result(
-        "ablation_profile_target", rows,
-        metrics={"total_speedup_target%d" % t: s
-                 for t, s in totals.items()},
-        config={"workload": "raytrace"},
-        regression={"total_speedup_target1000": "higher_is_better"})
+    write_result("ablation_profile_target", rows)
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_dataset_sensitivity(benchmark):
+def test_dataset_sensitivity():
     """Table 3 column (b): for data-set sensitive programs the selected
     decomposition (or its level) changes with the input size."""
-    import harness
-    from repro.minijava import compile_source
-    from repro.workloads import lookup
-    from repro.core.pipeline import Jrpm
     rows = ["data-set sensitivity: selected STLs at small vs large"]
-
-    def experiment():
-        changed = 0
-        for name in ("LuFactor", "euler", "shallow"):
-            workload = lookup(name)
-            small = Jrpm().run(compile_source(workload.source("small")))
-            large = Jrpm().run(compile_source(workload.source("large")))
-            small_sel = sorted(p.meta.ordinal
-                               for p in small.plans.values())
-            large_sel = sorted(p.meta.ordinal
-                               for p in large.plans.values())
-            if small_sel != large_sel:
-                changed += 1
-            rows.append("  %-10s small=%s large=%s"
-                        % (name, small_sel, large_sel))
-        return changed
-
-    changed = benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result("ablation_dataset", rows,
-                 metrics={"selection_changed": changed},
-                 config={"workloads": ["LuFactor", "euler", "shallow"]})
+    for name in ("LuFactor", "euler", "shallow"):
+        workload = lookup(name)
+        small = Jrpm().run(compile_source(workload.source("small")))
+        large = Jrpm().run(compile_source(workload.source("large")))
+        small_sel = sorted(p.meta.ordinal for p in small.plans.values())
+        large_sel = sorted(p.meta.ordinal for p in large.plans.values())
+        rows.append("  %-10s small=%s large=%s"
+                    % (name, small_sel, large_sel))
+    write_result("ablation_dataset", rows)

@@ -20,8 +20,6 @@ experiments:
   it there (this is the ISSUE acceptance scenario).
 """
 
-import pytest
-
 from repro.core.pipeline import Jrpm
 from repro.hydra.config import HydraConfig
 from repro.minijava import compile_source
@@ -61,86 +59,54 @@ def _mispredicting_config():
                        min_iterations_per_entry=1.0)
 
 
-@pytest.mark.benchmark(group="adapt")
-def test_adapt_converges_within_epoch_budget(benchmark):
+def test_adapt_converges_within_epoch_budget():
     rows = ["adaptive recompilation convergence (size small, "
             "epoch budget %d)" % EPOCH_BUDGET,
             "  %-10s %8s %10s %10s %10s %9s" % (
                 "workload", "epochs", "converged", "one-shot", "adaptive",
                 "decisions")]
-    metrics = {}
-
-    def experiment():
-        for name in WORKLOADS:
-            program = compile_source(lookup(name).source("small"))
-            one_shot = Jrpm().run(program, name=name)
-            report = Jrpm().run_adaptive(program, name=name,
-                                         epochs=EPOCH_BUDGET, verify=True)
-            log = report.adaptation
-            assert report.outputs_match()
-            assert log.converged_epoch is not None, (
-                "%s did not reach a stable plan set in %d epochs"
-                % (name, EPOCH_BUDGET))
-            # the settled plan is never materially slower than one-shot
-            assert log.final_cycles <= one_shot.tls.cycles * 1.02, (
-                "%s: adaptive steady state %.0f cycles vs one-shot %.0f"
-                % (name, log.final_cycles, one_shot.tls.cycles))
-            rows.append("  %-10s %8d %10d %9.2fx %9.2fx %9d"
-                        % (name, log.epochs_run, log.converged_epoch,
-                           one_shot.tls_speedup, report.tls_speedup,
-                           len(log.applied_decisions())))
-            metrics["converged_epoch_%s" % name] = log.converged_epoch
-            metrics["adaptive_speedup_%s" % name] = report.tls_speedup
-        return True
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result(
-        "adapt_convergence", rows, metrics=metrics,
-        config={"workloads": list(WORKLOADS),
-                "epoch_budget": EPOCH_BUDGET},
-        regression={"converged_epoch_%s" % name: "lower_is_better"
-                    for name in WORKLOADS})
-
-
-@pytest.mark.benchmark(group="adapt")
-def test_adapt_recovers_from_misprediction(benchmark):
-    rows = ["misprediction recovery (permissive admission, "
-            "serial-dependence loop)"]
-    metrics = {}
-
-    def experiment():
-        program = compile_source(SERIAL_DEP)
-        jrpm = Jrpm(config=_mispredicting_config())
-        report = jrpm.run_adaptive(program, name="serialDep",
-                                   args=(300,), epochs=EPOCH_BUDGET,
-                                   verify=True)
+    for name in WORKLOADS:
+        program = compile_source(lookup(name).source("small"))
+        one_shot = Jrpm().run(program, name=name)
+        report = Jrpm().run_adaptive(program, name=name,
+                                     epochs=EPOCH_BUDGET, verify=True)
         log = report.adaptation
         assert report.outputs_match()
-        decisions = log.applied_decisions()
-        assert decisions, "controller applied no decisions at all"
-        assert log.final_cycles < log.initial_cycles, (
-            "adaptation did not beat the initial selection: "
-            "%.0f -> %.0f cycles"
-            % (log.initial_cycles, log.final_cycles))
-        gain = log.steady_state_gain
-        rows.append("  epoch 0:      %12.0f cycles (mispredicted plan)"
-                    % log.initial_cycles)
-        rows.append("  steady state: %12.0f cycles (%.2fx gain, "
-                    "%d epochs)"
-                    % (log.final_cycles, gain, log.epochs_run))
-        rows.append("  net cycles saved vs staying one-shot: %.0f"
-                    % log.net_cycles_saved)
-        for decision in decisions:
-            rows.append("  applied: %s" % decision.describe())
-        metrics.update(steady_state_gain=gain,
-                       initial_cycles=log.initial_cycles,
-                       final_cycles=log.final_cycles,
-                       decisions_applied=len(decisions))
-        return gain
+        assert log.converged_epoch is not None, (
+            "%s did not reach a stable plan set in %d epochs"
+            % (name, EPOCH_BUDGET))
+        # the settled plan is never materially slower than one-shot
+        assert log.final_cycles <= one_shot.tls.cycles * 1.02, (
+            "%s: adaptive steady state %.0f cycles vs one-shot %.0f"
+            % (name, log.final_cycles, one_shot.tls.cycles))
+        rows.append("  %-10s %8d %10d %9.2fx %9.2fx %9d"
+                    % (name, log.epochs_run, log.converged_epoch,
+                       one_shot.tls_speedup, report.tls_speedup,
+                       len(log.applied_decisions())))
+    write_result("adapt_convergence", rows)
 
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result(
-        "adapt_misprediction", rows, metrics=metrics,
-        config={"loop": "serialDep", "epoch_budget": EPOCH_BUDGET},
-        regression={"steady_state_gain": "higher_is_better",
-                    "final_cycles": "lower_is_better"})
+
+def test_adapt_recovers_from_misprediction():
+    rows = ["misprediction recovery (permissive admission, "
+            "serial-dependence loop)"]
+    program = compile_source(SERIAL_DEP)
+    jrpm = Jrpm(config=_mispredicting_config())
+    report = jrpm.run_adaptive(program, name="serialDep", args=(300,),
+                               epochs=EPOCH_BUDGET, verify=True)
+    log = report.adaptation
+    assert report.outputs_match()
+    decisions = log.applied_decisions()
+    assert decisions, "controller applied no decisions at all"
+    assert log.final_cycles < log.initial_cycles, (
+        "adaptation did not beat the initial selection: "
+        "%.0f -> %.0f cycles" % (log.initial_cycles, log.final_cycles))
+    rows.append("  epoch 0:      %12.0f cycles (mispredicted plan)"
+                % log.initial_cycles)
+    rows.append("  steady state: %12.0f cycles (%.2fx gain, %d epochs)"
+                % (log.final_cycles, log.steady_state_gain,
+                   log.epochs_run))
+    rows.append("  net cycles saved vs staying one-shot: %.0f"
+                % log.net_cycles_saved)
+    for decision in decisions:
+        rows.append("  applied: %s" % decision.describe())
+    write_result("adapt_misprediction", rows)

@@ -3,155 +3,88 @@ during profiling, TEST-predicted TLS time, and actual TLS time (4 CPUs),
 plus the §1/§6 headline category speedup bands.
 """
 
-import pytest
-
 from repro.workloads import (CATEGORY_SPEEDUP_BANDS, FLOATING, INTEGER,
                              MULTIMEDIA, by_category)
 
-from harness import SIZE, baseline_reports, geomean, write_result
+from harness import baseline_reports, geomean, write_result
 
 
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_normalized_execution(benchmark):
-    rows = []
-    metrics = {}
-
-    def experiment():
-        reports = benchmark_reports[0]
-        rows.append("Figure 8 - normalized execution time "
-                    "(1.0 = sequential; lower is faster)")
-        rows.append("%-14s %10s %10s %8s %8s"
-                    % ("benchmark", "profiling", "predicted", "actual",
-                       "speedup"))
-        for category in (INTEGER, FLOATING, MULTIMEDIA):
-            rows.append("-- %s --" % category)
-            for workload in by_category(category):
-                report = reports[workload.name]
-                predicted_norm = (report.predicted_tls_cycles
-                                  / report.sequential.cycles)
-                actual_norm = report.tls.cycles / report.sequential.cycles
-                rows.append("%-14s %10.3f %10.3f %8.3f %8.2fx"
-                            % (workload.name, report.profiling_slowdown,
-                               predicted_norm, actual_norm,
-                               report.tls_speedup))
-        metrics["workloads"] = len(reports)
-        metrics["geomean_tls_speedup"] = geomean(
-            [r.tls_speedup for r in reports.values()])
-        metrics["geomean_predicted_speedup"] = geomean(
-            [r.predicted_speedup for r in reports.values() if r.plans])
-        return len(reports)
-
-    benchmark_reports = [None]
-
-    def run_all():
-        benchmark_reports[0] = baseline_reports()
-        return experiment()
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
-    write_result("fig8_speedups", rows, metrics=metrics,
-                 config={"size": SIZE, "variant": "base"},
-                 regression={"geomean_tls_speedup": "higher_is_better"})
+def test_fig8_normalized_execution():
+    reports = baseline_reports()
+    rows = ["Figure 8 - normalized execution time "
+            "(1.0 = sequential; lower is faster)",
+            "%-14s %10s %10s %8s %8s"
+            % ("benchmark", "profiling", "predicted", "actual", "speedup")]
+    for category in (INTEGER, FLOATING, MULTIMEDIA):
+        rows.append("-- %s --" % category)
+        for workload in by_category(category):
+            report = reports[workload.name]
+            predicted_norm = (report.predicted_tls_cycles
+                              / report.sequential.cycles)
+            actual_norm = report.tls.cycles / report.sequential.cycles
+            rows.append("%-14s %10.3f %10.3f %8.3f %8.2fx"
+                        % (workload.name, report.profiling_slowdown,
+                           predicted_norm, actual_norm,
+                           report.tls_speedup))
+    write_result("fig8_speedups", rows)
 
 
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_profiling_slowdown_band(benchmark):
-    rows = []
-    metrics = {}
-
-    def experiment():
-        reports = baseline_reports()
-        slowdowns = {name: r.profiling_slowdown
-                     for name, r in reports.items()}
-        average = sum(slowdowns.values()) / len(slowdowns)
-        worst = max(slowdowns.values())
-        rows.append("Profiling slowdown (paper: avg 7.8%%, worst ~25%%)")
-        rows.append("measured: avg %.1f%%  worst %.1f%% (%s)"
-                    % ((average - 1) * 100, (worst - 1) * 100,
-                       max(slowdowns, key=slowdowns.get)))
-        # Shape: profiling is cheap — the whole point of TEST hardware.
-        assert average < 1.5
-        assert worst < 2.0
-        metrics["avg_profiling_slowdown"] = average
-        metrics["worst_profiling_slowdown"] = worst
-        return average
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result(
-        "fig8_profiling_band", rows, metrics=metrics,
-        config={"size": SIZE},
-        regression={"avg_profiling_slowdown": "lower_is_better"})
+def test_fig8_profiling_slowdown_band():
+    reports = baseline_reports()
+    slowdowns = {name: r.profiling_slowdown for name, r in reports.items()}
+    average = sum(slowdowns.values()) / len(slowdowns)
+    worst = max(slowdowns.values())
+    rows = ["Profiling slowdown (paper: avg 7.8%, worst ~25%)",
+            "measured: avg %.1f%%  worst %.1f%% (%s)"
+            % ((average - 1) * 100, (worst - 1) * 100,
+               max(slowdowns, key=slowdowns.get))]
+    # Shape: profiling is cheap — the whole point of TEST hardware.
+    assert average < 1.5
+    assert worst < 2.0
+    write_result("fig8_profiling_band", rows)
 
 
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_category_speedup_bands(benchmark):
-    rows = []
-    metrics = {}
-
-    def experiment():
-        reports = baseline_reports()
-        rows.append("Headline speedup bands on 4 CPUs "
-                    "(paper: FP 3-4x, MM 2-3x, INT 1.5-2.5x)")
-        means = {}
-        for category in (INTEGER, FLOATING, MULTIMEDIA):
-            speedups = [reports[w.name].tls_speedup
-                        for w in by_category(category)]
-            means[category] = geomean(speedups)
-            low, high = CATEGORY_SPEEDUP_BANDS[category]
-            rows.append("%-16s geomean %.2fx  (paper band %.1f-%.1fx; "
-                        "min %.2fx max %.2fx)"
-                        % (category, means[category], low, high,
-                           min(speedups), max(speedups)))
-        # Shape checks: ordering of categories matches the paper.
-        assert means[FLOATING] > means[INTEGER]
-        assert means[FLOATING] > 2.3
-        assert means[MULTIMEDIA] > 1.8
-        assert 1.2 < means[INTEGER]
-        for category, mean in means.items():
-            metrics["geomean_%s" % category.replace(" ", "_")] = mean
-        return means[FLOATING]
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result(
-        "fig8_category_bands", rows, metrics=metrics,
-        config={"size": SIZE},
-        regression={"geomean_%s" % c.replace(" ", "_"): "higher_is_better"
-                    for c in (INTEGER, FLOATING, MULTIMEDIA)})
+def test_fig8_category_speedup_bands():
+    reports = baseline_reports()
+    rows = ["Headline speedup bands on 4 CPUs "
+            "(paper: FP 3-4x, MM 2-3x, INT 1.5-2.5x)"]
+    means = {}
+    for category in (INTEGER, FLOATING, MULTIMEDIA):
+        speedups = [reports[w.name].tls_speedup
+                    for w in by_category(category)]
+        means[category] = geomean(speedups)
+        low, high = CATEGORY_SPEEDUP_BANDS[category]
+        rows.append("%-16s geomean %.2fx  (paper band %.1f-%.1fx; "
+                    "min %.2fx max %.2fx)"
+                    % (category, means[category], low, high,
+                       min(speedups), max(speedups)))
+    # Shape checks: ordering of categories matches the paper.
+    assert means[FLOATING] > means[INTEGER]
+    assert means[FLOATING] > 2.3
+    assert means[MULTIMEDIA] > 1.8
+    assert 1.2 < means[INTEGER]
+    write_result("fig8_category_bands", rows)
 
 
-@pytest.mark.benchmark(group="fig8")
-def test_fig8_prediction_tracks_actual(benchmark):
-    rows = []
-    metrics = {}
-
-    def experiment():
-        reports = baseline_reports()
-        optimistic = 0
-        close = 0
-        for name, report in reports.items():
-            if not report.plans:
-                continue
-            ratio = report.predicted_speedup / max(report.tls_speedup, 1e-9)
-            if ratio >= 1.0:
-                optimistic += 1
-            if 0.5 < ratio < 2.5:
-                close += 1
-        total = sum(1 for r in reports.values() if r.plans)
-        rows.append("TEST prediction vs actual (paper: predictions are "
-                    "optimistic; violations are not modeled)")
-        rows.append("predictions within 0.5x-2.5x of actual: %d/%d"
-                    % (close, total))
-        rows.append("predictions >= actual (optimistic): %d/%d"
-                    % (optimistic, total))
-        assert close >= total * 0.8
-        # Predictions skew optimistic, as §6.2 reports.
-        assert optimistic >= total * 0.5
-        metrics.update(predictions_close=close,
-                       predictions_optimistic=optimistic,
-                       predictions_total=total)
-        return close
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result(
-        "fig8_prediction_quality", rows, metrics=metrics,
-        config={"size": SIZE},
-        regression={"predictions_close": "higher_is_better"})
+def test_fig8_prediction_tracks_actual():
+    reports = baseline_reports()
+    optimistic = 0
+    close = 0
+    for name, report in reports.items():
+        if not report.plans:
+            continue
+        ratio = report.predicted_speedup / max(report.tls_speedup, 1e-9)
+        if ratio >= 1.0:
+            optimistic += 1
+        if 0.5 < ratio < 2.5:
+            close += 1
+    total = sum(1 for r in reports.values() if r.plans)
+    rows = ["TEST prediction vs actual (paper: predictions are "
+            "optimistic; violations are not modeled)",
+            "predictions within 0.5x-2.5x of actual: %d/%d" % (close, total),
+            "predictions >= actual (optimistic): %d/%d"
+            % (optimistic, total)]
+    assert close >= total * 0.8
+    # Predictions skew optimistic, as §6.2 reports.
+    assert optimistic >= total * 0.5
+    write_result("fig8_prediction_quality", rows)

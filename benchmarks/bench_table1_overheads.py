@@ -6,8 +6,6 @@ per-entry / per-iteration overhead of an STL with a near-empty body
 matches the configured handler costs.
 """
 
-import pytest
-
 from repro.hydra.config import HydraConfig, SpeculationOverheads
 from repro.minijava import compile_source
 from repro.core.pipeline import Jrpm
@@ -39,86 +37,55 @@ def _measure_overheads(overheads):
     return report, breakdown.overhead / commits
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_handler_overheads(benchmark):
-    rows = []
-    metrics = {}
+def test_table1_handler_overheads():
+    new = SpeculationOverheads.new_handlers()
+    old = SpeculationOverheads.old_handlers()
+    rows = ["Table 1 - TLS overheads (cycles)",
+            "%-16s %6s %6s" % ("operation", "New", "Old")]
+    for field, label in [("startup", "STL_STARTUP"),
+                         ("shutdown", "STL_SHUTDOWN"),
+                         ("eoi", "STL_EOI"),
+                         ("restart", "STL_RESTART")]:
+        rows.append("%-16s %6d %6d"
+                    % (label, getattr(new, field), getattr(old, field)))
 
-    def experiment():
-        new = SpeculationOverheads.new_handlers()
-        old = SpeculationOverheads.old_handlers()
-        rows.append("Table 1 - TLS overheads (cycles)")
-        rows.append("%-16s %6s %6s" % ("operation", "New", "Old"))
-        for field, label in [("startup", "STL_STARTUP"),
-                             ("shutdown", "STL_SHUTDOWN"),
-                             ("eoi", "STL_EOI"),
-                             ("restart", "STL_RESTART")]:
-            rows.append("%-16s %6d %6d"
-                        % (label, getattr(new, field), getattr(old, field)))
-
-        report_new, per_commit_new = _measure_overheads(new)
-        report_old, per_commit_old = _measure_overheads(old)
-        rows.append("")
-        rows.append("measured overhead cycles per committed thread "
-                    "(empty-body STL):")
-        rows.append("  new handlers: %.1f   old handlers: %.1f"
-                    % (per_commit_new, per_commit_old))
-        rows.append("  TLS time new/old: %.0f / %.0f cycles"
-                    % (report_new.tls.cycles, report_old.tls.cycles))
-        # Shape check: old handlers must cost visibly more.
-        assert per_commit_old > per_commit_new
-        assert report_old.tls.cycles > report_new.tls.cycles
-        # EOI dominates the per-commit overhead for a tight loop.
-        assert per_commit_new >= new.eoi
-        metrics.update(per_commit_new=per_commit_new,
-                       per_commit_old=per_commit_old,
-                       tls_cycles_new=report_new.tls.cycles,
-                       tls_cycles_old=report_old.tls.cycles)
-        return per_commit_new
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result(
-        "table1_overheads", rows, metrics=metrics,
-        config={"loop": "empty-body"},
-        regression={"per_commit_new": "lower_is_better",
-                    "tls_cycles_new": "lower_is_better"})
+    report_new, per_commit_new = _measure_overheads(new)
+    report_old, per_commit_old = _measure_overheads(old)
+    rows.append("")
+    rows.append("measured overhead cycles per committed thread "
+                "(empty-body STL):")
+    rows.append("  new handlers: %.1f   old handlers: %.1f"
+                % (per_commit_new, per_commit_old))
+    rows.append("  TLS time new/old: %.0f / %.0f cycles"
+                % (report_new.tls.cycles, report_old.tls.cycles))
+    # Shape check: old handlers must cost visibly more.
+    assert per_commit_old > per_commit_new
+    assert report_old.tls.cycles > report_new.tls.cycles
+    # EOI dominates the per-commit overhead for a tight loop.
+    assert per_commit_new >= new.eoi
+    write_result("table1_overheads", rows)
 
 
-@pytest.mark.benchmark(group="table1")
-def test_fig2_hardware_constants(benchmark):
-    rows = []
-    metrics = {}
-
-    def experiment():
-        config = HydraConfig()
-        rows.append("Figure 2 - Hydra memory hierarchy")
-        rows.append("%-28s %10s" % ("parameter", "value"))
-        rows.append("%-28s %10d" % ("CPUs", config.num_cpus))
-        rows.append("%-28s %9dB" % ("L1 data cache", config.l1_size_bytes))
-        rows.append("%-28s %10d" % ("L1 associativity", config.l1_assoc))
-        rows.append("%-28s %9dB" % ("L2 cache", config.l2_size_bytes))
-        rows.append("%-28s %10d" % ("cache line bytes", config.line_bytes))
-        rows.append("%-28s %10d" % ("L2 latency (cycles)",
-                                    config.l2_hit_cycles))
-        rows.append("%-28s %10d" % ("interprocessor (cycles)",
-                                    config.interprocessor_cycles))
-        rows.append("%-28s %10d" % ("main memory (cycles)",
-                                    config.memory_cycles))
-        rows.append("%-28s %10d" % ("load buffer (lines/thread)",
-                                    config.load_buffer_lines))
-        rows.append("%-28s %10d" % ("store buffer (lines/thread)",
-                                    config.store_buffer_lines))
-        # Paper figure 2 values.
-        assert config.load_buffer_lines * config.line_bytes == 16 * 1024
-        assert config.store_buffer_lines * config.line_bytes == 2 * 1024
-        assert (config.l2_hit_cycles, config.interprocessor_cycles,
-                config.memory_cycles) == (5, 10, 50)
-        metrics.update(num_cpus=config.num_cpus,
-                       l1_size_bytes=config.l1_size_bytes,
-                       l2_size_bytes=config.l2_size_bytes,
-                       load_buffer_lines=config.load_buffer_lines,
-                       store_buffer_lines=config.store_buffer_lines)
-        return config.num_cpus
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result("fig2_hardware", rows, metrics=metrics)
+def test_fig2_hardware_constants():
+    config = HydraConfig()
+    rows = ["Figure 2 - Hydra memory hierarchy",
+            "%-28s %10s" % ("parameter", "value"),
+            "%-28s %10d" % ("CPUs", config.num_cpus),
+            "%-28s %9dB" % ("L1 data cache", config.l1_size_bytes),
+            "%-28s %10d" % ("L1 associativity", config.l1_assoc),
+            "%-28s %9dB" % ("L2 cache", config.l2_size_bytes),
+            "%-28s %10d" % ("cache line bytes", config.line_bytes),
+            "%-28s %10d" % ("L2 latency (cycles)", config.l2_hit_cycles),
+            "%-28s %10d" % ("interprocessor (cycles)",
+                            config.interprocessor_cycles),
+            "%-28s %10d" % ("main memory (cycles)", config.memory_cycles),
+            "%-28s %10d" % ("load buffer (lines/thread)",
+                            config.load_buffer_lines),
+            "%-28s %10d" % ("store buffer (lines/thread)",
+                            config.store_buffer_lines)]
+    # Paper figure 2 values.
+    assert config.load_buffer_lines * config.line_bytes == 16 * 1024
+    assert config.store_buffer_lines * config.line_bytes == 2 * 1024
+    assert (config.l2_hit_cycles, config.interprocessor_cycles,
+            config.memory_cycles) == (5, 10, 50)
+    write_result("fig2_hardware", rows)

@@ -2,8 +2,6 @@
 statistics: loop counts, nesting depth, selected STLs, thread sizes,
 threads per STL entry, serial fraction, and speculative buffer usage."""
 
-import pytest
-
 from repro.workloads import FLOATING, INTEGER, MULTIMEDIA, by_category
 
 from harness import baseline_reports, write_result
@@ -41,31 +39,22 @@ def _table3_row(workload, report):
             load_lines, store_lines)
 
 
-@pytest.mark.benchmark(group="table3")
-def test_table3_characteristics(benchmark):
-    rows = []
+def test_table3_characteristics():
+    reports = baseline_reports()
+    rows = ["Table 3 (a-k) - benchmark characteristics / TLS stats",
+            "%-14s %2s %2s %5s %5s %4s %5s %8s %9s %7s %6s %6s"
+            % ("benchmark", "a", "b", "loops", "depth", "sel", "avgD",
+               "thrSize", "thr/entry", "serial%", "ldLn", "stLn")]
     collected = {}
-
-    def experiment():
-        reports = baseline_reports()
-        rows.append("Table 3 (a-k) - benchmark characteristics / TLS stats")
-        rows.append("%-14s %2s %2s %5s %5s %4s %5s %8s %9s %7s %6s %6s"
-                    % ("benchmark", "a", "b", "loops", "depth", "sel",
-                       "avgD", "thrSize", "thr/entry", "serial%",
-                       "ldLn", "stLn"))
-        for category in (INTEGER, FLOATING, MULTIMEDIA):
-            rows.append("-- %s --" % category)
-            for workload in by_category(category):
-                row = _table3_row(workload, reports[workload.name])
-                collected[workload.name] = row
-                rows.append("%-14s %2s %2s %5d %5d %4d %5.1f %8.0f %9.1f "
-                            "%6.1f%% %6.1f %6.1f" % row)
-        return len(collected)
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
+    for category in (INTEGER, FLOATING, MULTIMEDIA):
+        rows.append("-- %s --" % category)
+        for workload in by_category(category):
+            row = _table3_row(workload, reports[workload.name])
+            collected[workload.name] = row
+            rows.append("%-14s %2s %2s %5d %5d %4d %5.1f %8.0f %9.1f "
+                        "%6.1f%% %6.1f %6.1f" % row)
 
     # Shape checks against the paper's qualitative observations (§6.1).
-    reports = baseline_reports()
     # "larger programs contain significant numbers of loops"
     assert max(row[3] for row in collected.values()) >= 8
     # Fewer than half the benchmarks look statically analyzable (col a).
@@ -80,43 +69,25 @@ def test_table3_characteristics(benchmark):
     # mp3/db/jess have visible serial fractions (column i).
     assert collected["db"][9] > 0 or collected["mp3"][9] > 0 \
         or collected["jess"][9] > 0
-    write_result(
-        "table3_characteristics", rows,
-        metrics={"workloads": len(collected),
-                 "analyzable": analyzable,
-                 "selected_any_stl": selected,
-                 "total_selected_stls": sum(row[5] for row in
-                                            collected.values())},
-        regression={"selected_any_stl": "higher_is_better"})
+    write_result("table3_characteristics", rows)
 
 
-@pytest.mark.benchmark(group="table3")
-def test_table3_buffer_usage_within_hardware_limits(benchmark):
-    rows = []
-    metrics = {}
-
-    def experiment():
-        reports = baseline_reports()
-        worst_load = worst_store = 0.0
-        for name, report in reports.items():
-            for stats in report.stl_run_stats.values():
-                if stats.threads_committed:
-                    worst_load = max(worst_load, stats.avg_load_lines)
-                    worst_store = max(worst_store, stats.avg_store_lines)
-        config = next(iter(reports.values())).config
-        rows.append("speculative buffer usage vs hardware limits")
-        rows.append("worst avg load lines:  %.1f / %d"
-                    % (worst_load, config.load_buffer_lines))
-        rows.append("worst avg store lines: %.1f / %d"
-                    % (worst_store, config.store_buffer_lines))
-        # The selector rejects overflow-prone loops, so committed
-        # threads stay within the buffers on average.
-        assert worst_load <= config.load_buffer_lines
-        assert worst_store <= config.store_buffer_lines
-        metrics.update(worst_avg_load_lines=worst_load,
-                       worst_avg_store_lines=worst_store)
-        return worst_load
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result("table3_buffers", rows, metrics=metrics,
-                 regression={"worst_avg_store_lines": "lower_is_better"})
+def test_table3_buffer_usage_within_hardware_limits():
+    reports = baseline_reports()
+    worst_load = worst_store = 0.0
+    for report in reports.values():
+        for stats in report.stl_run_stats.values():
+            if stats.threads_committed:
+                worst_load = max(worst_load, stats.avg_load_lines)
+                worst_store = max(worst_store, stats.avg_store_lines)
+    config = next(iter(reports.values())).config
+    rows = ["speculative buffer usage vs hardware limits",
+            "worst avg load lines:  %.1f / %d"
+            % (worst_load, config.load_buffer_lines),
+            "worst avg store lines: %.1f / %d"
+            % (worst_store, config.store_buffer_lines)]
+    # The selector rejects overflow-prone loops, so committed threads
+    # stay within the buffers on average.
+    assert worst_load <= config.load_buffer_lines
+    assert worst_store <= config.store_buffer_lines
+    write_result("table3_buffers", rows)

@@ -9,7 +9,10 @@ optimization (> 0% means the optimization helps).
 
 import pytest
 
-from harness import (StlOptions, VmOptions, run_workload, write_result)
+from repro.hydra.config import SpeculationOverheads
+
+from harness import (HydraConfig, StlOptions, VmOptions, run_workload,
+                     write_result)
 
 
 def _delta(name, **toggles):
@@ -48,87 +51,59 @@ EXPERIMENTS = [
 ]
 
 
-@pytest.mark.benchmark(group="table3-opt")
 @pytest.mark.parametrize("label,toggles,names",
                          EXPERIMENTS,
                          ids=[e[0].split(" - ")[1].split(" (")[0]
                               .replace(" ", "-").lower()
                               for e in EXPERIMENTS])
-def test_table3_optimization_column(benchmark, label, toggles, names):
+def test_table3_optimization_column(label, toggles, names):
     rows = [label]
-
-    def experiment():
-        deltas = {}
-        for name in names:
-            if toggles is None:
-                # Old handlers come through the hardware config.
-                from repro.hydra.config import (HydraConfig,
-                                                SpeculationOverheads)
-                base = run_workload(name)
-                old = run_workload(
-                    name, tag="old-handlers",
-                    config=HydraConfig(
-                        overheads=SpeculationOverheads.old_handlers()))
-                deltas[name] = 100.0 * (old.tls.cycles
-                                        / base.tls.cycles - 1.0)
-            else:
-                deltas[name] = _delta(name, **toggles)
-        for name, delta in deltas.items():
-            rows.append("  %-14s without: %+6.1f%% TLS time" % (name, delta))
-        return deltas
-
-    deltas = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    deltas = {}
+    for name in names:
+        if toggles is None:
+            # Old handlers come through the hardware config.
+            base = run_workload(name)
+            old = run_workload(
+                name, tag="old-handlers",
+                config=HydraConfig(
+                    overheads=SpeculationOverheads.old_handlers()))
+            deltas[name] = 100.0 * (old.tls.cycles / base.tls.cycles - 1.0)
+        else:
+            deltas[name] = _delta(name, **toggles)
+    for name, delta in deltas.items():
+        rows.append("  %-14s without: %+6.1f%% TLS time" % (name, delta))
     # Shape: disabling an optimization never helps much, and the paper's
     # showcase benchmark must show a visible cost.
     assert all(delta > -8.0 for delta in deltas.values()), deltas
     assert max(deltas.values()) > 1.0, (label, deltas)
     write_result("table3_opt_%s" %
                  label.split(" - ")[1].split(" (")[0].replace(" ", "_")
-                 .lower(), rows,
-                 metrics={"delta_pct_%s" % name: delta
-                          for name, delta in deltas.items()},
-                 config={"column": label})
+                 .lower(), rows)
 
 
-@pytest.mark.benchmark(group="table3-opt")
-def test_table3_hoisting_has_little_effect(benchmark):
+def test_table3_hoisting_has_little_effect():
     """Paper §6.2: 'The only compiler optimization that seems to have
     little effect is hoisting startup and shutdown handlers' — the two
     NeuralNet loops 'only benefit slightly from it'."""
     rows = ["Opt - Hoisting (paper: little effect)"]
-
-    def experiment():
-        deltas = {}
-        for name in ("NeuralNet", "euler"):
-            deltas[name] = _delta(name, hoisting=False)
-            rows.append("  %-14s without: %+6.1f%% TLS time"
-                        % (name, deltas[name]))
-        return deltas
-
-    deltas = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    deltas = {}
+    for name in ("NeuralNet", "euler"):
+        deltas[name] = _delta(name, hoisting=False)
+        rows.append("  %-14s without: %+6.1f%% TLS time"
+                    % (name, deltas[name]))
     # Small either way — hoisting must neither be load-bearing nor harmful.
     assert all(-5.0 < delta < 8.0 for delta in deltas.values()), deltas
-    write_result("table3_opt_hoisting", rows,
-                 metrics={"delta_pct_%s" % name: delta
-                          for name, delta in deltas.items()})
+    write_result("table3_opt_hoisting", rows)
 
 
-@pytest.mark.benchmark(group="table3-opt")
-def test_table3_inductor_optimization_is_critical(benchmark):
+def test_table3_inductor_optimization_is_critical():
     """Paper §6.2: 'without this critical optimization, performance
     suffers far too much to make a meaningful comparison'."""
     rows = ["Opt - Non-communicating inductors (critical)"]
-
-    def experiment():
-        worst = 0.0
-        for name in ("IDEA", "raytrace", "decJpeg"):
-            delta = _delta(name, noncomm_inductors=False)
-            rows.append("  %-14s without: %+6.1f%% TLS time" % (name, delta))
-            worst = max(worst, delta)
-        return worst
-
-    worst = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    worst = 0.0
+    for name in ("IDEA", "raytrace", "decJpeg"):
+        delta = _delta(name, noncomm_inductors=False)
+        rows.append("  %-14s without: %+6.1f%% TLS time" % (name, delta))
+        worst = max(worst, delta)
     assert worst > 25.0, "inductor communication should be crippling"
-    write_result("table3_opt_inductors", rows,
-                 metrics={"worst_delta_pct": worst},
-                 regression={"worst_delta_pct": "higher_is_better"})
+    write_result("table3_opt_inductors", rows)

@@ -6,8 +6,6 @@ as-written program and on the manually-transformed variant and reports
 the TLS speedup of each (the paper's Table 3 column (u) effect).
 """
 
-import pytest
-
 from repro.workloads import all_workloads
 
 from harness import run_workload, write_result
@@ -15,31 +13,24 @@ from harness import run_workload, write_result
 MANUAL = [w for w in all_workloads() if w.has_manual_variant]
 
 
-@pytest.mark.benchmark(group="table4")
-def test_table4_manual_transformations(benchmark):
-    rows = []
+def test_table4_manual_transformations():
+    rows = ["Table 4 - manual transformations",
+            "%-14s %5s %5s %6s %8s %8s %7s"
+            % ("benchmark", "diff", "auto?", "lines", "base", "manual",
+               "gain")]
     improvements = {}
-
-    def experiment():
-        rows.append("Table 4 - manual transformations")
-        rows.append("%-14s %5s %5s %6s %8s %8s %7s"
-                    % ("benchmark", "diff", "auto?", "lines",
-                       "base", "manual", "gain"))
-        for workload in MANUAL:
-            base = run_workload(workload.name)
-            manual = run_workload(workload.name, variant="manual")
-            notes = workload.manual_notes
-            gain = manual.tls_speedup / max(base.tls_speedup, 1e-9)
-            improvements[workload.name] = gain
-            rows.append("%-14s %5s %5s %6d %7.2fx %7.2fx %+6.0f%%"
-                        % (workload.name, notes["difficulty"],
-                           "Y" if notes["compiler_optimizable"] else "N",
-                           notes["lines"], base.tls_speedup,
-                           manual.tls_speedup, (gain - 1) * 100))
-            rows.append("    %s" % notes["operation"])
-        return improvements
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
+    for workload in MANUAL:
+        base = run_workload(workload.name)
+        manual = run_workload(workload.name, variant="manual")
+        notes = workload.manual_notes
+        gain = manual.tls_speedup / max(base.tls_speedup, 1e-9)
+        improvements[workload.name] = gain
+        rows.append("%-14s %5s %5s %6d %7.2fx %7.2fx %+6.0f%%"
+                    % (workload.name, notes["difficulty"],
+                       "Y" if notes["compiler_optimizable"] else "N",
+                       notes["lines"], base.tls_speedup,
+                       manual.tls_speedup, (gain - 1) * 100))
+        rows.append("    %s" % notes["operation"])
     # Shape: the transformations significantly improve performance on
     # the benchmarks whose parallelism the compiler cannot expose
     # (Huffman's sub-word streams, compress's dictionary, the MIPS
@@ -52,31 +43,19 @@ def test_table4_manual_transformations(benchmark):
     assert helped >= 3, improvements
     # And they never destroy performance outright.
     assert all(gain > 0.45 for gain in improvements.values()), improvements
-    write_result("table4_manual", rows,
-                 metrics={"gain_%s" % name: gain
-                          for name, gain in improvements.items()},
-                 regression={"gain_Huffman": "higher_is_better"})
+    write_result("table4_manual", rows)
 
 
-@pytest.mark.benchmark(group="table4")
-def test_table4_manual_variants_do_not_slow_sequential(benchmark):
+def test_table4_manual_variants_do_not_slow_sequential():
     """Paper: the transformations 'do not slowdown the original
     sequential execution' (within a modest tolerance)."""
     rows = ["manual variant sequential cost (vs as-written)"]
-
-    def experiment():
-        worst = 0.0
-        for workload in MANUAL:
-            base = run_workload(workload.name)
-            manual = run_workload(workload.name, variant="manual")
-            ratio = manual.sequential.cycles / base.sequential.cycles
-            worst = max(worst, ratio)
-            rows.append("  %-14s sequential x%.2f"
-                        % (workload.name, ratio))
-        return worst
-
-    worst = benchmark.pedantic(experiment, rounds=1, iterations=1)
+    worst = 0.0
+    for workload in MANUAL:
+        base = run_workload(workload.name)
+        manual = run_workload(workload.name, variant="manual")
+        ratio = manual.sequential.cycles / base.sequential.cycles
+        worst = max(worst, ratio)
+        rows.append("  %-14s sequential x%.2f" % (workload.name, ratio))
     assert worst < 2.0
-    write_result("table4_sequential_cost", rows,
-                 metrics={"worst_sequential_ratio": worst},
-                 regression={"worst_sequential_ratio": "lower_is_better"})
+    write_result("table4_sequential_cost", rows)

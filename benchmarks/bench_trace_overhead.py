@@ -4,7 +4,7 @@ The observability layer (``repro.trace``) must be effectively free when
 disabled and cheap when enabled:
 
 * **disabled** — the only cost is one ``is None`` test per emission
-  site, so a ``Jrpm()`` run must stay within 1%% of itself (measured as
+  site, so a ``Jrpm()`` run must stay within 1% of itself (measured as
   run-to-run noise against a second untraced run);
 * **enabled**  — events are emitted only on the control path (thread
   commits / restarts / handlers / loop edges), never per memory access,
@@ -44,15 +44,11 @@ metrics cost, never per-instruction work.
 
 import time
 
-import pytest
-
 from repro.core.pipeline import Jrpm
 from repro.metrics import (get_registry, observe_report, reset_registry,
                            set_enabled)
 from repro.minijava import compile_source
 from repro.workloads import lookup
-
-from harness import write_result
 
 ROUNDS = 3
 DISABLED_BUDGET = 1.01      # untraced vs untraced re-run (noise bound)
@@ -74,55 +70,39 @@ def _time_run(program, name, trace, rounds=ROUNDS):
     return best, report
 
 
-@pytest.mark.benchmark(group="trace")
-def test_trace_overhead_within_budget(benchmark):
-    rows = []
-    metrics = {}
-    workload = lookup("BitOps")
-    program = compile_source(workload.source("small"))
+def test_trace_overhead_within_budget():
+    program = compile_source(lookup("BitOps").source("small"))
+    # Warm the interpreter once before any timed sample.
+    Jrpm().run(program, name="warmup")
+    base, _ = _time_run(program, "BitOps", trace=False)
+    again, _ = _time_run(program, "BitOps", trace=False)
+    traced, report = _time_run(program, "BitOps", trace=True)
 
-    def experiment():
-        # Warm the interpreter once before any timed sample.
-        Jrpm().run(program, name="warmup")
-        base, _ = _time_run(program, "BitOps", trace=False)
-        again, _ = _time_run(program, "BitOps", trace=False)
-        traced, report = _time_run(program, "BitOps", trace=True)
+    noise = again / base
+    overhead = traced / base
+    aggregates = report.trace_aggregates
+    print("trace overhead guard (BitOps small, min of %d)" % ROUNDS)
+    print("  untraced:     %.3fs" % base)
+    print("  untraced(2):  %.3fs  (%.1f%% vs baseline)"
+          % (again, (noise - 1.0) * 100.0))
+    print("  traced:       %.3fs  (%.1f%% vs baseline)"
+          % (traced, (overhead - 1.0) * 100.0))
+    print("  events recorded: %d (dropped %d)"
+          % (aggregates.events_recorded, aggregates.events_dropped))
 
-        noise = again / base
-        overhead = traced / base
-        aggregates = report.trace_aggregates
-        rows.append("trace overhead guard (BitOps small, min of %d)"
-                    % ROUNDS)
-        rows.append("  untraced:     %.3fs" % base)
-        rows.append("  untraced(2):  %.3fs  (%.1f%% vs baseline)"
-                    % (again, (noise - 1.0) * 100.0))
-        rows.append("  traced:       %.3fs  (%.1f%% vs baseline)"
-                    % (traced, (overhead - 1.0) * 100.0))
-        rows.append("  events recorded: %d (dropped %d)"
-                    % (aggregates.events_recorded,
-                       aggregates.events_dropped))
-
-        # The traced run must really have produced a trace.
-        assert aggregates.events_recorded > 0
-        assert aggregates.counts.get("thread", 0) > 0
-        # Enabled tracing stays within the budget.  (The disabled
-        # path is identical code to the baseline — the noise check
-        # below documents the measurement floor rather than gating on
-        # a bound tighter than the machine can resolve.)
-        assert overhead < ENABLED_BUDGET + max(0.0, noise - 1.0), (
-            "traced run %.1f%% over baseline (budget %.0f%% + %.1f%% "
-            "measured noise)"
-            % ((overhead - 1.0) * 100.0,
-               (ENABLED_BUDGET - 1.0) * 100.0,
-               (max(0.0, noise - 1.0)) * 100.0))
-        metrics.update(trace_overhead=overhead, noise=noise,
-                       events_recorded=aggregates.events_recorded)
-        return overhead
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result("trace_overhead", rows, metrics=metrics,
-                 config={"workload": "BitOps", "size": "small",
-                         "rounds": ROUNDS})
+    # The traced run must really have produced a trace.
+    assert aggregates.events_recorded > 0
+    assert aggregates.counts.get("thread", 0) > 0
+    # Enabled tracing stays within the budget.  (The disabled
+    # path is identical code to the baseline — the noise check
+    # below documents the measurement floor rather than gating on
+    # a bound tighter than the machine can resolve.)
+    assert overhead < ENABLED_BUDGET + max(0.0, noise - 1.0), (
+        "traced run %.1f%% over baseline (budget %.0f%% + %.1f%% "
+        "measured noise)"
+        % ((overhead - 1.0) * 100.0,
+           (ENABLED_BUDGET - 1.0) * 100.0,
+           (max(0.0, noise - 1.0)) * 100.0))
 
 
 def _one_metrics_run(program, name):
@@ -134,59 +114,45 @@ def _one_metrics_run(program, name):
     return time.perf_counter() - start
 
 
-@pytest.mark.benchmark(group="trace")
-def test_metrics_overhead_within_budget(benchmark):
+def test_metrics_overhead_within_budget():
     """The metrics registry must be effectively free: folding a run's
     report into the registry (the only per-run metrics work — the hot
     simulator loop is never instrumented) stays within 5% of the same
     run with the registry globally disabled via ``set_enabled``."""
-    rows = []
-    metrics = {}
-    workload = lookup("BitOps")
-    program = compile_source(workload.source("small"))
-
-    def experiment():
-        Jrpm().run(program, name="warmup")
-        reset_registry()
-        # Interleave the three arms (off / off-again / on) so a host
-        # load spike lands on all of them rather than one sequential
-        # block; min-of-N per arm then cancels the noise.
-        off = off_again = on = None
-        try:
-            for _ in range(2 * ROUNDS):
-                set_enabled(False)
-                sample = _one_metrics_run(program, "BitOps")
-                off = sample if off is None else min(off, sample)
-                sample = _one_metrics_run(program, "BitOps")
-                off_again = (sample if off_again is None
-                             else min(off_again, sample))
-                set_enabled(True)
-                sample = _one_metrics_run(program, "BitOps")
-                on = sample if on is None else min(on, sample)
-        finally:
+    program = compile_source(lookup("BitOps").source("small"))
+    Jrpm().run(program, name="warmup")
+    reset_registry()
+    # Interleave the three arms (off / off-again / on) so a host
+    # load spike lands on all of them rather than one sequential
+    # block; min-of-N per arm then cancels the noise.
+    off = off_again = on = None
+    try:
+        for _ in range(2 * ROUNDS):
+            set_enabled(False)
+            sample = _one_metrics_run(program, "BitOps")
+            off = sample if off is None else min(off, sample)
+            sample = _one_metrics_run(program, "BitOps")
+            off_again = (sample if off_again is None
+                         else min(off_again, sample))
             set_enabled(True)
-        # The enabled pass really recorded something.
-        assert get_registry().get("jrpm_runs") is not None
+            sample = _one_metrics_run(program, "BitOps")
+            on = sample if on is None else min(on, sample)
+    finally:
+        set_enabled(True)
+    # The enabled pass really recorded something.
+    assert get_registry().get("jrpm_runs") is not None
 
-        noise = off_again / off
-        overhead = on / off
-        rows.append("metrics overhead guard (BitOps small, min of %d)"
-                    % ROUNDS)
-        rows.append("  metrics off:    %.3fs" % off)
-        rows.append("  metrics off(2): %.3fs  (%.1f%% vs baseline)"
-                    % (off_again, (noise - 1.0) * 100.0))
-        rows.append("  metrics on:     %.3fs  (%.1f%% vs baseline)"
-                    % (on, (overhead - 1.0) * 100.0))
-        assert overhead < METRICS_BUDGET + max(0.0, noise - 1.0), (
-            "metrics-enabled run %.1f%% over metrics-off (budget %.0f%% "
-            "+ %.1f%% measured noise)"
-            % ((overhead - 1.0) * 100.0,
-               (METRICS_BUDGET - 1.0) * 100.0,
-               (max(0.0, noise - 1.0)) * 100.0))
-        metrics.update(metrics_overhead=overhead, noise=noise)
-        return overhead
-
-    benchmark.pedantic(experiment, rounds=1, iterations=1)
-    write_result("metrics_overhead", rows, metrics=metrics,
-                 config={"workload": "BitOps", "size": "small",
-                         "rounds": ROUNDS})
+    noise = off_again / off
+    overhead = on / off
+    print("metrics overhead guard (BitOps small, min of %d)" % ROUNDS)
+    print("  metrics off:    %.3fs" % off)
+    print("  metrics off(2): %.3fs  (%.1f%% vs baseline)"
+          % (off_again, (noise - 1.0) * 100.0))
+    print("  metrics on:     %.3fs  (%.1f%% vs baseline)"
+          % (on, (overhead - 1.0) * 100.0))
+    assert overhead < METRICS_BUDGET + max(0.0, noise - 1.0), (
+        "metrics-enabled run %.1f%% over metrics-off (budget %.0f%% "
+        "+ %.1f%% measured noise)"
+        % ((overhead - 1.0) * 100.0,
+           (METRICS_BUDGET - 1.0) * 100.0,
+           (max(0.0, noise - 1.0)) * 100.0))

@@ -4,8 +4,8 @@ Every paper table/figure is regenerated by one ``bench_*.py`` file; the
 expensive artifact is a full five-step pipeline run per workload:
 
 * :func:`baseline_reports` fans the 26 default-configuration runs
-  across ``JRPM_BENCH_JOBS`` worker processes (default: up to 4) as
-  :class:`~repro.service.jobs.JobSpec`\ s through
+  across up to four worker processes as
+  :class:`~repro.service.jobs.JobSpec` objects through
   :class:`~repro.runner.SuiteRunner`, which memoizes them on disk in
   the content-addressed report cache under ``benchmarks/.cache/`` —
   re-running any bench script warm is near-instant;
@@ -16,21 +16,18 @@ expensive artifact is a full five-step pipeline run per workload:
 * every run is memoized in-process for the lifetime of one pytest
   invocation, keyed ``(name, variant, tag)``.
 
-Set ``JRPM_BENCH_NO_CACHE=1`` to bypass the persistent cache and
-``JRPM_BENCH_JOBS=1`` to force serial in-process execution.
-
 Results are printed (visible with ``pytest -s``) and written to
 ``benchmarks/results/<experiment>.txt`` so the regenerated rows survive
-pytest's output capture.
+pytest's output capture.  The tables are deterministic, so CI pins
+them byte for byte against the committed files.
 """
 
 import os
 
-import telemetry
 from repro.core.pipeline import Jrpm, VmOptions
 from repro.hydra.config import HydraConfig
 from repro.jit.stl import StlOptions
-from repro.runner import SuiteMetrics, SuiteRunner
+from repro.runner import SuiteRunner
 from repro.service.jobs import JobSpec, resolve_workload
 from repro.workloads import all_workloads
 
@@ -41,12 +38,7 @@ SIZE = "default"
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 #: worker processes used for batched cache misses
-JOBS = max(1, int(os.environ.get("JRPM_BENCH_JOBS",
-                                 min(4, os.cpu_count() or 1))))
-USE_CACHE = os.environ.get("JRPM_BENCH_NO_CACHE", "") not in ("1", "true")
-
-#: shared metrics across every suite run of this process
-METRICS = SuiteMetrics()
+JOBS = min(4, os.cpu_count() or 1)
 
 _REPORT_CACHE = {}
 
@@ -54,7 +46,7 @@ _REPORT_CACHE = {}
 def _run_specs(keyed_specs, jobs):
     """Run (memo-key, JobSpec) pairs through the suite runner and fill
     the in-process memo."""
-    runner = SuiteRunner(jobs=jobs, use_cache=USE_CACHE, metrics=METRICS)
+    runner = SuiteRunner(jobs=jobs)
     reports = runner.run([spec for _, spec in keyed_specs])
     for (key, _), report in zip(keyed_specs, reports):
         _REPORT_CACHE[key] = report
@@ -103,21 +95,14 @@ def baseline_reports():
             for w in all_workloads()}
 
 
-def write_result(experiment, lines, metrics=None, config=None,
-                 regression=None):
-    """Write the human-readable ``.txt`` rows and — when *metrics* is
-    given — the machine-readable ``BENCH_<experiment>.json`` telemetry
-    document beside it (see :mod:`telemetry`)."""
+def write_result(experiment, lines):
+    """Write the rows to ``results/<experiment>.txt`` and print them."""
     os.makedirs(RESULTS_DIR, exist_ok=True)
     text = "\n".join(lines) + "\n"
     with open(os.path.join(RESULTS_DIR, experiment + ".txt"), "w") as fh:
         fh.write(text)
-    if metrics:
-        telemetry.emit(experiment, metrics, config=config,
-                       regression=regression)
     print()
     print(text)
-    return text
 
 
 def geomean(values):
@@ -130,11 +115,6 @@ def geomean(values):
     return product ** (1.0 / len(values))
 
 
-def default_config():
-    return HydraConfig()
-
-
-__all__ = ["SIZE", "JOBS", "USE_CACHE", "METRICS", "run_workload",
-           "baseline_reports", "write_result", "geomean",
-           "default_config", "Jrpm", "HydraConfig",
+__all__ = ["SIZE", "JOBS", "run_workload", "baseline_reports",
+           "write_result", "geomean", "Jrpm", "HydraConfig",
            "StlOptions", "VmOptions"]

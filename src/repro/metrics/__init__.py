@@ -5,9 +5,8 @@ typed, thread-safe :class:`MetricsRegistry` of Counter / Gauge /
 Histogram families with label support and lossless
 ``to_dict``/``from_dict``, instrumented through the hot layers
 (runner pool, service scheduler/store, profdb, TLS report folds) and
-exposed three ways — the ``metrics`` service verb, the OpenMetrics
-HTTP endpoint (``jrpm serve --metrics-port``), and the machine-
-readable benchmark telemetry pipeline (``benchmarks/telemetry.py``).
+exposed two ways — the ``metrics`` service verb and the OpenMetrics
+HTTP endpoint (``jrpm serve --metrics-port``).
 """
 
 from .instrument import observe_report, observe_report_dict

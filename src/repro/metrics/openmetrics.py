@@ -9,10 +9,9 @@ into the text format Prometheus scrapes and ``promtool`` understands:
 * every family gets ``# HELP`` / ``# TYPE`` header lines and the
   document ends with ``# EOF`` (the OpenMetrics terminator).
 
-:func:`lint` is a small structural validator used by the test suite
-(and by :mod:`scripts.check_bench_schema` consumers) — it checks
-header/sample ordering, label syntax, cumulative bucket monotonicity
-and the trailing ``# EOF`` without needing promtool in the container.
+:func:`lint` is a small structural validator used by the test suite:
+it checks header/sample ordering, label syntax, cumulative bucket
+monotonicity and the trailing ``# EOF`` without needing promtool.
 """
 
 #: Content-Type for OpenMetrics text responses.

@@ -17,12 +17,13 @@ Both return the same shapes: ``run``/``run_adaptive`` yield a live
 JSON-safe result dicts documented in :mod:`repro.service.jobs`.
 """
 
+import copy
 import itertools
 import socket
 
 from ..core.pipeline import JrpmReport
 from . import protocol
-from .jobs import JobSpec, execute_job, resolve_workload
+from .jobs import JobSpec, execute_job, fold_metrics, resolve_workload
 from .options import RunOptions
 from .store import ArtifactStore
 
@@ -158,10 +159,14 @@ class LocalSession(Session):
         if self.store is not None:
             cached = self.store.get(spec)
             if cached is not None:
-                return cached
+                return copy.deepcopy(cached)
         result = execute_job(spec)
+        # the job already merged its delta into this process's registry
+        fold_metrics(result, merge=False)
         if self.store is not None:
+            # the stored result is final: callers get their own copy
             self.store.put(spec, result)
+            result = copy.deepcopy(result)
         return result
 
     def stats(self):

@@ -338,6 +338,30 @@ def test_local_session_memoizes_in_artifact_store():
         assert store_stats["misses_by_verb"]["profile"] == 1
 
 
+def test_local_session_results_are_final_and_private():
+    """The store keeps a result without its metric delta, and a caller
+    that edits what it was handed cannot change a later hit."""
+    from repro.metrics import MetricsRegistry, reset_registry
+
+    reset_registry()    # other tests in this process fold metrics too
+    with Session.local() as session:
+        first = session.compile(TINY, name="x")
+        assert "metrics" not in first
+        assert all("metrics" not in result
+                   for result in session.store._entries.values())
+        expected = first["compile_cycles"]
+        first["compile_cycles"] = -1
+        second = session.compile(TINY, name="x")
+        assert second["compile_cycles"] == expected
+
+        session.run(TINY, name="x")
+        session.run(TINY, name="x")
+        registry = MetricsRegistry.from_dict(
+            session.metrics()["metrics"])
+        runs = registry.get("jrpm_runs")
+        assert sum(child.value for _, child in runs.series()) == 1
+
+
 def test_cached_report_answers_to_its_own_name():
     """The report embeds its name, so the name is key material: a run
     of the same source under another name is a miss, not a replay."""

@@ -4,8 +4,9 @@ The observability layer (``repro.trace``) must be effectively free when
 disabled and cheap when enabled:
 
 * **disabled** — the only cost is one ``is None`` test per emission
-  site, so a ``Jrpm()`` run must stay within 1% of itself (measured as
-  run-to-run noise against a second untraced run);
+  site, so it has no bound of its own: the guard times a second
+  untraced run against the first, and that re-run noise (printed) is
+  added to the enabled bound below;
 * **enabled**  — events are emitted only on the control path (thread
   commits / restarts / handlers / loop edges), never per memory access,
   so a fully traced run must stay within a small constant factor of the
@@ -51,7 +52,6 @@ from repro.minijava import compile_source
 from repro.workloads import lookup
 
 ROUNDS = 3
-DISABLED_BUDGET = 1.01      # untraced vs untraced re-run (noise bound)
 ENABLED_BUDGET = 1.20       # traced vs untraced (see module docstring)
 METRICS_BUDGET = 1.05       # metrics-on vs metrics-off (ISSUE bound)
 
@@ -94,9 +94,8 @@ def test_trace_overhead_within_budget():
     assert aggregates.events_recorded > 0
     assert aggregates.counts.get("thread", 0) > 0
     # Enabled tracing stays within the budget.  (The disabled
-    # path is identical code to the baseline — the noise check
-    # below documents the measurement floor rather than gating on
-    # a bound tighter than the machine can resolve.)
+    # path is identical code to the baseline, so it is not gated on
+    # its own: its re-run noise widens this bound instead.)
     assert overhead < ENABLED_BUDGET + max(0.0, noise - 1.0), (
         "traced run %.1f%% over baseline (budget %.0f%% + %.1f%% "
         "measured noise)"

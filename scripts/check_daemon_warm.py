@@ -64,7 +64,7 @@ def check(rounds, workdir):
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--socket", socket_path,
          "--jobs", "2", "--no-cache",
-         "--profdb", os.path.join(workdir, "profdb.json")], env=env)
+         "--profdb", os.path.join(workdir, "profdb")], env=env)
     problems = []
     replies = {name: [] for name in WORKLOADS}
     try:

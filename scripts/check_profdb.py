@@ -5,12 +5,12 @@ Usage::
 
     python scripts/check_profdb.py profiles.json [more.json ...]
     jrpm profdb export | python scripts/check_profdb.py -
-    python scripts/check_profdb.py --db benchmarks/.cache/profdb.json
+    python scripts/check_profdb.py --db benchmarks/.cache/profdb
 
 Checks each payload (or stdin, for ``-``) against the
 :func:`repro.profdb.validate_profdb_dict` schema gate; ``--db`` exports
-a live database file first, which also exercises the corrupt-tolerant
-reader.  Exits non-zero and prints every problem on stderr if anything
+a live database (its shard directory) first, which also exercises the
+corrupt-tolerant reader.  Exits non-zero and prints every problem on stderr if anything
 is off.  Used by ``scripts/smoke.sh`` and CI.
 """
 

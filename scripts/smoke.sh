@@ -116,7 +116,7 @@ python scripts/check_daemon_warm.py --workdir "$(mktemp -d -p "$CACHE_DIR")"
 
 echo
 echo "== smoke: profile DB warm start + schema check =="
-python - "$CACHE_DIR/profdb.json" <<'PYEOF'
+python - "$CACHE_DIR/profdb" <<'PYEOF'
 import sys
 from repro import Jrpm, compile_source
 from repro.workloads import lookup
@@ -132,7 +132,7 @@ assert warm.tls.cycles == cold.tls.cycles
 print("profdb: warm start plan-equivalent (tls %d cycles, %d plan(s))"
       % (warm.tls.cycles, len(warm.plans)))
 PYEOF
-python -m repro profdb export --path "$CACHE_DIR/profdb.json" \
+python -m repro profdb export --path "$CACHE_DIR/profdb" \
     | python scripts/check_profdb.py -
 
 echo

@@ -49,9 +49,9 @@ from .minijava import compile_source
 
 def _add_profdb_flags(parser):
     parser.add_argument("--profdb", default=None, metavar="PATH",
-                        help="persistent profile DB: record profiles "
-                             "and warm-start from stored consensus "
-                             "(see docs/profdb.md)")
+                        help="persistent profile DB directory: record "
+                             "profiles and warm-start from stored "
+                             "consensus (see docs/profdb.md)")
     parser.add_argument("--warm-start", default="auto",
                         choices=["auto", "force", "off"],
                         help="how to use stored profiles: auto = when "
@@ -616,10 +616,10 @@ def main(argv=None):
                          help="serve from memory only; nothing "
                               "persists across restarts")
     p_serve.add_argument("--profdb", default=None, metavar="PATH",
-                         help="shared persistent profile DB: run/"
-                              "run_adaptive jobs record profiles and "
-                              "warm-start from stored consensus "
-                              "(docs/profdb.md)")
+                         help="shared persistent profile DB "
+                              "directory: run/run_adaptive jobs record "
+                              "profiles and warm-start from stored "
+                              "consensus (docs/profdb.md)")
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          metavar="N",
                          help="also serve OpenMetrics text on "
@@ -648,8 +648,8 @@ def main(argv=None):
                                "export: full validated JSON payload; "
                                "gc: evict beyond the size caps")
     p_profdb.add_argument("--path", default=None,
-                          help="DB file (default $JRPM_PROFDB_PATH or "
-                               "benchmarks/.cache/profdb.json)")
+                          help="DB directory (default $JRPM_PROFDB_PATH "
+                               "or benchmarks/.cache/profdb)")
     p_profdb.add_argument("--json", action="store_true",
                           help="machine-readable output")
     p_profdb.add_argument("--max-programs", type=int, default=None,

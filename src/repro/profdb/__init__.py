@@ -16,8 +16,9 @@ learned:
   profiles from repeated runs into a confidence-scored consensus, with
   staleness decay;
 * :mod:`repro.profdb.db` — :class:`ProfileDb`, the file-locked,
-  corrupt-tolerant, size-bounded JSON store shared by concurrent
-  writers (CLI runs and the ``jrpm serve`` daemon);
+  corrupt-tolerant, size-bounded JSON store (a directory with one
+  shard per program) shared by concurrent writers (CLI runs and the
+  ``jrpm serve`` daemon);
 * :mod:`repro.profdb.warmstart` — the warm-start path: when a
   confident consensus exists, ``Jrpm.run`` skips the sequential
   baseline *and* the TEST profiling run entirely and feeds the stored

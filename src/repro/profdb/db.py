@@ -1,18 +1,34 @@
 """The on-disk profile database shared by concurrent writers.
 
-One JSON file holds every :class:`~repro.profdb.records.ProgramProfile`.
-The concurrency story mirrors ``runner/cache.py`` and adds a lock:
+The store is a directory holding one JSON file (a *shard*) per
+:class:`~repro.profdb.records.ProgramProfile`, named by its program
+key, so a run reads and rewrites only its own program, however many
+are stored.  The concurrency story mirrors ``runner/cache.py`` and adds
+a lock::
 
-* **writers** take an exclusive ``fcntl.flock`` on a ``.lock`` sidecar
-  around the whole read-merge-write cycle, then publish atomically
-  (tempfile + ``os.replace``), so two processes recording at once never
-  interleave partial writes or lose each other's merge;
-* **readers** never lock: ``os.replace`` guarantees any snapshot they
+    PATH/                      the store (``--profdb PATH``)
+        <program key>.json     {"schema": 1, "programs": {key: entry}}
+    PATH.lock                  the one writer lock
+
+* **writers** take an exclusive ``fcntl.flock`` on the ``.lock``
+  sidecar around their read-merge-write cycle, which reads and rewrites
+  one shard, then publish it atomically (tempfile + ``os.replace``), so
+  two processes recording at once never interleave partial writes or
+  lose each other's merge;
+* **readers** never lock: ``os.replace`` guarantees any shard they
   open is a complete past state, and a corrupt, truncated or
-  newer-schema file simply reads as empty (a warm-start miss, never an
-  error);
-* **GC** bounds the file: least-recently-updated programs and inputs
-  are evicted beyond configurable caps on every write.
+  newer-schema shard simply reads as a miss (a warm-start miss, never
+  an error);
+* **GC** bounds the store: a write trims its own program's inputs to
+  ``max_inputs``; it then lists the shards and, only when there are
+  more than ``max_programs``, reads the others to evict the
+  least-recently-updated ones.
+
+Each shard is itself a valid one-program payload for
+:func:`~repro.profdb.records.validate_profdb_dict`.  A regular file at
+PATH (the layout before shards, one file for the whole store) reads as
+an empty store, and the first write replaces it with the directory:
+its programs are re-profiled cold once.
 
 Keying: programs are keyed by their *shape* (the workload name plus
 the qualified method names), so edits to a method land in the same
@@ -62,11 +78,11 @@ def _profdb_counter(name, help_text, amount=1, **labels):
 
 def default_profdb_path():
     """``$JRPM_PROFDB_PATH`` if set, else the shared cache location
-    ``benchmarks/.cache/profdb.json`` under the current directory."""
+    ``benchmarks/.cache/profdb`` under the current directory."""
     env = os.environ.get("JRPM_PROFDB_PATH")
     if env:
         return env
-    return os.path.join("benchmarks", ".cache", "profdb.json")
+    return os.path.join("benchmarks", ".cache", "profdb")
 
 
 class ProfileDb:
@@ -76,6 +92,7 @@ class ProfileDb:
                  min_confidence=MIN_CONFIDENCE,
                  max_programs=DEFAULT_MAX_PROGRAMS,
                  max_inputs=DEFAULT_MAX_INPUTS):
+        #: the store directory (one shard per program)
         self.path = path or default_profdb_path()
         self.decay = decay
         self.min_confidence = min_confidence
@@ -134,41 +151,62 @@ class ProfileDb:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _load(self):
-        """Read the whole store → ``{program_key: ProgramProfile}``.
+    def shard_path(self, program_key):
+        """The file holding one program's entry."""
+        return os.path.join(self.path, program_key + ".json")
 
-        Missing, truncated, corrupt or newer-schema files all read as
-        empty — same degrade-to-miss contract as ``ReportCache.get``.
+    def _keys(self):
+        """Program keys of every shard (empty when the store is missing
+        or a legacy single file), in sorted order."""
+        try:
+            names = os.listdir(self.path)
+        except OSError:
+            return []
+        return sorted(name[:-5] for name in names
+                      if name.endswith(".json"))
+
+    def _read(self, program_key):
+        """One shard → :class:`ProgramProfile`, or ``None``.
+
+        Missing, truncated, corrupt or newer-schema shards all read as
+        ``None`` — same degrade-to-miss contract as ``ReportCache.get``.
         """
         try:
-            with open(self.path, "r") as handle:
+            with open(self.shard_path(program_key), "r") as handle:
                 payload = json.load(handle)
-            if not isinstance(payload, dict):
-                return {}
             schema = payload.get("schema")
             if not isinstance(schema, int) or schema > PROFDB_SCHEMA_VERSION:
-                return {}
-            return {key: ProgramProfile.from_dict(entry)
-                    for key, entry in payload["programs"].items()}
-        except FileNotFoundError:
-            return {}
-        except (OSError, ValueError, KeyError, TypeError):
-            return {}
+                return None
+            return ProgramProfile.from_dict(
+                payload["programs"][program_key])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
 
-    def _store(self, programs):
-        """Atomically publish the whole store (tempfile + replace)."""
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
+    def _load(self):
+        """Read every shard → ``{program_key: ProgramProfile}``
+        (unreadable shards are left out)."""
+        data = {}
+        for key in self._keys():
+            entry = self._read(key)
+            if entry is not None:
+                data[key] = entry
+        return data
+
+    def _write(self, program_key, entry):
+        """Atomically publish one shard (tempfile + replace)."""
+        if os.path.isfile(self.path):
+            # The single-file layout: replaced by the store directory.
+            os.unlink(self.path)
+        os.makedirs(self.path, exist_ok=True)
         payload = {"schema": PROFDB_SCHEMA_VERSION,
-                   "programs": {key: entry.to_dict()
-                                for key, entry in programs.items()}}
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+                   "programs": {program_key: entry.to_dict()}}
+        fd, tmp_path = tempfile.mkstemp(dir=self.path, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
                 # json.dumps runs the C encoder; json.dump would stream
-                # the whole store through the pure-Python one.
+                # the payload through the pure-Python one.
                 handle.write(json.dumps(payload))
-            os.replace(tmp_path, self.path)
+            os.replace(tmp_path, self.shard_path(program_key))
         except BaseException:
             try:
                 os.unlink(tmp_path)
@@ -274,11 +312,9 @@ class ProfileDb:
                                    vm_options)
         fresh_methods = method_fingerprints(program)
         with self._lock():
-            data = self._load()
-            entry = data.get(program_key)
+            entry = self._read(program_key)
             if entry is None:
                 entry = ProgramProfile(name=report.name)
-                data[program_key] = entry
             self._invalidate_stale(entry, fresh_methods)
             previous = entry.inputs.get(input_key)
             provenance = PROVENANCE_COLD
@@ -293,8 +329,10 @@ class ProfileDb:
             entry.name = report.name
             entry.runs += 1
             entry.updated = now
-            self._gc_data(data)
-            self._store(data)
+            evicted = self._trim_inputs(entry)
+            self._write(program_key, entry)
+            evicted += self._evict_programs()
+        self._count_evictions(evicted)
         _profdb_counter("jrpm_profdb_records",
                         "Cold-run folds into the consensus DB",
                         provenance=provenance)
@@ -314,8 +352,7 @@ class ProfileDb:
         input_key = self.input_key(program, args, config, stl_options,
                                    vm_options)
         with self._lock():
-            data = self._load()
-            entry = data.get(program_key)
+            entry = self._read(program_key)
             if entry is None:
                 return
             input_entry = entry.inputs.get(input_key)
@@ -331,7 +368,7 @@ class ProfileDb:
                     loop.max_store_lines = max(loop.max_store_lines,
                                                run_stats.max_store_lines)
             entry.updated = now
-            self._store(data)
+            self._write(program_key, entry)
         _profdb_counter("jrpm_profdb_warm_runs",
                         "Warm-start hits booked against the DB")
 
@@ -342,8 +379,7 @@ class ProfileDb:
         """The stored :class:`InputProfile` usable for a warm start, or
         ``None`` (unknown program/input, stale method fingerprints, or
         consensus below the confidence gate unless *force*)."""
-        data = self._load()
-        entry = data.get(self.program_key(program, name))
+        entry = self._read(self.program_key(program, name))
         if entry is None:
             return None
         if entry.methods != method_fingerprints(program):
@@ -360,23 +396,42 @@ class ProfileDb:
 
     # --------------------------------------------------------- maintain
 
-    def _gc_data(self, data):
-        """Evict least-recently-updated entries beyond the caps."""
+    def _trim_inputs(self, entry):
+        """Evict *entry*'s least-recently-updated inputs beyond
+        ``max_inputs``; returns how many went."""
         evicted = 0
-        for entry in data.values():
-            while len(entry.inputs) > self.max_inputs:
-                oldest = min(entry.inputs,
-                             key=lambda key: entry.inputs[key].updated)
-                del entry.inputs[oldest]
-                evicted += 1
-        while len(data) > self.max_programs:
-            oldest = min(data, key=lambda key: data[key].updated)
-            del data[oldest]
+        while len(entry.inputs) > self.max_inputs:
+            oldest = min(entry.inputs,
+                         key=lambda key: entry.inputs[key].updated)
+            del entry.inputs[oldest]
             evicted += 1
+        return evicted
+
+    def _evict_programs(self):
+        """Delete the least-recently-updated shards beyond
+        ``max_programs`` (unreadable shards first); returns how many
+        went.  Reads no shard while the count is within the cap."""
+        keys = self._keys()
+        excess = len(keys) - self.max_programs
+        if excess <= 0:
+            return 0
+        updated = {}
+        for key in keys:
+            entry = self._read(key)
+            updated[key] = entry.updated if entry is not None \
+                else float("-inf")
+        for key in sorted(keys, key=updated.get)[:excess]:
+            try:
+                os.unlink(self.shard_path(key))
+            except OSError:
+                pass
+        return excess
+
+    @staticmethod
+    def _count_evictions(evicted):
         _profdb_counter("jrpm_profdb_gc_evictions",
                         "Entries evicted by the LRU size caps",
                         amount=evicted)
-        return evicted
 
     def gc(self, max_programs=None, max_inputs=None):
         """Run eviction now (optionally with tighter caps); returns the
@@ -385,10 +440,15 @@ class ProfileDb:
             self.max_programs = max_programs
         if max_inputs is not None:
             self.max_inputs = max_inputs
+        evicted = 0
         with self._lock():
-            data = self._load()
-            evicted = self._gc_data(data)
-            self._store(data)
+            for key, entry in self._load().items():
+                trimmed = self._trim_inputs(entry)
+                if trimmed:
+                    self._write(key, entry)
+                    evicted += trimmed
+            evicted += self._evict_programs()
+        self._count_evictions(evicted)
         return evicted
 
     def export(self):
@@ -403,10 +463,12 @@ class ProfileDb:
         data = self._load()
         inputs = [entry for program in data.values()
                   for entry in program.inputs.values()]
-        try:
-            size_bytes = os.path.getsize(self.path)
-        except OSError:
-            size_bytes = 0
+        size_bytes = 0
+        for key in self._keys():
+            try:
+                size_bytes += os.path.getsize(self.shard_path(key))
+            except OSError:
+                pass
         return {
             "path": self.path,
             "schema": PROFDB_SCHEMA_VERSION,

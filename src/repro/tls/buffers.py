@@ -16,6 +16,8 @@ Models Hydra's TLS data path (paper §2):
 """
 
 from ..hydra.config import CACHE_LINE_SHIFT
+from ..jit.ir import IROp
+
 
 class SpecThreadState:
     """Speculative state of one thread attempt on one CPU."""
@@ -83,9 +85,15 @@ class SpecThreadState:
 
 class SpecMemoryInterface:
     """Memory interface installed on a CPU while it runs a speculative
-    thread.  Implements forwarding, read tagging and overflow checks."""
+    thread.  Implements forwarding, read tagging and overflow checks.
 
-    __slots__ = ("ctx", "machine", "runtime", "config", "trace", "stored")
+    It is the reference for the fused thread-code handlers below
+    (:func:`fuse_thread_memory_ops`), and what they call for the rare
+    cases."""
+
+    __slots__ = ("ctx", "machine", "runtime", "config", "trace", "stored",
+                 "words", "hierarchy", "l1", "l1_hit_cycles",
+                 "load_buffer_lines", "store_buffer_lines")
 
     def __init__(self, ctx, runtime):
         self.ctx = ctx
@@ -99,6 +107,13 @@ class SpecMemoryInterface:
         #: shrinks): a word outside it is in no store buffer, so the
         #: load skips the version search — most speculative loads do
         self.stored = runtime.stored
+        #: what the fused handlers read per access, one load away
+        self.words = ctx.machine.memory.words
+        self.hierarchy = ctx.machine.hierarchy
+        self.l1 = self.hierarchy.l1[ctx.cpu_id]
+        self.l1_hit_cycles = self.config.l1_hit_cycles
+        self.load_buffer_lines = self.config.load_buffer_lines
+        self.store_buffer_lines = self.config.store_buffer_lines
 
     # -- lookups --------------------------------------------------------------
     def _find_version(self, addr):
@@ -197,3 +212,127 @@ class SpecMemoryInterface:
             self.runtime.flag_overflow(my)
         self.runtime.notify_store(my, addr)
         return 1
+
+
+# ---------------------------------------------------------------------------
+# fused thread-code handlers
+# ---------------------------------------------------------------------------
+
+def fuse_thread_memory_ops(table, code, unit_name):
+    """Swap the ``LW``/``SW`` entries of a TLS thread-code unit's
+    dispatch *table* for fused handlers, in place.
+
+    Thread code only ever runs speculatively, under a
+    :class:`SpecMemoryInterface`, so each handler inlines that
+    interface's common case into one Python frame: for ``LW`` the load
+    of a word no thread has buffered, the L1 probe (memo repeat or L1
+    hit, as :meth:`~repro.hydra.cache.MemoryHierarchy.load_latency`
+    does it), the read tag and ``read_sites`` (when tracing) and the
+    load-buffer overflow check; for ``SW`` the store-buffer write, the
+    overflow check and a scan for a vulnerable read tag.  Rare cases
+    call the interface's own methods: a word in some store buffer
+    (:meth:`SpecMemoryInterface.load`), an L1 miss
+    (``load_latency``) and a RAW violation (``notify_store``).  Every
+    observable — value, latency, clocks, tags, cache counters and memo
+    — equals the generic handler's (``tests/test_tls_buffers.py``).
+    """
+    for pc, instr in enumerate(code):
+        if instr.op == IROp.LW:
+            table[pc] = _thread_lw(instr, pc, unit_name)
+        elif instr.op == IROp.SW:
+            table[pc] = _thread_sw(instr, pc, unit_name)
+
+
+def _thread_lw(instr, pc, unit_name):
+    dst, a, imm = instr.dst, instr.a, instr.imm
+    site = (unit_name, instr)
+    next_pc = pc + 1
+
+    def lw(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        ctx.current_site = site
+        regs = frame.regs
+        addr = imm if a is None else regs[a] + imm
+        mem = ctx.mem
+        if addr in mem.stored:
+            # Some thread buffered the word: own, forwarded or memory.
+            value, latency = mem.load(addr)
+        else:
+            if addr <= 0:
+                value = 0
+                latency = 1
+            else:
+                value = 0 if addr & 3 else mem.words.get(addr, 0)
+                line = addr >> CACHE_LINE_SHIFT
+                cpu = ctx.cpu_id
+                hierarchy = mem.hierarchy
+                memo = hierarchy._memo
+                l1 = mem.l1
+                if memo is not None and memo[1] == line \
+                        and memo[0] == cpu and memo[2] == "load":
+                    l1.tick += 1
+                    l1.hits += 1
+                    latency = mem.l1_hit_cycles
+                else:
+                    cache_set = l1.sets[line % l1.num_sets]
+                    if line in cache_set:
+                        if hierarchy._memo_enabled:
+                            hierarchy._memo = (cpu, line, "load")
+                        tick = l1.tick + 1
+                        l1.tick = tick
+                        cache_set[line] = tick
+                        l1.hits += 1
+                        latency = mem.l1_hit_cycles
+                    else:
+                        latency = hierarchy.load_latency(cpu, addr)
+            my = ctx.spec
+            read_versions = my.read_versions
+            if addr not in read_versions:
+                read_versions[addr] = True       # not own: vulnerable
+                if mem.trace is not None:
+                    my.read_sites[addr] = site
+                read_lines = my.read_lines
+                read_lines.add(addr >> CACHE_LINE_SHIFT)
+                if len(read_lines) > mem.load_buffer_lines:
+                    runtime = mem.runtime
+                    if my.iteration != runtime.head_iteration:
+                        runtime.flag_overflow(my)
+        regs[dst] = value
+        ctx.time += latency
+        ctx.compute_cycles += latency
+        return None
+    return lw
+
+
+def _thread_sw(instr, pc, unit_name):
+    src, b, imm = instr.a, instr.b, instr.imm
+    site = (unit_name, instr)
+    next_pc = pc + 1
+
+    def sw(ctx, frame):
+        frame.pc = next_pc
+        ctx.instret += 1
+        ctx.current_site = site
+        regs = frame.regs
+        addr = imm if b is None else regs[b] + imm
+        mem = ctx.mem
+        my = ctx.spec
+        my.store_buffer[addr] = regs[src]
+        mem.stored.add(addr)
+        store_lines = my.store_lines
+        store_lines.add(addr >> CACHE_LINE_SHIFT)
+        runtime = mem.runtime
+        iteration = my.iteration
+        if len(store_lines) > mem.store_buffer_lines \
+                and iteration != runtime.head_iteration:
+            runtime.flag_overflow(my)
+        for thread in runtime.threads:
+            if thread.iteration > iteration \
+                    and thread.read_versions.get(addr):
+                runtime.notify_store(my, addr)
+                break
+        ctx.time += 1
+        ctx.compute_cycles += 1
+        return None
+    return sw

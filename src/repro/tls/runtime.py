@@ -47,11 +47,12 @@ trace streams) and by the golden report digests, one per workload for
 both engines.
 """
 
-from ..engine.ir_engine import tls_cost_map, tls_event_map
+from ..engine.ir_engine import dispatch_table, tls_cost_map, tls_event_map
 from ..errors import GuestException, VMError
 from ..jit.ir import IROp
 from ..jit.patterns import merge_reduction
-from .buffers import SpecMemoryInterface, SpecThreadState
+from .buffers import (SpecMemoryInterface, SpecThreadState,
+                      fuse_thread_memory_ops)
 from .stats import StlRunStats, TlsStateBreakdown
 
 _RUN = SpecThreadState.RUNNING
@@ -75,7 +76,11 @@ class _ThreadCodeUnit:
 
     One unit per descriptor and CALL overhead, kept on the recompiled
     program: every dynamic entry into the STL reuses it, so its handler
-    tables are predecoded once per program, not once per entry."""
+    tables are predecoded once per program, not once per entry.  Its
+    dispatch table is built by the one ``dispatch_table`` call every
+    code unit gets, then takes the fused speculative ``LW``/``SW``
+    handlers (thread code never runs unspeculated; callee frames keep
+    the generic ones)."""
 
     __slots__ = ("code", "nregs", "name", "stls", "_dispatch",
                  "_tls_events", "_tls_costs", "warm_entries")
@@ -95,6 +100,7 @@ class _ThreadCodeUnit:
         #: every commit re-enters the thread code at warm_entry, so the
         #: predecoder must treat it as a block leader of its own
         self.warm_entries = (descriptor.warm_entry,)
+        fuse_thread_memory_ops(dispatch_table(self), self.code, self.name)
 
 
 class TlsRuntime:

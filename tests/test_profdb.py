@@ -50,7 +50,7 @@ LOOPY_BIGGER = LOOPY.replace("4000", "6000")
 
 @pytest.fixture
 def db_path(tmp_path):
-    return str(tmp_path / "profdb.json")
+    return str(tmp_path / "profdb")
 
 
 def _run(db_path, source=LOOPY, name="loopy", warm_start=None, **kwargs):
@@ -102,14 +102,21 @@ def test_records_round_trip(db_path):
 
 
 def test_store_file_is_json_dumps_of_its_payload(db_path):
-    """The store is published in one ``json.dumps`` write: the file is
-    byte-for-byte the compact encoding of its payload, after a cold
-    run and after the warm run that rewrites it."""
+    """A shard is published in one ``json.dumps`` write: the file is
+    byte-for-byte the compact encoding of its one-program payload,
+    after a cold run and after the warm run that rewrites it."""
     for __ in range(2):
         _run(db_path)
-        with open(db_path) as handle:
-            text = handle.read()
-        assert text == json.dumps(ProfileDb(db_path).export())
+        db = ProfileDb(db_path)
+        payload = db.export()
+        assert len(payload["programs"]) == 1
+        for key, entry in payload["programs"].items():
+            with open(db.shard_path(key)) as handle:
+                text = handle.read()
+            assert text == json.dumps(
+                {"schema": PROFDB_SCHEMA_VERSION,
+                 "programs": {key: entry}})
+            assert validate_profdb_dict(json.loads(text)) == []
 
 
 def test_validate_profdb_dict_rejects_malformed():
@@ -186,25 +193,95 @@ def test_merge_input_profile_accumulates_adapt_counters():
 def test_corrupt_and_truncated_files_read_as_empty(db_path):
     report = _run(db_path)
     assert report.profile_provenance == "cold"
-    with open(db_path) as fh:
-        good = fh.read()
-    # truncation: reader degrades to a miss, writer recovers the file
-    with open(db_path, "w") as fh:
-        fh.write(good[: len(good) // 2])
     db = ProfileDb(db_path)
+    (key,) = db.export()["programs"]
+    shard = db.shard_path(key)
+    with open(shard) as fh:
+        good = fh.read()
+    # truncation: reader degrades to a miss, writer recovers the shard
+    with open(shard, "w") as fh:
+        fh.write(good[: len(good) // 2])
     assert db.stats_dict()["programs"] == 0
     report = _run(db_path)
     assert report.profile_provenance == "cold"
     assert ProfileDb(db_path).stats_dict()["programs"] == 1
     # garbage bytes likewise
-    with open(db_path, "w") as fh:
+    with open(shard, "w") as fh:
         fh.write("\x00\xff not json")
     assert ProfileDb(db_path).stats_dict()["programs"] == 0
     # a future schema version is treated as unreadable, not guessed at
-    with open(db_path, "w") as fh:
+    with open(shard, "w") as fh:
         json.dump({"schema": PROFDB_SCHEMA_VERSION + 1,
-                   "programs": {}}, fh)
+                   "programs": json.loads(good)["programs"]}, fh)
     assert ProfileDb(db_path).stats_dict()["programs"] == 0
+
+
+def test_single_file_db_reads_empty_and_is_replaced(db_path):
+    """A regular file at the store path (the single-file layout) reads
+    as an empty store; the first write replaces it with the shard
+    directory, and later runs warm-start from there."""
+    _run(db_path)
+    legacy = json.dumps(ProfileDb(db_path).export())
+    other = db_path + "-legacy"
+    with open(other, "w") as fh:
+        fh.write(legacy)
+    db = ProfileDb(other)
+    assert db.stats_dict()["programs"] == 0
+    assert db.export() == {"schema": PROFDB_SCHEMA_VERSION, "programs": {}}
+    assert _run(other).profile_provenance == "cold"
+    assert os.path.isdir(other)
+    assert db.stats_dict()["programs"] == 1
+    assert _run(other).profile_provenance == "warm"
+
+
+def test_warm_run_touches_only_its_own_shard(db_path, monkeypatch):
+    """With several programs stored, a warm run opens one shard (and
+    the lock) and rewrites that shard, lists no directory, and leaves
+    every other shard's bytes and mtime as they were."""
+    from repro.profdb import db as db_module
+
+    sources = {"loopy": LOOPY}
+    for index in range(3):
+        sources["other%d" % index] = LOOPY.replace(
+            "sum + i * 3", "sum + i * %d" % (index + 5))
+    for name, source in sources.items():
+        _run(db_path, source=source, name=name)
+    db = ProfileDb(db_path)
+    own = db.shard_path(db.program_key(compile_source(LOOPY), "loopy"))
+    before = {}
+    for key in db.export()["programs"]:
+        path = db.shard_path(key)
+        with open(path, "rb") as fh:
+            before[path] = (fh.read(), os.stat(path).st_mtime_ns)
+    assert len(before) == 4 and own in before
+
+    opened, listed = [], []
+    real_open = open
+    real_keys = ProfileDb._keys
+
+    def spy_open(path, *args, **kwargs):
+        opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    def spy_keys(self):
+        listed.append(self.path)
+        return real_keys(self)
+
+    monkeypatch.setattr(db_module, "open", spy_open, raising=False)
+    monkeypatch.setattr(ProfileDb, "_keys", spy_keys)
+    assert _run(db_path).profile_provenance == "warm"
+    monkeypatch.undo()
+
+    # warm_entry's read, then record_warm's read under the lock
+    assert sorted(opened) == sorted([own, own, db_path + ".lock"])
+    assert listed == []
+    for path, (data, mtime) in before.items():
+        with open(path, "rb") as fh:
+            now = (fh.read(), os.stat(path).st_mtime_ns)
+        if path == own:
+            assert now[0] != data       # warm_runs was bumped
+        else:
+            assert now == (data, mtime)
 
 
 def test_gc_bounds_inputs_and_programs(db_path):
@@ -219,6 +296,20 @@ def test_gc_bounds_inputs_and_programs(db_path):
     evicted = db.gc(max_programs=0)
     assert evicted == 1
     assert db.stats_dict()["programs"] == 0
+
+
+def test_gc_evicts_the_oldest_shard(db_path):
+    """Past ``max_programs`` a write evicts the least-recently-updated
+    program's shard and keeps its own."""
+    db = ProfileDb(db_path, max_programs=1)
+    jrpm = Jrpm(profdb=db)
+    jrpm.run(compile_source(LOOPY), name="loopy")
+    jrpm.run(compile_source(LOOPY), name="other")
+    payload = db.export()
+    assert [entry["name"] for entry in payload["programs"].values()] \
+        == ["other"]
+    assert sorted(os.listdir(db_path)) == [
+        key + ".json" for key in payload["programs"]]
 
 
 def test_distinct_workloads_sharing_method_names_stay_apart(db_path):

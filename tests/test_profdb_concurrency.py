@@ -6,9 +6,9 @@ scripts).  The cache relies on atomic tempfile+rename publishes and
 corrupt-entry eviction; the profile DB additionally serializes its
 read-merge-write cycle behind an ``fcntl`` file lock so that no
 recorded run is ever lost to a lost-update race.  These tests spawn
-real OS processes hammering one shared file and then check the
-invariants that matter: every write is accounted for, the final file is
-valid, and a reader racing a writer never sees a torn payload.
+real OS processes hammering one shared store and then check the
+invariants that matter: every write is accounted for, the final store
+is valid, and a reader racing a writer never sees a torn payload.
 """
 
 import json
@@ -40,17 +40,19 @@ RECORDS_PER_PROCESS = 12
 PROCESSES = 2
 
 
-def _record_worker(db_path, count, barrier):
-    """Run one cold pipeline, then fold the report into the shared DB
-    *count* times, racing the sibling process byte-for-byte."""
+def _record_worker(db_path, count, names, barrier):
+    """Run one cold pipeline per program name, then fold the reports
+    into the shared DB *count* times each, racing the sibling process
+    byte-for-byte."""
     jrpm = Jrpm()
     program = compile_source(SOURCE)
-    report = jrpm.run(program, name="stress")
+    reports = [jrpm.run(program, name=name) for name in names]
     db = ProfileDb(db_path)
     barrier.wait()
     for _ in range(count):
-        db.record(program, report, (), jrpm.config, jrpm.stl_options,
-                  jrpm.vm_options)
+        for report in reports:
+            db.record(program, report, (), jrpm.config,
+                      jrpm.stl_options, jrpm.vm_options)
 
 
 def _cache_worker(root, keys, payload, rounds, barrier):
@@ -66,10 +68,10 @@ def _cache_worker(root, keys, payload, rounds, barrier):
             assert got is None or got == payload
 
 
-def _spawn(target, args):
+def _spawn(target, args, processes=PROCESSES):
     ctx = multiprocessing.get_context("fork")
     procs = [ctx.Process(target=target, args=args)
-             for _ in range(PROCESSES)]
+             for _ in range(processes)]
     for proc in procs:
         proc.start()
     for proc in procs:
@@ -79,21 +81,40 @@ def _spawn(target, args):
     return procs
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_concurrent_profdb_writers_lose_no_records(tmp_path):
-    db_path = str(tmp_path / "profdb.json")
+def _race_writers(tmp_path, names, processes):
+    """*processes* processes record every program in *names*; check
+    that no record was lost and no tempfile leaked."""
+    db_path = str(tmp_path / "profdb")
     ctx = multiprocessing.get_context("fork")
-    barrier = ctx.Barrier(PROCESSES)
-    _spawn(_record_worker, (db_path, RECORDS_PER_PROCESS, barrier))
+    barrier = ctx.Barrier(processes)
+    _spawn(_record_worker, (db_path, RECORDS_PER_PROCESS, names, barrier),
+           processes)
     db = ProfileDb(db_path)
     payload = db.export()
     # the file lock serializes read-merge-write: no update is lost
     assert validate_profdb_dict(payload) == []
     stats = db.stats_dict()
-    assert stats["programs"] == 1
-    assert stats["runs"] == PROCESSES * RECORDS_PER_PROCESS
+    assert stats["programs"] == len(names)
+    assert stats["runs"] == processes * RECORDS_PER_PROCESS * len(names)
     # identical runs merge to a fixed point: one consensus input entry
-    assert stats["inputs"] == 1
+    # per program
+    assert stats["inputs"] == len(names)
+    for entry in payload["programs"].values():
+        assert entry["runs"] == processes * RECORDS_PER_PROCESS
+    assert sorted(os.listdir(db_path)) == sorted(
+        key + ".json" for key in payload["programs"])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_concurrent_profdb_writers_lose_no_records(tmp_path):
+    _race_writers(tmp_path, ("stress",), PROCESSES)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_concurrent_profdb_writers_on_two_programs(tmp_path):
+    """Writers interleaving two programs' shards lose no record of
+    either, with one writer process more than the one-program race."""
+    _race_writers(tmp_path, ("stress", "stress2"), PROCESSES + 1)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -129,16 +150,17 @@ def test_truncated_cache_entry_reads_as_miss(tmp_path):
 
 
 def test_truncated_profdb_recovers_on_next_record(tmp_path):
-    db_path = str(tmp_path / "profdb.json")
+    db_path = str(tmp_path / "profdb")
     jrpm = Jrpm()
     program = compile_source(SOURCE)
     report = jrpm.run(program, name="stress")
     db = ProfileDb(db_path)
     db.record(program, report, (), jrpm.config, jrpm.stl_options,
               jrpm.vm_options)
-    with open(db_path) as fh:
+    shard = db.shard_path(db.program_key(program, "stress"))
+    with open(shard) as fh:
         text = fh.read()
-    with open(db_path, "w") as fh:
+    with open(shard, "w") as fh:
         fh.write(text[: len(text) // 2])
     assert db.stats_dict()["programs"] == 0
     db.record(program, report, (), jrpm.config, jrpm.stl_options,

@@ -22,7 +22,7 @@ from repro.workloads import lookup, names
 @pytest.mark.slow
 @pytest.mark.parametrize("name", names())
 def test_warm_start_plan_equivalent_to_cold(tmp_path, name):
-    db_path = str(tmp_path / "profdb.json")
+    db_path = str(tmp_path / "profdb")
     source = lookup(name).source("small")
     cold = Jrpm(profdb=db_path).run(compile_source(source), name=name)
     assert cold.profile_provenance == "cold"
@@ -43,7 +43,7 @@ def test_warm_start_plan_equivalent_to_cold(tmp_path, name):
 
 @pytest.mark.slow
 def test_third_run_confirms_consensus(tmp_path):
-    db_path = str(tmp_path / "profdb.json")
+    db_path = str(tmp_path / "profdb")
     source = lookup("euler").source("small")
     Jrpm(profdb=db_path).run(compile_source(source), name="euler")
     warm = Jrpm(profdb=db_path).run(compile_source(source), name="euler")

@@ -7,9 +7,8 @@ Usage::
     jrpm analyze BitOps --json | python scripts/check_analysis_report.py -
 
 Accepts either a bare ``AnalysisReport.to_dict()`` payload or any
-envelope carrying one under an ``analysis`` key — the ``jrpm analyze
---json`` output and a full ``JrpmReport`` dict from a
-``Jrpm(analysis=True)`` run both qualify.  Checks the payload against
+envelope carrying one under an ``analysis`` key, such as the ``jrpm
+analyze --json`` output.  Checks the payload against
 the :func:`repro.analysis.validate_analysis_dict` schema plus the
 soundness invariant the CLI promises on top: no loop may be both
 statically pruned and dynamically selected.  Exits non-zero and prints

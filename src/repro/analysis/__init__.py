@@ -1,32 +1,26 @@
-"""Static loop-carried dependence analysis over MiniJava bytecode.
+"""Static loop-carried dependence analysis over the microJIT's IR.
 
 Jrpm picks speculative loops purely from dynamic TEST profiles; this
 package adds the static half of that synergy.  It classifies every
 natural loop's carried dependences on the ``absent < may < must``
-lattice, recognizes induction/reduction locals the STL compiler will
-privatize anyway, prunes statically-hopeless STL candidates before the
-tracer pays for them, and cross-checks its predicted violation arcs
-against the profiler's observed RAW arcs (see ``docs/analysis.md``).
+lattice, reports the speedup bound its must-dependences allow, and
+cross-checks its predicted violation arcs against the profiler's
+observed RAW arcs (see ``docs/analysis.md``).  Loops, carried-local
+kinds and once-blocks come from the microJIT itself
+(:mod:`repro.jit.annotate`, :mod:`repro.jit.patterns`).
 """
 
-from .deps import analyze_loop, analyze_method, analyze_program
-from .fingerprint import (method_fingerprint, method_fingerprints,
-                          program_fingerprint)
+from .deps import CONST, analyze_loop, analyze_method, analyze_program, \
+    linearize
 from .model import (ABSENT, AnalysisReport, CarriedRegister, Dependence,
                     KIND_GENERAL, KIND_INDUCTOR, KIND_REDUCTION,
                     KIND_RESETABLE, LATTICE, LoopAnalysis, MAY, MUST,
                     strongest, validate_analysis_dict)
-from .stackflow import (Access, BlockFlow, CONST, LocalDef, LocalUse,
-                        MethodFlow, flow_method, linearize,
-                        uses_in_tree)
 
 __all__ = [
     "ABSENT", "MAY", "MUST", "LATTICE", "strongest",
     "KIND_INDUCTOR", "KIND_RESETABLE", "KIND_REDUCTION", "KIND_GENERAL",
     "Dependence", "CarriedRegister", "LoopAnalysis", "AnalysisReport",
-    "validate_analysis_dict",
-    "Access", "BlockFlow", "CONST", "LocalDef", "LocalUse",
-    "MethodFlow", "flow_method", "linearize", "uses_in_tree",
+    "validate_analysis_dict", "CONST", "linearize",
     "analyze_loop", "analyze_method", "analyze_program",
-    "method_fingerprint", "method_fingerprints", "program_fingerprint",
 ]

@@ -1,6 +1,6 @@
-"""Loop-carried dependence classification over bytecode CFGs.
+"""Loop-carried dependence classification over the microJIT's IR.
 
-For every natural loop the pass answers three questions, each on the
+For every natural loop the pass answers two questions, each on the
 ``absent < may < must`` lattice (:mod:`repro.analysis.model`):
 
 * **carried locals** — which locals carry values between iterations,
@@ -9,112 +9,145 @@ For every natural loop the pass answers three questions, each on the
 * **memory dependences** — which static-field / instance-field / array
   (store, load) pairs can form a loop-carried RAW arc, at what
   iteration distance?
-* **pruning** — given the must-dependences and a simple cost model, is
-  speculative speedup statically impossible (serial chain ≈ whole
-  body), so the STL candidate can be skipped before profiling?
 
-The machinery is deliberately structural: per-block symbolic facts come
-from :mod:`repro.analysis.stackflow`; cross-block ordering questions
-are answered with dominators over the loop's *intra-iteration*
-subgraph (the loop body minus its own back edges).  ``A`` *must
-precede* ``B`` when every path from the header to ``B`` passes ``A``;
-``A`` *may precede* ``B`` when any path does.  Blocks that dominate
-every back-edge tail and sit in no inner loop execute **exactly once
-per iteration** ("once-blocks") — the anchor for every `must` claim.
+A cost model then bounds the speedup a loop's must-dependences allow.
+
+The pass owns no CFG, loop finder or pattern matcher of its own.  It
+reads the IR that :func:`repro.jit.compiler.translated_methods` builds
+for the compiles, takes loops and ordinals from
+:func:`repro.jit.annotate.identify_loops`, carried-local kinds from
+:func:`repro.jit.patterns.classify_carried_locals`, and once-blocks,
+defs, uses and dominators from :class:`repro.jit.patterns._LoopFacts`:
+the very facts the TEST annotator and the STL recompiler act on.
+
+Values are block-local expression trees built from each register's
+reaching definition in its block; a register not defined earlier in
+the block reads as ``("entry", reg)``.  Cross-block ordering questions
+are answered structurally over the loop's *intra-iteration* subgraph
+(the loop body minus its own back edges): ``A`` *must precede* ``B``
+when ``A`` is earlier in the same block or its block dominates ``B``'s;
+``A`` *may precede* ``B`` when some forward path leads from ``A`` to
+``B``.  Blocks that dominate every back-edge tail and sit in no inner
+loop execute **exactly once per iteration** ("once-blocks") — the
+anchor for every `must` claim.
 """
 
-from ..bytecode.opcodes import Op
-from ..bytecode.verifier import build_cfg, natural_loops, verify_method
+from ..bytecode.module import HEADER_BYTES, WORD
+from ..hydra.config import STATICS_BASE
+from ..jit.annotate import header_line, identify_loops
+from ..jit.compiler import translated_methods
+from ..jit.ir import IROp
+from ..jit.patterns import _LoopFacts, classify_carried_locals
+from ..jit.translate import StaticLayout
 from .model import (ABSENT, AnalysisReport, CarriedRegister, Dependence,
-                    KIND_GENERAL, KIND_INDUCTOR, KIND_REDUCTION,
-                    KIND_RESETABLE, LoopAnalysis, MAY, MUST)
-from .stackflow import CONST, flow_method, linearize, uses_in_tree
+                    KIND_GENERAL, KIND_INDUCTOR, LoopAnalysis, MAY, MUST)
 
-#: Associative accumulation ops an STL can privatize (reduction spine).
-ASSOC_OPS = frozenset({"iadd", "fadd", "imul", "fmul",
-                       "iand", "ior", "ixor"})
-
-#: Min/max intrinsics, equally privatizable.
-MINMAX_INTRINSICS = frozenset({"imin", "imax", "fmin", "fmax"})
-
-#: Per-opcode cost weights for the static speedup bound (arbitrary
+#: Per-IR-op cost weights for the static speedup bound (arbitrary
 #: units; only ratios matter).  Memory traffic and calls dominate.
 _OP_COST = {
-    Op.IDIV: 8, Op.IREM: 8, Op.FDIV: 8, Op.FREM: 8,
-    Op.IALOAD: 3, Op.IASTORE: 3, Op.FALOAD: 3, Op.FASTORE: 3,
-    Op.AALOAD: 3, Op.AASTORE: 3, Op.ARRAYLENGTH: 3,
-    Op.GETFIELD: 3, Op.PUTFIELD: 3, Op.GETSTATIC: 3, Op.PUTSTATIC: 3,
-    Op.INVOKESTATIC: 20, Op.INVOKEVIRTUAL: 20,
-    Op.MONITORENTER: 10, Op.MONITOREXIT: 10,
-    Op.INTRINSIC: 4, Op.NEW: 6,
-    Op.NEWARRAY_I: 6, Op.NEWARRAY_F: 6, Op.NEWARRAY_A: 6,
+    IROp.DIV: 8, IROp.REM: 8, IROp.FDIV: 8, IROp.FREM: 8,
+    IROp.LW: 3, IROp.SW: 3,
+    IROp.CALL: 20, IROp.CALLV: 20,
+    IROp.MONENTER: 10, IROp.MONEXIT: 10,
+    IROp.INTRIN: 4, IROp.ALLOC: 6,
 }
+
+_CALL_OPS = frozenset({IROp.CALL, IROp.CALLV, IROp.MONENTER,
+                       IROp.MONEXIT})
+
+#: Integer IR ops an index expression may be built from.
+_ARITH = {IROp.ADD: "add", IROp.SUB: "sub", IROp.MUL: "mul",
+          IROp.SHL: "shl"}
+
+#: Dictionary key holding the constant term of a linear form.
+CONST = ("const",)
+
+
+class _Access:
+    """One heap access: array element, instance field or static field.
+
+    ``target`` names the location for field and static kinds; ``base``
+    and ``index`` are expression trees (``None`` where not applicable).
+    """
+
+    __slots__ = ("instr", "kind", "is_store", "base", "index", "target")
+
+    def __init__(self, instr, kind, is_store, base=None, index=None,
+                 target=None):
+        self.instr = instr
+        self.kind = kind
+        self.is_store = is_store
+        self.base = base
+        self.index = index
+        self.target = target
+
+
+class _ProgramNames:
+    """Names of the memory locations the translator lowers to numbers:
+    static fields (absolute addresses) and instance fields (offsets)."""
+
+    def __init__(self, program, layout):
+        self.statics = {addr: "%s.%s" % key
+                        for key, addr in layout.field_addr.items()}
+        by_offset = {}
+        for cls in program.classes.values():
+            for field in cls.fields.values():
+                if not field.is_static:
+                    by_offset.setdefault(field.offset, set()).add(
+                        "%s.%s" % (cls.name, field.name))
+        #: an offset several fields share is named by the offset
+        self.fields = {offset: (names.pop() if len(names) == 1
+                                else "field@%d" % offset)
+                       for offset, names in by_offset.items()}
 
 
 class _LoopContext:
-    """Structural facts about one loop's intra-iteration subgraph."""
+    """Structural and value facts about one loop of one IR method."""
 
-    def __init__(self, cfg, flow, loop, inner_blocks):
+    def __init__(self, ir_method, cfg, loop, all_loops, positions, names):
+        facts = _LoopFacts(cfg, loop, all_loops)
+        self.facts = facts
         self.cfg = cfg
-        self.flow = flow
         self.loop = loop
-        self.blocks = loop.blocks
-        self.inner_blocks = inner_blocks
-        self.pcs = {pc for bid in loop.blocks
-                    for pc in cfg.blocks[bid].pcs()}
+        self.positions = positions
+        self.once = facts.once_blocks
+        self.method = ir_method.name
+        self.num_locals = ir_method.num_locals
+        self.instrs = sorted((instr for bid in loop.blocks
+                              for instr in cfg.blocks[bid].instrs),
+                             key=self.pos)
         backs = set(loop.backedges)
         succs = {bid: [s for s in cfg.blocks[bid].succs
                        if s in loop.blocks and (bid, s) not in backs]
                  for bid in loop.blocks}
-        self.dom = self._dominators(loop.header, succs)
         self.reach = self._reachability(succs)
-        tails = [tail for tail, _ in loop.backedges]
-        self.once = {bid for bid in loop.blocks
-                     if bid not in inner_blocks
-                     and all(bid in self.dom[tail] for tail in tails)}
-        self.flows = [flow.blocks[bid] for bid in sorted(loop.blocks)]
-        self.calls = [pc for bf in self.flows for pc in bf.calls]
-        self.monitors = [pc for bf in self.flows for pc in bf.monitors]
-        self.defs = {}              # local -> [LocalDef]
-        self.uses = {}              # local -> [LocalUse]
-        for bf in self.flows:
-            for d in bf.defs:
-                self.defs.setdefault(d.local, []).append(d)
-            for u in bf.uses:
-                self.uses.setdefault(u.local, []).append(u)
+        self.accesses = {}          # id(instr) -> _Access
+        for instr in self.instrs:
+            access = self._access(instr, names)
+            if access is not None:
+                self.accesses[id(instr)] = access
         self.static_store_targets = {
-            acc.target for bf in self.flows for acc in bf.accesses
+            acc.target for acc in self.accesses.values()
             if acc.kind == "static" and acc.is_store}
         self.field_store_targets = {
-            acc.target for bf in self.flows for acc in bf.accesses
+            acc.target for acc in self.accesses.values()
             if acc.kind == "field" and acc.is_store}
 
-    @staticmethod
-    def _dominators(header, succs):
-        """Dominator sets over the intra-iteration subgraph (inner-loop
-        cycles remain; the iteration is rooted at the header)."""
-        preds = {bid: [] for bid in succs}
-        for bid, outs in succs.items():
-            for out in outs:
-                preds[out].append(bid)
-        everything = frozenset(succs)
-        dom = {bid: everything for bid in succs}
-        dom[header] = frozenset([header])
-        changed = True
-        while changed:
-            changed = False
-            for bid in succs:
-                if bid == header:
-                    continue
-                incoming = preds[bid]
-                new = None
-                for pred in incoming:
-                    new = dom[pred] if new is None else new & dom[pred]
-                new = (new or frozenset()) | {bid}
-                if new != dom[bid]:
-                    dom[bid] = new
-                    changed = True
-        return dom
+    def pos(self, instr):
+        """The instruction's index in the method's executable code."""
+        return self.positions[id(instr)]
+
+    def block(self, instr):
+        """The id of the block holding *instr*."""
+        return self.facts.block_of[id(instr)]
+
+    def defs(self, reg):
+        """In-loop defs of *reg*, in code order."""
+        return sorted(self.facts.defs_by_reg.get(reg, ()), key=self.pos)
+
+    def uses(self, reg):
+        """In-loop uses of *reg*, in code order."""
+        return sorted(self.facts.uses_by_reg.get(reg, ()), key=self.pos)
 
     @staticmethod
     def _reachability(succs):
@@ -133,194 +166,224 @@ class _LoopContext:
         return reach
 
     # -- intra-iteration ordering -----------------------------------------
-    def must_precede(self, block_a, pc_a, block_b, pc_b):
-        """Every iteration executes (block_a, pc_a) before (block_b,
-        pc_b) reads/writes — same block earlier pc, or strict
-        domination."""
+    def must_precede(self, first, second):
+        """Every iteration executes *first* before *second* — same block
+        earlier, or *first*'s block dominates *second*'s."""
+        block_a, block_b = self.block(first), self.block(second)
         if block_a == block_b:
-            return pc_a < pc_b
-        return block_a in self.dom[block_b]
+            return self.pos(first) < self.pos(second)
+        return block_a in self.facts.dom[block_b]
 
-    def may_precede(self, block_a, pc_a, block_b, pc_b):
-        """Some iteration may execute (block_a, pc_a) before (block_b,
-        pc_b) — forward reachability, including inner-loop cycles."""
-        if block_a == block_b and pc_a < pc_b:
+    def may_precede(self, first, second):
+        """Some iteration may execute *first* before *second* — forward
+        reachability, including inner-loop cycles."""
+        block_a, block_b = self.block(first), self.block(second)
+        if block_a == block_b and self.pos(first) < self.pos(second):
             return True
         return block_b in self.reach[block_a]
 
+    def is_once(self, instr):
+        """*instr* executes exactly once per iteration."""
+        return self.block(instr) in self.once
 
-# ---------------------------------------------------------------------------
-# carried-local classification
-# ---------------------------------------------------------------------------
+    # -- block-local values -------------------------------------------------
+    def value(self, reg, consumer):
+        """Expression tree of *reg* as *consumer* reads it."""
+        feeder = self.facts.local_reaching_def(consumer, reg)
+        if feeder is None:
+            return ("entry", reg)
+        op = feeder.op
+        if op == IROp.LI:
+            return ("const", feeder.imm)
+        if op == IROp.MOV:
+            return self.value(feeder.a, feeder)
+        if op == IROp.ADDI:
+            return ("add", self.value(feeder.a, feeder),
+                    ("const", feeder.imm))
+        if op == IROp.SLLI:
+            return ("shl", self.value(feeder.a, feeder),
+                    ("const", feeder.imm))
+        if op == IROp.NEG:
+            return ("neg", self.value(feeder.a, feeder))
+        if op in _ARITH:
+            return (_ARITH[op], self.value(feeder.a, feeder),
+                    self.value(feeder.b, feeder))
+        access = self.accesses.get(id(feeder))
+        if access is not None and access.kind == "static":
+            return ("static", access.target)
+        if access is not None and access.kind == "field":
+            return ("field", access.base, access.target)
+        if op == IROp.ALLOC and feeder.aux.is_array:
+            return ("alloc", self.pos(feeder))
+        return ("opaque", self.pos(feeder))
 
-def _classify_carried(ctx, local):
-    """Kind of one carried local (bytecode mirror of
-    :mod:`repro.jit.patterns`)."""
-    defs = ctx.defs[local]
-    step = _step_def(ctx, local, defs)
-    if step is not None and len(defs) == 1:
-        return CarriedRegister(local, KIND_INDUCTOR, step=step[1])
-    if _is_reduction(ctx, local, defs):
-        return CarriedRegister(local, KIND_REDUCTION)
-    if step is not None and all(
-            d is step[0] or _const_int(d.value) is not None
-            for d in defs):
-        return CarriedRegister(local, KIND_RESETABLE, step=step[1])
-    return CarriedRegister(local, KIND_GENERAL)
+    # -- memory accesses, read off the translator's lowering --------------
+    def _access(self, instr, names):
+        """The heap access *instr* performs, or ``None``.
 
-
-def _step_def(ctx, local, defs):
-    """The unique once-per-iteration ``l = l + const`` def, if any.
-
-    Returns ``(LocalDef, step)`` or ``None``.
-    """
-    steps = []
-    for d in defs:
-        form = linearize(d.value)
-        if form is None or d.block not in ctx.once:
-            continue
-        terms = {t: c for t, c in form.items()
-                 if t != CONST and c != 0}
-        if terms == {("entry", local): 1} and form.get(CONST, 0) != 0:
-            steps.append((d, form[CONST]))
-    if len(steps) == 1:
-        return steps[0]
-    return None
-
-
-def _const_int(value):
-    """The int constant *value* denotes, or ``None``."""
-    form = linearize(value)
-    if form is not None and all(t == CONST or c == 0
-                                for t, c in form.items()):
-        return form.get(CONST, 0)
-    return None
-
-
-def _is_reduction(ctx, local, defs):
-    """True when every def accumulates *local* through one associative
-    op (or min/max intrinsic, or the add-then-mask idiom) and every
-    loop use of *local* sits inside those accumulation trees."""
-    covered_use_pcs = set()
-    for d in defs:
-        use_pcs = uses_in_tree(d.value, local)
-        if len(use_pcs) != 1:
-            return False
-        path = _spine_path(d.value, local)
-        if path is None or not _spine_allowed(path):
-            return False
-        covered_use_pcs.update(use_pcs)
-        for u in ctx.uses[local]:
-            # other locals' values folded into this tree also count
-            if u.pc in uses_in_tree(d.value, local):
-                covered_use_pcs.add(u.pc)
-    all_use_pcs = {u.pc for u in ctx.uses[local]}
-    return all_use_pcs <= covered_use_pcs
-
-
-def _spine_path(node, local):
-    """Ops on the path from a def tree's root down to the unique use of
-    *local*, as ``[(op, other_operand), ...]`` — or ``None`` if the use
-    sits under anything but binops/intrinsics."""
-    path = []
-    while True:
-        tag = node[0]
-        if tag == "use":
-            if node[1] == local:
-                return path
-            node = node[3]
-        elif tag == "binop":
-            in_lhs = bool(uses_in_tree(node[2], local))
-            in_rhs = bool(uses_in_tree(node[3], local))
-            if in_lhs == in_rhs:
-                return None
-            path.append((node[1], node[3] if in_lhs else node[2]))
-            node = node[2] if in_lhs else node[3]
-        elif tag == "intrinsic":
-            holding = [arg for arg in node[2]
-                       if uses_in_tree(arg, local)]
-            if len(holding) != 1:
-                return None
-            path.append((node[1], None))
-            node = holding[0]
+        Statics are absolute (``a``/``b`` is ``None``); a field access
+        follows the ``NULLCHK`` of its base; an array element access
+        is the ``LW``/``SW imm=HEADER_BYTES`` after its ``BOUNDCHK``,
+        whose index and length operands lead back to the array."""
+        op = instr.op
+        if op == IROp.LW:
+            base, is_store = instr.a, False
+        elif op == IROp.SW:
+            base, is_store = instr.b, True
         else:
             return None
+        if base is None:
+            return _Access(instr, "static", is_store,
+                           target=names.statics[instr.imm])
+        block = self.cfg.blocks[self.block(instr)].instrs
+        index = self.facts.index_in_block[id(instr)]
+        before = block[index - 1] if index else None
+        if before is not None and before.op == IROp.NULLCHK \
+                and before.a == base:
+            if instr.imm == WORD:
+                return None                 # array length
+            return _Access(instr, "field", is_store,
+                           base=self.value(base, instr),
+                           target=names.fields[instr.imm])
+        if instr.imm != HEADER_BYTES:
+            return None
+        for check in reversed(block[:index]):
+            if check.op == IROp.BOUNDCHK:
+                length = self.facts.local_reaching_def(check, check.b)
+                return _Access(instr, "array", is_store,
+                               base=self.value(length.a, length),
+                               index=self.value(check.a, check))
+        return None
 
 
-def _spine_allowed(path):
-    """Accept single-op associative spines, min/max intrinsics, and
-    ``(l + x) & (2^k - 1)`` masked counters."""
-    if not path:
-        return False
-    ops = [op for op, _ in path]
-    if all(op == ops[0] for op in ops) and ops[0] in ASSOC_OPS:
-        return True
-    if len(path) == 1 and ops[0] in MINMAX_INTRINSICS:
-        return True
-    if ops[0] == "iand" and all(op == "iadd" for op in ops[1:]) \
-            and len(ops) > 1:
-        mask = _const_int(path[0][1]) if path[0][1] is not None else None
-        return mask is not None and mask > 0 and (mask & (mask + 1)) == 0
-    return False
+# ---------------------------------------------------------------------------
+# linear forms
+# ---------------------------------------------------------------------------
+
+def linearize(expr):
+    """Reduce an integer expression to a linear form, or ``None``.
+
+    The form is ``{basis_term: coeff, CONST: k}`` where basis terms are
+    ``("entry", reg)`` block-entry register values.  Anything
+    non-linear (products of variables, float constants, heap reads)
+    returns ``None``.
+    """
+    tag = expr[0]
+    if tag == "const":
+        value = expr[1]
+        if not isinstance(value, int) or isinstance(value, bool):
+            return None
+        return {CONST: value}
+    if tag == "entry":
+        return {expr: 1, CONST: 0}
+    if tag == "neg":
+        return _scale(linearize(expr[1]), -1)
+    if tag in ("add", "sub"):
+        left, right = linearize(expr[1]), linearize(expr[2])
+        if left is None or right is None:
+            return None
+        return _combine(left, right, -1 if tag == "sub" else 1)
+    if tag == "mul":
+        left, right = linearize(expr[1]), linearize(expr[2])
+        if left is not None and _is_const(left):
+            return _scale(right, left[CONST])
+        if right is not None and _is_const(right):
+            return _scale(left, right[CONST])
+        return None
+    if tag == "shl":
+        right = linearize(expr[2])
+        if right is not None and _is_const(right) \
+                and 0 <= right[CONST] < 31:
+            return _scale(linearize(expr[1]), 1 << right[CONST])
+    return None
+
+
+def _is_const(form):
+    return all(term == CONST or coeff == 0
+               for term, coeff in form.items())
+
+
+def _scale(form, factor):
+    if form is None:
+        return None
+    return {term: coeff * factor for term, coeff in form.items()}
+
+
+def _combine(left, right, sign):
+    out = dict(left)
+    out.setdefault(CONST, 0)
+    for term, coeff in right.items():
+        out[term] = out.get(term, 0) + sign * coeff
+    return {term: coeff for term, coeff in out.items()
+            if term == CONST or coeff != 0}
 
 
 # ---------------------------------------------------------------------------
 # dependence classification
 # ---------------------------------------------------------------------------
 
-def _local_dependence(ctx, code, local):
+def _local_of(reg):
+    """The bytecode local a local register holds (``r1 + v`` is ``v``)."""
+    return reg - 1
+
+
+def _local_dependence(ctx, reg):
     """Carried dependence through a `general` local, or ``None`` when
     every loop read is preceded by a same-iteration write."""
-    defs = ctx.defs[local]
-    uses = ctx.uses[local]
+    defs = ctx.defs(reg)
+    uses = ctx.uses(reg)
     exposed = [u for u in uses
-               if not any(ctx.must_precede(d.block, d.pc, u.block, u.pc)
-                          for d in defs)]
+               if not any(ctx.must_precede(d, u) for d in defs)]
     if not exposed:
         return None
-    once_defs = [d for d in defs if d.block in ctx.once]
+    once_defs = [d for d in defs if ctx.is_once(d)]
     verdict = MAY
     load = exposed[0]
     for u in exposed:
-        unconditional = u.block in ctx.once and not any(
-            ctx.may_precede(d.block, d.pc, u.block, u.pc) for d in defs)
+        unconditional = ctx.is_once(u) and not any(
+            ctx.may_precede(d, u) for d in defs)
         if unconditional and once_defs:
             verdict = MUST
             load = u
             break
-    store = once_defs[0] if once_defs else max(defs, key=lambda d: d.pc)
+    store = once_defs[0] if once_defs else defs[-1]
     reason = ("read of the previous iteration's value on every path"
               if verdict == MUST
               else "value may flow across iterations on some path")
+    local = _local_of(reg)
+    return _dependence(ctx, "local", verdict, "l%d" % local, store, load,
+                       distance=1, local=local, reason=reason)
+
+
+def _dependence(ctx, kind, classification, target, store, load,
+                **fields):
+    """A :class:`Dependence` anchored at two IR instructions."""
     return Dependence(
-        "local", verdict, "l%d" % local,
-        store_pc=store.pc, load_pc=load.pc,
-        store_line=code[store.pc].line, load_line=code[load.pc].line,
-        distance=1, local=local, reason=reason)
+        kind, classification, target,
+        store_pc=ctx.pos(store),
+        load_pc=ctx.pos(load) if load is not None else None,
+        store_line=store.line,
+        load_line=load.line if load is not None else None, **fields)
 
 
-def _scalar_memory_dependence(ctx, code, kind, target, stores, loads,
-                              label):
+def _scalar_memory_dependence(ctx, kind, stores, loads, label):
     """Static-field (or field-through-invariant-base) classification:
     the location behaves like a shared scalar, distance 1."""
     uncovered = [l for l in loads
-                 if not any(ctx.must_precede(s.block, s.pc,
-                                             l.block, l.pc)
+                 if not any(ctx.must_precede(s.instr, l.instr)
                             for s in stores)]
-    store = min(stores, key=lambda s: (s.block not in ctx.once, s.pc))
+    store = min(stores, key=lambda s: (not ctx.is_once(s.instr),
+                                       ctx.pos(s.instr)))
     if not uncovered:
-        return Dependence(
-            kind, ABSENT, label,
-            store_pc=store.pc, store_line=code[store.pc].line,
-            distance=1,
+        return _dependence(
+            ctx, kind, ABSENT, label, store.instr, None, distance=1,
             reason="every read is preceded by a same-iteration write")
     verdict = MAY
     load = uncovered[0]
-    once_stores = [s for s in stores if s.block in ctx.once]
+    once_stores = [s for s in stores if ctx.is_once(s.instr)]
     for l in uncovered:
-        unconditional = l.block in ctx.once and not any(
-            ctx.may_precede(s.block, s.pc, l.block, l.pc)
-            for s in stores)
+        unconditional = ctx.is_once(l.instr) and not any(
+            ctx.may_precede(s.instr, l.instr) for s in stores)
         if unconditional and once_stores:
             verdict = MUST
             load = l
@@ -328,64 +391,62 @@ def _scalar_memory_dependence(ctx, code, kind, target, stores, loads,
     reason = ("read-modify-write of a shared location every iteration"
               if verdict == MUST
               else "shared location read and written on some paths")
-    return Dependence(
-        kind, verdict, label,
-        store_pc=store.pc, load_pc=load.pc,
-        store_line=code[store.pc].line, load_line=code[load.pc].line,
-        distance=1, reason=reason)
+    return _dependence(ctx, kind, verdict, label, store.instr, load.instr,
+                       distance=1, reason=reason)
 
 
 def _root_of(ctx, expr):
     """Loop-invariant root of a base expression, or ``None`` (opaque).
 
-    Roots: ``("local", l)`` for invariant locals, ``("static", cls,
-    name)`` / ``("field", base_root, cls, name)`` for fields not stored
-    inside the loop, ``("alloc", pc)`` for arrays allocated inside the
-    current iteration.
+    Roots: ``("reg", r)`` for registers not written in the loop,
+    ``("static", name)`` / ``("field", base_root, name)`` for fields not
+    stored inside the loop, ``("alloc", pos)`` for arrays allocated
+    inside the current iteration.
     """
     tag = expr[0]
-    if tag == "use":
-        return _root_of(ctx, expr[3])
     if tag == "entry":
-        if expr[1] in ctx.defs:
+        if expr[1] in ctx.facts.defined_in_loop:
             return None
-        return ("local", expr[1])
-    if tag == "staticval":
-        target = (expr[1], expr[2])
-        if target in ctx.static_store_targets:
+        return ("reg", expr[1])
+    if tag == "static":
+        if expr[1] in ctx.static_store_targets:
             return None
-        return ("static",) + target
-    if tag == "fieldval":
-        target = (expr[2], expr[3])
-        if target in ctx.field_store_targets:
+        return expr
+    if tag == "field":
+        if expr[2] in ctx.field_store_targets:
             return None
         base = _root_of(ctx, expr[1])
         if base is None:
             return None
-        return ("field", base) + target
-    if tag == "newarray":
-        return ("alloc", expr[1])
+        return ("field", base, expr[2])
+    if tag == "alloc":
+        return expr
     return None
 
 
-def _root_name(root):
+def _root_name(ctx, root):
     """Human-readable name of a base root."""
     if root is None:
         return "?"
     tag = root[0]
-    if tag == "local":
-        return "l%d" % root[1]
+    if tag == "reg":
+        reg = root[1]
+        if 1 <= reg <= ctx.num_locals:
+            return "l%d" % _local_of(reg)
+        return "r%d" % reg
     if tag == "static":
-        return "%s.%s" % (root[1], root[2])
+        return root[1]
     if tag == "field":
-        return "%s.%s" % (_root_name(root[1]), root[3])
+        return "%s.%s" % (_root_name(ctx, root[1]),
+                          root[2].rsplit(".", 1)[-1])
     return "new@%d" % root[1]
 
 
 def _normalized_index(ctx, inductor, step, acc):
-    """``(coeff, offset)`` of an array index as an affine function of
-    the inductor *at iteration start*, or ``None`` when non-affine or
-    when a conditional step makes the offset indeterminate.
+    """``(coeff, offset, invariants)`` of an array index as an affine
+    function of the inductor *at iteration start*, or ``None`` when
+    non-affine or when a conditional step makes the offset
+    indeterminate.
 
     The linear form is relative to the access's block entry; crossing
     the inductor's step def shifts the frame by ``coeff * step``.
@@ -401,47 +462,42 @@ def _normalized_index(ctx, inductor, step, acc):
             continue
         if term == ("entry", inductor):
             coeff = c
-        elif term[0] == "entry" and term[1] not in ctx.defs:
+        elif term[1] not in ctx.facts.defined_in_loop:
             invariant[term] = c
         else:
             return None             # depends on another in-loop value
-    if coeff != 0 and inductor is not None:
-        (sdef,) = [d for d in ctx.defs[inductor]]
-        if sdef.block != acc.block:
-            if sdef.block in ctx.dom[acc.block]:
+    if coeff != 0:
+        (sdef,) = ctx.defs(inductor)
+        if ctx.block(sdef) != ctx.block(acc.instr):
+            if ctx.block(sdef) in ctx.facts.dom[ctx.block(acc.instr)]:
                 offset += coeff * step
-            elif ctx.may_precede(sdef.block, sdef.pc,
-                                 acc.block, acc.pc):
+            elif ctx.may_precede(sdef, acc.instr):
                 return None         # step may or may not have happened
     return (coeff, offset, tuple(sorted(invariant.items())))
 
 
-def _array_dependences(ctx, code, inductor, step):
+def _array_dependences(ctx, inductor, step):
     """Classify every (array store, array load) pair in the loop."""
-    accesses = [acc for bf in ctx.flows for acc in bf.accesses
-                if acc.kind == "array" and acc.index != ("len",)]
+    accesses = [acc for acc in ctx.accesses.values()
+                if acc.kind == "array"]
     stores = [acc for acc in accesses if acc.is_store]
     loads = [acc for acc in accesses if not acc.is_store]
     deps = []
     for s in stores:
         s_root = _root_of(ctx, s.base)
         for l in loads:
-            l_root = _root_of(ctx, l.base)
-            deps.append(_array_pair(ctx, code, inductor, step,
-                                    s, s_root, l, l_root))
+            deps.append(_array_pair(ctx, inductor, step, s, s_root, l,
+                                    _root_of(ctx, l.base)))
     return deps
 
 
-def _array_pair(ctx, code, inductor, step, s, s_root, l, l_root):
+def _array_pair(ctx, inductor, step, s, s_root, l, l_root):
     """One store/load pair on the lattice (see docs/analysis.md)."""
-    label = "%s[]" % _root_name(s_root)
+    label = "%s[]" % _root_name(ctx, s_root)
 
     def dep(classification, distance, reason):
-        return Dependence(
-            "array", classification, label,
-            store_pc=s.pc, load_pc=l.pc,
-            store_line=code[s.pc].line, load_line=code[l.pc].line,
-            distance=distance, reason=reason)
+        return _dependence(ctx, "array", classification, label, s.instr,
+                           l.instr, distance=distance, reason=reason)
 
     if s_root is None or l_root is None:
         return dep(MAY, None, "unresolved array base may alias")
@@ -463,8 +519,7 @@ def _array_pair(ctx, code, inductor, step, s, s_root, l, l_root):
             return dep(ABSENT, None,
                        "loop-invariant indices address distinct "
                        "elements")
-        return _scalar_memory_dependence(
-            ctx, code, "array", None, [s], [l], label)
+        return _scalar_memory_dependence(ctx, "array", [s], [l], label)
     advance = sc * step
     delta = so - lo
     if advance == 0 or delta % advance != 0:
@@ -475,7 +530,7 @@ def _array_pair(ctx, code, inductor, step, s, s_root, l, l_root):
         return dep(ABSENT, None,
                    "the read runs ahead of the write "
                    "(distance %d)" % distance)
-    if s.block in ctx.once and l.block in ctx.once:
+    if ctx.is_once(s.instr) and ctx.is_once(l.instr):
         return dep(MUST, distance,
                    "recurrence a[i] <- a[i-%d] on every iteration"
                    % distance)
@@ -483,65 +538,42 @@ def _array_pair(ctx, code, inductor, step, s, s_root, l, l_root):
                "recurrence at distance %d on some paths" % distance)
 
 
-def _field_dependences(ctx, code):
-    """Classify instance-field store/load groups (per field target)."""
+def _named_dependences(ctx, kind):
+    """Classify static-field (*kind* ``static``) or instance-field
+    (``field``) store/load groups, one per named location."""
     by_target = {}
-    for bf in ctx.flows:
-        for acc in bf.accesses:
-            if acc.kind == "field":
-                by_target.setdefault(acc.target, []).append(acc)
+    for acc in ctx.accesses.values():
+        if acc.kind == kind:
+            by_target.setdefault(acc.target, []).append(acc)
     deps = []
     for target, accs in sorted(by_target.items()):
         stores = [a for a in accs if a.is_store]
         loads = [a for a in accs if not a.is_store]
         if not stores or not loads:
             continue
-        label = "%s.%s" % target
-        roots = {_root_of(ctx, a.base) for a in accs}
+        roots = ({_root_of(ctx, a.base) for a in accs}
+                 if kind == "field" else {kind})
         if None in roots or len(roots) != 1:
-            store, load = stores[0], loads[0]
-            deps.append(Dependence(
-                "field", MAY, label,
-                store_pc=store.pc, load_pc=load.pc,
-                store_line=code[store.pc].line,
-                load_line=code[load.pc].line,
-                distance=1,
+            deps.append(_dependence(
+                ctx, "field", MAY, target, stores[0].instr,
+                loads[0].instr, distance=1,
                 reason="field bases may alias across iterations"))
         else:
-            deps.append(_scalar_memory_dependence(
-                ctx, code, "field", target, stores, loads, label))
-    return deps
-
-
-def _static_dependences(ctx, code):
-    """Classify static-field store/load groups (per field target)."""
-    by_target = {}
-    for bf in ctx.flows:
-        for acc in bf.accesses:
-            if acc.kind == "static":
-                by_target.setdefault(acc.target, []).append(acc)
-    deps = []
-    for target, accs in sorted(by_target.items()):
-        stores = [a for a in accs if a.is_store]
-        loads = [a for a in accs if not a.is_store]
-        if not stores or not loads:
-            continue
-        deps.append(_scalar_memory_dependence(
-            ctx, code, "static", target, stores, loads,
-            "%s.%s" % target))
+            deps.append(_scalar_memory_dependence(ctx, kind, stores,
+                                                  loads, target))
     return deps
 
 
 # ---------------------------------------------------------------------------
-# cost model / pruning
+# cost model
 # ---------------------------------------------------------------------------
 
-def _cost(code, pcs):
-    """Cost-weighted size of a pc set."""
-    return sum(_OP_COST.get(code[pc].op, 1) for pc in pcs)
+def _cost(instrs):
+    """Cost-weighted size of an instruction set."""
+    return sum(_OP_COST.get(instr.op, 1) for instr in instrs)
 
 
-def _dependence_span(ctx, code, dep):
+def _dependence_span(ctx, dep):
     """Cost of the serial chain one must-dependence imposes per
     iteration: the region from its load to its (next-iteration) store,
     divided by the iteration distance."""
@@ -549,18 +581,17 @@ def _dependence_span(ctx, code, dep):
     if load_pc is None or store_pc is None:
         return 0
     if load_pc <= store_pc:
-        span = {pc for pc in ctx.pcs if load_pc <= pc <= store_pc}
+        span = [i for i in ctx.instrs if load_pc <= ctx.pos(i) <= store_pc]
     else:
-        span = {pc for pc in ctx.pcs
-                if not store_pc < pc < load_pc}
-    return _cost(code, span) / max(1, dep.distance or 1)
+        span = [i for i in ctx.instrs
+                if not store_pc < ctx.pos(i) < load_pc]
+    return _cost(span) / max(1, dep.distance or 1)
 
 
-def _apply_cost_model(ctx, code, analysis, threshold):
-    """Fill body/dep costs and decide pruning for one loop."""
-    analysis.body_cost = _cost(code, ctx.pcs)
-    spans = [_dependence_span(ctx, code, dep)
-             for dep in analysis.must_deps()]
+def _apply_cost_model(ctx, analysis, threshold):
+    """Fill body/dep costs and the speedup bound for one loop."""
+    analysis.body_cost = _cost(ctx.instrs)
+    spans = [_dependence_span(ctx, dep) for dep in analysis.must_deps()]
     analysis.max_dep_cost = max(spans) if spans else 0
     if analysis.max_dep_cost > 0:
         analysis.speedup_bound = round(
@@ -577,31 +608,29 @@ def _apply_cost_model(ctx, code, analysis, threshold):
 # entry points
 # ---------------------------------------------------------------------------
 
-def analyze_loop(ctx, threshold):
-    """Run the full classification for one loop context."""
-    cfg, loop = ctx.cfg, ctx.loop
-    code = cfg.method.code
-    header_line = code[cfg.blocks[loop.header].start].line
-    analysis = LoopAnalysis(cfg.method.qualified_name, loop.ordinal,
-                            header_line, loop.depth)
-    analysis.has_calls = bool(ctx.calls or ctx.monitors)
-
-    carried = sorted(set(ctx.defs) & set(ctx.uses))
+def analyze_loop(ctx, ordinal, kinds, threshold):
+    """Run the full classification for one loop context; *kinds* are
+    the loop's carried locals as the annotator classifies them."""
+    loop = ctx.loop
+    analysis = LoopAnalysis(ctx.method, ordinal,
+                            header_line(ctx.cfg, loop), loop.depth)
+    analysis.has_calls = any(instr.op in _CALL_OPS
+                             for instr in ctx.instrs)
     inductor, step = None, None
-    for local in carried:
-        reg = _classify_carried(ctx, local)
-        analysis.carried.append(reg)
-        if reg.kind == KIND_INDUCTOR and inductor is None:
-            inductor, step = local, reg.step
-    for reg in analysis.carried:
-        if reg.kind == KIND_GENERAL:
-            dep = _local_dependence(ctx, code, reg.local)
+    for reg, info in sorted(kinds.items()):
+        analysis.carried.append(CarriedRegister(
+            _local_of(reg), info.kind, step=info.step_imm))
+        if info.kind == KIND_INDUCTOR and inductor is None \
+                and isinstance(info.step_imm, int) and not info.is_float:
+            inductor, step = reg, info.step_imm
+        if info.kind == KIND_GENERAL:
+            dep = _local_dependence(ctx, reg)
             if dep is not None:
                 analysis.deps.append(dep)
 
-    memory_deps = (_static_dependences(ctx, code)
-                   + _field_dependences(ctx, code)
-                   + _array_dependences(ctx, code, inductor, step or 0))
+    memory_deps = (_named_dependences(ctx, "static")
+                   + _named_dependences(ctx, "field")
+                   + _array_dependences(ctx, inductor, step or 0))
     if analysis.has_calls:
         for dep in memory_deps:
             if dep.classification == ABSENT:
@@ -611,40 +640,42 @@ def analyze_loop(ctx, threshold):
     analysis.deps.extend(memory_deps)
 
     analysis.finalize()
-    _apply_cost_model(ctx, code, analysis, threshold)
+    _apply_cost_model(ctx, analysis, threshold)
     return analysis
 
 
-def analyze_method(program, method, threshold=1.2, depths=None):
-    """Analyze every natural loop of one method.
+def analyze_method(ir_method, names, threshold=1.2):
+    """Analyze every natural loop of one method's IR.
 
-    Returns ``[LoopAnalysis]`` in ordinal order.  *depths* may carry a
-    precomputed :func:`~repro.bytecode.verify_method` result.
+    Returns ``[LoopAnalysis]`` in ordinal order.
     """
-    if depths is None:
-        depths = verify_method(program, method)
-    cfg = build_cfg(method)
-    loops = natural_loops(cfg)
-    if not loops:
+    cfg, ordered = identify_loops(ir_method)
+    if not ordered:
         return []
-    flow = flow_method(program, method, cfg, depths)
+    positions = {}
+    for instr in ir_method.code:
+        if instr.op != IROp.LABEL:
+            positions[id(instr)] = len(positions)
+    all_loops = [loop for __, loop in ordered]
     results = []
-    for loop in loops:
-        inner = set()
-        for other in loops:
-            if other.blocks < loop.blocks:
-                inner |= other.blocks
-        ctx = _LoopContext(cfg, flow, loop, inner)
-        results.append(analyze_loop(ctx, threshold))
+    for ordinal, loop in ordered:
+        kinds = classify_carried_locals(cfg, loop, ir_method.num_locals,
+                                        all_loops)
+        ctx = _LoopContext(ir_method, cfg, loop, all_loops, positions,
+                           names)
+        results.append(analyze_loop(ctx, ordinal, kinds, threshold))
     return results
 
 
 def analyze_program(program, threshold=1.2):
     """Analyze every method; returns an
     :class:`~repro.analysis.model.AnalysisReport`."""
+    program.seal()
+    layout = StaticLayout(program, STATICS_BASE)
+    names = _ProgramNames(program, layout)
     report = AnalysisReport(threshold=threshold)
-    for method in program.all_methods():
+    for __, ir_method in translated_methods(program, layout):
         report.methods_analyzed += 1
-        report.loops.extend(analyze_method(program, method,
+        report.loops.extend(analyze_method(ir_method, names,
                                            threshold=threshold))
     return report

@@ -6,10 +6,9 @@ Three layers, mirroring the dynamic side's report model:
   absence), classified on the ``absent < may < must`` lattice;
 * :class:`LoopAnalysis` — everything the analyzer concluded about one
   natural loop: carried-local kinds, dependences, the whole-loop
-  classification, and (optionally) the prune decision;
-* :class:`AnalysisReport` — the per-program bundle that rides
-  :class:`~repro.core.pipeline.JrpmReport` (schema version 4+) and the
-  ``analyze`` service verb.
+  classification and the speedup bound its must-dependences allow;
+* :class:`AnalysisReport` — the per-program bundle the ``analyze``
+  service verb and ``jrpm analyze`` return.
 
 After a TEST profiling run, :meth:`AnalysisReport.cross_check` diffs
 every loop's predicted arcs against the profiler's observed RAW arcs
@@ -18,7 +17,12 @@ every loop's predicted arcs against the profiler's observed RAW arcs
 vs. dynamic comparison in ``docs/analysis.md``.
 """
 
-from ..serialize import site_from_jsonable, site_to_jsonable
+# Carried-local kinds are the annotator's (repro.jit.patterns): a local
+# classified as anything but ``general`` produces no inter-thread
+# communication after STL recompilation, hence no dependence arcs.
+from ..jit.patterns import (KIND_GENERAL, KIND_INDUCTOR, KIND_REDUCTION,
+                            KIND_RESETABLE)
+from ..serialize import site_to_jsonable
 
 #: Classification lattice for carried dependences (weakest first).
 ABSENT = "absent"
@@ -28,14 +32,6 @@ MUST = "must"
 #: Lattice order used to fold per-dependence verdicts into a per-loop
 #: verdict (the strongest classification wins).
 LATTICE = (ABSENT, MAY, MUST)
-
-#: Carried-local kinds, mirroring :mod:`repro.jit.patterns` — a local
-#: classified as anything but ``general`` produces no inter-thread
-#: communication after STL recompilation, hence no dependence arcs.
-KIND_INDUCTOR = "inductor"
-KIND_RESETABLE = "resetable"
-KIND_REDUCTION = "reduction"
-KIND_GENERAL = "general"
 
 
 def strongest(classifications):
@@ -57,6 +53,7 @@ class Dependence:
     to source lines — the same identity the TEST profiler's arc sites
     carry — and ``distance`` is the iteration distance when statically
     known (``1`` for scalar recurrences, ``d`` for ``a[i] <- a[i-d]``).
+    ``store_pc``/``load_pc`` index the method's plain-compiled IR.
     """
 
     __slots__ = ("kind", "classification", "target", "store_pc",
@@ -104,7 +101,8 @@ class Dependence:
 
 
 class CarriedRegister:
-    """Bytecode-level classification of one loop-carried local."""
+    """The annotator's classification of one loop-carried local,
+    named by its bytecode local index."""
 
     __slots__ = ("local", "kind", "step")
 
@@ -131,10 +129,13 @@ class CarriedRegister:
 class LoopAnalysis:
     """The analyzer's verdict on one natural loop.
 
-    Keyed by ``(method, ordinal)`` — the same stable identity the IR
-    annotator's :class:`~repro.jit.annotate.LoopMeta` carries, guarded
-    by the header ``line`` so a bytecode/IR ordinal drift can never
-    silently mis-join the two worlds.
+    Keyed by ``(method, ordinal)`` — the loop the IR annotator's
+    :class:`~repro.jit.annotate.LoopMeta` describes, found by the same
+    :func:`~repro.jit.annotate.identify_loops` call, with the same
+    header ``line``.  ``pruned`` means the static speedup bound is
+    below the selector's ``min_predicted_speedup``: a loop the static
+    side expects to be useless, reported next to what the dynamic
+    selector actually chose.
     """
 
     __slots__ = ("method", "ordinal", "line", "depth", "classification",
@@ -177,7 +178,8 @@ class LoopAnalysis:
         return verdict
 
     def must_deps(self):
-        """The must-dependences (what pruning reasons over)."""
+        """The must-dependences (what the speedup bound reasons
+        over)."""
         return [dep for dep in self.deps if dep.classification == MUST]
 
     def __repr__(self):
@@ -230,7 +232,8 @@ class AnalysisReport:
 
     def __init__(self, threshold=1.2):
         self.loops = []                 # [LoopAnalysis], program order
-        #: the speedup bound below which must-dependence loops prune
+        #: the speedup bound below which a must-dependence loop is
+        #: marked ``pruned``
         self.threshold = threshold
         self.methods_analyzed = 0
 
@@ -239,24 +242,8 @@ class AnalysisReport:
         return {loop.key: loop for loop in self.loops}
 
     def pruned(self):
-        """The loops the static pass ruled out before profiling."""
+        """The loops whose static speedup bound is below threshold."""
         return [loop for loop in self.loops if loop.pruned]
-
-    def prune_set(self):
-        """``{(method, ordinal): (line, reason, locals)}`` consumed by
-        :func:`repro.jit.compiler.compile_annotated` — ``line`` guards
-        the join, ``locals`` lists the bytecode local indices whose
-        must-dependences justified the prune (the annotator re-checks
-        them against its own carried-kind classification and ignores
-        the prune if any turned out compiler-eliminable)."""
-        decisions = {}
-        for loop in self.pruned():
-            involved = sorted({dep.local for dep in loop.must_deps()
-                               if dep.kind == "local"
-                               and dep.local is not None})
-            decisions[loop.key] = (loop.line, loop.prune_reason,
-                                   tuple(involved))
-        return decisions
 
     def counts(self):
         """``{classification: loop count}`` over the whole program."""
@@ -282,7 +269,7 @@ class AnalysisReport:
         * ``allocator``  — observed arcs flowing through allocator
           metadata; the §5.2 parallel allocator makes them vanish at
           TLS time (the selector ignores them for the same reason),
-          and VM-internal state is invisible to a bytecode analysis,
+          and VM-internal state is invisible to a per-method analysis,
         * ``privatized`` — observed arcs on carried locals the IR
           annotator classifies as inductor/reduction/resetable: real
           RAW flow at profile time, but STL codegen privatizes the
@@ -324,11 +311,6 @@ class AnalysisReport:
             slot = meta.carried_slots.get(reg)
             if slot is not None:
                 kind_by_slot[slot] = info.kind
-        static_kind_by_slot = {}
-        for reg in loop.carried:
-            slot = slot_of.get(reg.local)
-            if slot is not None:
-                static_kind_by_slot[slot] = reg.kind
         predicted = []                  # (matcher, dep)
         for dep in loop.deps:
             if dep.classification == ABSENT:
@@ -365,14 +347,6 @@ class AnalysisReport:
                 record["kind"] = kind_by_slot[matcher[1]]
                 privatized.append(record)
             else:
-                if matcher[0] == "local":
-                    static_kind = static_kind_by_slot.get(matcher[1])
-                    if static_kind and static_kind != KIND_GENERAL:
-                        # the static side proved the local privatizable
-                        # but the IR matcher could not, so STL codegen
-                        # communicates it: a kind divergence, not an
-                        # analyzer soundness hole
-                        record["static_kind"] = static_kind
                 missed.append(record)
         unobserved = [dep.to_dict() for index, (_, dep)
                       in enumerate(predicted) if index not in matched]

@@ -1,4 +1,4 @@
-"""Structural bytecode verifier and bytecode-level control-flow graphs.
+"""Structural bytecode verifier.
 
 Checks performed per method:
 
@@ -10,21 +10,15 @@ Checks performed per method:
 
 This mirrors (a small part of) JVM bytecode verification and protects
 the microJIT's abstract-stack translator, which relies on consistent
-depths to merge values at control-flow joins.
-
-The second half of the module is the **bytecode CFG**: basic blocks
-over raw ``Instr`` lists, dominators, back edges and natural loops —
-the structural substrate the static dependence analyzer
-(:mod:`repro.analysis`) builds on.  It deliberately mirrors the IR-level
-CFG in :mod:`repro.jit.cfg` (same loop-identification rules, same
-unreachable-block discipline) so that bytecode loop ordinals line up
-with the annotator's IR loop ordinals.
+depths to merge values at control-flow joins.  Control-flow graphs,
+dominators and natural loops exist only over the microJIT's IR
+(:mod:`repro.jit.cfg`); the static dependence analyzer
+(:mod:`repro.analysis`) reads them there too.
 """
 
 from ..errors import VerifyError
 from ..vm import intrinsics
-from .opcodes import BRANCH_OPS, COND_BRANCH_OPS, Op, STACK_EFFECTS, \
-    TERMINATOR_OPS
+from .opcodes import COND_BRANCH_OPS, Op, STACK_EFFECTS, TERMINATOR_OPS
 
 
 def _stack_effect(program, instr):
@@ -136,271 +130,3 @@ def verify_program(program):
     for method in program.all_methods():
         verify_method(program, method)
     return program
-
-
-# ---------------------------------------------------------------------------
-# bytecode control-flow graph
-# ---------------------------------------------------------------------------
-
-#: Opcodes that may raise a guest exception (null dereference, division
-#: by zero, out-of-bounds index, negative array size, unlocked monitor).
-#: A trap abruptly completes the whole method — there is no handler
-#: table in this ISA — so every trapping instruction is an *implicit
-#: exception edge* out of its enclosing loops and method.
-TRAP_OPS = frozenset({
-    Op.IDIV, Op.IREM,
-    Op.ARRAYLENGTH, Op.IALOAD, Op.IASTORE, Op.FALOAD, Op.FASTORE,
-    Op.AALOAD, Op.AASTORE,
-    Op.NEWARRAY_I, Op.NEWARRAY_F, Op.NEWARRAY_A,
-    Op.GETFIELD, Op.PUTFIELD,
-    Op.INVOKEVIRTUAL,
-    Op.MONITORENTER, Op.MONITOREXIT,
-})
-
-
-class BasicBlock:
-    """A maximal straight-line bytecode run ``code[start:end]``."""
-
-    __slots__ = ("bid", "start", "end", "succs", "preds")
-
-    def __init__(self, bid, start):
-        self.bid = bid
-        self.start = start          # pc of the first instruction
-        self.end = start            # pc just past the last instruction
-        self.succs = []
-        self.preds = []
-
-    def pcs(self):
-        """The block's instruction pcs, in execution order."""
-        return range(self.start, self.end)
-
-    def __repr__(self):
-        return "B%d[%d:%d]" % (self.bid, self.start, self.end)
-
-
-class MethodCFG:
-    """Control-flow graph of one bytecode method."""
-
-    def __init__(self, method, blocks, block_at):
-        self.method = method
-        self.blocks = blocks
-        self.block_at = block_at    # leader pc -> block id
-        self.entry = 0
-
-    def block_of(self, pc):
-        """The block containing *pc* (bisect over sorted starts)."""
-        lo, hi = 0, len(self.blocks) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.blocks[mid].start <= pc:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def trap_pcs(self, block_ids=None):
-        """pcs of potentially-trapping instructions (implicit exception
-        edges) in the given blocks (default: the whole method)."""
-        ids = range(len(self.blocks)) if block_ids is None else block_ids
-        code = self.method.code
-        return [pc for bid in sorted(ids)
-                for pc in self.blocks[bid].pcs()
-                if code[pc].op in TRAP_OPS]
-
-    def __len__(self):
-        return len(self.blocks)
-
-
-class BytecodeLoop:
-    """A natural loop over bytecode blocks.
-
-    ``ordinal`` is the loop's stable position within its method —
-    assigned by :func:`natural_loops` with the same sort rule the
-    IR annotator uses (header position, then body size), so a bytecode
-    loop and the annotator's :class:`~repro.jit.annotate.LoopMeta` for
-    the same source loop share ``(method, ordinal)``.
-    """
-
-    __slots__ = ("header", "blocks", "backedges", "ordinal", "parent",
-                 "depth", "exits", "trap_exits")
-
-    def __init__(self, header, blocks, backedges):
-        self.header = header        # block id
-        self.blocks = blocks        # frozenset of block ids
-        self.backedges = backedges  # [(tail bid, header bid)]
-        self.ordinal = None
-        self.parent = None          # enclosing BytecodeLoop or None
-        self.depth = 1
-        self.exits = []             # [(bid in loop, bid outside)]
-        self.trap_exits = []        # pcs of trapping instrs inside
-
-    def __repr__(self):
-        return "<BytecodeLoop #%s hdr=B%d blocks=%d>" % (
-            self.ordinal, self.header, len(self.blocks))
-
-
-def build_cfg(method):
-    """Partition a verified method's code into basic blocks.
-
-    Leaders: pc 0, every branch target, and every instruction after a
-    branch or terminator.  Blocks ending in a conditional branch get
-    (branch target, fallthrough) successors in that order; ``GOTO``
-    gets its target; returns get none.
-    """
-    code = method.code
-    if not code:
-        raise VerifyError("%s has no code" % method.qualified_name)
-    leaders = {0}
-    for pc, instr in enumerate(code):
-        if instr.op in BRANCH_OPS:
-            leaders.add(instr.arg)
-            if pc + 1 < len(code):
-                leaders.add(pc + 1)
-        elif instr.op in TERMINATOR_OPS and pc + 1 < len(code):
-            leaders.add(pc + 1)
-    blocks = []
-    block_at = {}
-    for start in sorted(leaders):
-        block = BasicBlock(len(blocks), start)
-        block_at[start] = block.bid
-        blocks.append(block)
-    for block in blocks:
-        nxt = block.bid + 1
-        block.end = blocks[nxt].start if nxt < len(blocks) else len(code)
-    for block in blocks:
-        last = code[block.end - 1]
-        if last.op == Op.GOTO:
-            block.succs.append(block_at[last.arg])
-        elif last.op in COND_BRANCH_OPS:
-            block.succs.append(block_at[last.arg])
-            if block.end < len(code):
-                block.succs.append(block_at[block.end])
-        elif last.op in (Op.RETURN, Op.RETURN_VALUE):
-            pass
-        elif block.end < len(code):
-            block.succs.append(block_at[block.end])
-    for block in blocks:
-        for succ in block.succs:
-            blocks[succ].preds.append(block.bid)
-    return MethodCFG(method, blocks, block_at)
-
-
-def reachable_blocks(cfg):
-    """Block ids reachable from the method entry."""
-    seen = {cfg.entry}
-    stack = [cfg.entry]
-    while stack:
-        bid = stack.pop()
-        for succ in cfg.blocks[bid].succs:
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return seen
-
-
-def compute_dominators(cfg):
-    """Iterative dominator sets; one frozenset per block.
-
-    Unreachable blocks get empty dominator sets so dead code (e.g. a
-    block only reachable through a removed edge) can neither define
-    back edges nor join loop bodies — the same discipline as the IR
-    CFG in :mod:`repro.jit.cfg`.
-    """
-    reachable = reachable_blocks(cfg)
-    everything = frozenset(reachable)
-    dom = [everything if bid in reachable else frozenset()
-           for bid in range(len(cfg.blocks))]
-    dom[cfg.entry] = frozenset([cfg.entry])
-    changed = True
-    while changed:
-        changed = False
-        for bid in range(len(cfg.blocks)):
-            if bid == cfg.entry or bid not in reachable:
-                continue
-            preds = [p for p in cfg.blocks[bid].preds if p in reachable]
-            if not preds:
-                continue
-            new = None
-            for pred in preds:
-                new = dom[pred] if new is None else (new & dom[pred])
-            new = (new or frozenset()) | {bid}
-            if new != dom[bid]:
-                dom[bid] = new
-                changed = True
-    return dom
-
-
-def back_edges(cfg, dom=None):
-    """``(tail, head)`` edges where the head dominates the tail."""
-    if dom is None:
-        dom = compute_dominators(cfg)
-    edges = []
-    for block in cfg.blocks:
-        for succ in block.succs:
-            if succ in dom[block.bid]:
-                edges.append((block.bid, succ))
-    return edges
-
-
-def natural_loops(cfg):
-    """Natural loops with stable ordinals (loops sharing a header are
-    merged, exactly as in :func:`repro.jit.cfg.find_natural_loops`).
-
-    Each loop also records its normal ``exits`` and its ``trap_exits``
-    — pcs of instructions inside the body that can raise a guest
-    exception and thereby leave the loop abruptly.
-    """
-    dom = compute_dominators(cfg)
-    reachable = reachable_blocks(cfg)
-    by_header = {}
-    for tail, header in back_edges(cfg, dom):
-        body = _loop_body(cfg, header, tail, reachable)
-        loop = by_header.get(header)
-        if loop is None:
-            by_header[header] = BytecodeLoop(header, body,
-                                             [(tail, header)])
-        else:
-            loop.blocks = loop.blocks | body
-            loop.backedges.append((tail, header))
-    loops = sorted(by_header.values(), key=lambda lp: len(lp.blocks))
-    _assign_nesting(loops)
-    ordered = sorted(loops, key=lambda lp: (cfg.blocks[lp.header].start,
-                                            len(lp.blocks)))
-    for ordinal, loop in enumerate(ordered):
-        loop.ordinal = ordinal
-        loop.exits = [(bid, succ) for bid in loop.blocks
-                      for succ in cfg.blocks[bid].succs
-                      if succ not in loop.blocks]
-        loop.trap_exits = cfg.trap_pcs(loop.blocks)
-    return ordered
-
-
-def _loop_body(cfg, header, tail, reachable):
-    body = {header, tail}
-    stack = [tail]
-    while stack:
-        bid = stack.pop()
-        if bid == header:
-            continue
-        for pred in cfg.blocks[bid].preds:
-            if pred not in body and pred in reachable:
-                body.add(pred)
-                stack.append(pred)
-    return frozenset(body)
-
-
-def _assign_nesting(loops):
-    # loops arrive sorted by size ascending: parent = smallest
-    # strictly-larger loop containing this one.
-    for index, loop in enumerate(loops):
-        for candidate in loops[index + 1:]:
-            if loop.blocks < candidate.blocks:
-                loop.parent = candidate
-                break
-    for loop in loops:
-        depth = 1
-        parent = loop.parent
-        while parent is not None:
-            depth += 1
-            parent = parent.parent
-        loop.depth = depth

@@ -229,9 +229,11 @@ def cmd_analyze(args):
     print("dynamic selector agreement:")
     for entry in result["loops"]:
         if entry["pruned"] and entry["selected"]:
-            verdict = "DISAGREE: pruned statically but selected"
+            verdict = "DISAGREE: static bound below threshold but " \
+                      "selected"
         elif entry["pruned"]:
-            verdict = "agree: pruned statically, not selected"
+            verdict = "agree: static bound below threshold, not " \
+                      "selected"
         elif entry["selected"]:
             verdict = "selected"
         else:
@@ -239,8 +241,9 @@ def cmd_analyze(args):
         print("  %-24s line %-5s %s"
               % ("%s#%d" % (entry["method"], entry["ordinal"]),
                  entry["line"], verdict))
-    # a statically pruned loop the dynamic selector would have
-    # committed is an analyzer soundness bug — make it the exit code
+    # a loop whose static bound rules it out (``pruned``) but which the
+    # dynamic selector commits is an analyzer soundness bug — make it
+    # the exit code
     return 1 if any(entry["pruned"] and entry["selected"]
                     for entry in result["loops"]) else 0
 

@@ -135,10 +135,6 @@ class JrpmReport:
         # adaptive recompilation (repro.adapt): the epoch/decision log
         # produced by Jrpm.run_adaptive(); None on one-shot runs
         self.adaptation = None           # AdaptationLog or None
-        # static dependence analysis (repro.analysis): per-loop
-        # classification + profiler cross-check; None unless the run
-        # was made with RunOptions.analysis / Jrpm(analysis=True)
-        self.analysis = None             # AnalysisReport or None
         # persistent profile DB (repro.profdb): how the TEST statistics
         # behind this report were obtained — "cold" (profiled live),
         # "warm" (replayed from a stored consensus) or "confirmed"
@@ -311,8 +307,10 @@ class JrpmReport:
                                  if self.trace_aggregates else None),
             "adaptation": (self.adaptation.to_dict()
                            if self.adaptation else None),
-            "analysis": (self.analysis.to_dict()
-                         if self.analysis else None),
+            # runs carry no static analysis (``jrpm analyze`` reports
+            # it on its own); the slot stays null so the report keeps
+            # its bytes
+            "analysis": None,
             "profile_provenance": self.profile_provenance,
         }
 
@@ -369,10 +367,6 @@ class JrpmReport:
         if adaptation is not None:
             from ..adapt.log import AdaptationLog
             report.adaptation = AdaptationLog.from_dict(adaptation)
-        analysis = data.get("analysis")
-        if analysis is not None:
-            from ..analysis import AnalysisReport
-            report.analysis = AnalysisReport.from_dict(analysis)
         report.profile_provenance = data.get("profile_provenance", "cold")
         return report
 
@@ -397,7 +391,6 @@ class ProfileArtifact:
     profiler: object                 # TestProfiler after the run
     measurement: RunMeasurement
     annotations: int
-    analysis: object = None          # AnalysisReport or None
     #: annotation-only instructions the run retired, 1 cycle each
     #: (:attr:`repro.hydra.machine.CpuContext.annotation_instret`)
     annotation_instructions: int = 0
@@ -460,7 +453,7 @@ class Jrpm:
     """
 
     def __init__(self, config=None, stl_options=None, vm_options=None,
-                 trace=None, options=None, analysis=False, profdb=None,
+                 trace=None, options=None, profdb=None,
                  warm_start=None, compile_cache=None):
         """``options`` (a :class:`repro.service.RunOptions`) is the
         preferred single knob; the per-object kwargs remain for callers
@@ -478,7 +471,6 @@ class Jrpm:
             vm_options = vm_options or options.vm_options()
             if trace is None and options.trace:
                 trace = True
-            analysis = analysis or options.analysis
             if profdb is None and options.profile_db:
                 profdb = options.profile_db
             if warm_start is None and options.warm_start:
@@ -486,12 +478,6 @@ class Jrpm:
         self.config = config or HydraConfig()
         self.stl_options = stl_options or StlOptions()
         self.vm_options = vm_options or VmOptions()
-        #: static dependence analysis (repro.analysis): when true,
-        #: :meth:`profile` analyzes the bytecode first, prunes
-        #: statically-hopeless STL candidates before the tracer runs
-        #: them, and the assembled report carries an ``AnalysisReport``
-        #: cross-checked against the observed TEST arcs.
-        self.analysis = bool(analysis)
         #: observability (repro.trace): ``trace`` may be ``None`` (off,
         #: the default), ``True`` (collector with default options), a
         #: :class:`~repro.trace.TraceOptions`, or a ready-made
@@ -540,23 +526,9 @@ class Jrpm:
                                 compile_cycles=plain.compile_cycles)
 
     def profile(self, source_or_program, args=()):
-        """Steps 1-2: annotated compile + sequential run under TEST.
-
-        With :attr:`analysis` on, step 1 is preceded by the static
-        dependence pass: loops whose carried must-dependences make
-        speedup statically impossible are demoted to non-candidates
-        (``reject_reason`` prefixed ``static:``) so TEST never spends
-        comparator banks on them.
-        """
+        """Steps 1-2: annotated compile + sequential run under TEST."""
         program = self._program_of(source_or_program)
-        analysis_report = None
-        prune = None
-        if self.analysis:
-            from ..analysis import analyze_program
-            analysis_report = analyze_program(
-                program, threshold=self.config.min_predicted_speedup)
-            prune = analysis_report.prune_set()
-        annotated = self.annotate(program, prune)
+        annotated = self.annotate(program)
         if self.trace is not None:
             self.trace.set_phase("profile")
         profiler = TestProfiler(self.config, annotated.loop_table,
@@ -567,16 +539,13 @@ class Jrpm:
             annotated=annotated, profiler=profiler,
             measurement=RunMeasurement.from_result(result),
             annotations=annotation_count(annotated),
-            analysis=analysis_report,
             annotation_instructions=result.annotation_instructions)
 
-    def annotate(self, program, prune=None):
-        """Step 1's compile alone: *program* with TEST annotations
-        (``prune`` as for :func:`~repro.jit.compiler.compile_annotated`)."""
+    def annotate(self, program):
+        """Step 1's compile alone: *program* with TEST annotations."""
         return self._compiled(
-            lambda: compile_annotated(program, self.config, prune=prune),
-            lambda: ("annotated", program, self._config_key(),
-                     tuple(sorted(prune.items())) if prune else None))
+            lambda: compile_annotated(program, self.config),
+            lambda: ("annotated", program, self._config_key()))
 
     def make_selector(self, loop_table):
         """The §3.1 selector configured for this Jrpm instance."""
@@ -661,16 +630,6 @@ class Jrpm:
         report.breakdown = tls_artifact.breakdown
         report.stl_run_stats = tls_artifact.stl_stats
         report.recompile_cycles = tls_artifact.recompile_cycles
-        if profile_artifact.analysis is not None:
-            report.analysis = profile_artifact.analysis
-            report.analysis.cross_check(report.loop_table,
-                                        report.loop_stats)
-            if self.trace is not None:
-                for loop in report.analysis.loops:
-                    agreement = loop.agreement or {}
-                    self.trace.analysis(
-                        0.0, agreement.get("loop_id"), loop.method,
-                        loop.ordinal, loop.classification, loop.pruned)
         if self.trace is not None:
             report.trace = self.trace
             report.trace_aggregates = self.trace.finish()
@@ -679,26 +638,19 @@ class Jrpm:
     def analyze(self, source_or_program, args=()):
         """Static dependence analysis cross-checked against a TEST run.
 
-        Unlike :meth:`profile` with :attr:`analysis` on, nothing is
-        pruned here — every loop is profiled so the analyzer's
-        predicted arcs can be diffed against what TEST actually
-        observed (the ``jrpm analyze`` verb).  Returns ``(analysis,
-        profile_artifact)`` where ``analysis`` is the cross-checked
+        Every loop is profiled, so the analyzer's predicted arcs can be
+        diffed against what TEST actually observed (the ``jrpm
+        analyze`` verb).  Returns ``(analysis, profile_artifact)`` where
+        ``analysis`` is the cross-checked
         :class:`~repro.analysis.AnalysisReport`.
         """
         from ..analysis import analyze_program
         program = self._program_of(source_or_program)
         analysis = analyze_program(
             program, threshold=self.config.min_predicted_speedup)
-        pruning = self.analysis
-        self.analysis = False
-        try:
-            profile_artifact = self.profile(program, args)
-        finally:
-            self.analysis = pruning
+        profile_artifact = self.profile(program, args)
         analysis.cross_check(profile_artifact.loop_table,
-                             profile_artifact.profiler.stats)
-        profile_artifact.analysis = analysis
+                             profile_artifact.stats)
         return analysis, profile_artifact
 
     # -- facade --------------------------------------------------------------
@@ -710,8 +662,7 @@ class Jrpm:
         start — the baseline and TEST executions are replayed from the
         DB and only the TLS run happens for real (plan-equivalent by
         construction; see :mod:`repro.profdb.warmstart`).  Cold runs
-        are recorded back into the DB.  Analysis runs always profile
-        live (the cross-check needs real TEST arcs).
+        are recorded back into the DB.
 
         A cold run simulates the program at most twice: the TEST run,
         whose measurement also yields the baseline
@@ -719,8 +670,7 @@ class Jrpm:
         something was selected.
         """
         program = self._program_of(source_or_program)
-        if (self.profdb is not None and self.warm_start != "off"
-                and not self.analysis):
+        if self.profdb is not None and self.warm_start != "off":
             from ..profdb.warmstart import warm_report
             report = warm_report(self, program, name, args)
             if report is not None:

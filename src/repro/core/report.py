@@ -93,12 +93,6 @@ def format_report(report, verbose=False):
         out("")
         for line in adaptation.summary_lines(verbose=verbose):
             out(line)
-    analysis = getattr(report, "analysis", None)
-    if analysis is not None:
-        out("")
-        for line in format_analysis(analysis,
-                                    verbose=verbose).splitlines():
-            out(line)
     trace_aggregates = getattr(report, "trace_aggregates", None)
     if verbose and trace_aggregates is not None:
         out("")

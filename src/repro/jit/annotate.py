@@ -94,6 +94,15 @@ def identify_loops(ir_method):
     return cfg, list(enumerate(keyed))
 
 
+def header_line(cfg, loop):
+    """Source line of the loop header's first instruction that has one
+    (the line :class:`LoopMeta` and the static analyzer key loops by)."""
+    for instr in cfg.blocks[loop.header].instrs:
+        if instr.line is not None:
+            return instr.line
+    return None
+
+
 def loop_instructions(cfg, loop):
     for bid in loop.blocks:
         for instr in cfg.blocks[bid].instrs:
@@ -137,12 +146,10 @@ def carried_locals(cfg, loop, num_locals, all_loops=None):
 class Annotator:
     """Applies the annotation pass to one IR method."""
 
-    def __init__(self, ir_method, loop_table, loop_id_counter,
-                 prune=None):
+    def __init__(self, ir_method, loop_table, loop_id_counter):
         self.ir = ir_method
         self.loop_table = loop_table        # global: loop_id -> LoopMeta
         self.counter = loop_id_counter      # single-element list
-        self.prune = prune or {}            # (method, ordinal) -> decision
 
     def annotate(self):
         cfg, ordered = identify_loops(self.ir)
@@ -161,12 +168,9 @@ class Annotator:
                                           all_loops)
             body_size = sum(len(cfg.blocks[bid].instrs)
                             for bid in loop.blocks)
-            line = self._header_line(cfg, loop)
             meta = LoopMeta(loop_id, self.ir.name, ordinal, loop.depth,
-                            body_size, slots, reason is None, reason, line,
-                            carried_kinds=kinds)
-            if meta.candidate:
-                self._apply_prune(meta)
+                            body_size, slots, reason is None, reason,
+                            header_line(cfg, loop), carried_kinds=kinds)
             self.loop_table[loop_id] = meta
             metas.append(meta)
             loop_by_obj[id(loop)] = meta
@@ -186,41 +190,6 @@ class Annotator:
 
         self._rebuild(inserts, appends)
         return metas
-
-    def _apply_prune(self, meta):
-        """Demote a candidate the static analyzer ruled out — but only
-        when its evidence survives the IR's own view of the loop.
-
-        The decision is ``(header_line, reason, locals)`` keyed by
-        ``(method, ordinal)``.  Two guards keep a stale or mistaken
-        static verdict from removing a loop the dynamic selector could
-        commit: the header line must match (ordinal drift between the
-        bytecode and IR CFGs voids the join), and every bytecode local
-        the must-dependences rely on must be a *general* carried local
-        here too — if the IR classifier proved one an inductor,
-        resetable or reduction, the recompiler eliminates that
-        dependence and the static bound is wrong, so the prune is
-        ignored.
-        """
-        decision = self.prune.get((self.ir.name, meta.ordinal))
-        if decision is None:
-            return
-        line, reason, locals_involved = decision
-        if line != meta.line:
-            return
-        for local in locals_involved:
-            info = meta.carried_kinds.get(local + 1)
-            if info is None or info.kind != KIND_GENERAL:
-                return
-        meta.candidate = False
-        meta.reject_reason = reason
-
-    @staticmethod
-    def _header_line(cfg, loop):
-        for instr in cfg.blocks[loop.header].instrs:
-            if instr.line is not None:
-                return instr.line
-        return None
 
     # -- edge annotation -------------------------------------------------------
     def _annotate_loop(self, cfg, loop, meta, inserts, appends):
@@ -308,12 +277,6 @@ class Annotator:
         self.ir.code = new_code
 
 
-def annotate_method(ir_method, loop_table, loop_id_counter, prune=None):
-    """Annotate one method in place; returns its LoopMeta list.
-
-    ``prune`` optionally carries the static analyzer's
-    ``{(method, ordinal): (line, reason, locals)}`` decisions (see
-    :meth:`Annotator._apply_prune` for the guards).
-    """
-    return Annotator(ir_method, loop_table, loop_id_counter,
-                     prune=prune).annotate()
+def annotate_method(ir_method, loop_table, loop_id_counter):
+    """Annotate one method in place; returns its LoopMeta list."""
+    return Annotator(ir_method, loop_table, loop_id_counter).annotate()

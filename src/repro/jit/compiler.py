@@ -82,19 +82,28 @@ class CompiledProgram:
         return sum(len(m.code) for m in self.methods.values())
 
 
-def _compile(program, config, annotate, prune=None):
+def translated_methods(program, layout):
+    """Yield ``(method, ir_method)`` for every method of *program*, in
+    :meth:`~repro.bytecode.module.Program.all_methods` order: the
+    translated and optimized IR, before any annotation.  The compiles
+    below and the static analyzer (:mod:`repro.analysis`) read the same
+    IR through this one function."""
+    translator = Translator(program, layout)
+    for method in program.all_methods():
+        ir_method = translator.translate(method)
+        optimize(ir_method)
+        yield method, ir_method
+
+
+def _compile(program, config, annotate):
     program.seal()
     layout = StaticLayout(program, STATICS_BASE)
     compiled = CompiledProgram(program, layout, config,
                                "annotated" if annotate else "plain")
-    translator = Translator(program, layout)
     counter = [1]
-    for method in program.all_methods():
-        ir_method = translator.translate(method)
-        optimize(ir_method)
+    for method, ir_method in translated_methods(program, layout):
         if annotate:
-            annotate_method(ir_method, compiled.loop_table, counter,
-                            prune=prune)
+            annotate_method(ir_method, compiled.loop_table, counter)
         compiled.add(CompiledMethod(ir_method, method.owner.name,
                                     method.name))
         compiled.compile_cycles += (config.compile_cycles_per_bytecode
@@ -107,16 +116,9 @@ def compile_program(program, config):
     return _compile(program, config, annotate=False)
 
 
-def compile_annotated(program, config, prune=None):
-    """Compile with TEST annotation instructions inserted.
-
-    ``prune`` is an optional ``{(method, ordinal): (line, reason,
-    locals)}`` decision set from the static dependence analyzer
-    (:meth:`repro.analysis.AnalysisReport.prune_set`): matching loops
-    are demoted to non-candidates before annotation, so the TEST
-    profiler never tracks them.
-    """
-    return _compile(program, config, annotate=True, prune=prune)
+def compile_annotated(program, config):
+    """Compile with TEST annotation instructions inserted."""
+    return _compile(program, config, annotate=True)
 
 
 def annotation_count(compiled):

@@ -137,7 +137,7 @@ class _LoopFacts:
         for other in (all_loops or []):
             if other is not loop and other.blocks < loop.blocks:
                 inner_blocks |= set(other.blocks)
-        dom = compute_dominators(cfg)
+        self.dom = dom = compute_dominators(cfg)
         tails = [tail for tail, __ in loop.backedges]
         self.once_blocks = {
             bid for bid in loop.blocks

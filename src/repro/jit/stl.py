@@ -661,9 +661,9 @@ def recompile_with_stls(program, config, plans, options=None):
     *plans* maps loop_id -> StlPlan (from the selector).  Returns a
     CompiledProgram in "tls" mode whose methods contain STL_RUN regions.
     """
-    from .compiler import CompiledMethod, CompiledProgram
-    from .optimize import optimize
-    from .translate import StaticLayout, Translator
+    from .compiler import (CompiledMethod, CompiledProgram,
+                           translated_methods)
+    from .translate import StaticLayout
     from ..hydra.config import STATICS_BASE
 
     options = options or StlOptions()
@@ -671,7 +671,6 @@ def recompile_with_stls(program, config, plans, options=None):
     layout = StaticLayout(program, STATICS_BASE)
     compiled = CompiledProgram(program, layout, config, "tls")
     compiled.selected_stls = dict(plans)
-    translator = Translator(program, layout)
 
     plans_by_method = {}
     for plan in plans.values():
@@ -679,9 +678,7 @@ def recompile_with_stls(program, config, plans, options=None):
             continue        # ablation: no multilevel decompositions
         plans_by_method.setdefault(plan.meta.method_name, []).append(plan)
 
-    for method in program.all_methods():
-        ir_method = translator.translate(method)
-        optimize(ir_method)
+    for method, ir_method in translated_methods(program, layout):
         method_plans = plans_by_method.get(method.qualified_name)
         if method_plans:
             _transform_method(ir_method, config, method_plans, options)

@@ -52,7 +52,7 @@ try:
 except ImportError:          # non-POSIX: single-process use still works
     fcntl = None
 
-from ..analysis.fingerprint import method_fingerprints, program_fingerprint
+from .fingerprint import method_fingerprints, program_fingerprint
 from ..log import get_logger
 from ..metrics import get_registry
 from ..runner.cache import options_fingerprint
@@ -341,16 +341,14 @@ class ProfileDb:
                         amount=1 if previous is not None else 0)
         return provenance
 
-    def record_warm(self, program, report, args, config, stl_options,
-                    vm_options):
-        """Book-keep a warm-start hit: bump counters and speculative
+    def record_warm(self, program, report, input_key):
+        """Book-keep a warm-start hit under the :meth:`input_key` its
+        :meth:`warm_entry` lookup used: bump counters and speculative
         buffer high-water marks only — the merged statistics are left
         untouched so warm runs never perturb the consensus they were
         derived from."""
         now = time.time()
         program_key = self.program_key(program, report.name)
-        input_key = self.input_key(program, args, config, stl_options,
-                                   vm_options)
         with self._lock():
             entry = self._read(program_key)
             if entry is None:
@@ -374,19 +372,17 @@ class ProfileDb:
 
     # ------------------------------------------------------------ query
 
-    def warm_entry(self, program, name, args, config, stl_options,
-                   vm_options, force=False):
-        """The stored :class:`InputProfile` usable for a warm start, or
-        ``None`` (unknown program/input, stale method fingerprints, or
-        consensus below the confidence gate unless *force*)."""
+    def warm_entry(self, program, name, input_key, force=False):
+        """The stored :class:`InputProfile` under *input_key* (see
+        :meth:`input_key`) usable for a warm start, or ``None`` (unknown
+        program/input, stale method fingerprints, or consensus below the
+        confidence gate unless *force*)."""
         entry = self._read(self.program_key(program, name))
         if entry is None:
             return None
         if entry.methods != method_fingerprints(program):
             return None
-        input_entry = entry.inputs.get(
-            self.input_key(program, args, config, stl_options,
-                           vm_options))
+        input_entry = entry.inputs.get(input_key)
         if (input_entry is None or input_entry.sequential is None
                 or input_entry.profiling is None):
             return None

@@ -72,8 +72,9 @@ def warm_report(jrpm, program, name, args):
     from ..core.pipeline import (BaselineArtifact, ProfileArtifact,
                                  RunMeasurement)
     db = jrpm.profdb
-    entry = db.warm_entry(program, name, args, jrpm.config,
-                          jrpm.stl_options, jrpm.vm_options,
+    input_key = db.input_key(program, args, jrpm.config, jrpm.stl_options,
+                             jrpm.vm_options)
+    entry = db.warm_entry(program, name, input_key,
                           force=jrpm.warm_start == "force")
     if entry is None:
         return None
@@ -110,8 +111,7 @@ def warm_report(jrpm, program, name, args):
     report = jrpm.assemble_report(name, baseline, profile_artifact,
                                   plans, tls_artifact)
     report.profile_provenance = PROVENANCE_WARM
-    db.record_warm(program, report, args, jrpm.config, jrpm.stl_options,
-                   jrpm.vm_options)
+    db.record_warm(program, report, input_key)
     if jrpm.trace is not None:
         jrpm.trace.profdb(0.0, "warm", name)
     return report

@@ -157,8 +157,8 @@ class CompileCache:
     ``compile_cache``.
 
     Keys are content (see ``Jrpm._compiled``): ``("program", source)``
-    -> the parsed Program; ``("annotated", program, config, prune)`` ->
-    the annotated compile; ``("recompiled", program, config, stl
+    -> the parsed Program; ``("annotated", program, config)`` -> the
+    annotated compile; ``("recompiled", program, config, stl
     options, vm options, plans)`` -> the recompiled program, which
     carries its STL thread-code units and every predecode table built
     on it.  A program key is the Program object the same cache parsed
@@ -370,10 +370,9 @@ def _do_run_adaptive(spec, jrpm, program):
 def _do_analyze(spec, jrpm, program):
     """Static dependence analysis cross-checked against a TEST profile.
 
-    Profiles *without* pruning so every predicted arc can be compared
-    against observed arcs; the dynamic selector's verdicts ride along
-    so callers can see where static pruning and dynamic selection
-    agree.
+    Every predicted arc is compared against the observed arcs; the
+    dynamic selector's verdicts ride along so callers can see where the
+    static speedup bound (``pruned``) and dynamic selection agree.
     """
     analysis, profile = jrpm.analyze(program, spec.options.args)
     selector = jrpm.make_selector(profile.loop_table)

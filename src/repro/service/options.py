@@ -34,9 +34,6 @@ class RunOptions:
     epochs: int = 4                      # adaptive epochs
     policy: str = "threshold"            # adaptive policy
 
-    # -- static analysis (repro.analysis) ------------------------------------
-    analysis: bool = False               # prune + cross-check statically
-
     # -- persistent profile DB (repro.profdb) --------------------------------
     profile_db: str = None               # ProfileDb path ("" / None = off)
     warm_start: str = "auto"             # "auto" | "force" | "off"

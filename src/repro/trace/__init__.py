@@ -22,7 +22,7 @@ budget and ``docs/observability.md`` for the event reference.
 
 from .aggregate import TraceAggregates
 from .collector import TraceCollector, TraceOptions
-from .events import (EV_ADAPT, EV_ANALYSIS, EV_BANK, EV_CACHE, EV_GC,
+from .events import (EV_ADAPT, EV_BANK, EV_CACHE, EV_GC,
                      EV_HANDLER, EV_LOOP, EV_OVERFLOW, EV_RESTART,
                      EV_STL, EV_THREAD, EV_VIOLATION, EVENT_KINDS,
                      TraceEvent)
@@ -34,7 +34,7 @@ __all__ = [
     "TraceAggregates", "TraceCollector", "TraceOptions", "TraceRing",
     "TraceEvent", "EVENT_KINDS", "EV_THREAD", "EV_VIOLATION",
     "EV_RESTART", "EV_OVERFLOW", "EV_HANDLER", "EV_STL", "EV_CACHE",
-    "EV_LOOP", "EV_BANK", "EV_GC", "EV_ADAPT", "EV_ANALYSIS",
+    "EV_LOOP", "EV_BANK", "EV_GC", "EV_ADAPT",
     "chrome_trace", "write_chrome_trace", "format_timeline",
     "validate_chrome_trace",
 ]

@@ -23,7 +23,7 @@ byte-for-byte the trace recorded under ``--engine reference``
 from dataclasses import dataclass
 
 from .aggregate import TraceAggregates
-from .events import (EV_ADAPT, EV_ANALYSIS, EV_BANK, EV_CACHE, EV_GC,
+from .events import (EV_ADAPT, EV_BANK, EV_CACHE, EV_GC,
                      EV_HANDLER,
                      EV_LOOP, EV_OVERFLOW, EV_PROFDB, EV_RESTART,
                      EV_STL, EV_THREAD, EV_VIOLATION, TraceEvent)
@@ -176,16 +176,6 @@ class TraceCollector:
         """An applied adaptive recompilation decision (repro.adapt):
         ``action`` in ``decommit | lock_escalate | promote``."""
         self._emit(EV_ADAPT, ts, None, 0.0, loop, (action, epoch, detail))
-
-    # -- static analysis events ------------------------------------------------
-    def analysis(self, ts, loop, method, ordinal, classification,
-                 pruned):
-        """The static dependence analyzer's verdict for one prospective
-        loop (repro.analysis): ``classification`` in
-        ``absent | may | must``; ``pruned`` marks candidates removed
-        before profiling."""
-        self._emit(EV_ANALYSIS, ts, None, 0.0, loop,
-                   (method, ordinal, classification, pruned))
 
     # -- profile-DB events -----------------------------------------------------
     def profdb(self, ts, outcome, name):

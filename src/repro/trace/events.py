@@ -42,11 +42,6 @@ Payload layouts (``data``):
 * ``EV_ADAPT``     — ``(action, epoch, detail)``: an applied adaptive
   recompilation decision (``decommit | lock_escalate | promote``) from
   :mod:`repro.adapt`; ``loop`` is the affected STL.
-* ``EV_ANALYSIS``  — ``(method, ordinal, classification, pruned)``: the
-  static dependence analyzer's verdict for one prospective loop
-  (:mod:`repro.analysis`); ``classification`` is on the
-  ``absent | may | must`` lattice and ``pruned`` is true when the loop
-  was removed from the STL candidate set before profiling.
 * ``EV_PROFDB``    — ``(outcome, name)``: a persistent profile DB
   interaction (:mod:`repro.profdb`): ``outcome`` is the run's profile
   provenance (``cold`` = recorded a fresh profile, ``confirmed`` =
@@ -71,13 +66,12 @@ EV_LOOP = "loop"              # TEST profile-phase loop enter/exit
 EV_BANK = "bank"              # comparator-bank steal / exhaustion
 EV_GC = "gc"                  # garbage collection pause (span)
 EV_ADAPT = "adapt"            # adaptive recompilation decision (instant)
-EV_ANALYSIS = "analysis"      # static dependence verdict (instant)
 EV_PROFDB = "profdb"          # profile-DB record / warm-start (instant)
 
 #: Every kind, in documentation order.
 EVENT_KINDS = (EV_THREAD, EV_VIOLATION, EV_RESTART, EV_OVERFLOW,
                EV_HANDLER, EV_STL, EV_CACHE, EV_LOOP, EV_BANK, EV_GC,
-               EV_ADAPT, EV_ANALYSIS, EV_PROFDB)
+               EV_ADAPT, EV_PROFDB)
 
 #: Thread-attempt outcomes (EV_THREAD payloads).
 OUTCOME_COMMIT = "commit"

@@ -18,7 +18,7 @@ kilocycles.
 
 import json
 
-from .events import (EV_ADAPT, EV_ANALYSIS, EV_BANK, EV_CACHE, EV_GC,
+from .events import (EV_ADAPT, EV_BANK, EV_CACHE, EV_GC,
                      EV_HANDLER, EV_LOOP, EV_OVERFLOW, EV_PROFDB,
                      EV_RESTART, EV_STL, EV_THREAD, EV_VIOLATION)
 
@@ -132,16 +132,6 @@ def chrome_trace(collector, name="jrpm"):
                  "pid": PID_TLS, "tid": 0, "s": "g",
                  "args": {"loop": loop, "action": action,
                           "epoch": epoch, "detail": detail}})
-        elif kind == EV_ANALYSIS:
-            method, ordinal, classification, pruned = event.data
-            add({"name": "analysis: %s#%s %s" % (method, ordinal,
-                                                 classification),
-                 "cat": "analysis", "ph": "i", "ts": event.ts,
-                 "pid": PID_PROFILE, "tid": 0, "s": "t",
-                 "args": {"loop": loop, "method": method,
-                          "ordinal": ordinal,
-                          "classification": classification,
-                          "pruned": pruned}})
         elif kind == EV_PROFDB:
             outcome, name = event.data
             add({"name": "profdb: %s %s" % (outcome, name),
@@ -335,10 +325,6 @@ def _timeline_line(event):
         return "%s adapt %s (epoch %s)%s" \
             % (prefix, data[0], data[1],
                "  %s" % data[2] if data[2] else "")
-    if kind == EV_ANALYSIS:
-        return "%s analysis %s#%s -> %s%s" \
-            % (prefix, data[0], data[1], data[2],
-               " (pruned)" if data[3] else "")
     if kind == EV_PROFDB:
         return "%s profdb %s %s" % (prefix, data[0], data[1])
     return "%s %s %r" % (prefix, kind, data)

@@ -1,5 +1,6 @@
-"""Static dependence analysis (repro.analysis): classification,
-linear forms, pruning safety, model round-trips and pipeline wiring."""
+"""Static dependence analysis (repro.analysis): classification over
+the microJIT's IR, linear forms, the speedup bound, model round-trips,
+the cross-check and its join with the annotator's loop table."""
 
 import pytest
 
@@ -8,8 +9,6 @@ from repro.analysis import (ABSENT, MAY, MUST, AnalysisReport, CONST,
                             analyze_program, linearize, strongest,
                             validate_analysis_dict)
 from repro.core.pipeline import Jrpm
-from repro.hydra.config import HydraConfig
-from repro.jit.compiler import compile_annotated
 from repro.minijava import compile_source
 from repro.workloads import lookup, names
 
@@ -42,25 +41,24 @@ def test_lattice_strongest():
 
 
 def test_linearize_affine_forms():
-    i = ("entry", 2)
+    i = ("entry", 3)                # the register of local 2
     assert linearize(("const", 7)) == {CONST: 7}
     assert linearize(i) == {i: 1, CONST: 0}
-    # (i * 3) + 5, read through a use wrapper
-    expr = ("binop", "iadd",
-            ("binop", "imul", ("use", 2, 10, i), ("const", 3)),
-            ("const", 5))
+    # (i * 3) + 5, the ADDI form the optimizer leaves
+    expr = ("add", ("mul", i, ("const", 3)), ("const", 5))
     assert linearize(expr) == {i: 3, CONST: 5}
     # i << 2 scales by 4; i - i cancels to a pure constant
-    assert linearize(("binop", "ishl", i, ("const", 2))) == \
-        {i: 4, CONST: 0}
-    assert linearize(("binop", "isub", i, i)) == {CONST: 0}
+    assert linearize(("shl", i, ("const", 2))) == {i: 4, CONST: 0}
+    assert linearize(("sub", i, i)) == {CONST: 0}
+    assert linearize(("neg", i)) == {i: -1, CONST: 0}
 
 
 def test_linearize_rejects_nonlinear():
-    i, j = ("entry", 2), ("entry", 3)
-    assert linearize(("binop", "imul", i, j)) is None
-    assert linearize(("binop", "idiv", i, ("const", 2))) is None
-    assert linearize(("elem", i, j, 4)) is None
+    i, j = ("entry", 3), ("entry", 4)
+    assert linearize(("mul", i, j)) is None
+    assert linearize(("const", 2.5)) is None
+    assert linearize(("opaque", 4)) is None
+    assert linearize(("field", i, "Main.x")) is None
 
 
 # -- classification on purpose-built loops -----------------------------------
@@ -188,7 +186,8 @@ def test_report_round_trip_and_validator():
     again = AnalysisReport.from_dict(data)
     assert again.to_dict() == data
     assert again.counts() == report.counts()
-    assert again.prune_set() == report.prune_set()
+    assert [loop.key for loop in again.pruned()] == \
+        [loop.key for loop in report.pruned()]
 
 
 def test_validator_catches_corruption():
@@ -202,92 +201,18 @@ def test_validator_catches_corruption():
     assert list(validate_analysis_dict(data))
 
 
-# -- annotator prune guard ---------------------------------------------------
+# -- pipeline wiring ---------------------------------------------------------
 
-REDUCTION_SRC = wrap_main("""
-    int s = 0;
-    for (int i = 0; i < 100; i++) { s = s + i; }
-    return s;
-""")
-
-
-def _meta_of(compiled):
-    metas = list(compiled.loop_table.values())
-    assert len(metas) == 1
-    return metas[0]
-
-
-def test_prune_decision_demotes_general_local():
-    src = wrap_main("""
-        int prev = 1;
-        for (int i = 0; i < 100; i++) { prev = prev * 3 + 1; }
-        return prev;
-    """)
-    # an impossible threshold forces the prune decision; the guard
-    # only cares that the decision's locals are IR-general
-    analysis = analyze_program(compile_source(src), threshold=1000.0)
-    prune = analysis.prune_set()
-    assert prune, "expected the tight recurrence to be pruned"
-    baseline = _meta_of(compile_annotated(compile_source(src),
-                                          HydraConfig()))
-    assert baseline.candidate
-    pruned = _meta_of(compile_annotated(compile_source(src),
-                                        HydraConfig(), prune=prune))
-    assert not pruned.candidate
-    assert pruned.reject_reason.startswith("static:")
-
-
-def test_prune_guard_ignores_stale_line():
-    src = wrap_main("""
-        int prev = 1;
-        for (int i = 0; i < 100; i++) { prev = prev * 3 + 1; }
-        return prev;
-    """)
-    prune = analyze_program(compile_source(src),
-                            threshold=1000.0).prune_set()
-    stale = {key: (line + 1, reason, involved)
-             for key, (line, reason, involved) in prune.items()}
-    meta = _meta_of(compile_annotated(compile_source(src),
-                                      HydraConfig(), prune=stale))
-    assert meta.candidate
-
-
-def test_prune_guard_ignores_non_general_locals():
-    # claim the reduction local carries a must-dependence: the IR
-    # classifier knows better (it will privatize it), so the guard must
-    # refuse to demote the loop
-    compiled = compile_annotated(compile_source(REDUCTION_SRC),
-                                 HydraConfig())
-    meta = _meta_of(compiled)
-    reduction_regs = [reg for reg, info in meta.carried_kinds.items()
-                      if info.kind == KIND_REDUCTION]
-    assert reduction_regs
-    bogus = {("Main.main", meta.ordinal):
-             (meta.line, "static: bogus", (reduction_regs[0] - 1,))}
-    meta = _meta_of(compile_annotated(compile_source(REDUCTION_SRC),
-                                      HydraConfig(), prune=bogus))
-    assert meta.candidate
-
-
-# -- pipeline + service wiring -----------------------------------------------
-
-def test_run_options_analysis_changes_fingerprint():
-    from repro.service.jobs import JobSpec, job_fingerprint
-    from repro.service.options import RunOptions
-    plain = JobSpec(verb="run", source=REDUCTION_SRC)
-    analyzed_spec = JobSpec(verb="run", source=REDUCTION_SRC,
-                            options=RunOptions(analysis=True))
-    assert job_fingerprint(plain) != job_fingerprint(analyzed_spec)
-
-
-def test_report_carries_analysis_through_round_trip():
+def test_report_writes_null_analysis_through_round_trip():
+    """No run carries a static analysis; the report keeps its
+    ``analysis`` slot, null, so report bytes do not move."""
     from repro.core.pipeline import JrpmReport
     program = compile_source(lookup("BitOps").source("small"))
-    report = Jrpm(analysis=True).run(program, name="BitOps")
+    report = Jrpm().run(program, name="BitOps")
     assert report.outputs_match()
-    assert report.analysis is not None
-    again = JrpmReport.from_dict(report.to_dict())
-    assert again.analysis.to_dict() == report.analysis.to_dict()
+    data = report.to_dict()
+    assert data["analysis"] is None
+    assert JrpmReport.from_dict(data).to_dict() == data
 
 
 CONFIRMED_ARC_SRC = """
@@ -342,28 +267,29 @@ def test_analyze_service_verb_and_cli_shapes():
                    for loop in result["loops"])
 
 
-# -- differential pruning safety (ISSUE acceptance) --------------------------
+# -- the static bound against the dynamic selector, and the join ------------
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", names())
 def test_static_prune_never_removes_selected_loop(name):
-    """Over the whole registry: no loop the dynamic selector commits is
-    ever statically pruned (the annotator guard included)."""
-    source = lookup(name).source("small")
-    analysis = analyze_program(compile_source(source))
-    prune = analysis.prune_set()
-    report = Jrpm().run(compile_source(source), name=name)
-    selected = {(plan.meta.method_name, plan.meta.ordinal)
-                for plan in report.plans.values()}
-    if not prune:
-        return
-    # which decisions the annotator would actually honor
-    compiled = compile_annotated(compile_source(source), HydraConfig(),
-                                 prune=prune)
-    demoted = {(meta.method_name, meta.ordinal)
-               for meta in compiled.loop_table.values()
-               if not meta.candidate
-               and (meta.reject_reason or "").startswith("static:")}
-    assert not (demoted & selected), (
-        "%s: statically pruned %s but the selector commits them"
-        % (name, sorted(demoted & selected)))
+    """Over the whole registry: no loop whose static speedup bound is
+    below threshold (``pruned``) is one the dynamic selector commits,
+    and every analyzed loop joins the annotator's loop table on
+    (method, ordinal, header line)."""
+    jrpm = Jrpm()
+    analysis, profile = jrpm.analyze(
+        compile_source(lookup(name).source("small")))
+    plans = jrpm.select(profile)
+    selected = {(profile.loop_table[loop_id].method_name,
+                 profile.loop_table[loop_id].ordinal)
+                for loop_id in plans}
+    pruned = {loop.key for loop in analysis.pruned()}
+    assert not (pruned & selected), (
+        "%s: static bound rules out %s but the selector commits them"
+        % (name, sorted(pruned & selected)))
+    joined = {(meta.method_name, meta.ordinal, meta.line): loop_id
+              for loop_id, meta in profile.loop_table.items()}
+    assert len(analysis.loops) == len(joined)
+    for loop in analysis.loops:
+        loop_id = joined[(loop.method, loop.ordinal, loop.line)]
+        assert loop.agreement["loop_id"] == loop_id

@@ -153,10 +153,10 @@ def test_staged_api_matches_run_facade(report):
 # derived baseline: ProfileArtifact.baseline() vs compile_baseline()
 # ---------------------------------------------------------------------------
 
-def assert_derived_baseline_exact(source, config=None, analysis=False):
+def assert_derived_baseline_exact(source, config=None):
     """The baseline run() derives from the TEST run equals the simulated
     reference field for field; returns both measurements."""
-    jrpm = Jrpm(config=config, analysis=analysis)
+    jrpm = Jrpm(config=config)
     program = compile_source(source)
     simulated = jrpm.compile_baseline(program)
     profile = jrpm.profile(program)
@@ -179,11 +179,6 @@ FAST_TIER = ("BitOps", "LuFactor", "decJpeg")
 def test_derived_baseline_registry(name, engine):
     assert_derived_baseline_exact(lookup(name).source("small"),
                                   HydraConfig(engine=engine))
-
-
-def test_derived_baseline_with_static_pruning():
-    assert_derived_baseline_exact(lookup("BitOps").source("small"),
-                                  analysis=True)
 
 
 #: programs the registry never exercises: GC inside an annotated loop,

@@ -14,8 +14,9 @@ import os
 import pytest
 
 from repro import Jrpm, compile_source, package_version
-from repro.analysis import (method_fingerprint, method_fingerprints,
-                            program_fingerprint)
+from repro.profdb.fingerprint import (method_fingerprint,
+                                      method_fingerprints,
+                                      program_fingerprint)
 from repro.profdb import (MIN_CONFIDENCE, PROFDB_SCHEMA_VERSION,
                           InputProfile, LoopProfile, ProfileDb,
                           ProgramProfile, confidence, merge_stats_dict,
@@ -284,6 +285,27 @@ def test_warm_run_touches_only_its_own_shard(db_path, monkeypatch):
             assert now == (data, mtime)
 
 
+def test_warm_run_derives_its_input_key_once(db_path, monkeypatch):
+    """A warm run fingerprints the exact program once: the input key its
+    lookup used is the key its book-keeping writes under."""
+    from repro.profdb import db as db_module
+
+    _run(db_path)
+    exact = []
+    real = db_module.program_fingerprint
+
+    def counting(program, include_constants=False):
+        if include_constants:
+            exact.append(program)
+        return real(program, include_constants=include_constants)
+
+    monkeypatch.setattr(db_module, "program_fingerprint", counting)
+    report = _run(db_path)
+    assert report.profile_provenance == "warm"
+    assert len(exact) == 1
+    assert ProfileDb(db_path).stats_dict()["warm_runs"] == 1
+
+
 def test_gc_bounds_inputs_and_programs(db_path):
     db = ProfileDb(db_path, max_inputs=1)
     jrpm = Jrpm(profdb=db)
@@ -385,14 +407,6 @@ def test_warm_report_round_trips(db_path):
     # pre-provenance payloads default to cold
     data.pop("profile_provenance")
     assert JrpmReport.from_dict(data).profile_provenance == "cold"
-
-
-def test_warm_start_skipped_for_analysis_runs(db_path):
-    _run(db_path)
-    report = Jrpm(profdb=db_path, analysis=True).run(
-        compile_source(LOOPY), name="loopy")
-    assert report.profile_provenance in ("cold", "confirmed")
-    assert report.analysis is not None
 
 
 def test_adapt_outcomes_ban_decommitted_loops(db_path):

@@ -226,6 +226,18 @@ def test_bad_requests_get_clear_errors(service):
         assert "warp_speed" in str(excinfo.value)
 
 
+def test_analysis_option_is_a_bad_request_before_queueing(service):
+    """The retired ``analysis`` run option (static pruning) is an
+    unknown field: rejected before any job is queued."""
+    with service.client() as client:
+        with pytest.raises(JrpmServiceError) as excinfo:
+            client.request("run", {"source": TINY,
+                                   "options": {"analysis": True}})
+        assert excinfo.value.kind == "bad-request"
+        assert "analysis" in str(excinfo.value)
+        assert client.stats()["scheduler"]["accepted"] == 0
+
+
 def test_bad_engine_is_a_bad_request_before_queueing(service):
     """A mistyped engine value, or the removed ``fastpath`` option,
     is rejected before any job is queued — never run and cached."""
@@ -663,27 +675,28 @@ def test_traced_daemon_run_correlates_request_id(service):
 # store hits from bytes: keys and wire frames stay what they were
 # ---------------------------------------------------------------------------
 
-#: ``job_fingerprint(..., salt="s")`` of BitOps at size "small", as the
-#: key was computed before its options part was memoized
+#: ``job_fingerprint(..., salt="s")`` of BitOps at size "small": the key
+#: as computed before its options part was memoized, with no
+#: ``analysis`` option in the key material
 PINNED_KEYS = {
     ("run", "default"):
-        "55a070c13b48c9ebe9ca03fd56b336fe31b205de2ea9749c5c8a79baa38d8eaf",
+        "9d93295d356005dc0b1088238b39da90aab6ddbd09f08ff595ea3ab22ec0c24e",
     ("run", "cpus2-trace"):
-        "5de76a6548d8e43d2fc62cdda212aa56270c30d555f7999101030dbd3daab96b",
+        "e12678a265bcdcea9784e2302cb6ce0c3df99f1eca1bcaebea2081050f1a85a9",
     ("run", "old-reference-epochs3"):
-        "3b261a2411cbf6aebe4d4a0fb45abb8fa6204dcaaa53bb823d1d3aad6ac6d7db",
+        "a91cce9ca4b3faa71e4956def3aac6b56026e11d119f475f04c19ddf0bc97c2f",
     ("run_adaptive", "default"):
-        "a4467efa7e7bf9efb6b170b4d8b7b24dbbd25c7d928a4d74f123f3d20cdfedde",
+        "b8720db81729a908169d5a351d1be9f9553b4cbb6d1d7292f7eb696464458cb4",
     ("run_adaptive", "cpus2-trace"):
-        "3659fafcc11dd47038a6ba145ceef80c19120cd4a6c2f928aebc7ece4dc5d510",
+        "9b440972c49fd319388f7bab5a5139edef1b5cbbeb65eb948ec945981c93abb8",
     ("run_adaptive", "old-reference-epochs3"):
-        "41ad4c13cc52bf0927ec5c19a8d42a8fc5102477436147096418cdc1d2b7ad2d",
+        "95a58a6f3aede2959f0abb3acdda7c8b48307f5018e27983951fdc5f0e7727fe",
     ("profile", "default"):
-        "6fda580194984a00399216a28e0b2e4e9ddd5deb7d85467f36a14c71e36a4cf6",
+        "14f72f5d4c8f65c439b7913b68f44309a42ff7e455ec5f292f640b7e9a99bacf",
     ("profile", "cpus2-trace"):
-        "1bb91a6232ffb2e85745b4b91784ea4a3b568d3d642fe6b6ee0f075d450418c8",
+        "760a14c8a8a609ef84dfba545b11f604be2f1e2d40733e5109202246302cb3df",
     ("profile", "old-reference-epochs3"):
-        "5f513fa88b8e990fd987c26a9f8363e4ffb4b0bcbaf912d0daea1fa464223ff9",
+        "6fbaf21b87cf6653988c6d8973fba857209561649210c296e45eb607d994d06d",
 }
 
 PINNED_OPTIONS = {
@@ -728,7 +741,7 @@ def test_job_fingerprint_follows_a_mutated_option():
         job_fingerprint(_bitops_spec("run", cpus=1), salt="s")
     # a wire value the memo cannot hash is keyed as before, unmemoized
     assert job_fingerprint(_bitops_spec("run", cpus=[2]), salt="s") == \
-        "10c7d6a0e5f1e99a2dcaa6961835f82c63307288d27d3a40d0dff5eb931b3bcc"
+        "7ef2ffc0648b084027be97d8f1330041ba28a951ed69b6a5d6f83bb197c9da9a"
 
 
 def test_encode_response_equals_the_whole_frame_encoding():

@@ -1,11 +1,9 @@
-"""Bytecode verifier + bytecode-CFG unit tests."""
+"""Bytecode verifier unit tests."""
 
 import pytest
 
 from repro.bytecode import (ClassDef, INT, Instr, Method, Op, Program,
-                            TRAP_OPS, VOID, back_edges, build_cfg,
-                            compute_dominators, natural_loops,
-                            reachable_blocks, verify_method, verify_program)
+                            VOID, verify_method, verify_program)
 from repro.errors import VerifyError
 from repro.minijava import compile_source
 
@@ -141,162 +139,3 @@ def test_depths_returned_for_reachable_code():
         Instr(Op.RETURN_VALUE)])
     depths = verify_method(program, method)
     assert depths == [0, 1, 2, 1]
-
-
-# ---------------------------------------------------------------------------
-# bytecode CFG — the substrate repro.analysis builds on
-# ---------------------------------------------------------------------------
-
-def simple_loop_method():
-    """``for (i = 0; i < 10; i++) {}`` hand-assembled."""
-    return build_method([
-        Instr(Op.ICONST, 0),        # 0
-        Instr(Op.STORE, 0),         # 1: i = 0
-        Instr(Op.LOAD, 0),          # 2: header
-        Instr(Op.ICONST, 10),       # 3
-        Instr(Op.IF_ICMPGE, 8),     # 4: exit
-        Instr(Op.IINC, (0, 1)),     # 5: i++
-        Instr(Op.GOTO, 2),          # 6: back edge
-        Instr(Op.ICONST, 0),        # 7: unreachable
-        Instr(Op.LOAD, 0),          # 8
-        Instr(Op.RETURN_VALUE),     # 9
-    ], max_locals=1)
-
-
-def test_cfg_blocks_partition_code():
-    program, method = simple_loop_method()
-    verify_method(program, method)
-    cfg = build_cfg(method)
-    covered = sorted(pc for block in cfg.blocks for pc in block.pcs())
-    assert covered == list(range(len(method.code)))
-    # every block's pc maps back to itself
-    for block in cfg.blocks:
-        for pc in block.pcs():
-            assert cfg.block_of(pc) == block.bid
-
-
-def test_unreachable_block_has_empty_dominators():
-    program, method = simple_loop_method()
-    verify_method(program, method)
-    cfg = build_cfg(method)
-    reach = reachable_blocks(cfg)
-    dom = compute_dominators(cfg)
-    dead = [b.bid for b in cfg.blocks if b.start == 7]
-    assert dead and dead[0] not in reach
-    assert dom[dead[0]] == frozenset()
-    # reachable blocks all dominate themselves and contain the entry
-    for bid in reach:
-        assert bid in dom[bid]
-        assert cfg.entry in dom[bid]
-
-
-def test_back_edge_detection():
-    program, method = simple_loop_method()
-    verify_method(program, method)
-    cfg = build_cfg(method)
-    edges = back_edges(cfg)
-    assert len(edges) == 1
-    tail, head = edges[0]
-    assert cfg.blocks[head].start == 2       # loop header at pc 2
-    assert method.code[cfg.blocks[tail].end - 1].op == Op.GOTO
-
-
-def test_unreachable_self_loop_is_not_a_back_edge():
-    # dead block branching to itself: must produce no loop because its
-    # dominator set is empty (mirrors the IR CFG discipline).
-    program, method = build_method([
-        Instr(Op.ICONST, 0),        # 0
-        Instr(Op.RETURN_VALUE),     # 1
-        Instr(Op.GOTO, 2),          # 2: dead self-loop
-    ])
-    verify_method(program, method)
-    cfg = build_cfg(method)
-    assert back_edges(cfg) == []
-    assert natural_loops(cfg) == []
-
-
-def test_natural_loop_body_and_exits():
-    program, method = simple_loop_method()
-    verify_method(program, method)
-    cfg = build_cfg(method)
-    loops = natural_loops(cfg)
-    assert len(loops) == 1
-    loop = loops[0]
-    assert loop.ordinal == 0 and loop.depth == 1
-    body_pcs = {pc for bid in loop.blocks
-                for pc in cfg.blocks[bid].pcs()}
-    assert body_pcs == {2, 3, 4, 5, 6}
-    # one exit: the compare block jumping past the loop
-    assert len(loop.exits) == 1
-    (inside, outside), = loop.exits
-    assert inside in loop.blocks and outside not in loop.blocks
-
-
-def test_nested_loops_ordinals_and_depth():
-    src = """
-class Main {
-    static int main() {
-        int total = 0;
-        for (int i = 0; i < 4; i++) {
-            for (int j = 0; j < 4; j++) {
-                total += i * j;
-            }
-        }
-        return total;
-    }
-}
-"""
-    program = verify_program(compile_source(src))
-    (method,) = [m for m in program.all_methods() if m.name == "main"]
-    cfg = build_cfg(method)
-    loops = natural_loops(cfg)
-    assert len(loops) == 2
-    outer, inner = loops          # ordered by header pc
-    assert outer.ordinal == 0 and inner.ordinal == 1
-    assert outer.depth == 1 and inner.depth == 2
-    assert inner.parent is outer
-    assert inner.blocks < outer.blocks
-
-
-def test_trap_exits_mark_exception_edges():
-    src = """
-class Main {
-    static int main() {
-        int[] data = new int[8];
-        int total = 0;
-        for (int i = 0; i < 8; i++) {
-            total += data[i] / (i + 1);
-        }
-        return total;
-    }
-}
-"""
-    program = verify_program(compile_source(src))
-    (method,) = [m for m in program.all_methods() if m.name == "main"]
-    cfg = build_cfg(method)
-    (loop,) = natural_loops(cfg)
-    ops = {method.code[pc].op for pc in loop.trap_exits}
-    assert Op.IALOAD in ops and Op.IDIV in ops
-    assert all(method.code[pc].op in TRAP_OPS for pc in loop.trap_exits)
-
-
-def test_loop_ordinals_match_ir_annotator():
-    """The load-bearing identity: bytecode loop (method, ordinal, line)
-    must agree with the IR annotator's LoopMeta so repro.analysis can
-    join the two worlds."""
-    from repro.hydra.config import HydraConfig
-    from repro.jit.compiler import compile_annotated
-    from repro.workloads import lookup
-
-    program = compile_source(lookup("BitOps").source("small"))
-    artifact = compile_annotated(program, HydraConfig())
-    ir_loops = {(meta.method_name, meta.ordinal): meta.line
-                for meta in artifact.loop_table.values()}
-    bc_loops = {}
-    for method in program.all_methods():
-        verify_method(program, method)
-        cfg = build_cfg(method)
-        for loop in natural_loops(cfg):
-            header_line = method.code[cfg.blocks[loop.header].start].line
-            bc_loops[(method.qualified_name, loop.ordinal)] = header_line
-    assert ir_loops == bc_loops

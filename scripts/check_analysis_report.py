@@ -6,14 +6,16 @@ Usage::
     python scripts/check_analysis_report.py analysis.json [more.json ...]
     jrpm analyze BitOps --json | python scripts/check_analysis_report.py -
 
-Accepts either a bare ``AnalysisReport.to_dict()`` payload or any
-envelope carrying one under an ``analysis`` key, such as the ``jrpm
-analyze --json`` output.  Checks the payload against
-the :func:`repro.analysis.validate_analysis_dict` schema plus the
-soundness invariant the CLI promises on top: no loop may be both
-statically pruned and dynamically selected.  Exits non-zero and prints
-every problem on stderr if anything is off.  Used by
-``scripts/smoke.sh``.
+Accepts two inputs: the ``jrpm analyze --json`` output (``name``,
+``analysis``, ``loops``, ``selected``) or a bare
+``AnalysisReport.to_dict()`` payload.  Anything else — a pipeline
+report's JSON, whose ``analysis`` is always null, included — fails
+with a one-line diagnostic.  Checks the analysis against the
+:func:`repro.analysis.validate_analysis_dict` schema, and the
+``jrpm analyze --json`` output also against the soundness invariant
+the CLI promises on top: no loop may be both statically pruned and
+dynamically selected.  Exits non-zero and prints every problem on
+stderr if anything is off.  Used by ``scripts/smoke.sh`` and CI.
 """
 
 import json
@@ -25,6 +27,9 @@ sys.path.insert(0, os.path.join(
 
 from repro.analysis import validate_analysis_dict  # noqa: E402
 
+#: the keys of ``jrpm analyze --json`` output
+ENVELOPE_KEYS = {"name", "analysis", "loops", "selected"}
+
 
 def check(path):
     try:
@@ -35,15 +40,19 @@ def check(path):
                 data = json.load(fh)
     except (OSError, ValueError) as error:
         return ["unreadable JSON: %s" % error]
-    if not isinstance(data, dict):
-        return ["top-level JSON is not an object"]
-    analysis = data.get("analysis", data)
-    if analysis is None:
-        return ["analysis key is null (was the run analyzed?)"]
+    if (isinstance(data, dict) and set(data) == ENVELOPE_KEYS
+            and isinstance(data["analysis"], dict)):
+        analysis, agreement = data["analysis"], data["loops"]
+    elif isinstance(data, dict) and "methods_analyzed" in data:
+        analysis, agreement = data, []
+    else:
+        return ["not `jrpm analyze --json` output or a bare "
+                "AnalysisReport.to_dict() payload (run `jrpm analyze "
+                "NAME --json`)"]
     problems = list(validate_analysis_dict(analysis))
-    # envelope invariant (only when the CLI's per-loop agreement list is
-    # present): static pruning must never remove a selector-committed loop
-    unsound = [loop for loop in data.get("loops", [])
+    # the CLI's per-loop agreement list: static pruning must never
+    # remove a selector-committed loop
+    unsound = [loop for loop in agreement
                if isinstance(loop, dict)
                and loop.get("pruned") and loop.get("selected")]
     for loop in unsound:

@@ -49,13 +49,9 @@ def _connect(socket_path, daemon, timeout=60.0):
             time.sleep(0.05)
 
 
-def _family(client, name):
-    """``{label-values: value}`` of one metrics family (empty if absent)."""
-    registry = MetricsRegistry.from_dict(client.metrics()["metrics"])
-    family = registry.get(name)
-    if family is None:
-        return {}
-    return {key: child.value for key, child in family.series()}
+def _registry(client):
+    """The daemon's metrics registry, as of now."""
+    return MetricsRegistry.from_dict(client.metrics()["metrics"])
 
 
 def check(rounds, workdir):
@@ -80,15 +76,19 @@ def check(rounds, workdir):
                                     % (name, round_index + 1, result))
                 else:
                     replies[name].append(result["report"])
-            spawned = sum(_family(client,
-                                  "jrpm_pool_workers_spawned").values())
+            spawned = _registry(client).total("jrpm_pool_workers_spawned")
             if spawned_after_first is None:
                 spawned_after_first = spawned
             elif spawned != spawned_after_first:
                 problems.append("round %d: workers spawned grew %d -> %d"
                                 % (round_index + 1, spawned_after_first,
                                    spawned))
-        lookups = _family(client, "jrpm_compile_cache_lookups")
+        registry = _registry(client)
+        lookups = {(kind, outcome): registry.total(
+                       "jrpm_compile_cache_lookups", kind=kind,
+                       outcome=outcome)
+                   for kind in ("program", "annotated", "recompiled")
+                   for outcome in ("hit", "miss")}
         drained = client.drain()
         client.close()
         if drained.get("failed"):

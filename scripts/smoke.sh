@@ -93,6 +93,7 @@ SERVE_PID=$!
 for _ in $(seq 100); do [ -S "$SOCKET" ] && break; sleep 0.1; done
 python - "$SOCKET" <<'PYEOF'
 import sys
+from repro.metrics import MetricsRegistry
 from repro.service import JrpmClient
 
 client = JrpmClient.connect(socket_path=sys.argv[1])
@@ -102,11 +103,13 @@ payload = client.job_payload(workload="BitOps", size="small")
 (second, cached_second, _), = client.request_many([("run", payload)])
 assert first["report"] == second["report"]
 assert cached_second, "second identical request must hit the store"
-stats = client.stats()
+registry = MetricsRegistry.from_dict(client.metrics()["metrics"])
+lookups = registry.total("jrpm_store_lookups")
 print("serve:  %d request(s), store hit rate %.0f%%, queue depth %d"
-      % (stats["requests"],
-         100.0 * stats["store"]["cache_hit_rate"],
-         stats["scheduler"]["queue_depth"]))
+      % (registry.total("jrpm_service_requests"),
+         100.0 * registry.total("jrpm_store_lookups", outcome="hit")
+         / (lookups or 1),
+         client.stats()["scheduler"]["queue_depth"]))
 drained = client.drain()
 assert drained["drained"] is True and drained["failed"] == 0
 client.close()

@@ -12,8 +12,9 @@ it observes and decides lands here:
   the final plan set looks the way it does.
 
 The log rides :class:`~repro.core.pipeline.JrpmReport` (schema v3)
-through ``to_dict``/``from_dict``, the runner's report cache and the
-suite JSONL metrics.  :func:`validate_log_dict` is the schema check used
+through ``to_dict``/``from_dict`` and the runner's report cache; its
+epoch and applied-decision counts are folded into the metrics registry
+(``jrpm_adapt_*``).  :func:`validate_log_dict` is the schema check used
 by ``scripts/check_adapt_log.py`` and the test suite.
 """
 

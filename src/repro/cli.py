@@ -275,9 +275,6 @@ def cmd_suite(args):
         print(format_suite_summary(reports))
     # metrics go to stderr so stdout stays byte-comparable across --jobs
     print(runner.metrics.summary(), file=sys.stderr)
-    if runner.store.disk_cache is not None:
-        runner.metrics.write_jsonl(
-            os.path.join(runner.store.disk_cache.root, "metrics.jsonl"))
     return 0
 
 
@@ -491,8 +488,8 @@ def main(argv=None):
     p_suite.add_argument("--only", default=None, metavar="NAMES",
                          help="comma-separated workload subset")
     p_suite.add_argument("--trace", action="store_true",
-                         help="trace every run; aggregates flow into "
-                              "the JSONL metrics (separate cache keys)")
+                         help="trace every run; its event counts join "
+                              "the summary (separate cache keys)")
     p_suite.add_argument("--adapt", action="store_true",
                          help="run every workload under the adaptive "
                               "recompilation controller (separate "

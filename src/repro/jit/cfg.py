@@ -6,6 +6,8 @@ loop; each natural loop becomes a prospective speculative thread loop
 from the CFG are marked as prospective STLs").
 """
 
+import functools
+
 from ..errors import JitError
 from .ir import COND_IR_BRANCHES, IR_TERMINATORS, IROp
 
@@ -58,6 +60,12 @@ class CFG:
         self.blocks = blocks
         self.label_map = label_map    # Label -> block id
         self.entry = entry
+
+    @functools.cached_property
+    def dominators(self):
+        """:func:`compute_dominators`, once: the block graph is fixed
+        when :func:`build_cfg` returns (rewrites build a new CFG)."""
+        return compute_dominators(self)
 
     def __len__(self):
         return len(self.blocks)
@@ -182,7 +190,7 @@ def find_natural_loops(cfg):
     Unreachable code (dead blocks left by STL host rewrites) is ignored
     entirely: it can neither define loops nor belong to their bodies.
     """
-    dom = compute_dominators(cfg)
+    dom = cfg.dominators
     reachable = reachable_blocks(cfg)
     loops_by_header = {}
     for block in cfg.blocks:

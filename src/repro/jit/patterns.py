@@ -21,7 +21,6 @@ lwl/swl annotations: TEST does not measure dependencies the recompiler
 is guaranteed to remove.
 """
 
-from .cfg import compute_dominators
 from .ir import IROp
 
 #: Associative/commutative reduction operators and their identities.
@@ -137,7 +136,7 @@ class _LoopFacts:
         for other in (all_loops or []):
             if other is not loop and other.blocks < loop.blocks:
                 inner_blocks |= set(other.blocks)
-        self.dom = dom = compute_dominators(cfg)
+        self.dom = dom = cfg.dominators
         tails = [tail for tail, __ in loop.backedges]
         self.once_blocks = {
             bid for bid in loop.blocks

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from ..bytecode.module import WORD
 from ..errors import JitError
 from .annotate import identify_loops
-from .cfg import build_cfg, compute_dominators, find_natural_loops
+from .cfg import build_cfg, find_natural_loops
 from .ir import (IRInstr, IROp, Label, finalize_with_positions, label_instr)
 from .optimize import liveness
 from .patterns import (KIND_GENERAL, KIND_INDUCTOR, KIND_REDUCTION,
@@ -537,7 +537,7 @@ class StlCompiler:
         "after": {ids}} or None if the sync lock cannot be placed."""
         if sync_plan is None:
             return None
-        dom = compute_dominators(cfg)
+        dom = cfg.dominators
         tails = [tail for tail, __ in loop.backedges]
 
         def once(bid):

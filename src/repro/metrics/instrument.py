@@ -9,12 +9,15 @@ the fold happens once per finished run: :func:`observe_report_dict`
 walks a serialized report and increments the TLS counters
 (commits/violations/restarts/squashes/overflow stalls), buffer
 high-water-mark gauges, per-phase simulated instruction/cycle
-counters, and the per-engine simulated-insn/s throughput gauge.
+counters, the trace-ring and adaptive-controller counters, and the
+per-engine simulated-insn/s throughput gauge.
 
-Both the daemon (on every served ``run``/``run_adaptive`` report) and
-the in-process :class:`~repro.service.client.LocalSession` call this,
-so the ``metrics`` verb and the ``/metrics`` endpoint show the same
-families either way.
+Every executed ``run``/``run_adaptive`` job folds its report here
+(:func:`repro.service.jobs.execute_job`), whichever surface ran it —
+daemon worker, :class:`~repro.service.client.LocalSession` or ``jrpm
+suite`` — so the ``metrics`` verb, the ``/metrics`` endpoint and the
+suite summary read the same families.  A store hit replays a report
+without folding it again.
 """
 
 from .registry import get_registry
@@ -108,6 +111,18 @@ def observe_report_dict(report_dict, wall_seconds=None, registry=None):
             "jrpm_trace_events_dropped",
             "Trace events dropped on ring overflow").inc(
                 aggregates.get("events_dropped", 0))
+
+    adaptation = report_dict.get("adaptation")
+    if adaptation:
+        registry.counter(
+            "jrpm_adapt_epochs",
+            "Adaptive-controller epochs run").inc(
+                len(adaptation["epochs"]))
+        registry.counter(
+            "jrpm_adapt_decisions",
+            "Adaptive recompilation decisions applied").inc(
+                sum(1 for decision in adaptation["decisions"]
+                    if decision.get("applied", True)))
 
 
 def observe_report(report, wall_seconds=None, registry=None):

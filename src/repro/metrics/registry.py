@@ -10,8 +10,15 @@ registry without translation:
 * :class:`Counter` — monotonically non-decreasing ``inc()``;
 * :class:`Gauge` — ``set()``/``inc()``/``dec()``, any float;
 * :class:`Histogram` — log-bucketed observations with an exact
-  bounded reservoir for percentiles (the generalization of the PR-6
-  ``service.stats.LatencyHistogram``, which is now a subclass).
+  bounded reservoir for percentiles.
+
+The registry is the only place anything is counted: the daemon's
+``stats`` verb reports live state only, and every count — requests,
+store lookups, scheduler admissions, TLS folds — is read from here,
+through the ``metrics`` verb, the ``/metrics`` endpoint, or
+:meth:`MetricsRegistry.total` (the one way code and tests read a
+count; ``jrpm suite`` prints its summary as a ``total()`` delta over
+the invocation).
 
 Every series and the registry itself round-trip losslessly through
 ``to_dict``/``from_dict``, and registries can be ``merge()``-d — the
@@ -188,12 +195,7 @@ class Histogram:
     def percentile(self, fraction):
         """Exact value at *fraction* (0..1) of the sample window."""
         with self._lock:
-            ordered = sorted(self._samples)
-        if not ordered:
-            return 0.0
-        index = min(len(ordered) - 1,
-                    max(0, int(round(fraction * (len(ordered) - 1)))))
-        return ordered[index]
+            return self.percentile_unlocked(fraction)
 
     @property
     def mean(self):
@@ -409,6 +411,25 @@ class MetricsRegistry:
         """The family registered under *name*, or None."""
         with self._lock:
             return self._families.get(name)
+
+    def total(self, name, **labels):
+        """Sum of family *name*'s series whose labels match *labels*
+        (any subset of its label names): counter and gauge values, a
+        histogram's observation counts.  0 when the family is absent
+        (nothing was counted yet)."""
+        family = self.get(name)
+        if family is None:
+            return 0
+        names = family.label_names
+        if not set(labels) <= set(names):
+            raise ValueError("metric %s has no label(s) %r"
+                             % (name, sorted(set(labels) - set(names))))
+        wanted = [(names.index(label), str(value))
+                  for label, value in labels.items()]
+        return sum(child.count if family.type == "histogram"
+                   else child.value
+                   for key, child in family.series()
+                   if all(key[index] == value for index, value in wanted))
 
     def to_dict(self):
         """Lossless JSON-safe snapshot of every family."""

@@ -216,7 +216,7 @@ class ProfileDb:
 
     # ----------------------------------------------------------- record
 
-    def _input_from_report(self, report, args, config, stl_options,
+    def _input_of_report(self, report, args, config, stl_options,
                            vm_options, now):
         """Build a fresh :class:`InputProfile` snapshot of one cold run."""
         from ..tracer.selector import Selector
@@ -305,7 +305,7 @@ class ProfileDb:
         knew; ``"cold"`` otherwise.
         """
         now = time.time()
-        fresh = self._input_from_report(report, args, config,
+        fresh = self._input_of_report(report, args, config,
                                         stl_options, vm_options, now)
         program_key = self.program_key(program, report.name)
         input_key = self.input_key(program, args, config, stl_options,

@@ -8,8 +8,8 @@ Public surface:
 * :class:`ReportCache` / :func:`cache_key` — the content-addressed
   store under ``benchmarks/.cache/`` (its key is
   :func:`~repro.service.jobs.job_fingerprint`),
-* :class:`SuiteMetrics` / :class:`RunRecord` — structured per-run
-  metrics (JSONL + human summary),
+* :class:`SuiteMetrics` / :class:`RunRecord` — each run's disposition
+  and the invocation's summary, a metrics-registry delta,
 * :class:`ProcessPool` — the crash-isolated executor underneath.
 """
 

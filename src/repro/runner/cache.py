@@ -127,8 +127,6 @@ class ReportCache:
 
     def __init__(self, root):
         self.root = root
-        self.hits = 0
-        self.misses = 0
 
     def path_for(self, key):
         return os.path.join(self.root, key + ".json")
@@ -141,7 +139,6 @@ class ReportCache:
             with open(path) as fh:
                 payload = json.load(fh)
         except FileNotFoundError:
-            self.misses += 1
             self._count(hit=False)
             return None
         except (OSError, ValueError):
@@ -149,15 +146,13 @@ class ReportCache:
                 os.unlink(path)
             except OSError:
                 pass
-            self.misses += 1
             self._count(hit=False)
             return None
-        self.hits += 1
         self._count(hit=True)
         return payload
 
     def _count(self, hit):
-        """Mirror the hit/miss into the global metrics registry."""
+        """Count the hit/miss in ``jrpm_report_cache_lookups``."""
         get_registry().counter(
             "jrpm_report_cache_lookups",
             "Persistent report-cache lookups by outcome",

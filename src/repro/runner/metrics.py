@@ -1,22 +1,53 @@
-"""Structured metrics for suite runs.
+"""What one ``jrpm suite`` invocation did.
 
-Every pipeline run — cached or simulated — produces one
-:class:`RunRecord` with its wall time, simulated cycles, speculation
-counters and cache disposition.  :class:`SuiteMetrics` aggregates the
-records, appends them to a JSONL trace (one JSON object per line, easy
-to load into pandas / jq) and renders the human summary the CLI prints
-after ``repro suite``.
+Each run gets one :class:`RunRecord` of its disposition: cache hit or
+executed, status, wall time, attempts, worker pid.  Everything counted
+— store hits and misses, simulated cycles, TLS outcomes, trace and
+profile-DB activity, adaptive epochs, pool retries — is read from the
+metrics registry: :class:`SuiteMetrics` takes one
+:meth:`~repro.metrics.MetricsRegistry.total` snapshot when the
+invocation starts and reports the delta.  Pool workers' deltas fold
+into this process's registry (:func:`repro.service.jobs.fold_metrics`),
+so the summary is the same at every ``--jobs``.
 """
 
-import json
-import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+
+from ..metrics import get_registry
+
+#: the registry counts behind the summary: (key, family, labels)
+_COUNTS = (
+    ("hits", "jrpm_store_lookups", {"outcome": "hit"}),
+    ("misses", "jrpm_store_lookups", {"outcome": "miss"}),
+    ("cycles", "jrpm_run_simulated_cycles", {"phase": "tls"}),
+    ("commits", "jrpm_tls_threads", {"outcome": "committed"}),
+    ("violations", "jrpm_tls_threads", {"outcome": "violated"}),
+    ("restarts", "jrpm_tls_restarts", {}),
+    ("overflows", "jrpm_tls_overflow_stalls", {}),
+    ("trace_events", "jrpm_trace_events_recorded", {}),
+    ("trace_dropped", "jrpm_trace_events_dropped", {}),
+    ("warm", "jrpm_runs", {"provenance": "warm"}),
+    ("confirmed", "jrpm_runs", {"provenance": "confirmed"}),
+    ("adapt_epochs", "jrpm_adapt_epochs", {}),
+    ("adapt_decisions", "jrpm_adapt_decisions", {}),
+    ("retries", "jrpm_pool_retries", {}),
+)
+
+
+def _totals():
+    registry = get_registry()
+    return {key: registry.total(name, **labels)
+            for key, name, labels in _COUNTS}
+
+
+def _plural(count, one, many):
+    return "%d %s" % (count, one if count == 1 else many)
 
 
 @dataclass
 class RunRecord:
-    """Metrics for one pipeline run (one job spec)."""
+    """The disposition of one pipeline run (one job spec)."""
 
     name: str                   # the report name (a registry workload)
     verb: str = "run"           # run | run_adaptive
@@ -25,182 +56,91 @@ class RunRecord:
     wall_time: float = 0.0      # seconds (worker-side for misses)
     attempts: int = 1
     pid: int = None
-    # headline simulated measurements (None until status == ok)
-    sequential_cycles: float = None
-    tls_cycles: float = None
-    tls_speedup: float = None
-    commits: int = None
-    violations: int = None
-    overflow_stalls: int = None
-    # trace-subsystem aggregates (None unless the run was traced)
-    trace_events: int = None
-    trace_dropped: int = None
-    restarts: int = None
-    max_load_lines: int = None
-    max_store_lines: int = None
-    # adaptive recompilation (None unless the run used repro.adapt)
-    adapt_epochs: int = None
-    adapt_decisions: int = None
-    adapt_converged_epoch: int = None
-    adapt_initial_cycles: float = None
-    adapt_final_cycles: float = None
-    # profile provenance (repro.profdb): "cold" | "warm" | "confirmed"
-    profile_provenance: str = "cold"
     error: str = None
-
-    @staticmethod
-    def from_report(report, **kwargs):
-        """Record the headline numbers of a finished report."""
-        breakdown = report.breakdown
-        trace = getattr(report, "trace_aggregates", None)
-        if trace is not None:
-            kwargs.setdefault("trace_events", trace.events_recorded)
-            kwargs.setdefault("trace_dropped", trace.events_dropped)
-            kwargs.setdefault("restarts", trace.restarts)
-            kwargs.setdefault("max_load_lines", trace.max_load_lines)
-            kwargs.setdefault("max_store_lines", trace.max_store_lines)
-        adaptation = getattr(report, "adaptation", None)
-        if adaptation is not None:
-            kwargs.setdefault("adapt_epochs", adaptation.epochs_run)
-            kwargs.setdefault("adapt_decisions",
-                              len(adaptation.applied_decisions()))
-            kwargs.setdefault("adapt_converged_epoch",
-                              adaptation.converged_epoch)
-            kwargs.setdefault("adapt_initial_cycles",
-                              adaptation.initial_cycles)
-            kwargs.setdefault("adapt_final_cycles",
-                              adaptation.final_cycles)
-        kwargs.setdefault("profile_provenance",
-                          getattr(report, "profile_provenance", "cold"))
-        return RunRecord(
-            sequential_cycles=report.sequential.cycles,
-            tls_cycles=report.tls.cycles,
-            tls_speedup=report.tls_speedup,
-            commits=breakdown.commits if breakdown else None,
-            violations=breakdown.violations if breakdown else None,
-            overflow_stalls=(breakdown.overflow_stalls
-                             if breakdown else None),
-            **kwargs)
 
     def to_dict(self):
         return asdict(self)
 
 
-@dataclass
 class SuiteMetrics:
-    """Aggregate of one suite invocation's run records."""
+    """One suite invocation: its run records and its registry delta."""
 
-    records: list = field(default_factory=list)
-    started_at: float = field(default_factory=time.perf_counter)
-    jobs: int = 1
+    def __init__(self, jobs=1):
+        self.jobs = jobs
+        self.records = []
+        self.started_at = time.perf_counter()
+        self._start = _totals()
 
     def record(self, run_record):
         self.records.append(run_record)
         return run_record
 
-    # -- aggregates ----------------------------------------------------------
+    def counts(self):
+        """``{key: registry delta since the invocation began}`` for
+        every count the summary prints."""
+        now = _totals()
+        return {key: now[key] - self._start[key] for key in now}
+
     @property
     def hits(self):
-        return sum(1 for r in self.records if r.cache_hit)
+        return int(self.counts()["hits"])
 
     @property
     def misses(self):
-        return sum(1 for r in self.records if not r.cache_hit)
+        return int(self.counts()["misses"])
 
     @property
     def hit_rate(self):
-        total = len(self.records)
-        return self.hits / total if total else 0.0
+        counts = self.counts()
+        lookups = counts["hits"] + counts["misses"]
+        return counts["hits"] / lookups if lookups else 0.0
 
     @property
     def failures(self):
         return [r for r in self.records if r.status != "ok"]
 
     @property
-    def retried(self):
-        return [r for r in self.records if r.attempts > 1]
-
-    @property
     def wall_time(self):
         return time.perf_counter() - self.started_at
 
-    @property
-    def simulated_cycles(self):
-        return sum(r.tls_cycles or 0.0 for r in self.records)
-
-    # -- emission ------------------------------------------------------------
-    def write_jsonl(self, path):
-        """Append one JSON line per record (plus a suite header line)."""
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        with open(path, "a") as fh:
-            fh.write(json.dumps(
-                {"event": "suite", "timestamp": time.time(),
-                 "jobs": self.jobs, "runs": len(self.records),
-                 "cache_hits": self.hits, "cache_misses": self.misses,
-                 "wall_time": round(self.wall_time, 6)}) + "\n")
-            for record in self.records:
-                entry = {"event": "run"}
-                entry.update(record.to_dict())
-                fh.write(json.dumps(entry) + "\n")
-        return path
-
     def summary(self):
-        """Human-readable metrics summary (cache counters included)."""
+        """Human-readable summary; every line but ``runner``, ``work``'s
+        run time and ``FAILED`` is a registry delta."""
+        delta = self.counts()
+        counts = {key: int(value) for key, value in delta.items()}
+        lookups = counts["hits"] + counts["misses"]
         lines = []
         out = lines.append
-        total = len(self.records)
-        out("runner: %d run%s on %d worker%s in %.2fs wall"
-            % (total, "" if total == 1 else "s",
-               self.jobs, "" if self.jobs == 1 else "s",
-               self.wall_time))
-        out("cache:  %d hit%s / %d miss%s (%.1f%% hit rate)"
-            % (self.hits, "" if self.hits == 1 else "s",
-               self.misses, "" if self.misses == 1 else "es",
-               self.hit_rate * 100.0))
-        busy = sum(r.wall_time for r in self.records)
+        out("runner: %s on %s in %.2fs wall"
+            % (_plural(len(self.records), "run", "runs"),
+               _plural(self.jobs, "worker", "workers"), self.wall_time))
+        out("cache:  %s / %s (%.1f%% hit rate)"
+            % (_plural(counts["hits"], "hit", "hits"),
+               _plural(counts["misses"], "miss", "misses"),
+               100.0 * counts["hits"] / lookups if lookups else 0.0))
         out("work:   %.2fs simulated-run time, %.3g simulated cycles"
-            % (busy, self.simulated_cycles))
-        violations = sum(r.violations or 0 for r in self.records)
-        commits = sum(r.commits or 0 for r in self.records)
-        overflows = sum(r.overflow_stalls or 0 for r in self.records)
-        out("tls:    %d commits, %d violations, %d overflow stalls"
-            % (commits, violations, overflows))
-        traced = [r for r in self.records if r.trace_events is not None]
-        if traced:
-            out("trace:  %d run%s traced, %d event%s recorded, "
-                "%d dropped, %d restart%s"
-                % (len(traced), "" if len(traced) == 1 else "s",
-                   sum(r.trace_events for r in traced),
-                   "" if sum(r.trace_events for r in traced) == 1
-                   else "s",
-                   sum(r.trace_dropped or 0 for r in traced),
-                   sum(r.restarts or 0 for r in traced),
-                   "" if sum(r.restarts or 0 for r in traced) == 1
-                   else "s"))
-        warm = [r for r in self.records
-                if r.profile_provenance in ("warm", "confirmed")]
-        if warm:
-            warm_hits = sum(1 for r in warm
-                            if r.profile_provenance == "warm")
-            out("profdb: %d warm start%s, %d confirmed consensus"
-                % (warm_hits, "" if warm_hits == 1 else "s",
-                   len(warm) - warm_hits))
-        adapted = [r for r in self.records if r.adapt_epochs is not None]
-        if adapted:
-            out("adapt:  %d run%s adaptive, %d epoch%s, %d decision%s "
-                "applied"
-                % (len(adapted), "" if len(adapted) == 1 else "s",
-                   sum(r.adapt_epochs for r in adapted),
-                   "" if sum(r.adapt_epochs for r in adapted) == 1
-                   else "s",
-                   sum(r.adapt_decisions or 0 for r in adapted),
-                   "" if sum(r.adapt_decisions or 0 for r in adapted)
-                   == 1 else "s"))
-        if self.retried:
-            out("retry:  %d run%s retried after worker death"
-                % (len(self.retried),
-                   "" if len(self.retried) == 1 else "s"))
+            % (sum(r.wall_time for r in self.records),
+               delta["cycles"]))
+        out("tls:    %d commits, %d violations, %s, %d overflow stalls"
+            % (counts["commits"], counts["violations"],
+               _plural(counts["restarts"], "restart", "restarts"),
+               counts["overflows"]))
+        if counts["trace_events"]:
+            out("trace:  %s recorded in traced runs, %d dropped"
+                % (_plural(counts["trace_events"], "event", "events"),
+                   counts["trace_dropped"]))
+        if counts["warm"] or counts["confirmed"]:
+            out("profdb: %s, %d confirmed consensus"
+                % (_plural(counts["warm"], "warm start", "warm starts"),
+                   counts["confirmed"]))
+        if counts["adapt_epochs"]:
+            out("adapt:  %s, %s applied"
+                % (_plural(counts["adapt_epochs"], "epoch", "epochs"),
+                   _plural(counts["adapt_decisions"], "decision",
+                           "decisions")))
+        if counts["retries"]:
+            out("retry:  %s retried after worker death"
+                % _plural(counts["retries"], "run", "runs"))
         for failure in self.failures:
             out("FAILED: %s/%s %s: %s"
                 % (failure.name, failure.verb, failure.status,

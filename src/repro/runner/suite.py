@@ -48,7 +48,7 @@ class SuiteRunner:
     """Executes batches of job specs with caching + workers."""
 
     def __init__(self, jobs=1, cache_dir=None, use_cache=True,
-                 timeout=600.0, metrics=None, start_method=None):
+                 timeout=600.0, start_method=None):
         # the service imports this package's cache and pool, so its
         # modules load here, not at import time
         from ..service.jobs import CachedExecutor
@@ -58,8 +58,7 @@ class SuiteRunner:
             ReportCache(cache_dir or default_cache_dir())
             if use_cache else None))
         self.timeout = timeout
-        self.metrics = metrics if metrics is not None else SuiteMetrics()
-        self.metrics.jobs = self.jobs
+        self.metrics = SuiteMetrics(jobs=self.jobs)
         self.start_method = start_method
         self._executor = CachedExecutor()
 
@@ -85,29 +84,24 @@ class SuiteRunner:
                 misses.append(index)
                 continue
             reports[index] = JrpmReport.from_dict(cached["report"])
-            self.metrics.record(RunRecord.from_report(
-                reports[index], name=spec.name, verb=spec.verb,
-                cache_hit=True))
+            self.metrics.record(RunRecord(name=spec.name, verb=spec.verb,
+                                          cache_hit=True))
             emit("cached  %s" % spec.name)
 
         # 2. simulate the misses (workers, or inline at --jobs 1)
         outcomes = self._execute(misses, specs, emit) if misses else {}
         for index in misses:
             spec, outcome = specs[index], outcomes[index]
-            record = {"name": spec.name, "verb": spec.verb,
-                      "wall_time": outcome.wall_time,
-                      "attempts": outcome.attempts, "pid": outcome.pid}
+            self.metrics.record(RunRecord(
+                name=spec.name, verb=spec.verb, status=outcome.status,
+                wall_time=outcome.wall_time, attempts=outcome.attempts,
+                pid=outcome.pid, error=outcome.error))
             if outcome.ok:
                 self.store.put(spec, outcome.value)
                 reports[index] = JrpmReport.from_dict(
                     outcome.value["report"])
-                self.metrics.record(RunRecord.from_report(
-                    reports[index], **record))
             else:
                 failures.append((spec, outcome.status, outcome.error))
-                self.metrics.record(RunRecord(
-                    status=outcome.status, error=outcome.error,
-                    **record))
 
         if failures:
             raise SuiteRunError(failures)

@@ -27,7 +27,6 @@ from .options import RunOptions
 from .protocol import PROTOCOL_VERSION, ProtocolError
 from .scheduler import (Draining, JobFailed, JobScheduler, QueueFull,
                         ServiceError)
-from .stats import LatencyHistogram, ServiceStats
 from .store import ArtifactStore
 
 __all__ = ["Session", "JrpmClient", "LocalSession", "JrpmServiceError",
@@ -36,5 +35,5 @@ __all__ = ["Session", "JrpmClient", "LocalSession", "JrpmServiceError",
            "JobSpec", "execute_job", "job_fingerprint", "VERBS",
            "JobScheduler", "ServiceError", "JobFailed", "QueueFull",
            "Draining",
-           "ArtifactStore", "ServiceStats", "LatencyHistogram",
+           "ArtifactStore",
            "PROTOCOL_VERSION", "ProtocolError"]

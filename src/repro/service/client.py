@@ -170,7 +170,8 @@ class LocalSession(Session):
         return result
 
     def stats(self):
-        """Store hit/miss accounting (shape mirrors the daemon's)."""
+        """The store's live state (the daemon's ``store`` shape); its
+        hits and misses are ``jrpm_store_lookups`` in :meth:`metrics`."""
         return {"local": True,
                 "store": (self.store.stats_dict()
                           if self.store is not None else None)}
@@ -325,12 +326,14 @@ class JrpmClient(Session):
         return self.request("ping")
 
     def stats(self):
-        """The daemon's live accounting (queue, store, latencies)."""
+        """The daemon's live state: uptime, endpoint, queue and
+        workers, store size.  Counts are in :meth:`metrics`."""
         return self.request("stats")
 
     def drain(self):
         """Ask the daemon to finish everything in flight and shut
-        down; returns its final accounting."""
+        down; returns its settled-job counts (``completed``,
+        ``failed``)."""
         return self.request("drain")
 
     def version(self):

@@ -30,14 +30,26 @@ from ..profdb import PROFDB_SCHEMA_VERSION, ProfileDb
 from .jobs import VERBS, JobSpec, resolve_workload
 from .options import RunOptions
 from .scheduler import JobScheduler, ServiceError
-from .stats import ServiceStats
 from .store import ArtifactStore
 
 _log = get_logger("service.daemon")
 
 
+def _observe_request(verb, seconds, ok):
+    """Count one finished request and its latency under its verb."""
+    registry = get_registry()
+    registry.counter(
+        "jrpm_service_requests", "Service requests by verb/outcome",
+        labels=("verb", "outcome")).labels(
+            verb=verb, outcome="ok" if ok else "error").inc()
+    registry.histogram(
+        "jrpm_service_request_seconds",
+        "Request wall-clock latency by verb",
+        labels=("verb",)).labels(verb=verb).record(seconds)
+
+
 class JrpmServer:
-    """One daemon instance: listener + store + scheduler + stats."""
+    """One daemon instance: listener + store + scheduler."""
 
     def __init__(self, socket_path=None, host="127.0.0.1", port=None,
                  jobs=2, queue_limit=64, timeout=300.0, batch_max=16,
@@ -57,7 +69,8 @@ class JrpmServer:
             self.store, jobs=jobs, queue_limit=queue_limit,
             timeout=timeout, batch_max=batch_max,
             start_method=start_method)
-        self.stats = ServiceStats()
+        self.started_at = time.time()
+        self._monotonic_start = time.perf_counter()
         #: shared persistent profile DB: when configured, run /
         #: run_adaptive jobs get it injected (unless the client chose
         #: its own), so repeated requests across clients warm start.
@@ -199,7 +212,7 @@ class JrpmServer:
         ok = isinstance(response, bytes)
         if not ok:
             response = protocol.encode_frame(response)
-        self.stats.observe(verb, time.perf_counter() - started, ok=ok)
+        _observe_request(verb, time.perf_counter() - started, ok)
         async with write_lock:
             try:
                 writer.write(response)
@@ -253,9 +266,14 @@ class JrpmServer:
             return reply(result)
         if verb == "drain":
             await self._drain()
-            return reply({"drained": True,
-                          "completed": self.scheduler.completed,
-                          "failed": self.scheduler.failed})
+            # a store hit settles at submit, counted there only
+            registry = get_registry()
+            ok = registry.total("jrpm_scheduler_settled", result="ok")
+            failed = registry.total("jrpm_scheduler_settled") - ok
+            completed = ok + registry.total("jrpm_scheduler_submits",
+                                            outcome="store_hit")
+            return reply({"drained": True, "completed": int(completed),
+                          "failed": int(failed)})
         if verb not in VERBS:
             return protocol.make_error(
                 request_id, "bad-request",
@@ -282,8 +300,6 @@ class JrpmServer:
                                        str(error))
         # the result is final (the scheduler folded its metric delta):
         # a stored one is encoded once, shared by every reply serving it
-        if isinstance(result.get("report"), dict):
-            self.stats.absorb_report(result["report"])
         return protocol.encode_response(
             request_id, self.store.result_text(job.key, result),
             cached=job.cached, elapsed=time.perf_counter() - started)
@@ -340,14 +356,14 @@ class JrpmServer:
                                    if request_id is not None else None))
 
     def stats_snapshot(self):
-        """One JSON-safe dict of every live counter (the `stats` verb)."""
-        snapshot = self.stats.to_dict()
-        snapshot["scheduler"] = self.scheduler.stats_dict()
-        snapshot["store"] = self.store.stats_dict()
-        snapshot["store"]["cache_hit_rate"] = \
-            snapshot["store"].pop("hit_rate")
-        snapshot["endpoint"] = self.endpoint
-        return snapshot
+        """The daemon's live state, no counts (the ``stats`` verb);
+        every count is in the metrics registry."""
+        return {"uptime": round(time.perf_counter()
+                                - self._monotonic_start, 3),
+                "started_at": self.started_at,
+                "endpoint": self.endpoint,
+                "scheduler": self.scheduler.stats_dict(),
+                "store": self.store.stats_dict()}
 
 
 def run_server(server, quiet=False):

@@ -122,12 +122,6 @@ class JobScheduler:
         self._accepting = True
         self._closed = False
         self._in_flight = 0
-        self.accepted = 0
-        self.rejected = 0
-        self.completed = 0
-        self.failed = 0
-        self.batches = 0
-        self.coalesced = 0
         #: one worker pool for the scheduler's whole life: its workers
         #: start with the first batch, keep their compile caches
         #: across batches, and stop when the scheduler drains
@@ -149,22 +143,17 @@ class JobScheduler:
         if cached is not None:
             future = Future()
             future.set_result(cached)
-            with self._lock:
-                self.accepted += 1
-                self.completed += 1
             _sched_counter("jrpm_scheduler_submits",
                            "Submissions by admission outcome",
                            outcome="store_hit")
             return ScheduledJob(spec, key, future, cached=True)
         with self._lock:
             if not self._accepting:
-                self.rejected += 1
                 _sched_counter("jrpm_scheduler_submits",
                                "Submissions by admission outcome",
                                outcome="rejected_draining")
                 raise Draining("scheduler is draining; submit rejected")
             if len(self._queue) >= self.queue_limit:
-                self.rejected += 1
                 _sched_counter("jrpm_scheduler_submits",
                                "Submissions by admission outcome",
                                outcome="rejected_overloaded")
@@ -173,7 +162,6 @@ class JobScheduler:
                     % len(self._queue))
             future = Future()
             self._queue.append((spec, key, future))
-            self.accepted += 1
             depth = len(self._queue)
             self._wake.notify()
         _sched_counter("jrpm_scheduler_submits",
@@ -254,8 +242,6 @@ class JobScheduler:
         pool, each job under its own effective timeout.  A finished
         job's metric delta is folded into the registry here, once,
         so the result it settles and stores is final."""
-        with self._lock:
-            self.batches += 1
         _sched_counter("jrpm_scheduler_batches", "Batches dispatched")
         _log.debug("dispatching batch of %d", len(batch))
         unique = {}                     # fingerprint -> (spec, [futures])
@@ -266,8 +252,6 @@ class JobScheduler:
                 continue
             if key in unique:
                 unique[key][1].append(future)
-                with self._lock:
-                    self.coalesced += 1
                 _sched_counter("jrpm_scheduler_coalesced",
                                "Duplicate in-batch jobs coalesced")
             else:
@@ -291,15 +275,11 @@ class JobScheduler:
                     self._settle_error(future, error)
 
     def _settle_ok(self, future, value):
-        with self._lock:
-            self.completed += 1
         _sched_counter("jrpm_scheduler_settled",
                        "Settled jobs by terminal result", result="ok")
         future.set_result(value)
 
     def _settle_error(self, future, error):
-        with self._lock:
-            self.failed += 1
         _sched_counter("jrpm_scheduler_settled",
                        "Settled jobs by terminal result",
                        result=error.kind)
@@ -308,18 +288,14 @@ class JobScheduler:
 
     # -- introspection -----------------------------------------------------
     def stats_dict(self):
-        """JSON-safe snapshot of queue/batch/coalescing counters."""
+        """JSON-safe snapshot of the queue and workers (live state; the
+        admission, batch and settle counts are ``jrpm_scheduler_*``
+        registry families)."""
         with self._lock:
             return {
                 "queue_depth": len(self._queue),
                 "queue_limit": self.queue_limit,
                 "in_flight": self._in_flight,
                 "workers": self.jobs,
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "completed": self.completed,
-                "failed": self.failed,
-                "batches": self.batches,
-                "coalesced": self.coalesced,
                 "draining": not self._accepting,
             }

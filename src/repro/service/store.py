@@ -41,7 +41,8 @@ PERSISTENT_VERBS = ("run", "run_adaptive")
 
 
 class ArtifactStore:
-    """Fingerprint-keyed memo of job results with per-verb counters."""
+    """Fingerprint-keyed memo of job results; each lookup counts once
+    in ``jrpm_store_lookups{verb,outcome}``."""
 
     def __init__(self, max_entries=512, disk_cache=None):
         self.max_entries = max_entries
@@ -49,10 +50,6 @@ class ArtifactStore:
         self._entries = OrderedDict()      # fingerprint -> result dict
         self._texts = {}                   # fingerprint -> encoded result
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.hits_by_verb = {}
-        self.misses_by_verb = {}
         self._salt = None
 
     def salt(self):
@@ -150,13 +147,6 @@ class ArtifactStore:
             self._texts.pop(evicted, None)
 
     def _count(self, verb, hit):
-        if hit:
-            self.hits += 1
-            self.hits_by_verb[verb] = self.hits_by_verb.get(verb, 0) + 1
-        else:
-            self.misses += 1
-            self.misses_by_verb[verb] = \
-                self.misses_by_verb.get(verb, 0) + 1
         get_registry().counter(
             "jrpm_store_lookups", "Artifact-store lookups by outcome",
             labels=("verb", "outcome")).labels(
@@ -166,26 +156,15 @@ class ArtifactStore:
                 len(self._entries))
 
     # -- introspection -----------------------------------------------------
-    @property
-    def hit_rate(self):
-        """Fraction of lookups served from the store."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
     def __len__(self):
         with self._lock:
             return len(self._entries)
 
     def stats_dict(self):
-        """JSON-safe snapshot of entry/hit/miss counters."""
+        """JSON-safe snapshot of the store's size and tiers."""
         with self._lock:
             return {
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
-                "hits": self.hits,
-                "misses": self.misses,
-                "hit_rate": round(self.hit_rate, 4),
-                "hits_by_verb": dict(self.hits_by_verb),
-                "misses_by_verb": dict(self.misses_by_verb),
                 "persistent": self.disk_cache is not None,
             }

@@ -11,8 +11,8 @@ exported as
   ``chrome://tracing``),
 * a per-loop text timeline,
 * aggregate counters (:class:`TraceAggregates`) that ride along inside
-  :class:`~repro.core.pipeline.JrpmReport` round-trips and the suite
-  runner's JSONL metrics.
+  :class:`~repro.core.pipeline.JrpmReport` round-trips, with their
+  headline counts folded into the metrics registry.
 
 Tracing defaults **off** (``machine.trace is None`` — the same
 near-zero-cost guard pattern the TEST profiler hooks use); see

@@ -4,7 +4,10 @@ The raw event ring is transient (like the live ``TestProfiler``), but
 its roll-up — :class:`TraceAggregates` — is attached to
 :class:`~repro.core.pipeline.JrpmReport`, round-trips losslessly
 through ``to_dict()/from_dict()``, crosses worker-process and report-
-cache boundaries, and lands in the suite runner's JSONL metrics.
+cache boundaries, and keeps the per-handler and per-loop detail of
+the run.  Its headline counts (events recorded and dropped) are folded
+into the metrics registry once per executed run
+(:func:`repro.metrics.observe_report_dict`).
 """
 
 
@@ -81,38 +84,6 @@ class TraceAggregates:
         if stats is None:
             stats = self.per_loop[loop_id] = LoopTraceStats(loop_id)
         return stats
-
-    def merge(self, other):
-        """Accumulate another run's counters into this roll-up.
-
-        Used by the service daemon to keep one fleet-wide aggregate
-        across every traced report it serves; capacity becomes the max
-        (it is a per-run ring size, not additive), high-water marks
-        fold via the per-loop maxima inside :class:`LoopTraceStats`.
-        """
-        self.events_recorded += other.events_recorded
-        self.events_dropped += other.events_dropped
-        self.capacity = max(self.capacity, other.capacity)
-        for kind, count in other.counts.items():
-            self.counts[kind] = self.counts.get(kind, 0) + count
-        for name, cycles in other.handler_cycles.items():
-            self.handler_cycles[name] = \
-                self.handler_cycles.get(name, 0.0) + cycles
-        for loop_id, theirs in other.per_loop.items():
-            mine = self.loop(loop_id)
-            mine.commits += theirs.commits
-            mine.restarts += theirs.restarts
-            mine.squashes += theirs.squashes
-            mine.violations += theirs.violations
-            mine.overflows += theirs.overflows
-            mine.max_load_lines = max(mine.max_load_lines,
-                                      theirs.max_load_lines)
-            mine.max_store_lines = max(mine.max_store_lines,
-                                       theirs.max_store_lines)
-            mine.handler_cycles += theirs.handler_cycles
-        for key, value in other.cache.items():
-            self.cache[key] = self.cache.get(key, 0) + value
-        return self
 
     # -- serialization -----------------------------------------------------
     def to_dict(self):

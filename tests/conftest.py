@@ -6,12 +6,24 @@ from repro.bytecode import run_program
 from repro.hydra.config import HydraConfig
 from repro.hydra.machine import Machine
 from repro.jit.compiler import compile_annotated, compile_program
+from repro.metrics import MetricsRegistry
+from repro.metrics.registry import swap_registry
 from repro.minijava import compile_source
 
 
 @pytest.fixture
 def config():
     return HydraConfig()
+
+
+@pytest.fixture
+def fresh_registry():
+    """A fresh process-global metrics registry for one test, so its
+    ``total()`` reads count only what the test did."""
+    registry = MetricsRegistry()
+    previous = swap_registry(registry)
+    yield registry
+    swap_registry(previous)
 
 
 def interp(src, *args):

@@ -267,6 +267,40 @@ def test_analyze_service_verb_and_cli_shapes():
                    for loop in result["loops"])
 
 
+def test_check_analysis_report_accepts_analyze_output_only(tmp_path,
+                                                           capsys):
+    """``scripts/check_analysis_report.py`` passes ``jrpm analyze
+    --json`` output and a bare ``AnalysisReport.to_dict()``, and turns
+    a pipeline report's JSON away in one line naming ``jrpm analyze
+    --json``."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from repro.cli import main
+    script = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "scripts", "check_analysis_report.py")
+    assert main(["analyze", "BitOps", "--size", "small", "--json"]) == 0
+    envelope = json.loads(capsys.readouterr().out)
+    report = Jrpm().run(compile_source(lookup("BitOps").source("small")),
+                        name="BitOps")
+    inputs = {"envelope.json": envelope, "bare.json": envelope["analysis"],
+              "report.json": report.to_dict()}
+    codes = {}
+    for filename, payload in inputs.items():
+        path = tmp_path / filename
+        path.write_text(json.dumps(payload))
+        run = subprocess.run([sys.executable, script, str(path)],
+                             capture_output=True, text=True)
+        codes[filename] = (run.returncode, run.stderr.strip())
+    assert codes["envelope.json"] == (0, "")
+    assert codes["bare.json"] == (0, "")
+    code, stderr = codes["report.json"]
+    assert code == 1
+    assert len(stderr.splitlines()) == 1
+    assert "jrpm analyze" in stderr and "--json" in stderr
+
+
 # -- the static bound against the dynamic selector, and the join ------------
 
 @pytest.mark.slow

@@ -152,3 +152,38 @@ def test_identify_loops_ordinals_are_stable():
     starts_a = [loop.header for __, loop in first]
     starts_b = [loop.header for __, loop in second]
     assert starts_a == starts_b
+
+
+def test_annotated_compile_computes_dominators_once_per_cfg(monkeypatch):
+    """Loop finding, each loop's carried-local facts and the STL sync
+    planner share one dominator computation per method CFG."""
+    from repro.jit import cfg as cfg_module, patterns, stl
+    from repro.jit.compiler import compile_annotated
+    real = cfg_module.compute_dominators
+    seen = []
+
+    def counting(cfg):
+        seen.append(cfg)
+        return real(cfg)
+
+    for module in (cfg_module, patterns, stl):
+        if hasattr(module, "compute_dominators"):
+            monkeypatch.setattr(module, "compute_dominators", counting)
+    program = compile_source(wrap_main("""
+        int t = 0;
+        for (int r = 0; r < 3; r++) {
+            for (int c = 0; c < 5; c++) { t += r + c; }
+            t += grid(r);
+        }
+        return t;
+    """, prelude="""
+    static int grid(int n) {
+        int s = 0;
+        for (int i = 0; i < n; i++)
+            for (int j = 0; j < n; j++) { s += i * j; }
+        return s;
+    }"""))
+    compiled = compile_annotated(program, HydraConfig())
+    assert len({id(cfg) for cfg in seen}) == len(seen), \
+        "dominators recomputed for a CFG"
+    assert len(seen) == len(compiled.methods)

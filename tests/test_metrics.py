@@ -8,8 +8,9 @@ Covers the ISSUE-10 acceptance surface:
   no updates;
 * lossless ``to_dict``/``from_dict`` round-trips and merge semantics
   (counters add, gauges max, histograms concatenate);
-* the deque reservoir's O(1) wrap behavior (the PR-6
-  ``LatencyHistogram`` ``list.pop(0)`` fix);
+* the deque reservoir's O(1) wrap behavior (the PR-6 ``list.pop(0)``
+  fix), at the default reservoir size request latencies use;
+* ``total()``, the one way code and tests read a count;
 * OpenMetrics rendering passing its own lint, plus the lint's ability
   to reject malformed expositions;
 * the ``/metrics`` HTTP endpoint over a real socket;
@@ -26,7 +27,6 @@ from repro.metrics import (CONTENT_TYPE, DEFAULT_MAX_SAMPLES,
                            METRICS_SCHEMA_VERSION, MetricsHttpServer,
                            MetricsRegistry, enabled, lint,
                            observe_report_dict, render, set_enabled)
-from repro.service.stats import LatencyHistogram
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +114,7 @@ def test_registry_is_thread_safe_under_concurrent_mutation():
     for thread in threads:
         thread.join()
 
-    total = sum(child.value for _, child in
-                registry.get("hits").series())
-    assert total == threads_n * per_thread
+    assert registry.total("hits") == threads_n * per_thread
     assert registry.get("level").value == threads_n * per_thread
     hist = registry.get("obs").to_dict()["series"][""]
     assert hist["count"] == threads_n * per_thread
@@ -182,18 +180,42 @@ def test_histogram_reservoir_wraps_keeping_newest():
 
 
 def test_latency_histogram_wraps_like_a_deque():
-    """The PR-6 wire shape survives, and the reservoir is newest-wins
-    with O(1) wrap (regression test for the ``list.pop(0)`` variant)."""
-    hist = LatencyHistogram()
-    for i in range(LatencyHistogram.MAX_SAMPLES + 50):
+    """The request-latency histogram (default bounds and reservoir) is
+    newest-wins with O(1) wrap (regression test for the
+    ``list.pop(0)`` variant)."""
+    registry = MetricsRegistry()
+    hist = registry.histogram("jrpm_service_request_seconds",
+                              labels=("verb",)).labels(verb="run")
+    for i in range(DEFAULT_MAX_SAMPLES + 50):
         hist.record(float(i))
     payload = hist.to_dict()
-    assert set(payload) == {"count", "mean", "p50", "p95", "max",
-                            "buckets"}
-    assert payload["count"] == LatencyHistogram.MAX_SAMPLES + 50
-    assert payload["max"] == float(LatencyHistogram.MAX_SAMPLES + 49)
-    assert len(hist._samples) == LatencyHistogram.MAX_SAMPLES
+    assert payload["count"] == DEFAULT_MAX_SAMPLES + 50
+    assert payload["max"] == float(DEFAULT_MAX_SAMPLES + 49)
+    assert sum(payload["buckets"]) == DEFAULT_MAX_SAMPLES + 50
+    assert len(hist._samples) == DEFAULT_MAX_SAMPLES
     assert hist._samples[0] == 50.0           # oldest 50 rolled off
+    assert hist.percentile(0.0) == 50.0
+    assert registry.total("jrpm_service_request_seconds", verb="run") \
+        == DEFAULT_MAX_SAMPLES + 50
+
+
+def test_total_sums_matching_series():
+    """``total()`` sums the series matching a label subset (histograms
+    by observation count) and reads an absent family as 0."""
+    registry = _populated_registry()
+    lookups = registry.counter("lookups", labels=("verb", "outcome"))
+    for verb, outcome, count in (("run", "hit", 3), ("run", "miss", 1),
+                                 ("profile", "hit", 2)):
+        lookups.labels(verb=verb, outcome=outcome).inc(count)
+    total = registry.total
+    assert (total("lookups"), total("lookups", outcome="hit"),
+            total("lookups", verb="run"),
+            total("lookups", verb="run", outcome="miss"),
+            total("lookups", verb="compile")) == (6, 5, 4, 1, 0)
+    assert (total("depth"), total("lat"), total("absent"),
+            total("absent", verb="run")) == (3, 3, 0, 0)
+    with pytest.raises(ValueError, match="no label"):
+        total("lookups", engine="fast")
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +312,25 @@ def test_observe_report_dict_folds_tls_counters(tiny_report_dict):
     committed = registry.get("jrpm_tls_threads") \
         .labels(outcome="committed").value
     assert committed == tiny_report_dict["breakdown"]["commits"]
-    runs = registry.get("jrpm_runs")
-    assert sum(child.value for _, child in runs.series()) == 1
+    assert registry.total("jrpm_runs") == 1
     phases = registry.get("jrpm_run_simulated_cycles")
     assert phases.labels(phase="sequential").value \
         == tiny_report_dict["sequential"]["cycles"]
+    assert registry.get("jrpm_adapt_epochs") is None   # not adaptive
+
+
+def test_observe_report_dict_folds_adaptation():
+    """An adaptive report folds its epochs and applied decisions."""
+    from repro.core.pipeline import Jrpm
+    from repro.workloads import lookup
+    report = Jrpm().run_adaptive(lookup("euler").source("small"),
+                                 name="euler", epochs=3)
+    log = report.adaptation
+    registry = MetricsRegistry()
+    observe_report_dict(report.to_dict(), registry=registry)
+    assert registry.total("jrpm_adapt_epochs") == log.epochs_run > 0
+    assert registry.total("jrpm_adapt_decisions") \
+        == len(log.applied_decisions())
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from repro.profdb import (MIN_CONFIDENCE, PROFDB_SCHEMA_VERSION,
                           merge_value, site_key, split_site_key,
                           validate_profdb_dict)
 from repro.profdb.merge import merge_input_profile
-from repro.service import RunOptions, Session
+from repro.service import JobSpec, RunOptions, Session
 from repro.workloads import lookup
 
 LOOPY = """
@@ -431,17 +431,19 @@ def test_adapt_outcomes_ban_decommitted_loops(db_path):
 
 # -- provenance in tooling ----------------------------------------------------
 
-def test_suite_metrics_record_provenance(db_path):
-    from repro.runner.metrics import RunRecord, SuiteMetrics
-    cold = _run(db_path)
-    warm = _run(db_path)
-    metrics = SuiteMetrics()
-    metrics.record(RunRecord.from_report(cold, name="loopy"))
-    metrics.record(RunRecord.from_report(warm, name="loopy"))
-    records = [r.to_dict() for r in metrics.records]
-    assert records[0]["profile_provenance"] == "cold"
-    assert records[1]["profile_provenance"] == "warm"
-    assert "profdb: 1 warm start" in metrics.summary()
+def test_suite_metrics_record_provenance(fresh_registry, db_path):
+    """The suite summary's profdb line counts the executed runs'
+    provenance (``jrpm_runs{provenance}``)."""
+    from repro.runner import SuiteRunner
+    spec = JobSpec(verb="run", source=LOOPY, name="loopy",
+                   options=RunOptions(profile_db=db_path))
+    runner = SuiteRunner(jobs=1, use_cache=False)
+    cold, warm = runner.run([spec, spec])
+    assert cold.profile_provenance == "cold"
+    assert warm.profile_provenance == "warm"
+    assert fresh_registry.total("jrpm_runs", provenance="cold") == 1
+    assert fresh_registry.total("jrpm_runs", provenance="warm") == 1
+    assert "profdb: 1 warm start, 0 confirmed" in runner.metrics.summary()
 
 
 def test_format_report_shows_provenance(db_path):
@@ -568,14 +570,15 @@ def test_job_fingerprint_ignores_profdb_fields(db_path):
     assert job_fingerprint(plain) == job_fingerprint(backed)
 
 
-def test_artifact_store_bypasses_profdb_jobs(db_path):
+def test_artifact_store_bypasses_profdb_jobs(fresh_registry, db_path):
     from repro.service import ArtifactStore, JobSpec
     store = ArtifactStore()
     spec = JobSpec(verb="run", source=LOOPY, name="x",
                    options=RunOptions(profile_db=db_path))
     store.put(spec, {"report": {}})
     assert store.get(spec) is None
-    assert store.misses == 1 and store.hits == 0
+    assert fresh_registry.total("jrpm_store_lookups", outcome="miss") == 1
+    assert fresh_registry.total("jrpm_store_lookups", outcome="hit") == 0
 
 
 def test_cli_version_and_profdb(capsys, db_path):

@@ -15,8 +15,8 @@ import pytest
 
 from repro.core.pipeline import Jrpm, JrpmReport
 from repro.minijava import compile_source
-from repro.runner import (ProcessPool, ReportCache, SuiteMetrics,
-                          SuiteRunError, SuiteRunner)
+from repro.runner import (ProcessPool, ReportCache, SuiteRunError,
+                          SuiteRunner)
 from repro.service import JobSpec, RunOptions, Session, job_fingerprint
 from repro.service.jobs import resolve_workload
 from repro.service.store import ArtifactStore
@@ -184,7 +184,8 @@ def test_no_cache_runner_stores_nothing(tmp_path, monkeypatch):
     assert again.metrics.misses == 1
 
 
-def test_suite_and_daemon_store_share_warm_state(tmp_path):
+def test_suite_and_daemon_store_share_warm_state(fresh_registry,
+                                                  tmp_path):
     """A suite run and an ArtifactStore over the same cache directory
     key one run identically: each side's entry is a hit for the
     other."""
@@ -192,16 +193,20 @@ def test_suite_and_daemon_store_share_warm_state(tmp_path):
     SuiteRunner(cache_dir=suite_dir).run_suite(size="small",
                                                workloads=["BitOps"])
     store = ArtifactStore(disk_cache=ReportCache(suite_dir))
+    before = fresh_registry.total("jrpm_store_lookups", outcome="miss")
     report = Session.local(store=store).run(workload="BitOps",
                                             size="small")
-    assert (store.hits, store.misses) == (1, 0)
+    assert fresh_registry.total("jrpm_store_lookups", outcome="hit") == 1
+    assert fresh_registry.total("jrpm_store_lookups",
+                                outcome="miss") == before
     assert report.name == "BitOps"
 
     store_dir = str(tmp_path / "store-first")
     store = ArtifactStore(disk_cache=ReportCache(store_dir))
     direct = Session.local(store=store).run(workload="BitOps",
                                             size="small")
-    assert store.misses == 1
+    assert fresh_registry.total("jrpm_store_lookups",
+                                outcome="miss") == before + 1
     runner = SuiteRunner(cache_dir=store_dir)
     reports = runner.run_suite(size="small", workloads=["BitOps"])
     assert (runner.metrics.hits, runner.metrics.misses) == (1, 0)
@@ -223,7 +228,9 @@ def test_parallel_reports_identical_to_serial(tmp_path):
 
 def test_suite_metrics_are_the_same_at_every_jobs():
     """Pool workers' metric deltas fold into the parent registry, so a
-    suite accounts the same simulated work at ``--jobs 1`` and ``N``."""
+    suite accounts the same simulated work at ``--jobs 1`` and ``N``,
+    and its summary (a registry delta) prints the same lines but for
+    the wall times and the worker count."""
     from repro.metrics import MetricsRegistry
     from repro.metrics.registry import swap_registry
 
@@ -231,17 +238,30 @@ def test_suite_metrics_are_the_same_at_every_jobs():
         registry = MetricsRegistry()
         previous = swap_registry(registry)
         try:
-            SuiteRunner(jobs=jobs, use_cache=False).run(
-                [tiny_spec(), tiny_spec(source=TINY_B, name="b")])
+            runner = SuiteRunner(jobs=jobs, use_cache=False)
+            runner.run([tiny_spec(), tiny_spec(source=TINY_B, name="b"),
+                        tiny_spec(verb="run_adaptive", epochs=2,
+                                  trace=True)])
+            summary = runner.metrics.summary().splitlines()
         finally:
             swap_registry(previous)
-        return {name: [(key, child.value)
-                       for key, child in registry.get(name).series()]
-                for name in ("jrpm_runs", "jrpm_run_simulated_cycles")}
+        counts = {name: [(key, child.value)
+                         for key, child in registry.get(name).series()]
+                  for name in ("jrpm_runs", "jrpm_run_simulated_cycles",
+                               "jrpm_adapt_epochs",
+                               "jrpm_trace_events_recorded")}
+        assert summary[0].startswith("runner: 3 runs on %d worker"
+                                     % jobs)
+        assert summary[2].startswith("work:   ")
+        return counts, [summary[1], summary[2].split(",")[1]] + summary[3:]
 
-    inline = accounted(1)
-    assert inline["jrpm_runs"] == [(("cold",), 2.0)]
-    assert accounted(2) == inline
+    inline, inline_lines = accounted(1)
+    assert inline["jrpm_runs"] == [(("cold",), 3.0)]
+    pooled, pooled_lines = accounted(2)
+    assert pooled == inline
+    assert pooled_lines == inline_lines
+    assert [line.split(":")[0] for line in inline_lines[2:]] \
+        == ["tls", "trace", "adapt"]
 
 
 def test_worker_crash_is_retried_once(tmp_path):
@@ -251,6 +271,7 @@ def test_worker_crash_is_retried_once(tmp_path):
     record = runner.metrics.records[-1]
     assert record.status == "ok"
     assert record.attempts == 2              # died once, retried once
+    assert "retry:  1 run retried" in runner.metrics.summary()
     assert os.path.exists(marker)
     assert report.outputs_match()
 
@@ -363,18 +384,8 @@ def _die_once(marker):
     return os.getpid()
 
 
-@pytest.fixture
-def pool_registry():
-    from repro.metrics import MetricsRegistry
-    from repro.metrics.registry import swap_registry
-    registry = MetricsRegistry()
-    previous = swap_registry(registry)
-    yield registry
-    swap_registry(previous)
-
-
 def _spawned(registry):
-    return registry.counter("jrpm_pool_workers_spawned", "").value
+    return registry.total("jrpm_pool_workers_spawned")
 
 
 def _live_children(pids):
@@ -382,7 +393,7 @@ def _live_children(pids):
             if child.pid in pids]
 
 
-def test_pool_workers_serve_consecutive_maps(pool_registry):
+def test_pool_workers_serve_consecutive_maps(fresh_registry):
     with ProcessPool(_pid, jobs=2) as pool:
         first = pool.map([(i, 0.05) for i in range(4)])
         pids = pool.pids
@@ -390,28 +401,28 @@ def test_pool_workers_serve_consecutive_maps(pool_registry):
         assert pool.pids == pids
     assert {outcome.value for outcome in first.values()} <= set(pids)
     assert {outcome.value for outcome in second.values()} <= set(pids)
-    assert _spawned(pool_registry) == 2
+    assert _spawned(fresh_registry) == 2
 
 
 def test_pool_crash_retries_on_replacement_then_serves_next_batch(
-        tmp_path, pool_registry):
+        tmp_path, fresh_registry):
     warm = tmp_path / "warm"
     warm.touch()                                # no crash: start workers
     with ProcessPool(_die_once, jobs=2) as pool:
         pool.map([(0, str(warm))])
         pids = pool.pids
-        assert _spawned(pool_registry) == 2
+        assert _spawned(fresh_registry) == 2
         outcome = pool.map([(0, str(tmp_path / "crash"))])[0]
         assert outcome.ok and outcome.attempts == 2
-        assert _spawned(pool_registry) == 3          # one replacement
+        assert _spawned(fresh_registry) == 3          # one replacement
         assert len(set(pool.pids) - set(pids)) == 1
         assert outcome.value in pool.pids
         again = pool.map([(i, str(tmp_path / "crash")) for i in range(3)])
         assert all(o.ok and o.attempts == 1 for o in again.values())
-        assert _spawned(pool_registry) == 3
+        assert _spawned(fresh_registry) == 3
 
 
-def test_pool_replaces_a_worker_that_died_between_maps(pool_registry):
+def test_pool_replaces_a_worker_that_died_between_maps(fresh_registry):
     with ProcessPool(_pid, jobs=2) as pool:
         pool.map([(0, 0.0), (1, 0.0)])
         dead = pool.pids[0]
@@ -421,10 +432,10 @@ def test_pool_replaces_a_worker_that_died_between_maps(pool_registry):
         outcomes = pool.map([(i, 0.0) for i in range(4)])
         assert all(o.ok and o.attempts == 1 for o in outcomes.values())
         assert dead not in pool.pids
-        assert _spawned(pool_registry) == 3
+        assert _spawned(fresh_registry) == 3
 
 
-def test_pool_timeout_kills_only_its_own_worker(pool_registry):
+def test_pool_timeout_kills_only_its_own_worker(fresh_registry):
     with ProcessPool(_pid, jobs=2) as pool:
         pool.map([(0, 0.0), (1, 0.0)])
         pids = pool.pids
@@ -436,7 +447,7 @@ def test_pool_timeout_kills_only_its_own_worker(pool_registry):
         assert outcomes["stuck"].pid in pids
         assert outcomes["stuck"].pid not in pool.pids
         assert not _live_children([outcomes["stuck"].pid])
-        assert _spawned(pool_registry) == 3
+        assert _spawned(fresh_registry) == 3
 
 
 def test_pool_runs_a_mixed_timeout_batch_concurrently():
@@ -465,25 +476,25 @@ def test_pool_close_leaves_no_live_children():
 # metrics
 # ---------------------------------------------------------------------------
 
-def test_metrics_jsonl_and_summary(tmp_path):
-    runner = SuiteRunner(jobs=1, cache_dir=str(tmp_path / "c"))
-    runner.run([tiny_spec()])
-    warm = SuiteRunner(jobs=1, cache_dir=str(tmp_path / "c"),
-                       metrics=runner.metrics)
-    warm.run([tiny_spec()])
-    metrics = warm.metrics
+def test_suite_summary_counts_hits_misses_and_tls(tmp_path):
+    """The summary is a registry delta over one runner's invocation:
+    one warm hit plus one executed miss, whose TLS outcomes it prints."""
+    cache_dir = str(tmp_path / "c")
+    SuiteRunner(jobs=1, cache_dir=cache_dir).run([tiny_spec()])
+    runner = SuiteRunner(jobs=1, cache_dir=cache_dir)
+    [cached, report] = runner.run([tiny_spec(),
+                                   tiny_spec(source=TINY_B, name="b")])
+    metrics = runner.metrics
     assert metrics.hits == 1 and metrics.misses == 1
     assert metrics.hit_rate == 0.5
+    assert [(r.name, r.cache_hit) for r in metrics.records] \
+        == [("tiny", True), ("b", False)]
     summary = metrics.summary()
+    assert "runner: 2 runs" in summary
     assert "1 hit" in summary and "1 miss" in summary
-    path = metrics.write_jsonl(str(tmp_path / "m" / "metrics.jsonl"))
-    lines = [json.loads(line) for line in open(path)]
-    assert lines[0]["event"] == "suite"
-    assert lines[0]["cache_hits"] == 1
-    runs = [line for line in lines if line["event"] == "run"]
-    assert len(runs) == 2
-    assert {run["cache_hit"] for run in runs} == {True, False}
-    assert {(run["name"], run["verb"]) for run in runs} == {("tiny", "run")}
+    breakdown = report.breakdown
+    assert ("tls:    %d commits, %d violations"
+            % (breakdown.commits, breakdown.violations)) in summary
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_client_server_round_trip_unix_socket(service):
 
 
 def test_second_identical_profile_request_skips_recompilation(
-        service, tmp_path):
+        fresh_registry, service, tmp_path):
     """Acceptance: the second identical ``profile`` request is served
     from the shared artifact store — the pipeline provably executes
     exactly once (one exec-log line), and the response says cached."""
@@ -126,9 +126,10 @@ def test_second_identical_profile_request_skips_recompilation(
             [("profile", payload)])
         assert cached is True
         assert second == first
-        stats = client.stats()
-        assert stats["store"]["hits_by_verb"]["profile"] == 1
-        assert stats["store"]["misses_by_verb"]["profile"] == 1
+        assert fresh_registry.total("jrpm_store_lookups", verb="profile",
+                                    outcome="hit") == 1
+        assert fresh_registry.total("jrpm_store_lookups", verb="profile",
+                                    outcome="miss") == 1
     with open(exec_log) as fh:
         executions = fh.read().splitlines()
     assert len(executions) == 1, \
@@ -154,17 +155,31 @@ def test_identical_burst_is_coalesced_to_one_execution(service,
     assert len(executions) == 1
 
 
-def test_stats_verb_reports_queue_store_and_latency(service):
+def test_stats_verb_reports_queue_store_and_latency(fresh_registry,
+                                                   service):
+    """``stats`` reports the live queue and store state, no counts; the
+    request latency is ``jrpm_service_request_seconds`` in ``metrics``."""
+    from repro.metrics import MetricsRegistry
     with service.client() as client:
         client.run(TINY, name="tiny")
         stats = client.stats()
-    assert stats["scheduler"]["queue_depth"] == 0
-    assert stats["scheduler"]["workers"] == 2
-    assert stats["store"]["cache_hit_rate"] >= 0.0
-    run_latency = stats["latency_by_verb"]["run"]
-    assert run_latency["count"] == 1
-    assert run_latency["p95"] >= run_latency["p50"] > 0.0
+        registry = MetricsRegistry.from_dict(client.metrics()["metrics"])
+    assert set(stats) == {"uptime", "started_at", "endpoint",
+                          "scheduler", "store"}
+    # ``in_flight`` drops just after the reply settles: not asserted
+    assert dict(stats["scheduler"], in_flight=0) == {
+        "queue_depth": 0, "queue_limit": 64, "in_flight": 0,
+        "workers": 2, "draining": False}
+    assert stats["store"] == {"entries": 1, "max_entries": 512,
+                              "persistent": False}
+    assert stats["endpoint"] == service.socket_path
     assert stats["uptime"] > 0.0
+    assert registry.total("jrpm_service_request_seconds",
+                          verb="run") == 1
+    run_latency = registry.get("jrpm_service_request_seconds") \
+        .labels(verb="run")
+    assert run_latency.percentile(0.95) >= run_latency.percentile(0.5) \
+        > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +241,8 @@ def test_bad_requests_get_clear_errors(service):
         assert "warp_speed" in str(excinfo.value)
 
 
-def test_analysis_option_is_a_bad_request_before_queueing(service):
+def test_analysis_option_is_a_bad_request_before_queueing(
+        fresh_registry, service):
     """The retired ``analysis`` run option (static pruning) is an
     unknown field: rejected before any job is queued."""
     with service.client() as client:
@@ -235,10 +251,11 @@ def test_analysis_option_is_a_bad_request_before_queueing(service):
                                    "options": {"analysis": True}})
         assert excinfo.value.kind == "bad-request"
         assert "analysis" in str(excinfo.value)
-        assert client.stats()["scheduler"]["accepted"] == 0
+        assert fresh_registry.total("jrpm_scheduler_submits") == 0
 
 
-def test_bad_engine_is_a_bad_request_before_queueing(service):
+def test_bad_engine_is_a_bad_request_before_queueing(fresh_registry,
+                                                     service):
     """A mistyped engine value, or the removed ``fastpath`` option,
     is rejected before any job is queued — never run and cached."""
     with service.client() as client:
@@ -249,7 +266,7 @@ def test_bad_engine_is_a_bad_request_before_queueing(service):
                                        "options": options})
             assert excinfo.value.kind == "bad-request"
             assert needle in str(excinfo.value)
-        assert client.stats()["scheduler"]["accepted"] == 0
+        assert fresh_registry.total("jrpm_scheduler_submits") == 0
 
 
 def test_protocol_version_mismatch_is_rejected(service):
@@ -340,22 +357,22 @@ def test_local_session_run_matches_jrpm_run_byte_identical():
     assert via_session.to_dict() == direct.to_dict()
 
 
-def test_local_session_memoizes_in_artifact_store():
+def test_local_session_memoizes_in_artifact_store(fresh_registry):
     with Session.local() as session:
         first = session.profile(TINY)
         second = session.profile(TINY)
         assert first == second
-        store_stats = session.stats()["store"]
-        assert store_stats["hits_by_verb"]["profile"] == 1
-        assert store_stats["misses_by_verb"]["profile"] == 1
+        assert session.stats() == {"local": True, "store": {
+            "entries": 1, "max_entries": 512, "persistent": False}}
+    assert fresh_registry.total("jrpm_store_lookups", verb="profile",
+                                outcome="hit") == 1
+    assert fresh_registry.total("jrpm_store_lookups", verb="profile",
+                                outcome="miss") == 1
 
 
-def test_local_session_results_are_final_and_private():
+def test_local_session_results_are_final_and_private(fresh_registry):
     """The store keeps a result without its metric delta, and a caller
     that edits what it was handed cannot change a later hit."""
-    from repro.metrics import MetricsRegistry, reset_registry
-
-    reset_registry()    # other tests in this process fold metrics too
     with Session.local() as session:
         first = session.compile(TINY, name="x")
         assert "metrics" not in first
@@ -368,21 +385,19 @@ def test_local_session_results_are_final_and_private():
 
         session.run(TINY, name="x")
         session.run(TINY, name="x")
-        registry = MetricsRegistry.from_dict(
-            session.metrics()["metrics"])
-        runs = registry.get("jrpm_runs")
-        assert sum(child.value for _, child in runs.series()) == 1
+    assert fresh_registry.total("jrpm_runs") == 1
 
 
-def test_cached_report_answers_to_its_own_name():
+def test_cached_report_answers_to_its_own_name(fresh_registry):
     """The report embeds its name, so the name is key material: a run
     of the same source under another name is a miss, not a replay."""
     with Session.local() as session:
         assert session.run(TINY, name="alpha").name == "alpha"
         assert session.run(TINY, name="beta").name == "beta"
         assert session.run(TINY, name="alpha").name == "alpha"
-        store_stats = session.stats()["store"]
-        assert (store_stats["hits"], store_stats["misses"]) == (1, 2)
+    assert fresh_registry.total("jrpm_store_lookups", outcome="hit") == 1
+    assert fresh_registry.total("jrpm_store_lookups",
+                                outcome="miss") == 2
 
 
 def test_local_and_remote_sessions_return_identical_reports(service):
@@ -430,12 +445,12 @@ def test_scheduler_workers_outlive_a_batch_and_stop_on_drain(tmp_path):
                 if child.pid in pids]
 
 
-def test_profdb_daemon_warm_runs_are_byte_identical(tmp_path):
+def test_profdb_daemon_warm_runs_are_byte_identical(fresh_registry,
+                                                    tmp_path):
     """A ``--profdb`` daemon serves one warm ``run`` three times from a
     worker whose compile cache holds the program: the replies equal
     each other and an in-process ``Jrpm.run`` byte for byte."""
-    from repro.metrics import MetricsRegistry, reset_registry
-    reset_registry()    # other tests in this process fold metrics too
+    from repro.metrics import MetricsRegistry
     source = lookup("BitOps").source("small")
     fixture = ServiceFixture(tmp_path, jobs=1,
                              profdb_path=str(tmp_path / "daemon.json"))
@@ -456,10 +471,10 @@ def test_profdb_daemon_warm_runs_are_byte_identical(tmp_path):
     assert reports[0] == json.dumps(cold.to_dict(), sort_keys=True)
     assert reports[1] == reports[2] == reports[3] \
         == json.dumps(warm.to_dict(), sort_keys=True)
-    lookups = registry.get("jrpm_compile_cache_lookups")
-    hits = {key: child.value for key, child in lookups.series()}
-    assert hits[("program", "hit")] == 3
-    assert hits[("recompiled", "hit")] >= 2
+    assert registry.total("jrpm_compile_cache_lookups", kind="program",
+                          outcome="hit") == 3
+    assert registry.total("jrpm_compile_cache_lookups",
+                          kind="recompiled", outcome="hit") >= 2
 
 
 @pytest.fixture(scope="module")
@@ -584,21 +599,18 @@ def test_cache_key_depends_on_report_schema(monkeypatch):
 # metrics verb + request-correlated tracing (ISSUE 10)
 # ---------------------------------------------------------------------------
 
-def test_metrics_verb_round_trip(service):
+def test_metrics_verb_round_trip(fresh_registry, service):
     """The ``metrics`` control verb returns the daemon's registry in
     both formats, and worker-side metric deltas (the job executed in a
     pool process) are merged into it exactly once."""
-    from repro.metrics import MetricsRegistry, lint, reset_registry
+    from repro.metrics import MetricsRegistry, lint
 
-    reset_registry()    # other tests in this process fold metrics too
     with service.client() as client:
         client.run(TINY, name="tiny")
 
         result = client.metrics()
         registry = MetricsRegistry.from_dict(result["metrics"])
-        runs = registry.get("jrpm_runs")
-        assert runs is not None
-        assert sum(child.value for _, child in runs.series()) == 1
+        assert registry.total("jrpm_runs") == 1
         # scheduler + TLS fold families came along
         assert registry.get("jrpm_scheduler_submits") is not None
         assert registry.get("jrpm_tls_threads") is not None
@@ -616,17 +628,53 @@ def test_metrics_verb_round_trip(service):
         client.run(TINY, name="tiny")
         registry = MetricsRegistry.from_dict(
             client.metrics()["metrics"])
-        runs = registry.get("jrpm_runs")
-        assert sum(child.value for _, child in runs.series()) == 1
+        assert registry.total("jrpm_runs") == 1
 
 
-def test_metrics_http_endpoint_serves_openmetrics(tmp_path):
+def test_daemon_counts_each_event_once(fresh_registry, service):
+    """A store miss, an identical hit and a bad request: each request,
+    lookup, settle and run is counted once, in the registry, and
+    ``drain`` reports the registry's settle counts."""
+    total = fresh_registry.total
+    with service.client() as client:
+        payload = client.job_payload(TINY, name="tiny")
+        settled = client.request_many([("run", payload)])
+        settled += client.request_many([("run", payload)])
+        assert [cached for _, cached, _ in settled] == [False, True]
+        with pytest.raises(JrpmServiceError) as excinfo:
+            client.request("run", {"source": TINY,
+                                   "options": {"warp_speed": 9}})
+        assert excinfo.value.kind == "bad-request"
+
+        assert (total("jrpm_service_requests", verb="run", outcome="ok"),
+                total("jrpm_service_requests", verb="run", outcome="error"),
+                total("jrpm_service_requests"),
+                total("jrpm_service_request_seconds", verb="run"),
+                total("jrpm_service_request_seconds")) == (2, 1, 3, 3, 3)
+        assert (total("jrpm_store_lookups", verb="run", outcome="miss"),
+                total("jrpm_store_lookups", verb="run", outcome="hit"),
+                total("jrpm_store_lookups")) == (1, 1, 2)
+        # a store hit settles at submit, counted there once
+        assert (total("jrpm_scheduler_submits", outcome="store_hit"),
+                total("jrpm_scheduler_submits"),
+                total("jrpm_scheduler_settled", result="ok"),
+                total("jrpm_scheduler_settled"),
+                total("jrpm_runs")) == (1, 2, 1, 1, 1)
+        # the other families perfbench reads from the ``metrics`` verb
+        assert (total("jrpm_pool_workers_spawned"),
+                total("jrpm_scheduler_batches"),
+                total("jrpm_profdb_warm_runs")) == (2, 1, 0)
+        drained = client.drain()
+    assert (drained["completed"], drained["failed"]) == (2, 0)
+
+
+def test_metrics_http_endpoint_serves_openmetrics(fresh_registry,
+                                                  tmp_path):
     """``--metrics-port 0`` exposes a curl-able /metrics endpoint."""
     import http.client
 
-    from repro.metrics import CONTENT_TYPE, lint, reset_registry
+    from repro.metrics import CONTENT_TYPE, lint
 
-    reset_registry()
     fixture = ServiceFixture(tmp_path, metrics_port=0)
     try:
         with fixture.client() as client:

@@ -272,9 +272,11 @@ def test_runner_traced_request_uses_distinct_cache_key(tmp_path):
     runner = SuiteRunner(jobs=1, cache_dir=str(tmp_path / "cache"))
     (report,) = runner.run([spec(True)])
     assert report.trace_aggregates is not None
-    record = runner.metrics.records[-1]
-    assert record.trace_events == report.trace_aggregates.events_recorded
-    assert record.restarts == report.trace_aggregates.restarts
+    counts = runner.metrics.counts()
+    assert counts["trace_events"] \
+        == report.trace_aggregates.events_recorded
+    assert counts["restarts"] == sum(
+        stats.restarts for stats in report.stl_run_stats.values())
     assert "traced" in runner.metrics.summary()
 
     # warm hit returns the aggregates from the cache

@@ -12,9 +12,9 @@ disabled and cheap when enabled:
   so a fully traced run must stay within a small constant factor of the
   untraced baseline.
 
-The bounds come from ISSUE acceptance criteria; the timings use
-min-of-N wall-clock samples of the same in-process pipeline run so
-interpreter warmup and allocator noise mostly cancel.
+The timings use min-of-N wall-clock samples of the same in-process
+pipeline run, the arms interleaved round by round, so interpreter
+warmup, allocator noise and host load spikes mostly cancel.
 
 The enabled budget is *relative*, so it is recalibrated whenever the
 untraced baseline gets faster: the trace layer's absolute per-event
@@ -56,27 +56,29 @@ ENABLED_BUDGET = 1.20       # traced vs untraced (see module docstring)
 METRICS_BUDGET = 1.05       # metrics-on vs metrics-off (ISSUE bound)
 
 
-def _time_run(program, name, trace, rounds=ROUNDS):
-    """Minimum wall-clock seconds over *rounds* full pipeline runs."""
-    best = None
-    report = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        report = Jrpm(trace=trace).run(program, name=name)
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    assert report.outputs_match()
-    return best, report
+def _one_run(program, name, trace):
+    """Wall-clock seconds and report of one full pipeline run."""
+    start = time.perf_counter()
+    report = Jrpm(trace=trace).run(program, name=name)
+    return time.perf_counter() - start, report
 
 
 def test_trace_overhead_within_budget():
     program = compile_source(lookup("BitOps").source("small"))
     # Warm the interpreter once before any timed sample.
     Jrpm().run(program, name="warmup")
-    base, _ = _time_run(program, "BitOps", trace=False)
-    again, _ = _time_run(program, "BitOps", trace=False)
-    traced, report = _time_run(program, "BitOps", trace=True)
+    # Interleave the three arms (untraced / untraced-again / traced)
+    # so a host load spike lands on all of them rather than one
+    # sequential block; min-of-N per arm then cancels the noise.
+    base = again = traced = None
+    for _ in range(ROUNDS):
+        sample, _ = _one_run(program, "BitOps", trace=False)
+        base = sample if base is None else min(base, sample)
+        sample, _ = _one_run(program, "BitOps", trace=False)
+        again = sample if again is None else min(again, sample)
+        sample, report = _one_run(program, "BitOps", trace=True)
+        traced = sample if traced is None else min(traced, sample)
+    assert report.outputs_match()
 
     noise = again / base
     overhead = traced / base

@@ -81,7 +81,7 @@ python -m repro analyze BitOps --size small --json \
 python scripts/check_analysis_report.py "$CACHE_DIR/analysis.json"
 
 echo
-echo "== smoke: golden report digests, fast == reference (fast tier) =="
+echo "== smoke: registry sweep, golden digests fast == reference (fast tier) =="
 python -m pytest -q -m "not slow" tests/test_golden_reports.py
 
 echo

@@ -44,7 +44,6 @@ import contextlib
 import hashlib
 import json
 import os
-import tempfile
 import time
 
 try:
@@ -55,7 +54,7 @@ except ImportError:          # non-POSIX: single-process use still works
 from .fingerprint import method_fingerprints, program_fingerprint
 from ..log import get_logger
 from ..metrics import get_registry
-from ..runner.cache import options_fingerprint
+from ..runner.cache import atomic_write, options_fingerprint
 from .merge import DEFAULT_DECAY, MIN_CONFIDENCE, merge_input_profile
 from .records import (InputProfile, LoopProfile, PROFDB_SCHEMA_VERSION,
                       PROVENANCE_COLD, PROVENANCE_CONFIRMED,
@@ -193,26 +192,14 @@ class ProfileDb:
         return data
 
     def _write(self, program_key, entry):
-        """Atomically publish one shard (tempfile + replace)."""
+        """Atomically publish one shard (:func:`atomic_write`)."""
         if os.path.isfile(self.path):
             # The single-file layout: replaced by the store directory.
             os.unlink(self.path)
         os.makedirs(self.path, exist_ok=True)
         payload = {"schema": PROFDB_SCHEMA_VERSION,
                    "programs": {program_key: entry.to_dict()}}
-        fd, tmp_path = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                # json.dumps runs the C encoder; json.dump would stream
-                # the payload through the pure-Python one.
-                handle.write(json.dumps(payload))
-            os.replace(tmp_path, self.shard_path(program_key))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.shard_path(program_key), json.dumps(payload))
 
     # ----------------------------------------------------------- record
 

@@ -82,6 +82,26 @@ def default_cache_dir():
     return os.path.join(os.getcwd(), "benchmarks", ".cache")
 
 
+def atomic_write(path, text):
+    """Publish *text* as the file *path*: write a tempfile in the same
+    directory, then ``os.replace`` it into place, so a reader opens
+    either the previous file or the complete new one; the tempfile is
+    removed if anything fails.  The report cache and the profile DB's
+    shards are written this way."""
+    fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path),
+                                    suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_path, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+
+
 def options_fingerprint(config, stl_options, vm_options):
     """Canonical JSON of the three option objects."""
     return json.dumps(
@@ -160,17 +180,8 @@ class ReportCache:
                 outcome="hit" if hit else "miss").inc()
 
     def put(self, key, payload):
-        """Atomically persist *payload* (tempfile + rename, safe for
-        concurrent writers)."""
+        """Atomically persist *payload* (safe for concurrent
+        writers)."""
         os.makedirs(self.root, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(payload, separators=(",", ":")))
-            os.replace(tmp_path, self.path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path_for(key),
+                     json.dumps(payload, separators=(",", ":")))

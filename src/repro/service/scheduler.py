@@ -121,7 +121,10 @@ class JobScheduler:
         self._idle = threading.Condition(self._lock)
         self._accepting = True
         self._closed = False
-        self._in_flight = 0
+        #: futures of the batch being dispatched that have not settled:
+        #: a job leaves it before its future resolves, so a reply never
+        #: reaches a client while ``stats`` still counts its job
+        self._in_flight = set()
         #: one worker pool for the scheduler's whole life: its workers
         #: start with the first batch, keep their compile caches
         #: across batches, and stop when the scheduler drains
@@ -167,7 +170,7 @@ class JobScheduler:
         _sched_counter("jrpm_scheduler_submits",
                        "Submissions by admission outcome",
                        outcome="accepted")
-        _sched_gauges(depth, self._in_flight)
+        _sched_gauges(depth, len(self._in_flight))
         return ScheduledJob(spec, key, future, cached=False)
 
     # -- lifecycle ---------------------------------------------------------
@@ -187,7 +190,7 @@ class JobScheduler:
                 if remaining is not None and remaining == 0.0:
                     raise TimeoutError(
                         "drain timed out with %d queued, %d in flight"
-                        % (len(self._queue), self._in_flight))
+                        % (len(self._queue), len(self._in_flight)))
                 self._idle.wait(timeout=remaining)
         # nothing is queued or in flight and intake is closed for good,
         # so the dispatcher never touches the pool again
@@ -221,20 +224,29 @@ class JobScheduler:
                 batch = []
                 while self._queue and len(batch) < self.batch_max:
                     batch.append(self._queue.popleft())
-                self._in_flight += len(batch)
+                self._in_flight.update(future for _, _, future in batch)
                 depth = len(self._queue)
-                in_flight = self._in_flight
+                in_flight = len(self._in_flight)
             _sched_gauges(depth, in_flight)
             try:
                 self._run_batch(batch)
             finally:
-                with self._lock:
-                    self._in_flight -= len(batch)
-                    depth = len(self._queue)
-                    in_flight = self._in_flight
-                    if not self._queue and not self._in_flight:
-                        self._idle.notify_all()
-                _sched_gauges(depth, in_flight)
+                # drops whatever did not settle (the batch raised)
+                self._release(*(future for _, _, future in batch))
+
+    def _release(self, *futures):
+        """Take settled (or abandoned) *futures* out of ``in_flight``
+        and wake :meth:`drain` once nothing is queued or in flight;
+        called before a future resolves.  The last job of a batch
+        settles after the pool has returned every outcome, so a drain
+        this wakes never closes a pool in use."""
+        with self._lock:
+            self._in_flight.difference_update(futures)
+            depth = len(self._queue)
+            in_flight = len(self._in_flight)
+            if not depth and not in_flight:
+                self._idle.notify_all()
+        _sched_gauges(depth, in_flight)
 
     def _run_batch(self, batch):
         """Execute one batch: re-check the store (an earlier batch may
@@ -277,6 +289,7 @@ class JobScheduler:
     def _settle_ok(self, future, value):
         _sched_counter("jrpm_scheduler_settled",
                        "Settled jobs by terminal result", result="ok")
+        self._release(future)
         future.set_result(value)
 
     def _settle_error(self, future, error):
@@ -284,6 +297,7 @@ class JobScheduler:
                        "Settled jobs by terminal result",
                        result=error.kind)
         _log.warning("job failed (%s): %s", error.kind, error)
+        self._release(future)
         future.set_exception(error)
 
     # -- introspection -----------------------------------------------------
@@ -295,7 +309,7 @@ class JobScheduler:
             return {
                 "queue_depth": len(self._queue),
                 "queue_limit": self.queue_limit,
-                "in_flight": self._in_flight,
+                "in_flight": len(self._in_flight),
                 "workers": self.jobs,
                 "draining": not self._accepting,
             }

@@ -43,8 +43,8 @@ tables.
 
 The equivalence is enforced end-to-end by
 ``tests/test_scheduler_differential.py`` (byte-identical reports and
-trace streams) and by the golden report digests, one per workload for
-both engines.
+trace streams) and by the golden digests of every workload's report
+and Chrome trace, which both engines must produce.
 """
 
 from ..engine.ir_engine import dispatch_table, tls_cost_map, tls_event_map

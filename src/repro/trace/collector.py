@@ -17,7 +17,8 @@ every emission site fires at a simulated timestamp determined by the
 total order of scheduler events, which both engines' TLS schedulers
 reproduce identically — a trace recorded under ``--engine fast`` is
 byte-for-byte the trace recorded under ``--engine reference``
-(enforced by ``tests/test_scheduler_differential.py``).
+(enforced by ``tests/test_scheduler_differential.py`` and the golden
+Chrome-trace digests of ``tests/test_golden_reports.py``).
 """
 
 from dataclasses import dataclass

@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import functools
+
 import pytest
 
 from repro.bytecode import run_program
@@ -9,6 +11,13 @@ from repro.jit.compiler import compile_annotated, compile_program
 from repro.metrics import MetricsRegistry
 from repro.metrics.registry import swap_registry
 from repro.minijava import compile_source
+from repro.workloads import lookup
+
+import regen_report_digests
+
+#: one registry workload per category (integer, floating point,
+#: multimedia): the default tier of every registry sweep
+FAST_TIER = ("BitOps", "LuFactor", "decJpeg")
 
 
 @pytest.fixture
@@ -61,3 +70,30 @@ def assert_same_behavior(src, *args):
     assert actual.output == expected.output
     assert actual.return_value == expected.return_value
     return expected, actual
+
+
+@functools.lru_cache(maxsize=None)
+def registry_case(name, engine):
+    """The one traced run of registry workload *name* under *engine*
+    (``regen_report_digests.run_case``), memoized so every test of the
+    registry sweep checks its property from the same execution.  The
+    trace is dropped once digested; what stays is ~2 MB a case."""
+    case = regen_report_digests.run_case(name, engine)
+    case.report.trace = None
+    return case
+
+
+@functools.lru_cache(maxsize=None)
+def registry_oracle(name):
+    """The bytecode interpreter's run of registry workload *name*."""
+    return run_program(compile_source(
+        lookup(name).source(regen_report_digests.SIZE)))
+
+
+def registry_params():
+    """One ``pytest.param`` per registry workload, marked ``slow``
+    unless it is in :data:`FAST_TIER`."""
+    from repro.workloads import all_workloads
+    return [pytest.param(w.name, marks=() if w.name in FAST_TIER
+                         else pytest.mark.slow)
+            for w in all_workloads()]

@@ -1,25 +1,27 @@
 """Property: adaptive recompilation never changes program semantics.
 
-For every registered workload, the :meth:`Jrpm.run_adaptive` final
-output must equal the reference interpreter oracle — including under
-aggressive policy knobs that force decommits and lock escalations the
-normal thresholds would never trigger.  Float outputs are compared with
-the same tolerance :meth:`JrpmReport.outputs_match` uses (reductions
-re-associate across CPUs).
+Under aggressive policy knobs that force decommits and lock
+escalations the normal thresholds would never trigger, the
+:meth:`Jrpm.run_adaptive` final output must still equal the reference
+interpreter oracle, as must the default policy's over every registered
+workload (the registry sweep's one ``run_adaptive``, whose report
+``tests/test_golden_reports.py`` pins).  Float outputs are compared
+with the same tolerance :meth:`JrpmReport.outputs_match` uses
+(reductions re-associate across CPUs).
 
-The full 26-workload sweep (with forced-adaptation knobs) is marked
-``slow`` like the one-shot equivalents in ``test_integration_suite``;
-a fast representative subset runs in the default tier.
+The 26-workload sweeps are marked ``slow``; a representative subset
+runs in the default tier.
 """
 
 import pytest
 
 from repro.adapt import ThresholdPolicy
-from repro.bytecode import run_program
 from repro.core.pipeline import Jrpm, outputs_equal
 from repro.hydra.config import HydraConfig
 from repro.minijava import compile_source
 from repro.workloads import lookup, names
+
+from conftest import registry_case, registry_oracle
 
 #: representative fast subset: one integer, one floating, one multimedia
 FAST_SUBSET = ("BitOps", "LuFactor", "decJpeg")
@@ -27,10 +29,14 @@ FAST_SUBSET = ("BitOps", "LuFactor", "decJpeg")
 
 def _oracle_check(name, policy=None, epochs=3, config=None):
     program = compile_source(lookup(name).source("small"))
-    oracle = run_program(program)
     jrpm = Jrpm(config=config)
     report = jrpm.run_adaptive(program, name=name, policy=policy,
                                epochs=epochs, verify=True)
+    return _assert_matches_oracle(name, report)
+
+
+def _assert_matches_oracle(name, report):
+    oracle = registry_oracle(name)
     assert report.sequential.output == oracle.output
     assert outputs_equal(report.tls.output, oracle.output), (
         "%s: adaptive TLS output diverged from the interpreter oracle"
@@ -43,13 +49,13 @@ def _oracle_check(name, policy=None, epochs=3, config=None):
 
 @pytest.mark.parametrize("name", FAST_SUBSET)
 def test_adaptive_output_matches_oracle_fast(name):
-    _oracle_check(name)
+    _assert_matches_oracle(name, registry_case(name, "fast").adaptive)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", names())
 def test_adaptive_output_matches_oracle(name):
-    _oracle_check(name)
+    _assert_matches_oracle(name, registry_case(name, "fast").adaptive)
 
 
 @pytest.mark.slow

@@ -10,9 +10,10 @@ from repro.analysis import (ABSENT, MAY, MUST, AnalysisReport, CONST,
                             validate_analysis_dict)
 from repro.core.pipeline import Jrpm
 from repro.minijava import compile_source
-from repro.workloads import lookup, names
+from repro.workloads import lookup
 
-from conftest import wrap_main
+import regen_report_digests
+from conftest import registry_case, registry_params, wrap_main
 
 
 def analyzed(src, threshold=1.2):
@@ -303,27 +304,29 @@ def test_check_analysis_report_accepts_analyze_output_only(tmp_path,
 
 # -- the static bound against the dynamic selector, and the join ------------
 
-@pytest.mark.slow
-@pytest.mark.parametrize("name", names())
+@pytest.mark.parametrize("name", registry_params())
 def test_static_prune_never_removes_selected_loop(name):
-    """Over the whole registry: no loop whose static speedup bound is
-    below threshold (``pruned``) is one the dynamic selector commits,
-    and every analyzed loop joins the annotator's loop table on
-    (method, ordinal, header line)."""
-    jrpm = Jrpm()
-    analysis, profile = jrpm.analyze(
-        compile_source(lookup(name).source("small")))
-    plans = jrpm.select(profile)
-    selected = {(profile.loop_table[loop_id].method_name,
-                 profile.loop_table[loop_id].ordinal)
-                for loop_id in plans}
-    pruned = {loop.key for loop in analysis.pruned()}
-    assert not (pruned & selected), (
-        "%s: static bound rules out %s but the selector commits them"
-        % (name, sorted(pruned & selected)))
-    joined = {(meta.method_name, meta.ordinal, meta.line): loop_id
-              for loop_id, meta in profile.loop_table.items()}
-    assert len(analysis.loops) == len(joined)
-    for loop in analysis.loops:
-        loop_id = joined[(loop.method, loop.ordinal, loop.line)]
-        assert loop.agreement["loop_id"] == loop_id
+    """Over the whole registry, in both engines' reports: the analysis
+    cross-checks the report's loop table and TEST stats, no loop whose
+    static speedup bound is below threshold (``pruned``) is one the
+    dynamic selector commits, and every analyzed loop joins the
+    annotator's loop table on (method, ordinal, header line)."""
+    for engine in regen_report_digests.ENGINES:
+        case = registry_case(name, engine)
+        report = case.report
+        analysis = analyze_program(
+            case.program, threshold=report.config.min_predicted_speedup)
+        analysis.cross_check(report.loop_table, report.loop_stats)
+        selected = {(report.loop_table[loop_id].method_name,
+                     report.loop_table[loop_id].ordinal)
+                    for loop_id in report.plans}
+        pruned = {loop.key for loop in analysis.pruned()}
+        assert not (pruned & selected), (
+            "%s: static bound rules out %s but the selector commits them"
+            % (name, sorted(pruned & selected)))
+        joined = {(meta.method_name, meta.ordinal, meta.line): loop_id
+                  for loop_id, meta in report.loop_table.items()}
+        assert len(analysis.loops) == len(joined)
+        for loop in analysis.loops:
+            loop_id = joined[(loop.method, loop.ordinal, loop.line)]
+            assert loop.agreement["loop_id"] == loop_id

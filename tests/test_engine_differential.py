@@ -17,12 +17,15 @@ observable —
 This file enforces that over randomized MiniJava workloads at two
 levels: bare machine runs, which must also print what the bytecode
 interpreter prints, and the whole Jrpm pipeline (profile → select →
-TLS).  A small subset runs in the default tier; the ~20-workload
-sweep is marked ``slow``.  Unit tests at the end pin how sequential
-blocks inline the TEST annotation hooks
+TLS).  A subset runs in the default tier; the 20-workload sweep is
+marked ``slow``.  Its pipeline level is the traced run of each seed,
+made once per engine (:func:`seed_observables`) and shared with the
+traced sweeps of ``tests/test_scheduler_differential.py``.  Unit tests
+at the end pin how sequential blocks inline the TEST annotation hooks
 (``tests/test_profiler_differential.py`` covers whole profiles).
 """
 
+import functools
 import json
 import random
 from types import SimpleNamespace
@@ -42,6 +45,7 @@ from repro.hydra.memory import Memory
 from repro.jit.compiler import compile_annotated, compile_program
 from repro.jit.ir import ANNOTATION_IR_OPS, IRInstr, IROp
 from repro.minijava import compile_source
+from repro.trace import TraceOptions, chrome_trace
 from repro.workloads import lookup
 
 from conftest import wrap_main
@@ -145,13 +149,34 @@ def machine_observables(program, engine):
     }
 
 
-def pipeline_observables(source, engine):
+def report_observables(source, engine, config=None, traced=False):
     """Canonical JSON of the full pipeline report, minus the config
-    (whose ``engine`` field differs by construction)."""
-    report = Jrpm(config=HydraConfig(engine=engine)).run(source)
+    (whose ``engine`` field differs by construction), plus the Chrome
+    trace when *traced*."""
+    config = config or HydraConfig()
+    config.engine = engine
+    report = Jrpm(config=config, trace=TraceOptions() if traced else None
+                  ).run(compile_source(source))
     payload = report.to_dict()
     payload.pop("config", None)
+    if traced:
+        payload = [payload, chrome_trace(report.trace, name="diff")]
     return json.dumps(payload, sort_keys=True, default=str)
+
+
+@functools.lru_cache(maxsize=None)
+def seed_observables(seed, engine):
+    """The traced :func:`report_observables` of random workload *seed*
+    under *engine*, computed once per process."""
+    return report_observables(random_workload(seed), engine, traced=True)
+
+
+def assert_seed_identical(seed):
+    """Both engines' traced pipeline runs of random workload *seed*
+    agree on the report and the Chrome trace."""
+    assert seed_observables(seed, "fast") \
+        == seed_observables(seed, "reference"), \
+        "engines diverged: seed %d\nsrc=%s" % (seed, random_workload(seed))
 
 
 def assert_identical(seed, pipeline=False):
@@ -167,8 +192,8 @@ def assert_identical(seed, pipeline=False):
         == (list(oracle.output), oracle.return_value), \
         "machine disagrees with the bytecode oracle (seed %d)" % seed
     if pipeline:
-        assert pipeline_observables(source, "fast") \
-            == pipeline_observables(source, "reference"), \
+        assert report_observables(source, "fast") \
+            == report_observables(source, "reference"), \
             "pipeline report diverged (seed %d)\nsrc=%s" % (seed, source)
 
 
@@ -245,13 +270,14 @@ class Main {
 
 
 # ---------------------------------------------------------------------------
-# slow tier: the ~20-workload sweep, pipeline level included
+# slow tier: the ~20-workload sweep, traced pipeline level included
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(20))
 def test_engine_differential_sweep(seed):
-    assert_identical(seed, pipeline=True)
+    assert_identical(seed)
+    assert_seed_identical(seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,33 +1,29 @@
-"""Golden report digests: every ``Jrpm.run`` report, byte for byte.
+"""The registry sweep: each workload runs once per engine, and every
+pinned surface is asserted from that one execution.
 
-``tests/golden/report_digests.json`` holds one SHA-256 per registry
-workload (``size="small"``): of its canonical report JSON without
-``config.engine``, which the fast and the reference engine must both
-produce; ``scripts/regen_report_digests.py`` computes and regenerates
-it.  A speedup must leave every digest unchanged; a
-deliberate report change regenerates the manifest in the same commit.
-The default tier checks one workload per category, the ``slow`` tier
-all of them; the default tier also checks the reports ``jrpm suite``
-produces through the job path on two workers.
+Each case compares the surface digests of
+``scripts/regen_report_digests.py``'s ``run_case`` (one traced
+``Jrpm.run``) with ``tests/golden/report_digests.json``, whose digests
+both engines share.  The run is ``conftest.registry_case``, memoized:
+the registry tests of ``test_pipeline`` (derived baseline),
+``test_integration_suite`` (bytecode oracle), ``test_analysis``
+(static cross-check), ``test_profdb_sweep`` (warm start),
+``test_adapt_properties`` (adaptive run), ``test_profiler_differential``
+and ``test_scheduler_differential`` (fast == reference) check their
+properties from the same execution instead of profiling again.  The
+default tier runs one workload per category and the reports ``jrpm
+suite`` produces for them on two workers; the ``slow`` tier runs the
+rest.
 """
-
-import importlib.util
-import os
 
 import pytest
 
 from repro.workloads import all_workloads
 
-_SCRIPT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "scripts", "regen_report_digests.py")
-_spec = importlib.util.spec_from_file_location("regen_report_digests",
-                                               _SCRIPT)
-digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(digests)
+import regen_report_digests as digests
+from conftest import FAST_TIER, registry_case
 
-#: one workload per category (integer, floating point, multimedia)
-FAST_TIER = ("BitOps", "LuFactor", "decJpeg")
-MANIFEST = digests.load_manifest()["reports"]
+MANIFEST = digests.load_manifest()
 
 
 def _cases():
@@ -40,12 +36,22 @@ def _cases():
 
 def test_manifest_covers_the_registry():
     names = sorted(workload.name for workload in all_workloads())
-    assert sorted(MANIFEST) == names
+    surfaces = digests.SURFACES + digests.FAST_SURFACES
+    assert sorted(MANIFEST) == sorted(surfaces + ("size",))
+    assert MANIFEST["size"] == digests.SIZE
+    for surface in surfaces:
+        assert sorted(MANIFEST[surface]) == names, surface
 
 
 @pytest.mark.parametrize("name,engine", list(_cases()))
 def test_report_digest(name, engine):
-    assert digests.report_digest(name, engine) == MANIFEST[name]
+    case = registry_case(name, engine)
+    surfaces = digests.SURFACES
+    if engine == "fast":
+        surfaces += digests.FAST_SURFACES
+    assert case.surfaces == {surface: MANIFEST[surface][name]
+                             for surface in surfaces}
+    assert case.report.profiler.events > 0
 
 
 def test_suite_reports_match_the_manifest():
@@ -54,4 +60,4 @@ def test_suite_reports_match_the_manifest():
         size=digests.SIZE, workloads=list(FAST_TIER))
     assert {name: digests.payload_digest(report.to_dict())
             for name, report in reports.items()} \
-        == {name: MANIFEST[name] for name in FAST_TIER}
+        == {name: MANIFEST["reports"][name] for name in FAST_TIER}

@@ -5,9 +5,8 @@ import pytest
 from repro import Jrpm, compile_source
 from repro.hydra.config import HydraConfig
 from repro.hydra.machine import Machine
-from repro.workloads import all_workloads, lookup
 
-from conftest import wrap_main
+from conftest import registry_case, registry_params, wrap_main
 
 PROGRAM = wrap_main("""
     int[] a = new int[1200];
@@ -167,18 +166,18 @@ def assert_derived_baseline_exact(source, config=None):
     return profile.measurement, derived.measurement
 
 
-#: the default tier's registry workloads, one per category; the
-#: ``slow`` tier runs all 26
-FAST_TIER = ("BitOps", "LuFactor", "decJpeg")
-
-
 @pytest.mark.parametrize("engine", ["fast", "reference"])
-@pytest.mark.parametrize("name", [
-    pytest.param(w.name, marks=() if w.name in FAST_TIER
-                 else pytest.mark.slow) for w in all_workloads()])
+@pytest.mark.parametrize("name", registry_params())
 def test_derived_baseline_registry(name, engine):
-    assert_derived_baseline_exact(lookup(name).source("small"),
-                                  HydraConfig(engine=engine))
+    """The registry sweep's report derives the baseline its simulated
+    ``compile_baseline`` measures: the case's one second simulation."""
+    case = registry_case(name, engine)
+    report = case.report
+    simulated = Jrpm(config=HydraConfig(engine=engine)) \
+        .compile_baseline(case.program)
+    assert report.sequential.to_dict() == simulated.measurement.to_dict()
+    assert report.compile_cycles == simulated.compile_cycles
+    assert report.profiling.instructions > report.sequential.instructions
 
 
 #: programs the registry never exercises: GC inside an annotated loop,

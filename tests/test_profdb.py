@@ -4,8 +4,9 @@ Covers the record model round-trips and schema gate, the weighted
 merge's fixed-point property, fingerprint-driven invalidation,
 corrupt-file tolerance, warm-start plan equivalence on a small program,
 provenance bookkeeping (cold → warm → confirmed), adaptation outcome
-write-back, and the version/profdb service verbs.  The full 26-workload
-differential sweep lives in ``test_profdb_sweep.py`` (``slow`` tier).
+write-back, and the version/profdb service verbs.  Warm starts over
+all 26 workloads are checked by the registry sweep
+(``test_golden_reports.py``).
 """
 
 import json

@@ -1,32 +1,31 @@
-"""Slow differential sweep: warm starts are plan-equivalent to cold.
+"""Profile-DB sweep: warm starts are plan-equivalent to cold.
 
-For every workload in the registry (small size) this runs the pipeline
-cold against a fresh profile DB and then again warm from the recorded
-consensus, and requires the warm run to be *indistinguishable* from the
-cold one where it matters: same selected STL plan sites, same TLS cycle
-count and speedup (exact, not approximate — the simulator is
-deterministic and the warm path replays the stored measurements
-verbatim), and matching program output.  This is the acceptance gate
-for the warm-start fast path: skipping the baseline and TEST runs must
-never change what the system decides or computes.
-
-Run with ``pytest -m slow`` (excluded from the fast tier).
+For every workload in the registry (small size) the registry sweep's
+fast-engine case (``conftest.registry_case``) records its cold report
+into a fresh profile DB and runs warm from that consensus.  The warm
+run must be *indistinguishable* from the cold one where it matters:
+same selected STL plan sites, same TLS cycle count and speedup (exact,
+not approximate — the simulator is deterministic and the warm path
+replays the stored measurements verbatim), and matching program
+output.  This is the acceptance gate for the warm-start fast path:
+skipping the baseline and TEST runs must never change what the system
+decides or computes.  The default tier checks one workload per
+category; the rest is marked ``slow``.
 """
 
 import pytest
 
 from repro import Jrpm, compile_source
-from repro.workloads import lookup, names
+from repro.workloads import lookup
+
+from conftest import registry_case, registry_params
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("name", names())
-def test_warm_start_plan_equivalent_to_cold(tmp_path, name):
-    db_path = str(tmp_path / "profdb")
-    source = lookup(name).source("small")
-    cold = Jrpm(profdb=db_path).run(compile_source(source), name=name)
-    assert cold.profile_provenance == "cold"
-    warm = Jrpm(profdb=db_path).run(compile_source(source), name=name)
+@pytest.mark.parametrize("name", registry_params())
+def test_warm_start_plan_equivalent_to_cold(name):
+    case = registry_case(name, "fast")
+    cold, warm = case.report, case.warm
+    assert case.provenance == "cold"
     assert warm.profile_provenance == "warm", (
         "%s: second run did not warm-start" % name)
     # the decision is identical: same committed plan sites ...

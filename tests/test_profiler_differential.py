@@ -14,11 +14,14 @@ comparator banks compute.  For each program, ``Jrpm.profile`` under
 * the profile run's simulated cycles and instructions, and
 * the Chrome-trace events of the profile phase of a traced run.
 
-Three registry workloads (one per category) and two adversarial
-programs — a single comparator bank (bank stealing and missed
-allocations) and a recursive method that re-enters a loop while it is
-still active — run in the default tier; the 26-workload sweep is
-marked ``slow``.
+Registry workloads are compared from the registry sweep's one traced
+run per engine (``conftest.registry_case``), by the digests of the
+profile and the Chrome trace that ``tests/golden/report_digests.json``
+also pins: one workload per category, trace included, in the default
+tier, and the 26-workload profile sweep marked ``slow``.  Two
+adversarial programs run in the default tier: a single comparator bank
+(bank stealing and missed allocations) and a recursive method that
+re-enters a loop while it is still active.
 """
 
 import json
@@ -29,51 +32,57 @@ from repro.core.pipeline import Jrpm
 from repro.hydra.config import HydraConfig
 from repro.minijava import compile_source
 from repro.trace import TraceOptions, chrome_trace
-from repro.workloads import all_workloads, lookup
+from repro.workloads import all_workloads
 
-from conftest import wrap_main
+import regen_report_digests
+from conftest import FAST_TIER, registry_case, wrap_main
 
 
-def profile_observables(source, engine, traced=False, **config_fields):
-    """Canonical JSON of everything the TEST profile run observed."""
+def profile_observables(source, engine, **config_fields):
+    """Canonical JSON of everything the traced TEST profile run
+    observed: the golden manifest's ``profiles`` surface and the
+    trace."""
     config = HydraConfig(engine=engine, **config_fields)
-    jrpm = Jrpm(config=config, trace=TraceOptions() if traced else None)
+    jrpm = Jrpm(config=config, trace=TraceOptions())
     artifact = jrpm.profile(compile_source(source))
-    profiler = artifact.profiler
-    observed = {
-        "loop_stats": [[loop_id, stats.to_dict()]
-                       for loop_id, stats in profiler.stats.items()],
-        "dynamic_nesting": sorted(profiler.dynamic_nesting),
-        "max_dynamic_depth": profiler.max_dynamic_depth,
-        "events": profiler.events,
-        "bank_steals": profiler.bank_steals,
-        "missed_allocations": profiler.missed_allocations,
-        "cycles": artifact.measurement.cycles,
-        "instructions": artifact.measurement.instructions,
-    }
-    if traced:
-        observed["trace"] = chrome_trace(jrpm.trace, name="diff")
-    return json.dumps(observed, sort_keys=True, default=str), profiler
+    observed = regen_report_digests.profile_observables(
+        artifact.profiler, artifact.measurement)
+    observed["trace"] = chrome_trace(jrpm.trace, name="diff")
+    return json.dumps(observed, sort_keys=True, default=str), \
+        artifact.profiler
 
 
-def assert_identical(source, label, traced=False, **config_fields):
-    fast, profiler = profile_observables(source, "fast", traced,
-                                         **config_fields)
-    reference, __ = profile_observables(source, "reference", traced,
+def assert_identical(source, label, **config_fields):
+    fast, profiler = profile_observables(source, "fast", **config_fields)
+    reference, __ = profile_observables(source, "reference",
                                         **config_fields)
     assert fast == reference, "TEST profile diverged: %s" % label
     return profiler
 
 
+def assert_registry_identical(name, surfaces):
+    """The two engines' registry cases of *name* agree on *surfaces*."""
+    fast, reference = (registry_case(name, engine)
+                       for engine in regen_report_digests.ENGINES)
+    for surface in surfaces:
+        assert fast.surfaces[surface] == reference.surfaces[surface], (
+            "%s diverged: %s" % (surface, name))
+    assert fast.report.profiler.events > 0
+
+
 # ---------------------------------------------------------------------------
-# default tier: one registry workload per category, traced
+# registry workloads: the profile, and in the default tier the trace
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["BitOps", "LuFactor", "decJpeg"])
+@pytest.mark.parametrize("name", FAST_TIER)
 def test_profile_differential_per_category(name):
-    profiler = assert_identical(lookup(name).source("small"), name,
-                                traced=True)
-    assert profiler.events > 0
+    assert_registry_identical(name, ("profiles", "chrome_traces"))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", [w.name for w in all_workloads()])
+def test_profile_differential_sweep(name):
+    assert_registry_identical(name, ("profiles",))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +109,7 @@ def test_single_bank_steals_and_misses():
     """One comparator bank: the overflowing outer loop loses its bank
     to an inner loop (stealing) and deeper loops find none (missed)."""
     profiler = assert_identical(
-        NESTED_OVERFLOW, "comparator_banks=1", traced=True,
+        NESTED_OVERFLOW, "comparator_banks=1",
         comparator_banks=1, load_buffer_lines=2, store_buffer_lines=1)
     assert profiler.bank_steals > 0
     assert profiler.missed_allocations > 0
@@ -135,19 +144,8 @@ class Main {
 def test_recursive_reentry_of_an_active_loop():
     """``walk`` re-enters its own loop while the outer activation is
     still active: hooks must resolve to the innermost activation."""
-    profiler = assert_identical(RECURSIVE_REENTRY, "recursive re-entry",
-                                traced=True)
+    profiler = assert_identical(RECURSIVE_REENTRY, "recursive re-entry")
     self_nested = [pair for pair in profiler.dynamic_nesting
                    if pair[0] == pair[1]]
     assert self_nested
     assert profiler.max_dynamic_depth >= 4
-
-
-# ---------------------------------------------------------------------------
-# slow tier: the whole registry
-# ---------------------------------------------------------------------------
-
-@pytest.mark.slow
-@pytest.mark.parametrize("name", [w.name for w in all_workloads()])
-def test_profile_differential_sweep(name):
-    assert_identical(lookup(name).source("small"), name)

@@ -19,45 +19,26 @@ This file enforces that over targeted programs forcing every
 speculative control path — RAW violations, buffer-overflow stalls,
 deferred guest exceptions and lock-contention (WAITLOCK/SIGNAL)
 scheduling — and, with the trace collector attached, over randomized
-MiniJava workloads and every registry workload.
-``tests/test_engine_differential.py`` compares the untraced reports of
-the same random workloads, and the golden report digests those of the
-registry.  A subset runs in the default tier; the sweeps are marked
-``slow``.
+MiniJava workloads and every registry workload.  The random workloads'
+traced runs are shared with ``tests/test_engine_differential.py``'s
+sweep, which also checks them at machine level; the registry's are the
+registry sweep's one run per engine (``conftest.registry_case``),
+compared by the digests of the traced report and the Chrome trace that
+``tests/test_golden_reports.py`` pins.  A subset runs in the default
+tier; the sweeps are marked ``slow``.
 """
-
-import json
 
 import pytest
 
-from repro.core.pipeline import Jrpm
 from repro.hydra.config import HydraConfig
-from repro.minijava import compile_source
-from repro.trace import TraceOptions, chrome_trace
+from repro.workloads import all_workloads
 
-from conftest import wrap_main
-from test_engine_differential import random_workload
+import regen_report_digests
+from conftest import registry_case, wrap_main
+from test_engine_differential import assert_seed_identical, \
+    report_observables
 
 ENGINES = ("fast", "reference")
-
-
-# ---------------------------------------------------------------------------
-# observables
-# ---------------------------------------------------------------------------
-
-def report_observables(source, engine, config=None, traced=False):
-    """Canonical JSON of the full pipeline report, minus the config
-    (whose ``engine`` field differs by construction), plus the Chrome
-    trace when *traced*."""
-    config = config or HydraConfig()
-    config.engine = engine
-    report = Jrpm(config=config, trace=TraceOptions() if traced else None
-                  ).run(compile_source(source))
-    payload = report.to_dict()
-    payload.pop("config", None)
-    if traced:
-        payload = [payload, chrome_trace(report.trace, name="diff")]
-    return json.dumps(payload, sort_keys=True, default=str)
 
 
 def assert_identical(source, label, config_factory=None, traced=False):
@@ -78,7 +59,7 @@ def assert_identical(source, label, config_factory=None, traced=False):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_scheduler_differential_random(seed):
-    assert_identical(random_workload(seed), "seed %d" % seed, traced=True)
+    assert_seed_identical(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +171,17 @@ def test_violation_trace_stream():
 # slow tier: every registry workload and more random ones, traced
 # ---------------------------------------------------------------------------
 
-def _workload_names():
-    from repro.workloads.registry import all_workloads
-    return [w.name for w in all_workloads()]
-
-
 @pytest.mark.slow
-@pytest.mark.parametrize("name", _workload_names())
+@pytest.mark.parametrize("name", [w.name for w in all_workloads()])
 def test_scheduler_differential_registry(name):
-    from repro.workloads.registry import lookup
-    source = lookup(name).source("small")
-    assert_identical(source, name, traced=True)
+    fast, reference = (registry_case(name, engine)
+                       for engine in regen_report_digests.ENGINES)
+    for surface in ("traced_reports", "chrome_traces"):
+        assert fast.surfaces[surface] == reference.surfaces[surface], (
+            "engines diverged: %s %s" % (name, surface))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(6, 20))
 def test_scheduler_differential_random_sweep(seed):
-    assert_identical(random_workload(seed), "seed %d" % seed, traced=True)
+    assert_seed_identical(seed)

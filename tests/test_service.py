@@ -166,8 +166,7 @@ def test_stats_verb_reports_queue_store_and_latency(fresh_registry,
         registry = MetricsRegistry.from_dict(client.metrics()["metrics"])
     assert set(stats) == {"uptime", "started_at", "endpoint",
                           "scheduler", "store"}
-    # ``in_flight`` drops just after the reply settles: not asserted
-    assert dict(stats["scheduler"], in_flight=0) == {
+    assert stats["scheduler"] == {
         "queue_depth": 0, "queue_limit": 64, "in_flight": 0,
         "workers": 2, "draining": False}
     assert stats["store"] == {"entries": 1, "max_entries": 512,
@@ -423,6 +422,25 @@ def _canonical(result):
     result.pop("wall_time", None)
     result.pop("metrics", None)
     return json.dumps(result, sort_keys=True)
+
+
+def test_settled_job_has_left_in_flight():
+    """A job leaves ``in_flight`` before its future resolves, so
+    whoever sees the result (a reply, here a done-callback) never sees
+    its job still counted."""
+    scheduler = JobScheduler(ArtifactStore(), jobs=1, timeout=60.0)
+    seen = []
+    try:
+        job = scheduler.submit(JobSpec(verb="compile", source=TINY,
+                                       delay=0.2))
+        job.future.add_done_callback(lambda _: seen.append(
+            (threading.current_thread().name,
+             scheduler.stats_dict()["in_flight"])))
+        job.future.result(timeout=60)
+    finally:
+        scheduler.close()
+    # the callback ran where the job settled, not at registration
+    assert seen == [("jrpm-scheduler", 0)]
 
 
 def test_scheduler_workers_outlive_a_batch_and_stop_on_drain(tmp_path):

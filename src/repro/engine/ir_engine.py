@@ -152,7 +152,8 @@ def tls_event_map(unit):
     global event loop before executing it), and 2 for ``STL_RUN``
     specifically (an event the scheduler must never dispatch through a
     handler: it transitions the thread to the multilevel-switch state
-    instead)."""
+    instead).  A TLS thread-code unit then marks its ``LW`` pcs 3
+    (``repro.tls.runtime``: loads that may run inside the run-ahead)."""
     events = getattr(unit, "_tls_events", None)
     if events is None:
         local = TLS_LOCAL_IR_OPS

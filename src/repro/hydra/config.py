@@ -39,12 +39,14 @@ def check_engine(engine):
 
 @dataclass
 class SpeculationOverheads:
-    """Software handler overheads in cycles (paper Table 1)."""
+    """Software handler overheads in cycles (paper Table 1): build one
+    with :meth:`new_handlers` or :meth:`old_handlers`, the table's two
+    columns."""
 
-    startup: int = 23
-    shutdown: int = 16
-    eoi: int = 5
-    restart: int = 6
+    startup: int
+    shutdown: int
+    eoi: int
+    restart: int
 
     @staticmethod
     def new_handlers():

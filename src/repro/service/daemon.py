@@ -269,7 +269,9 @@ class JrpmServer:
             # a store hit settles at submit, counted there only
             registry = get_registry()
             ok = registry.total("jrpm_scheduler_settled", result="ok")
-            failed = registry.total("jrpm_scheduler_settled") - ok
+            failed = registry.total("jrpm_scheduler_settled") - ok \
+                - registry.total("jrpm_scheduler_settled",
+                                 result="cancelled")
             completed = ok + registry.total("jrpm_scheduler_submits",
                                             outcome="store_hit")
             return reply({"drained": True, "completed": int(completed),

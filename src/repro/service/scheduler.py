@@ -31,6 +31,8 @@ execution policy:
 
 Futures are ``concurrent.futures.Future`` so the asyncio daemon can
 ``asyncio.wrap_future`` them and synchronous tests can ``result()``.
+A future its waiter cancelled is dropped when its job settles, and
+counted as ``jrpm_scheduler_settled{result="cancelled"}``.
 """
 
 import threading
@@ -286,19 +288,26 @@ class JobScheduler:
                 for future in futures:
                     self._settle_error(future, error)
 
-    def _settle_ok(self, future, value):
-        _sched_counter("jrpm_scheduler_settled",
-                       "Settled jobs by terminal result", result="ok")
-        self._release(future)
-        future.set_result(value)
-
-    def _settle_error(self, future, error):
+    def _claim(self, future, result):
+        """Count *future* as settled with *result* and take it out of
+        ``in_flight``; False if its waiter cancelled it (counted as
+        ``cancelled`` and dropped).  A claimed future is running, so
+        no cancel can race the result being set."""
+        claimed = future.set_running_or_notify_cancel()
         _sched_counter("jrpm_scheduler_settled",
                        "Settled jobs by terminal result",
-                       result=error.kind)
-        _log.warning("job failed (%s): %s", error.kind, error)
+                       result=result if claimed else "cancelled")
         self._release(future)
-        future.set_exception(error)
+        return claimed
+
+    def _settle_ok(self, future, value):
+        if self._claim(future, "ok"):
+            future.set_result(value)
+
+    def _settle_error(self, future, error):
+        _log.warning("job failed (%s): %s", error.kind, error)
+        if self._claim(future, error.kind):
+            future.set_exception(error)
 
     # -- introspection -----------------------------------------------------
     def stats_dict(self):

@@ -224,17 +224,23 @@ def fuse_thread_memory_ops(table, code, unit_name):
 
     Thread code only ever runs speculatively, under a
     :class:`SpecMemoryInterface`, so each handler inlines that
-    interface's common case into one Python frame: for ``LW`` the load
-    of a word no thread has buffered, the L1 probe (memo repeat or L1
-    hit, as :meth:`~repro.hydra.cache.MemoryHierarchy.load_latency`
-    does it), the read tag and ``read_sites`` (when tracing) and the
-    load-buffer overflow check; for ``SW`` the store-buffer write, the
-    overflow check and a scan for a vulnerable read tag.  Rare cases
-    call the interface's own methods: a word in some store buffer
-    (:meth:`SpecMemoryInterface.load`), an L1 miss
-    (``load_latency``) and a RAW violation (``notify_store``).  Every
-    observable — value, latency, clocks, tags, cache counters and memo
-    — equals the generic handler's (``tests/test_tls_buffers.py``).
+    interface's common case into one Python frame: for ``LW`` the
+    value (committed memory, or the version search of
+    :meth:`SpecMemoryInterface._find_version` for a word some thread
+    buffered), the L1 probe (memo repeat or L1 hit, as
+    :meth:`~repro.hydra.cache.MemoryHierarchy.load_latency` does it),
+    the read tag and ``read_sites`` (when tracing) and the load-buffer
+    overflow check; for ``SW`` the store-buffer write, the overflow
+    check and a scan for a vulnerable read tag.  Rare cases call the
+    interface's own methods: an L1 miss (``load_latency``) and a RAW
+    violation (``notify_store``).  Every observable — value, latency,
+    clocks, tags, cache counters and memo — equals the generic
+    handler's (``tests/test_tls_buffers.py``).
+
+    The ``LW`` handler also has a *commuting* mode: it runs only a
+    load that commutes with younger CPUs' events and refuses any other
+    before a side effect.  The event scheduler runs such loads inside
+    a CPU's run-ahead (``repro.tls.runtime``).
     """
     for pc, instr in enumerate(code):
         if instr.op == IROp.LW:
@@ -248,56 +254,79 @@ def _thread_lw(instr, pc, unit_name):
     site = (unit_name, instr)
     next_pc = pc + 1
 
-    def lw(ctx, frame):
-        frame.pc = next_pc
-        ctx.instret += 1
-        ctx.current_site = site
+    def lw(ctx, frame, commute=False):
+        """The load; with *commute* set, only if it commutes with every
+        more-speculative CPU's pending events (``repro.tls.runtime``):
+        it touches no shared cache state (an L1 hit or no cache access
+        at all) and cannot overflow the load buffer.  A load that does
+        not commute is refused before any side effect, returning True;
+        one that runs returns None, as in the plain mode."""
         regs = frame.regs
         addr = imm if a is None else regs[a] + imm
         mem = ctx.mem
+        my = ctx.spec
+        read_versions = my.read_versions
+        tagged = addr in read_versions
+        if commute and not tagged:
+            read_lines = my.read_lines
+            if len(read_lines) >= mem.load_buffer_lines \
+                    and addr >> CACHE_LINE_SHIFT not in read_lines:
+                return True          # a new line might overflow
+        vulnerable = True
+        latency = None               # None: committed memory, via the L1
         if addr in mem.stored:
             # Some thread buffered the word: own, forwarded or memory.
-            value, latency = mem.load(addr)
-        else:
-            if addr <= 0:
-                value = 0
+            value, __, source = mem._find_version(addr)
+            if source == "own":
                 latency = 1
+                vulnerable = False   # renamed by our own store
+            elif source == "forward":
+                latency = mem.config.interprocessor_cycles
+            elif addr <= 0:
+                latency = 1
+        elif addr <= 0:
+            value = 0
+            latency = 1
+        else:
+            value = 0 if addr & 3 else mem.words.get(addr, 0)
+        if latency is None:
+            line = addr >> CACHE_LINE_SHIFT
+            cpu = ctx.cpu_id
+            hierarchy = mem.hierarchy
+            memo = hierarchy._memo
+            l1 = mem.l1
+            if memo is not None and memo[1] == line \
+                    and memo[0] == cpu and memo[2] == "load":
+                l1.tick += 1
+                l1.hits += 1
+                latency = mem.l1_hit_cycles
             else:
-                value = 0 if addr & 3 else mem.words.get(addr, 0)
-                line = addr >> CACHE_LINE_SHIFT
-                cpu = ctx.cpu_id
-                hierarchy = mem.hierarchy
-                memo = hierarchy._memo
-                l1 = mem.l1
-                if memo is not None and memo[1] == line \
-                        and memo[0] == cpu and memo[2] == "load":
-                    l1.tick += 1
+                cache_set = l1.sets[line % l1.num_sets]
+                if line in cache_set:
+                    if hierarchy._memo_enabled:
+                        hierarchy._memo = (cpu, line, "load")
+                    tick = l1.tick + 1
+                    l1.tick = tick
+                    cache_set[line] = tick
                     l1.hits += 1
                     latency = mem.l1_hit_cycles
+                elif commute:
+                    return True      # an L1 miss touches the shared L2
                 else:
-                    cache_set = l1.sets[line % l1.num_sets]
-                    if line in cache_set:
-                        if hierarchy._memo_enabled:
-                            hierarchy._memo = (cpu, line, "load")
-                        tick = l1.tick + 1
-                        l1.tick = tick
-                        cache_set[line] = tick
-                        l1.hits += 1
-                        latency = mem.l1_hit_cycles
-                    else:
-                        latency = hierarchy.load_latency(cpu, addr)
-            my = ctx.spec
-            read_versions = my.read_versions
-            if addr not in read_versions:
-                read_versions[addr] = True       # not own: vulnerable
-                if mem.trace is not None:
-                    my.read_sites[addr] = site
-                read_lines = my.read_lines
-                read_lines.add(addr >> CACHE_LINE_SHIFT)
-                if len(read_lines) > mem.load_buffer_lines:
-                    runtime = mem.runtime
-                    if my.iteration != runtime.head_iteration:
-                        runtime.flag_overflow(my)
+                    latency = hierarchy.load_latency(cpu, addr)
+        frame.pc = next_pc
+        ctx.instret += 1
+        ctx.current_site = site
+        if not tagged:
+            read_versions[addr] = vulnerable
+            if mem.trace is not None:
+                my.read_sites[addr] = site
+            read_lines = my.read_lines
+            read_lines.add(addr >> CACHE_LINE_SHIFT)
+            if len(read_lines) > mem.load_buffer_lines:
+                runtime = mem.runtime
+                if my.iteration != runtime.head_iteration:
+                    runtime.flag_overflow(my)
         regs[dst] = value
         ctx.time += latency
         ctx.compute_cycles += latency

@@ -20,21 +20,30 @@ one per ``HydraConfig.engine``:
   branches, calls — the fused superinstructions
   :mod:`repro.engine.ir_engine` builds) and *parks* at its next
   scheduler event: any memory/sync/TLS op that can observe or mutate
-  cross-CPU state.  The scheduler ranks the parks and executes events
-  in the same lexicographic ``(clock, cpu-index)`` order the stepwise
-  loop would, so every cross-CPU observable — violation arcs, commits,
-  forwarding, lock acquires, cache counters, trace events — is
-  bit-identical.  The earliest CPU runs an *event chain*: its event,
-  then its run-ahead to the next one, which it executes at once while
-  it still precedes the runner-up; once overtaken it parks and hands
-  the chain straight to the runner-up (nothing else moved, so no
-  re-ranking and no head service is due).  Run-ahead is speculative
-  *simulator* state only: when an earlier event restarts/squashes/reads
-  a CPU that ran ahead, the scheduler rewinds it to its segment
-  snapshot and replays per-instruction up to the cut, reproducing the
-  exact stepwise architectural state (registers, clock, instret,
-  pending output).  Local ops never touch memory, caches, buffers or
-  the profiler, so phantom run-ahead work leaks nothing observable.
+  cross-CPU state.  The scheduler ranks the parks and executes every
+  event that can touch shared state in the same lexicographic
+  ``(clock, cpu-index)`` order the stepwise loop would, so every
+  cross-CPU observable — violation arcs, commits, forwarding, lock
+  acquires, cache counters, trace events — is bit-identical.  The
+  earliest CPU runs an *event chain*: its event, then its run-ahead to
+  the next one, which it executes at once while it still precedes the
+  runner-up; once overtaken it parks and hands the chain straight to
+  the runner-up (nothing else moved, so no re-ranking and no head
+  service is due).  One kind of event leaves that order: a
+  thread-code load that *commutes* — an L1 hit or no cache access,
+  that cannot overflow the load buffer — runs inside the run-ahead
+  while it precedes the *less-speculative horizon*, the earliest park
+  of a CPU running an older iteration, even past younger CPUs'
+  events.  Hydra moves data from older threads to younger ones only,
+  so no younger CPU's event reads or writes anything such a load
+  does.  Run-ahead is speculative *simulator* state only: when an
+  older CPU's event restarts/squashes/reads a CPU that ran ahead of
+  it, the scheduler rewinds it to its segment snapshot (taken before
+  the first dispatch that may cross the horizon, never under a load)
+  and replays per-instruction up to the cut, reproducing the exact
+  stepwise architectural state (registers, clock, instret, pending
+  output).  Local ops never touch memory, caches, buffers or the
+  profiler, so phantom run-ahead work leaks nothing observable.
 
 Each STL gets one thread-code unit, kept on the recompiled program
 (per CALL overhead), so every dynamic entry — and every later run of a
@@ -65,10 +74,15 @@ _SWITCH = "switch"
 
 _LOCK_POLL_CYCLES = 3
 _NEG_INF = float("-inf")
-#: event scheduler's run-ahead chunk: dispatches under a snapshot before
-#: yielding back, so a wild (doomed-to-restart) thread spinning in a
-#: pure-ALU loop cannot starve the event loop or the step budget
+_INF = float("inf")
+#: event scheduler's run-ahead chunk: dispatches past the runner-up
+#: before yielding back, so a thread spinning in a pure-ALU loop (a
+#: wild, doomed-to-restart one, or the head) cannot starve the event
+#: loop or the step budget
 _CHUNK = 4096
+#: event-map code of a thread-code ``LW``: a scheduler event that the
+#: run-ahead may also run inline when it commutes (see ``_run_event``)
+_THREAD_LW = 3
 
 
 class _ThreadCodeUnit:
@@ -80,7 +94,8 @@ class _ThreadCodeUnit:
     dispatch table is built by the one ``dispatch_table`` call every
     code unit gets, then takes the fused speculative ``LW``/``SW``
     handlers (thread code never runs unspeculated; callee frames keep
-    the generic ones)."""
+    the generic ones), and its event map marks those ``LW`` pcs
+    ``_THREAD_LW``."""
 
     __slots__ = ("code", "nregs", "name", "stls", "_dispatch",
                  "_tls_events", "_tls_costs", "warm_entries")
@@ -101,6 +116,10 @@ class _ThreadCodeUnit:
         #: predecoder must treat it as a block leader of its own
         self.warm_entries = (descriptor.warm_entry,)
         fuse_thread_memory_ops(dispatch_table(self), self.code, self.name)
+        events = tls_event_map(self)
+        for pc, instr in enumerate(self.code):
+            if instr.op is IROp.LW:
+                events[pc] = _THREAD_LW
 
 
 class TlsRuntime:
@@ -163,8 +182,9 @@ class _StlExecution:
         #: STL entry (not scheduler iterations), so the budget fires at
         #: the same point under both schedulers — commits, polls and
         #: restarts don't consume it, instructions (including raising
-        #: ones) do.  The stepwise loop counts them here; the event
-        #: loop as the sum of its per-CPU watermarks (``_counted``).
+        #: ones) do.  The stepwise loop counts them here one by one; the
+        #: event loop keeps here the running total of its per-CPU
+        #: watermarks (``_counted``).
         self.steps = 0
         self.max_steps = 200_000_000
         # -- event-driven scheduler state (None => stepwise mode) ------
@@ -412,10 +432,9 @@ class _StlExecution:
     # ------------------------------------------------------------------
     def _run_event(self):
         """Event-driven main loop: rank every active CPU by its park
-        position and execute the earliest in stepwise ``(clock,
-        cpu-index)`` order.  Head-of-queue services (commit, resume,
-        shutdown, switch) run before each ranking, exactly where the
-        stepwise loop re-checks them.
+        position and execute the earliest.  Head-of-queue services
+        (commit, resume, shutdown, switch) run before each ranking,
+        exactly where the stepwise loop re-checks them.
 
         A CPU's park is its next scheduler position: ``"op"`` (an event
         instruction), ``"run"`` (pending local work — a lower bound on
@@ -426,15 +445,26 @@ class _StlExecution:
 
         The earliest CPU executes an *event chain*: its event (mirroring
         the stepwise loop body statement for statement), then a merged
-        run-ahead through its local instructions — unprotected while
-        every dispatch provably completes below the runner-up, under a
-        segment snapshot once one might cross it — into its next event,
-        which runs at once if it still precedes the runner-up.  When the
-        runner-up overtakes a clean chain, nothing but this CPU's park
-        moved (no restart, no state change), so the head needs no
-        service and the chain hands off to the runner-up without a new
-        ranking.  The whole chain is inlined here: it is the per-event
-        hot path."""
+        run-ahead into its next event, which runs at once if it still
+        precedes the runner-up (the earliest other park).  Every event
+        that can touch shared state runs in the stepwise ``(clock,
+        cpu-index)`` order.  The one exception is a thread-code ``LW``
+        that *commutes* (see ``_THREAD_LW`` and the fused handler's
+        commuting mode): it runs inside the run-ahead, even past the
+        runner-up, while it precedes the *less-speculative horizon*, the
+        earliest park of a CPU running an older iteration (none for the
+        head).  Data moves from older threads to younger ones only, and
+        only older CPUs' events can restart or rewind a CPU, so no event
+        still pending can read or undo what such a load does.
+
+        The run-ahead is unprotected while every dispatch provably
+        completes below the horizon, and runs under a segment snapshot
+        once one might cross it.  Past the runner-up it yields after
+        ``_CHUNK`` dispatches.  When the runner-up overtakes a clean
+        chain, nothing but this CPU's park moved (no restart, no state
+        change), so the head needs no service and the chain hands off to
+        the runner-up without a new ranking.  The whole chain is inlined
+        here: it is the per-event hot path."""
         self._startup()
         n = self.n
         self._seg = seg = [None] * n
@@ -446,7 +476,6 @@ class _StlExecution:
         ctxs = self.ctxs
         max_steps = self.max_steps
         call_pad = self.config.call_overhead_cycles
-        tls_event_map(self.unit)
         tls_cost_map(self.unit, call_pad)
         while True:
             head = threads[self.head_iteration % n]
@@ -469,7 +498,8 @@ class _StlExecution:
 
             # Rank the active CPUs by park position: the earliest runs,
             # bounded by the runner-up.  Every active CPU is parked
-            # after this loop (a parked CPU is always active).
+            # after this loop (a parked CPU is always active), the head
+            # among them.
             order = []
             for cpu in range(n):
                 if park_kind[cpu] is None:
@@ -496,6 +526,16 @@ class _StlExecution:
                 ctx = ctxs[best]
                 spec = ctx.spec
                 gen = self._gen
+                # The less-speculative horizon: the earliest park of a
+                # CPU running an older iteration, ties broken by index.
+                iteration = spec.iteration
+                hor_t = _INF
+                hor = n
+                for t, cpu in order:
+                    if threads[cpu].iteration < iteration:
+                        hor_t = t
+                        hor = cpu
+                        break
                 # The handler/event/cost tables are hoisted across the
                 # chain: event handlers never touch the frame stack
                 # except CALLV, and local CALL/RET refresh them below.
@@ -570,19 +610,23 @@ class _StlExecution:
 
                     # -- merged run-ahead to the next event -------------
                     # While every dispatch provably completes below the
-                    # runner-up park, each instruction this CPU executes
-                    # is immediately the global minimum: no future cut
-                    # can order before it, so it runs with no snapshot.
-                    # The first dispatch that *might* cross the runner-up
-                    # takes the snapshot; from there the CPU runs under
-                    # rewind protection, at most _CHUNK dispatches (a
-                    # wild thread spinning in a pure-ALU loop must not
-                    # starve the event loop or the step budget).  An
-                    # event still ahead of the runner-up runs next (the
-                    # snapshot, if any, becomes history); a later one
-                    # parks the CPU.
+                    # horizon, no event still pending can rewind what
+                    # this CPU executes, so it runs with no snapshot;
+                    # and while it stays below the runner-up each
+                    # instruction is immediately the global minimum.
+                    # The first dispatch that *might* cross the horizon
+                    # takes the snapshot; from there only local work
+                    # runs, under rewind protection, until an inline
+                    # load proves it below the horizon after all.  Past
+                    # the runner-up the CPU yields after _CHUNK
+                    # dispatches (a thread spinning in a pure-ALU loop
+                    # must not starve the event loop or the step
+                    # budget).  An event still ahead of the runner-up
+                    # runs next (the snapshot, if any, becomes history);
+                    # a later one parks the CPU.
                     acc0 = spec.acc_compute
                     cur_seg = None
+                    budget = -1          # -1: not past the runner-up
                     # exit_kind: 0 = left the chain (transitioned, or
                     # parked off an event), 1 = run the event now,
                     # 2 = raised ahead of every CPU, 3 = parked at an
@@ -592,11 +636,22 @@ class _StlExecution:
                         ev = events[pc]
                         if ev:
                             t = ctx.time
+                            if ev == _THREAD_LW \
+                                    and (t < hor_t
+                                         or (t == hor_t and best < hor)) \
+                                    and not handlers[pc](ctx, frame, True):
+                                # A commuting load below the horizon ran
+                                # inline: the work before it is below
+                                # the horizon too, so the snapshot (if
+                                # any) is history.
+                                if cur_seg is not None:
+                                    seg[best] = cur_seg = None
+                                continue
                             if t < second_t \
                                     or (t == second_t and best < second):
                                 if cur_seg is not None:
                                     seg[best] = None     # now history
-                                if ev == 1:
+                                if ev != 2:
                                     exit_kind = 1
                                     break
                                 # STL_RUN ahead of every other CPU:
@@ -608,45 +663,34 @@ class _StlExecution:
                                 spec.block_time = t
                                 exit_kind = 0
                                 break
-                            if ev == 1:
+                            if ev != 2:
                                 exit_kind = 3
                             else:
                                 park_kind[best] = "stl"
                                 park_time[best] = t
                                 exit_kind = 0
                             break
-                        if cur_seg is None:
-                            if ctx.time + costs[pc] > second_t:
-                                # This dispatch may cross the runner-up:
-                                # snapshot, then continue protected.
-                                if len(frames) == 1:
-                                    cur_seg = (
-                                        ctx.time, ctx.instret,
-                                        ctx.compute_cycles, acc0
-                                        + (ctx.time - t0),
-                                        len(spec.pending_output),
-                                        frame, pc, frame.regs[:])
-                                else:
-                                    cur_seg = (
-                                        ctx.time, ctx.instret,
-                                        ctx.compute_cycles, acc0
-                                        + (ctx.time - t0),
-                                        len(spec.pending_output),
-                                        [(f, f.pc, f.regs[:])
-                                         for f in frames])
-                                seg[best] = cur_seg
-                                budget = _CHUNK
-                        else:
+                        if budget >= 0:
                             budget -= 1
                             if budget == 0:
                                 park_kind[best] = "run"
                                 park_time[best] = ctx.time
                                 exit_kind = 0
                                 break
+                            if cur_seg is None \
+                                    and ctx.time + costs[pc] > hor_t:
+                                cur_seg = self._snapshot(
+                                    best, acc0 + (ctx.time - t0))
+                        elif ctx.time + costs[pc] > second_t:
+                            # This dispatch may cross the runner-up.
+                            budget = _CHUNK
+                            if ctx.time + costs[pc] > hor_t:
+                                cur_seg = self._snapshot(
+                                    best, acc0 + (ctx.time - t0))
                         try:
                             signal = handlers[pc](ctx, frame)
                         except (GuestException, VMError) as exc:
-                            if cur_seg is None:
+                            if budget < 0:
                                 # Raise-flush left ctx.time at the
                                 # raising instruction's pre-step clock
                                 # — provably ahead of every other CPU,
@@ -661,14 +705,14 @@ class _StlExecution:
                             break
                         if signal is not None:
                             # RET drained the frame stack.
-                            if cur_seg is None:
+                            if budget < 0:
                                 # Nothing can precede it: raise at
                                 # once, exactly like stepwise.
                                 raise VMError(
                                     "thread code returned unexpectedly")
-                            # Under the snapshot an earlier event may
-                            # legitimately restart this thread first:
-                            # undo the step and park *before* it.
+                            # An earlier event may legitimately restart
+                            # this thread first: undo the step and park
+                            # *before* it.
                             frame.pc = pc
                             frames.append(frame)
                             ctx.status = "running"
@@ -695,8 +739,13 @@ class _StlExecution:
                                 costs = tls_cost_map(unit, call_pad)
                             handlers = frame.handlers
                     spec.acc_compute = acc0 + (ctx.time - t0)
-                    counted[best] = ctx.instret  # _account, inlined
-                    if sum(counted) > max_steps:
+                    # _account, inlined: a running total of the per-CPU
+                    # instruction watermarks
+                    instret = ctx.instret
+                    steps = self.steps = \
+                        self.steps + instret - counted[best]
+                    counted[best] = instret
+                    if steps > max_steps:
                         self._budget_exceeded()
                     if exit_kind == 3:
                         if second >= 0:
@@ -749,12 +798,32 @@ class _StlExecution:
                 park_kind[best] = None
                 seg[best] = None
 
+    def _snapshot(self, cpu, acc_compute):
+        """Take *cpu*'s segment snapshot before its next dispatch (whose
+        compute cycles so far are *acc_compute*), for ``_truncate``."""
+        ctx = self.ctxs[cpu]
+        frames = ctx.frames
+        if len(frames) == 1:
+            frame = frames[0]
+            snapshot = (ctx.time, ctx.instret, ctx.compute_cycles,
+                        acc_compute, len(ctx.spec.pending_output),
+                        frame, frame.pc, frame.regs[:])
+        else:
+            snapshot = (ctx.time, ctx.instret, ctx.compute_cycles,
+                        acc_compute, len(ctx.spec.pending_output),
+                        [(f, f.pc, f.regs[:]) for f in frames])
+        self._seg[cpu] = snapshot
+        return snapshot
+
     def _account(self, cpu):
         """Fold the CPU's instructions into the step budget: the
-        budget counts each CPU's instructions up to its watermark, so
-        this is idempotent and truncation-aware."""
-        self._counted[cpu] = self.ctxs[cpu].instret
-        if sum(self._counted) > self.max_steps:
+        budget counts each CPU's instructions up to its watermark, as a
+        running total, so this is idempotent and truncation-aware (a
+        rewind lowers the watermark)."""
+        instret = self.ctxs[cpu].instret
+        self.steps += instret - self._counted[cpu]
+        self._counted[cpu] = instret
+        if self.steps > self.max_steps:
             self._budget_exceeded()
 
     def _budget_exceeded(self):

@@ -167,6 +167,37 @@ def test_violation_trace_stream():
         config_factory=lambda: HydraConfig(min_predicted_speedup=0.0))
 
 
+STRIDED_LOADS = wrap_main("""
+    int[] a = new int[2048];
+    for (int i = 0; i < 2048; i++) {
+        a[i] = i * 7 + 3;
+    }
+    int s = 0;
+    for (int i = 0; i < 400; i++) {
+        int j = (i * 24) & 2040;
+        s += a[j] + a[j + 1] + a[j + 5] + a[(i * 97) & 2047];
+    }
+    Sys.printInt(s);
+    return s;
+""")
+
+
+@pytest.mark.parametrize("hardware", [
+    dict(l1_size_bytes=128, l1_assoc=1, l2_size_bytes=512, l2_assoc=1),
+    dict(load_buffer_lines=3, max_overflow_frequency=2.0),
+], ids=["tiny-caches", "tiny-load-buffer"])
+def test_commuting_loads_trace_stream(hardware):
+    """Speculative loads that run inside the run-ahead, past younger
+    CPUs' events: a strided-load STL whose loads mix L1 hits with
+    misses (tiny direct-mapped caches: a miss touches the shared L2, so
+    it must not commute) or whose threads reach the load-buffer limit
+    (a new line there must not commute)."""
+    assert_identical(
+        STRIDED_LOADS, "strided loads", traced=True,
+        config_factory=lambda: HydraConfig(min_predicted_speedup=0.0,
+                                           **hardware))
+
+
 # ---------------------------------------------------------------------------
 # slow tier: every registry workload and more random ones, traced
 # ---------------------------------------------------------------------------

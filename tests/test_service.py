@@ -345,6 +345,31 @@ def test_drained_scheduler_rejects_new_submissions(tmp_path):
         scheduler.close()
 
 
+def test_cancelled_job_leaves_the_dispatcher_serving(fresh_registry):
+    """A waiter may cancel a job's future while the job runs (asyncio's
+    ``wrap_future`` does when its task is cancelled).  The scheduler
+    drops that future, counts it ``cancelled``, serves the next job and
+    drains."""
+    scheduler = JobScheduler(ArtifactStore(), jobs=1, timeout=60.0)
+    try:
+        job = scheduler.submit(JobSpec(verb="compile", source=TINY,
+                                       delay=0.5))
+        time.sleep(0.1)
+        assert job.future.cancel()
+        following = scheduler.submit(JobSpec(verb="compile", source=OTHER))
+        assert following.future.result(timeout=30)["compile_cycles"] > 0
+        scheduler.drain(timeout=3)
+    finally:
+        if scheduler._thread.is_alive():
+            scheduler.close()
+        else:                   # a dead dispatcher would never drain
+            scheduler._pool.close()
+    assert fresh_registry.total("jrpm_scheduler_settled",
+                                result="cancelled") == 1
+    assert fresh_registry.total("jrpm_scheduler_settled",
+                                result="ok") == 1
+
+
 # ---------------------------------------------------------------------------
 # Session.local() — the in-process half of the unified API
 # ---------------------------------------------------------------------------

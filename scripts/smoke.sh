@@ -21,7 +21,9 @@
 #    byte for byte (see docs/performance.md);
 # 7. starts the persistent daemon (`jrpm serve`) on a unix socket,
 #    pushes a pipelined client burst through it (second identical
-#    request must be a store hit), drains it gracefully, and checks
+#    request must be a store hit; a request carrying a payload key no
+#    job reads, here `delay`, must be a `bad-request` that fails no
+#    job), drains it gracefully, and checks
 #    the daemon exits 0 — the serve → client → drain path of
 #    docs/service.md; then a `--profdb` daemon serves BitOps, euler and
 #    decJpeg four times each: every reply after the first must be a
@@ -103,6 +105,9 @@ payload = client.job_payload(workload="BitOps", size="small")
 (second, cached_second, _), = client.request_many([("run", payload)])
 assert first["report"] == second["report"]
 assert cached_second, "second identical request must hit the store"
+hooked = dict(payload, delay=5.0)      # a retired test hook
+(refused, _, _), = client.request_many([("run", hooked)])
+assert getattr(refused, "kind", None) == "bad-request", refused
 registry = MetricsRegistry.from_dict(client.metrics()["metrics"])
 lookups = registry.total("jrpm_store_lookups")
 print("serve:  %d request(s), store hit rate %.0f%%, queue depth %d"

@@ -1,7 +1,8 @@
 """The unified user-facing API: one ``Session``, two transports.
 
 :class:`Session` is the abstraction every caller programs against —
-the five pipeline verbs plus ``run``/``run_adaptive``, each taking one
+the four job verbs ``profile``, ``analyze``, ``run`` and
+``run_adaptive``, each taking one
 :class:`~repro.service.options.RunOptions`:
 
 * ``Session.local()`` executes in-process (no daemon, no sockets) with
@@ -13,8 +14,9 @@ the five pipeline verbs plus ``run``/``run_adaptive``, each taking one
   every other client.
 
 Both return the same shapes: ``run``/``run_adaptive`` yield a live
-:class:`~repro.core.pipeline.JrpmReport`; the stage verbs yield the
-JSON-safe result dicts documented in :mod:`repro.service.jobs`.
+:class:`~repro.core.pipeline.JrpmReport`; ``profile``/``analyze``
+yield the JSON-safe result dicts documented in
+:mod:`repro.service.jobs`.
 """
 
 import copy
@@ -23,7 +25,8 @@ import socket
 
 from ..core.pipeline import JrpmReport
 from . import protocol
-from .jobs import JobSpec, execute_job, fold_metrics, resolve_workload
+from .jobs import (execute_job, fold_metrics, job_spec, metrics_answer,
+                   profdb_answer, version_answer)
 from .options import RunOptions
 from .store import ArtifactStore
 
@@ -55,21 +58,9 @@ class Session:
                                   port=port, timeout=timeout)
 
     # -- the verb surface --------------------------------------------------
-    def compile(self, source=None, **kwargs):
-        """Step 1 only: baseline compile + sequential measurement."""
-        return self._job("compile", source, kwargs)
-
     def profile(self, source=None, **kwargs):
-        """Steps 1-3: TEST profile with per-loop selector verdicts."""
+        """TEST profile with per-loop selector verdicts."""
         return self._job("profile", source, kwargs)
-
-    def select(self, source=None, **kwargs):
-        """Steps 1-3, returning just the selected decomposition plans."""
-        return self._job("select", source, kwargs)
-
-    def recompile(self, source=None, **kwargs):
-        """Steps 1-4: recompile the selected loops into STLs."""
-        return self._job("recompile", source, kwargs)
 
     def run(self, source=None, **kwargs):
         """The whole pipeline; returns a live :class:`JrpmReport`."""
@@ -147,15 +138,7 @@ class LocalSession(Session):
 
     def _job(self, verb, source, kwargs):
         shape, options = self._split_kwargs(dict(kwargs))
-        name = shape["name"]
-        if source is None:
-            if shape["workload"] is None:
-                raise ValueError("need either source= or workload=")
-            source, registry_name = resolve_workload(
-                shape["workload"], shape["size"], shape["variant"])
-            name = name or registry_name
-        spec = JobSpec(verb=verb, source=source, name=name or "program",
-                       options=options)
+        spec = job_spec(verb, options, source, **shape)
         if self.store is not None:
             cached = self.store.get(spec)
             if cached is not None:
@@ -178,41 +161,20 @@ class LocalSession(Session):
 
     def version(self):
         """Version identity of this in-process build."""
-        from .. import package_version
-        from ..profdb import PROFDB_SCHEMA_VERSION
-        from ..serialize import REPORT_SCHEMA_VERSION
-        return {"version": package_version(),
-                "protocol": protocol.PROTOCOL_VERSION,
-                "report_schema": REPORT_SCHEMA_VERSION,
-                "profdb_schema": PROFDB_SCHEMA_VERSION}
+        return version_answer()
 
     def metrics(self, format="json"):
         """This process's global metrics registry (the same families a
         daemon would expose — LocalSession jobs fold into it too)."""
-        from ..metrics import get_registry, render
-        registry = get_registry()
-        if format == "openmetrics":
-            return {"openmetrics": render(registry)}
-        if format == "json":
-            return {"metrics": registry.to_dict()}
-        raise ValueError("unknown metrics format %r (json, openmetrics)"
-                         % (format,))
+        return metrics_answer(format)
 
     def profdb(self, op="stats", path=None, **payload):
         """Operate on the profile DB at *path* (default location when
         omitted) without a daemon."""
         from ..profdb import ProfileDb
-        db = ProfileDb(path)
-        if op == "stats":
-            return {"profdb": db.stats_dict()}
-        if op == "export":
-            return {"profdb": db.export()}
-        if op == "gc":
-            evicted = db.gc(max_programs=payload.get("max_programs"),
-                            max_inputs=payload.get("max_inputs"))
-            return {"evicted": evicted, "profdb": db.stats_dict()}
-        raise ValueError("unknown profdb op %r (stats, export, gc)"
-                         % (op,))
+        return profdb_answer(ProfileDb(path), op,
+                             payload.get("max_programs"),
+                             payload.get("max_inputs"))
 
 
 class JrpmClient(Session):

@@ -22,17 +22,23 @@ import signal
 import time
 
 from ..log import get_logger
-from ..metrics import MetricsHttpServer, get_registry, render
+from ..metrics import MetricsHttpServer, get_registry
 from ..serialize import REPORT_SCHEMA_VERSION
 from ..runner.cache import ReportCache, default_cache_dir
 from . import protocol
-from ..profdb import PROFDB_SCHEMA_VERSION, ProfileDb
-from .jobs import VERBS, JobSpec, resolve_workload
+from ..profdb import ProfileDb
+from .jobs import (VERBS, job_spec, metrics_answer, profdb_answer,
+                   version_answer)
 from .options import RunOptions
 from .scheduler import JobScheduler, ServiceError
 from .store import ArtifactStore
 
 _log = get_logger("service.daemon")
+
+#: the keys a job request's payload may carry; every one but
+#: ``options`` (a :meth:`RunOptions.from_dict` dict) is a string
+JOB_PAYLOAD_KEYS = ("source", "workload", "name", "size", "variant",
+                    "options")
 
 
 def _observe_request(verb, seconds, ok):
@@ -236,27 +242,18 @@ class JrpmServer:
         if verb == "stats":
             return reply(self.stats_snapshot())
         if verb == "metrics":
-            registry = get_registry()
-            fmt = (payload or {}).get("format", "json")
-            if fmt == "openmetrics":
-                result = {"openmetrics": render(registry)}
-            elif fmt == "json":
-                result = {"metrics": registry.to_dict()}
-            else:
-                return protocol.make_error(
-                    request_id, "bad-request",
-                    "unknown metrics format %r (json, openmetrics)"
-                    % (fmt,))
+            try:
+                result = metrics_answer((payload or {}).get("format",
+                                                            "json"))
+            except ValueError as error:
+                return protocol.make_error(request_id, "bad-request",
+                                           str(error))
             if self.metrics_server is not None:
                 result["http_endpoint"] = "%s:%d" % (
                     self.metrics_host, self.metrics_port)
             return reply(result)
         if verb == "version":
-            from .. import package_version
-            return reply({"version": package_version(),
-                          "protocol": protocol.PROTOCOL_VERSION,
-                          "report_schema": REPORT_SCHEMA_VERSION,
-                          "profdb_schema": PROFDB_SCHEMA_VERSION})
+            return reply(version_answer())
         if verb == "profdb":
             try:
                 result = self._profdb_op(payload or {})
@@ -316,46 +313,34 @@ class JrpmServer:
         if db is None:
             raise ValueError("no profile DB configured (start the "
                              "daemon with --profdb, or pass 'path')")
-        op = payload.get("op", "stats")
-        if op == "stats":
-            return {"profdb": db.stats_dict()}
-        if op == "export":
-            return {"profdb": db.export()}
-        if op == "gc":
-            evicted = db.gc(max_programs=payload.get("max_programs"),
-                            max_inputs=payload.get("max_inputs"))
-            return {"evicted": evicted, "profdb": db.stats_dict()}
-        raise ValueError("unknown profdb op %r (stats, export, gc)"
-                         % (op,))
+        return profdb_answer(db, payload.get("op", "stats"),
+                             payload.get("max_programs"),
+                             payload.get("max_inputs"))
 
     def _spec_of(self, verb, payload, request_id=None):
-        """Build the JobSpec for one request; source may be inline or a
-        registry workload reference.  The daemon's shared profile DB is
-        injected into run/run_adaptive jobs that did not bring their
-        own."""
+        """Build the JobSpec for one request (:func:`job_spec`).  A key
+        outside :data:`JOB_PAYLOAD_KEYS`, or one besides ``options``
+        that is not a string, is an error.  The daemon's shared profile
+        DB is injected into run/run_adaptive jobs that did not bring
+        their own."""
+        fields = {}
+        for key, value in payload.items():
+            if key not in JOB_PAYLOAD_KEYS:
+                raise ValueError("unknown payload field %r (known: %s)"
+                                 % (key, ", ".join(JOB_PAYLOAD_KEYS)))
+            if key != "options":
+                if not isinstance(value, str):
+                    raise TypeError("payload field %r must be a string, "
+                                    "not %s" % (key, type(value).__name__))
+                fields[key] = value
         options = RunOptions.from_dict(payload.get("options") or {})
         if (self.profdb is not None and not options.profile_db
                 and verb in ("run", "run_adaptive")):
             options.profile_db = self.profdb.path
-        source = payload.get("source")
-        name = payload.get("name")
-        if source is None:
-            workload_name = payload.get("workload")
-            if workload_name is None:
-                raise ValueError(
-                    "payload needs either 'source' (MiniJava text) or "
-                    "'workload' (registry name)")
-            source, registry_name = resolve_workload(
-                workload_name, payload.get("size", "default"),
-                payload.get("variant", "base"))
-            name = name or registry_name
-        return JobSpec(verb=verb, source=source,
-                       name=name or "program", options=options,
-                       crash_marker=payload.get("crash_marker"),
-                       delay=payload.get("delay", 0.0),
-                       exec_log=payload.get("exec_log"),
-                       request_id=(str(request_id)
-                                   if request_id is not None else None))
+        return job_spec(verb, options,
+                        request_id=(str(request_id)
+                                    if request_id is not None else None),
+                        **fields)
 
     def stats_snapshot(self):
         """The daemon's live state, no counts (the ``stats`` verb);

@@ -7,7 +7,9 @@ picklable, shippable to a crash-isolated worker, and memoizable by
 fingerprint: the artifact store keys results on :func:`job_fingerprint`
 and never re-executes an identical spec.  The daemon, ``Session`` and
 ``jrpm suite`` all run jobs this way, and :func:`resolve_workload` is
-the one registry lookup behind their ``workload=`` references.
+the one registry lookup behind their ``workload=`` references.  The
+control answers both sessions give (``version``, ``metrics``,
+``profdb``) live here too, one function each.
 
 ``execute_job`` and :class:`CachedExecutor` must stay module-level
 (picklable under ``spawn``).
@@ -20,16 +22,19 @@ selection, the simulated runs and report assembly.
 """
 
 import functools
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
 from ..log import get_logger
-from ..metrics import MetricsRegistry, get_registry, observe_report_dict
+from ..metrics import (MetricsRegistry, get_registry, observe_report_dict,
+                       render)
 from ..metrics.registry import swap_registry
+from ..profdb import PROFDB_SCHEMA_VERSION
 from ..runner.cache import cache_key, options_fingerprint
+from ..serialize import REPORT_SCHEMA_VERSION
 from .options import RunOptions
+from .protocol import PROTOCOL_VERSION
 
 _log = get_logger("service.jobs")
 
@@ -43,18 +48,10 @@ COMPILE_CACHE_ENTRIES = 96
 class JobSpec:
     """One unit of service work."""
 
-    verb: str                          # compile|profile|select|recompile
-    source: str                        #   |run|run_adaptive
+    verb: str                          # one of VERBS
+    source: str
     name: str = "program"
     options: RunOptions = field(default_factory=RunOptions)
-    #: test hook — path of a marker file; the first worker to execute
-    #: this spec creates the marker and dies (exercises pool retry)
-    crash_marker: str = None
-    #: test hook — sleep this long before executing (exercises timeout)
-    delay: float = 0.0
-    #: test hook — append one ``pid`` line here per actual execution,
-    #: so tests can prove store hits / coalescing skipped recompute
-    exec_log: str = None
     #: daemon request correlation: the protocol frame id of the request
     #: that caused this execution.  Deliberately *not* fingerprint
     #: material — identical jobs coalesce across requests, and a reused
@@ -62,8 +59,8 @@ class JobSpec:
     request_id: str = None
 
 
-VERBS = ("compile", "profile", "select", "recompile", "run",
-         "run_adaptive", "analyze")
+#: the job verbs: each runs the chain from the source to its answer
+VERBS = ("profile", "run", "run_adaptive", "analyze")
 
 #: RunOptions fields that are not fingerprint material: ``timeout`` and
 #: ``verify`` shape *how* a job runs, not what it computes; ``args`` is
@@ -108,6 +105,22 @@ def resolve_workload(workload, size="default", variant="base"):
     else:
         source = entry.source(size)
     return source, entry.name
+
+
+def job_spec(verb, options, source=None, workload=None, size="default",
+             variant="base", name=None, request_id=None):
+    """The :class:`JobSpec` of one request (the daemon's and the local
+    session's): *source* inline, or a registry *workload* variant
+    (:func:`resolve_workload`), whose name the report takes unless
+    *name* is given."""
+    if source is None:
+        if workload is None:
+            raise ValueError("need either 'source' (MiniJava text) or "
+                             "'workload' (registry name)")
+        source, registry_name = resolve_workload(workload, size, variant)
+        name = name or registry_name
+    return JobSpec(verb=verb, source=source, name=name or "program",
+                   options=options, request_id=request_id)
 
 
 def job_fingerprint(spec, salt=None):
@@ -221,16 +234,6 @@ def execute_job(spec, compile_cache=None):
     process's own registry, so in-process callers
     (:class:`~repro.service.client.LocalSession`) account exactly once.
     """
-    if spec.crash_marker is not None:
-        if not os.path.exists(spec.crash_marker):
-            with open(spec.crash_marker, "w") as fh:
-                fh.write(str(os.getpid()))
-            os._exit(17)               # simulate a worker death mid-job
-    if spec.exec_log is not None:
-        with open(spec.exec_log, "a") as fh:
-            fh.write("%d\n" % os.getpid())
-    if spec.delay:
-        time.sleep(spec.delay)
     if spec.verb not in VERBS:
         raise ValueError("unknown verb %r (expected one of %s)"
                          % (spec.verb, ", ".join(VERBS)))
@@ -267,24 +270,52 @@ def fold_metrics(result, merge=True):
             _log.warning("dropping worker metrics: %s", error)
 
 
+# -- control answers: the daemon's and LocalSession's one copy -------------
+
+def version_answer():
+    """The ``version`` answer: package, protocol and schema versions."""
+    from .. import package_version
+    return {"version": package_version(), "protocol": PROTOCOL_VERSION,
+            "report_schema": REPORT_SCHEMA_VERSION,
+            "profdb_schema": PROFDB_SCHEMA_VERSION}
+
+
+def metrics_answer(fmt="json"):
+    """The ``metrics`` answer: this process's registry as its lossless
+    ``to_dict`` payload (``json``) or as OpenMetrics text
+    (``openmetrics``); any other format is a :class:`ValueError`."""
+    registry = get_registry()
+    if fmt == "openmetrics":
+        return {"openmetrics": render(registry)}
+    if fmt == "json":
+        return {"metrics": registry.to_dict()}
+    raise ValueError("unknown metrics format %r (json, openmetrics)"
+                     % (fmt,))
+
+
+def profdb_answer(db, op="stats", max_programs=None, max_inputs=None):
+    """The ``profdb`` answer: ``stats``, ``export`` or ``gc`` (evict
+    beyond the size caps, optionally tightened) on the
+    :class:`~repro.profdb.ProfileDb` *db*; any other op is a
+    :class:`ValueError`."""
+    if op == "stats":
+        return {"profdb": db.stats_dict()}
+    if op == "export":
+        return {"profdb": db.export()}
+    if op == "gc":
+        evicted = db.gc(max_programs=max_programs, max_inputs=max_inputs)
+        return {"evicted": evicted, "profdb": db.stats_dict()}
+    raise ValueError("unknown profdb op %r (stats, export, gc)" % (op,))
+
+
 # -- per-verb implementations ------------------------------------------------
 
-def _do_compile(spec, jrpm, program):
-    baseline = jrpm.compile_baseline(program, spec.options.args)
-    return {"compile_cycles": baseline.compile_cycles,
-            "measurement": baseline.measurement.to_dict()}
-
-
-def _profile_artifacts(spec, jrpm, program):
+def _do_profile(spec, jrpm, program):
+    """TEST profile with the selector's verdict on every loop."""
     profile = jrpm.profile(program, spec.options.args)
     selector = jrpm.make_selector(profile.loop_table)
     plans = selector.select(profile.stats,
                             profile.profiler.dynamic_nesting)
-    return profile, selector, plans
-
-
-def _do_profile(spec, jrpm, program):
-    profile, selector, plans = _profile_artifacts(spec, jrpm, program)
     loops = {}
     for loop_id in sorted(profile.stats):
         stats = profile.stats[loop_id]
@@ -312,22 +343,6 @@ def _do_profile(spec, jrpm, program):
             "measurement": profile.measurement.to_dict(),
             "loops": loops,
             "selected": sorted(plans)}
-
-
-def _do_select(spec, jrpm, program):
-    _, _, plans = _profile_artifacts(spec, jrpm, program)
-    return {"plans": {str(loop_id): plan.to_dict()
-                      for loop_id, plan in plans.items()}}
-
-
-def _do_recompile(spec, jrpm, program):
-    _, _, plans = _profile_artifacts(spec, jrpm, program)
-    recompiled = jrpm.recompile(program, plans)
-    return {"stls": len(plans),
-            "recompile_cycles": (recompiled.compile_cycles
-                                 if recompiled is not None else 0),
-            "plans": {str(loop_id): plan.to_dict()
-                      for loop_id, plan in plans.items()}}
 
 
 def _finish_run(spec, report):
@@ -398,10 +413,7 @@ def _do_analyze(spec, jrpm, program):
 
 
 _VERB_TABLE = {
-    "compile": _do_compile,
     "profile": _do_profile,
-    "select": _do_select,
-    "recompile": _do_recompile,
     "run": _do_run,
     "run_adaptive": _do_run_adaptive,
     "analyze": _do_analyze,

@@ -44,8 +44,8 @@ from ..serialize import REPORT_SCHEMA_VERSION
 #: envelope version — bump on any change to the frames documented above
 PROTOCOL_VERSION = 1
 
-#: verbs that execute pipeline work (scheduled), plus the control verbs
-#: the daemon answers inline
+#: the control verbs the daemon answers inline; the job verbs it
+#: schedules are :data:`repro.service.jobs.VERBS`
 CONTROL_VERBS = ("ping", "stats", "drain", "version", "profdb",
                  "metrics")
 

@@ -105,3 +105,21 @@ def test_docs_pages_cross_link_each_other():
         missing = set(pages) - {page} - links
         assert not missing, ("docs/%s does not link: %s"
                              % (page, sorted(missing)))
+
+
+def test_service_doc_lists_the_verbs_the_daemon_serves():
+    """docs/service.md's "Job verbs:" and "Control verbs:" paragraphs
+    name exactly ``VERBS`` and ``protocol.CONTROL_VERBS``."""
+    from repro.service import VERBS, protocol
+    with open(os.path.join(REPO_ROOT, "docs", "service.md"),
+              encoding="utf-8") as fh:
+        text = fh.read()
+
+    def listed(label):
+        paragraph = re.search(r"^%s: (.*?)\n\n" % label, text,
+                              flags=re.M | re.S)
+        assert paragraph, "no %r paragraph in docs/service.md" % label
+        return tuple(re.findall(r"`(\w+)`", paragraph.group(1)))
+
+    assert listed("Job verbs") == VERBS
+    assert listed("Control verbs") == protocol.CONTROL_VERBS

@@ -48,7 +48,7 @@ from repro.minijava import compile_source
 from repro.trace import TraceOptions, chrome_trace
 from repro.workloads import lookup
 
-from conftest import wrap_main
+from conftest import first_divergence, wrap_main
 
 
 # ---------------------------------------------------------------------------
@@ -171,12 +171,24 @@ def seed_observables(seed, engine):
     return report_observables(random_workload(seed), engine, traced=True)
 
 
+def assert_same_observables(fast, reference, label):
+    """The two engines' :func:`report_observables` texts are equal;
+    if not, fail naming the first divergence (the texts are hundreds of
+    KB, too big for pytest's own diff)."""
+    if fast == reference:
+        return
+    found = first_divergence(json.loads(fast), json.loads(reference))
+    where = ("at %s: fast %.300r, reference %.300r" % found if found
+             else "in the text only")
+    pytest.fail("engines diverged %s\n%s" % (where, label), pytrace=False)
+
+
 def assert_seed_identical(seed):
     """Both engines' traced pipeline runs of random workload *seed*
     agree on the report and the Chrome trace."""
-    assert seed_observables(seed, "fast") \
-        == seed_observables(seed, "reference"), \
-        "engines diverged: seed %d\nsrc=%s" % (seed, random_workload(seed))
+    assert_same_observables(
+        seed_observables(seed, "fast"), seed_observables(seed, "reference"),
+        "seed %d\nsrc=%s" % (seed, random_workload(seed)))
 
 
 def assert_identical(seed, pipeline=False):
@@ -192,9 +204,10 @@ def assert_identical(seed, pipeline=False):
         == (list(oracle.output), oracle.return_value), \
         "machine disagrees with the bytecode oracle (seed %d)" % seed
     if pipeline:
-        assert report_observables(source, "fast") \
-            == report_observables(source, "reference"), \
-            "pipeline report diverged (seed %d)\nsrc=%s" % (seed, source)
+        assert_same_observables(
+            report_observables(source, "fast"),
+            report_observables(source, "reference"),
+            "pipeline report (seed %d)\nsrc=%s" % (seed, source))
 
 
 # ---------------------------------------------------------------------------

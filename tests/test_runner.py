@@ -21,6 +21,8 @@ from repro.service import JobSpec, RunOptions, Session, job_fingerprint
 from repro.service.jobs import resolve_workload
 from repro.service.store import ArtifactStore
 
+from conftest import LONG_RUNNING, CrashOnce
+
 #: a small but genuinely parallelizable program (reduction loop)
 TINY = """
 class Main {
@@ -38,11 +40,9 @@ class Main {
 TINY_B = TINY.replace("4000", "3000")
 
 
-def tiny_spec(source=TINY, verb="run", name="tiny", crash_marker=None,
-              **options):
+def tiny_spec(source=TINY, verb="run", name="tiny", **options):
     return JobSpec(verb=verb, source=source, name=name,
-                   options=RunOptions(**options),
-                   crash_marker=crash_marker)
+                   options=RunOptions(**options))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,8 @@ def test_suite_metrics_are_the_same_at_every_jobs():
 def test_worker_crash_is_retried_once(tmp_path):
     marker = str(tmp_path / "crash.marker")
     runner = SuiteRunner(jobs=2, use_cache=False)
-    [report] = runner.run([tiny_spec(crash_marker=marker)])
+    runner._executor = CrashOnce(marker, runner._executor)
+    [report] = runner.run([tiny_spec()])
     record = runner.metrics.records[-1]
     assert record.status == "ok"
     assert record.attempts == 2              # died once, retried once
@@ -291,9 +292,8 @@ def test_inline_run_honours_its_timeout():
     runner = SuiteRunner(jobs=1, use_cache=False)
     started = time.perf_counter()
     with pytest.raises(SuiteRunError) as excinfo:
-        runner.run([JobSpec(verb="run", source=TINY, name="tiny",
-                            options=RunOptions(timeout=1.0),
-                            delay=4.0)])
+        runner.run([JobSpec(verb="run", source=LONG_RUNNING, name="tiny",
+                            options=RunOptions(timeout=1.0))])
     assert time.perf_counter() - started < 3.0
     [(_, status, error)] = excinfo.value.failures
     assert status == "timeout"

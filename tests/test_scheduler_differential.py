@@ -35,8 +35,8 @@ from repro.workloads import all_workloads
 
 import regen_report_digests
 from conftest import registry_case, wrap_main
-from test_engine_differential import assert_seed_identical, \
-    report_observables
+from test_engine_differential import assert_same_observables, \
+    assert_seed_identical, report_observables
 
 ENGINES = ("fast", "reference")
 
@@ -47,8 +47,8 @@ def assert_identical(source, label, config_factory=None, traced=False):
         config = config_factory() if config_factory else None
         observed[engine] = report_observables(
             source, engine, config=config, traced=traced)
-    assert observed["fast"] == observed["reference"], (
-        "engines diverged: %s\nsrc=%s" % (label, source))
+    assert_same_observables(observed["fast"], observed["reference"],
+                            "%s\nsrc=%s" % (label, source))
 
 
 # ---------------------------------------------------------------------------

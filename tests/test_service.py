@@ -4,7 +4,7 @@ Covers the PR-6 acceptance surface:
 
 * client/server round-trip over a unix socket,
 * artifact-store hit on a second identical request (recompilation
-  provably skipped via the exec-log hook),
+  provably skipped: one pool task ran),
 * worker-crash retry, per-request timeout → clean error,
 * backpressure (bounded queue → ``overloaded``),
 * graceful-drain ordering (in-flight responses before the drain ack),
@@ -29,7 +29,7 @@ from repro.service import (ArtifactStore, JobScheduler, JobSpec,
                            JrpmClient, JrpmServer, JrpmServiceError,
                            RunOptions, Session, execute_job, protocol)
 from repro.workloads import lookup
-from conftest import wrap_main
+from conftest import LONG_RUNNING, CrashOnce, SlowJob, wrap_main
 
 TINY = wrap_main("""
         int s = 0;
@@ -112,14 +112,12 @@ def test_client_server_round_trip_unix_socket(service):
 
 
 def test_second_identical_profile_request_skips_recompilation(
-        fresh_registry, service, tmp_path):
+        fresh_registry, service):
     """Acceptance: the second identical ``profile`` request is served
     from the shared artifact store — the pipeline provably executes
-    exactly once (one exec-log line), and the response says cached."""
-    exec_log = str(tmp_path / "exec.log")
+    exactly once (one pool task), and the response says cached."""
     with service.client() as client:
         payload = client.job_payload(TINY, name="tiny")
-        payload["exec_log"] = exec_log
         first = client.request("profile", payload)
         assert first["annotations"] > 0
         (second, cached, _), = client.request_many(
@@ -130,29 +128,23 @@ def test_second_identical_profile_request_skips_recompilation(
                                     outcome="hit") == 1
         assert fresh_registry.total("jrpm_store_lookups", verb="profile",
                                     outcome="miss") == 1
-    with open(exec_log) as fh:
-        executions = fh.read().splitlines()
-    assert len(executions) == 1, \
+    assert fresh_registry.total("jrpm_pool_tasks", status="ok") == 1, \
         "second identical request must not recompile"
 
 
-def test_identical_burst_is_coalesced_to_one_execution(service,
-                                                       tmp_path):
+def test_identical_burst_is_coalesced_to_one_execution(fresh_registry,
+                                                       service):
     """Ten pipelined identical requests in one burst → one pipeline
     execution (batching + coalescing), every response identical."""
-    exec_log = str(tmp_path / "burst.log")
     with service.client() as client:
         payload = client.job_payload(TINY, name="tiny")
-        payload["exec_log"] = exec_log
         settled = client.request_many([("run", payload)] * 10)
     results = [result for result, _, _ in settled]
     assert all(not isinstance(result, JrpmServiceError)
                for result in results)
     reports = [result["report"] for result in results]
     assert all(report == reports[0] for report in reports)
-    with open(exec_log) as fh:
-        executions = fh.read().splitlines()
-    assert len(executions) == 1
+    assert fresh_registry.total("jrpm_pool_tasks", status="ok") == 1
 
 
 def test_stats_verb_reports_queue_store_and_latency(fresh_registry,
@@ -185,13 +177,16 @@ def test_stats_verb_reports_queue_store_and_latency(fresh_registry,
 # failure modes: crash retry, timeout, backpressure, bad input
 # ---------------------------------------------------------------------------
 
-def test_worker_crash_is_retried_and_succeeds(service, tmp_path):
+def test_worker_crash_is_retried_and_succeeds(fresh_registry, service,
+                                              tmp_path):
     marker = str(tmp_path / "crash.marker")
+    pool = service.server.scheduler._pool
+    pool.fn = CrashOnce(marker, pool.fn)
     with service.client() as client:
-        payload = client.job_payload(TINY, name="tiny")
-        payload["crash_marker"] = marker
-        result = client.request("run", payload)
+        result = client.request("run", client.job_payload(TINY,
+                                                          name="tiny"))
     assert os.path.exists(marker), "first worker should have died"
+    assert fresh_registry.total("jrpm_pool_retries") == 1
     report = JrpmReport.from_dict(result["report"])
     assert report.outputs_match()
 
@@ -199,8 +194,7 @@ def test_worker_crash_is_retried_and_succeeds(service, tmp_path):
 def test_request_timeout_is_a_clean_error(service):
     with service.client() as client:
         payload = client.job_payload(
-            OTHER, name="slow", options=RunOptions(timeout=0.5))
-        payload["delay"] = 10.0
+            LONG_RUNNING, name="slow", options=RunOptions(timeout=0.5))
         with pytest.raises(JrpmServiceError) as excinfo:
             client.request("run", payload)
         assert excinfo.value.kind == "timeout"
@@ -211,10 +205,10 @@ def test_request_timeout_is_a_clean_error(service):
 def test_bounded_queue_applies_backpressure(tmp_path):
     fixture = ServiceFixture(tmp_path, jobs=1, queue_limit=1,
                              batch_max=1)
+    fixture.server.scheduler._pool.fn = SlowJob(0.8)
     try:
         with fixture.client() as client:
             payload = client.job_payload(TINY, name="tiny")
-            payload["delay"] = 0.8
             settled = client.request_many([("run", payload)] * 6)
         kinds = [result.kind if isinstance(result, JrpmServiceError)
                  else "ok" for result, _, _ in settled]
@@ -238,6 +232,34 @@ def test_bad_requests_get_clear_errors(service):
                                    "options": {"warp_speed": 9}})
         assert excinfo.value.kind == "bad-request"
         assert "warp_speed" in str(excinfo.value)
+
+
+def test_job_payloads_are_strict_before_queueing(fresh_registry, service,
+                                                tmp_path):
+    """A job payload carries only what a job computes: a retired test
+    hook, a non-string ``source``/``name``/``workload`` and a retired
+    stage verb are each a ``bad-request``, answered before anything is
+    queued, so no hook can touch a file."""
+    exec_log = tmp_path / "exec.log"
+    marker = tmp_path / "crash.marker"
+    requests = [("run", {"source": TINY, "exec_log": str(exec_log)}),
+                ("run", {"source": TINY, "crash_marker": str(marker)}),
+                ("run", {"source": TINY, "delay": 5.0}),
+                ("run", {"source": 123}),
+                ("run", {"source": TINY, "name": [1, 2]}),
+                ("profile", {"workload": 7})]
+    requests += [(verb, {"source": TINY})
+                 for verb in ("compile", "select", "recompile")]
+    with service.client() as client:
+        settled = client.request_many(requests)
+    kinds = [getattr(result, "kind", "ok") for result, _, _ in settled]
+    assert kinds == ["bad-request"] * len(requests)
+    for (result, _, _), needle in zip(settled, (
+            "exec_log", "crash_marker", "delay", "source", "name",
+            "workload", "compile", "select", "recompile")):
+        assert needle in str(result)
+    assert fresh_registry.total("jrpm_scheduler_submits") == 0
+    assert not exec_log.exists() and not marker.exists()
 
 
 def test_analysis_option_is_a_bad_request_before_queueing(
@@ -296,10 +318,10 @@ def test_graceful_drain_answers_in_flight_requests_first(tmp_path):
     in-flight response arrives before the drain ack, then the daemon
     refuses new work and shuts down."""
     fixture = ServiceFixture(tmp_path, jobs=2)
+    fixture.server.scheduler._pool.fn = SlowJob(0.3)
     client = fixture.client()
     try:
         run_payload = client.job_payload(TINY, name="tiny")
-        run_payload["delay"] = 0.3
         ids, arrival = [], []
         for verb, payload in [("run", run_payload),
                               ("run", run_payload),
@@ -329,17 +351,17 @@ def test_drained_scheduler_rejects_new_submissions(tmp_path):
     store = ArtifactStore()
     scheduler = JobScheduler(store, jobs=1, queue_limit=4, timeout=30.0)
     try:
-        spec = JobSpec(verb="compile", source=TINY,
+        spec = JobSpec(verb="profile", source=TINY,
                        options=RunOptions())
         job = scheduler.submit(spec)
         scheduler.drain()
         assert job.future.done()
-        assert job.future.result()["compile_cycles"] > 0
+        assert job.future.result()["annotations"] > 0
         # a store hit is still served while draining (it costs nothing)
         assert scheduler.submit(spec).cached is True
         from repro.service import Draining
         with pytest.raises(Draining):
-            scheduler.submit(JobSpec(verb="compile", source=OTHER,
+            scheduler.submit(JobSpec(verb="profile", source=OTHER,
                                      options=RunOptions()))
     finally:
         scheduler.close()
@@ -351,13 +373,13 @@ def test_cancelled_job_leaves_the_dispatcher_serving(fresh_registry):
     drops that future, counts it ``cancelled``, serves the next job and
     drains."""
     scheduler = JobScheduler(ArtifactStore(), jobs=1, timeout=60.0)
+    scheduler._pool.fn = SlowJob(0.5)
     try:
-        job = scheduler.submit(JobSpec(verb="compile", source=TINY,
-                                       delay=0.5))
+        job = scheduler.submit(JobSpec(verb="profile", source=TINY))
         time.sleep(0.1)
         assert job.future.cancel()
-        following = scheduler.submit(JobSpec(verb="compile", source=OTHER))
-        assert following.future.result(timeout=30)["compile_cycles"] > 0
+        following = scheduler.submit(JobSpec(verb="profile", source=OTHER))
+        assert following.future.result(timeout=30)["annotations"] > 0
         scheduler.drain(timeout=3)
     finally:
         if scheduler._thread.is_alive():
@@ -398,14 +420,14 @@ def test_local_session_results_are_final_and_private(fresh_registry):
     """The store keeps a result without its metric delta, and a caller
     that edits what it was handed cannot change a later hit."""
     with Session.local() as session:
-        first = session.compile(TINY, name="x")
+        first = session.profile(TINY, name="x")
         assert "metrics" not in first
         assert all("metrics" not in result
                    for result in session.store._entries.values())
-        expected = first["compile_cycles"]
-        first["compile_cycles"] = -1
-        second = session.compile(TINY, name="x")
-        assert second["compile_cycles"] == expected
+        expected = first["annotations"]
+        first["annotations"] = -1
+        second = session.profile(TINY, name="x")
+        assert second["annotations"] == expected
 
         session.run(TINY, name="x")
         session.run(TINY, name="x")
@@ -454,10 +476,10 @@ def test_settled_job_has_left_in_flight():
     whoever sees the result (a reply, here a done-callback) never sees
     its job still counted."""
     scheduler = JobScheduler(ArtifactStore(), jobs=1, timeout=60.0)
+    scheduler._pool.fn = SlowJob(0.2)
     seen = []
     try:
-        job = scheduler.submit(JobSpec(verb="compile", source=TINY,
-                                       delay=0.2))
+        job = scheduler.submit(JobSpec(verb="profile", source=TINY))
         job.future.add_done_callback(lambda _: seen.append(
             (threading.current_thread().name,
              scheduler.stats_dict()["in_flight"])))
@@ -468,22 +490,22 @@ def test_settled_job_has_left_in_flight():
     assert seen == [("jrpm-scheduler", 0)]
 
 
-def test_scheduler_workers_outlive_a_batch_and_stop_on_drain(tmp_path):
+def test_scheduler_workers_outlive_a_batch_and_stop_on_drain(
+        fresh_registry):
     import multiprocessing
-    exec_log = str(tmp_path / "exec.log")
     scheduler = JobScheduler(ArtifactStore(), jobs=1, timeout=60.0)
     try:
         for source in (TINY, OTHER):
-            spec = JobSpec(verb="compile", source=source,
-                           exec_log=exec_log)
+            spec = JobSpec(verb="profile", source=source)
             assert scheduler.submit(spec).future.result(timeout=60)
         pids = scheduler._pool.pids
         scheduler.drain()
     finally:
         scheduler.close()
-    with open(exec_log) as fh:
-        executions = fh.read().split()
-    assert executions == [str(pids[0])] * 2, "one worker for both batches"
+    assert (fresh_registry.total("jrpm_scheduler_batches"),
+            fresh_registry.total("jrpm_pool_tasks", status="ok"),
+            fresh_registry.total("jrpm_pool_workers_spawned")) \
+        == (2, 2, 1), "one worker for both batches"
     assert not [child for child in multiprocessing.active_children()
                 if child.pid in pids]
 
@@ -882,7 +904,7 @@ def test_miss_and_hit_replies_carry_identical_result_bytes(service):
 
 def test_store_encodes_each_entry_once_and_evicts_its_text():
     store = ArtifactStore(max_entries=2)
-    specs = [JobSpec(verb="compile", source=source, name=name)
+    specs = [JobSpec(verb="profile", source=source, name=name)
              for source, name in ((TINY, "a"), (OTHER, "b"), (TINY, "c"))]
     keys = [store.key_of(spec) for spec in specs]
     results = [{"name": spec.name, "cycles": [index] * 50}
@@ -911,7 +933,7 @@ def test_store_texts_stay_consistent_under_concurrent_puts():
     text returned matches its result, and no text outlives its entry."""
     import sys
     store = ArtifactStore(max_entries=3)
-    specs = [JobSpec(verb="compile", source=TINY, name="n%d" % index)
+    specs = [JobSpec(verb="profile", source=TINY, name="n%d" % index)
              for index in range(8)]
     keys = [store.key_of(spec) for spec in specs]
     errors = []

@@ -8,10 +8,12 @@ Usage::
     python scripts/check_profdb.py --db benchmarks/.cache/profdb
 
 Checks each payload (or stdin, for ``-``) against the
-:func:`repro.profdb.validate_profdb_dict` schema gate; ``--db`` exports
-a live database (its shard directory) first, which also exercises the
-corrupt-tolerant reader.  Exits non-zero and prints every problem on stderr if anything
-is off.  Used by ``scripts/smoke.sh`` and CI.
+:func:`repro.profdb.validate_profdb_dict` schema gate; ``--db`` checks
+every shard file of a live database (its directory) the same way, so
+a shard of another schema, which the store reads as a miss, is
+reported here, then exports it.  Exits non-zero and prints every
+problem on stderr if anything is off.  Used by ``scripts/smoke.sh``
+and CI.
 """
 
 import json
@@ -24,15 +26,32 @@ sys.path.insert(0, os.path.join(
 from repro.profdb import ProfileDb, validate_profdb_dict  # noqa: E402
 
 
+def _load(path):
+    """One JSON payload from *path* (stdin for ``-``)."""
+    if path == "-":
+        return json.load(sys.stdin)
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _shard_problems(path):
+    """Problems of each shard file in the store directory *path*."""
+    names = sorted(os.listdir(path)) if os.path.isdir(path) else []
+    return ["%s: %s" % (name, problem)
+            for name in names if name.endswith(".json")
+            for problem in validate_profdb_dict(
+                _load(os.path.join(path, name)))]
+
+
 def check(path, live=False):
     try:
         if live:
+            problems = _shard_problems(path)
+            if problems:
+                return problems
             data = ProfileDb(path).export()
-        elif path == "-":
-            data = json.load(sys.stdin)
         else:
-            with open(path) as fh:
-                data = json.load(fh)
+            data = _load(path)
     except (OSError, ValueError) as error:
         return ["unreadable JSON: %s" % error]
     problems = validate_profdb_dict(data)

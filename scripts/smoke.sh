@@ -31,7 +31,7 @@
 #    first batch (scripts/check_daemon_warm.py — persistent workers
 #    and their compile cache);
 # 8. runs one workload twice against a shared profile DB: the first
-#    run records a consensus profile, the second must warm-start from
+#    run records a profile, the second must warm-start from
 #    it (skipping the baseline and TEST executions) with an identical
 #    plan and TLS cycle count, and the exported DB must pass the
 #    repro.profdb schema gate (see docs/profdb.md);

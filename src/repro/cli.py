@@ -51,12 +51,12 @@ def _add_profdb_flags(parser):
     parser.add_argument("--profdb", default=None, metavar="PATH",
                         help="persistent profile DB directory: record "
                              "profiles and warm-start from stored "
-                             "consensus (see docs/profdb.md)")
+                             "records (see docs/profdb.md)")
     parser.add_argument("--warm-start", default="auto",
-                        choices=["auto", "force", "off"],
-                        help="how to use stored profiles: auto = when "
-                             "confident (default), force = whenever "
-                             "present, off = always profile (still "
+                        choices=["auto", "off"],
+                        help="how to use stored profiles: auto = "
+                             "whenever the exact input is stored "
+                             "(default), off = always profile (still "
                              "records)")
 
 
@@ -380,10 +380,9 @@ def cmd_profdb(args):
         return 0
     print("profile DB %s (schema %d, %d bytes)"
           % (stats["path"], stats["schema"], stats["size_bytes"]))
-    print("  %d program%s, %d input%s (%d confident), %d loop%s"
+    print("  %d program%s, %d input%s, %d loop%s"
           % (stats["programs"], "" if stats["programs"] == 1 else "s",
              stats["inputs"], "" if stats["inputs"] == 1 else "s",
-             stats["confident_inputs"],
              stats["loops"], "" if stats["loops"] == 1 else "s"))
     print("  %d cold run%s recorded, %d warm start%s served"
           % (stats["runs"], "" if stats["runs"] == 1 else "s",
@@ -619,7 +618,7 @@ def main(argv=None):
                          help="shared persistent profile DB "
                               "directory: run/run_adaptive jobs record "
                               "profiles and warm-start from stored "
-                              "consensus (docs/profdb.md)")
+                              "records (docs/profdb.md)")
     p_serve.add_argument("--metrics-port", type=int, default=None,
                          metavar="N",
                          help="also serve OpenMetrics text on "

@@ -137,8 +137,8 @@ class JrpmReport:
         self.adaptation = None           # AdaptationLog or None
         # persistent profile DB (repro.profdb): how the TEST statistics
         # behind this report were obtained — "cold" (profiled live),
-        # "warm" (replayed from a stored consensus) or "confirmed"
-        # (profiled live and reproduced the stored consensus plan)
+        # "warm" (replayed from a stored record) or "confirmed"
+        # (profiled live and reproduced the stored record's plan)
         self.profile_provenance = "cold"
 
     # -- headline numbers ----------------------------------------------------
@@ -485,13 +485,15 @@ class Jrpm:
         self.trace = self._normalize_trace(trace)
         #: persistent profile DB (repro.profdb): a
         #: :class:`~repro.profdb.ProfileDb`, a path string, or ``None``
-        #: (no persistence).  ``warm_start`` governs how stored
-        #: consensus profiles are used: ``"auto"`` (skip TEST profiling
-        #: when a confident consensus exists), ``"force"`` (skip
-        #: whenever an entry exists, confidence aside) or ``"off"``
-        #: (always profile; still records).
+        #: (no persistence).  ``warm_start`` governs how stored records
+        #: are used: ``"auto"`` (skip TEST profiling when the DB holds
+        #: a record for the exact input) or ``"off"`` (always profile;
+        #: still records); any other value is a ``ValueError``.
         self.profdb = self._normalize_profdb(profdb)
         self.warm_start = warm_start or "auto"
+        if self.warm_start != "auto":       # the default needs no import
+            from ..profdb.warmstart import check_warm_start
+            check_warm_start(self.warm_start)
         self.compile_cache = compile_cache
 
     @staticmethod
@@ -657,12 +659,12 @@ class Jrpm:
     def run(self, source_or_program, name="program", args=()):
         """Run the full five-step pipeline; returns a JrpmReport.
 
-        With a :attr:`profdb` attached, a confident stored consensus
-        for this exact (program, args, options) input lets the run warm
-        start — the baseline and TEST executions are replayed from the
-        DB and only the TLS run happens for real (plan-equivalent by
-        construction; see :mod:`repro.profdb.warmstart`).  Cold runs
-        are recorded back into the DB.
+        With a :attr:`profdb` attached, a stored record for this exact
+        (program, args, options) input lets the run warm start — the
+        baseline and TEST executions are replayed from the DB and only
+        the TLS run happens for real (plan-equivalent by construction;
+        see :mod:`repro.profdb.warmstart`).  Cold runs are recorded back
+        into the DB, replacing their input's record.
 
         A cold run simulates the program at most twice: the TEST run,
         whose measurement also yields the baseline

@@ -12,17 +12,17 @@ learned:
   buffer high-water marks, the selector's Prediction and adaptation
   outcomes, with lossless round-trips and a ``validate_profdb_dict``
   schema gate;
-* :mod:`repro.profdb.merge` — weighted statistical aggregation of
-  profiles from repeated runs into a confidence-scored consensus, with
-  staleness decay;
 * :mod:`repro.profdb.db` — :class:`ProfileDb`, the file-locked,
   corrupt-tolerant, size-bounded JSON store (a directory with one
   shard per program) shared by concurrent writers (CLI runs and the
-  ``jrpm serve`` daemon);
-* :mod:`repro.profdb.warmstart` — the warm-start path: when a
-  confident consensus exists, ``Jrpm.run`` skips the sequential
-  baseline *and* the TEST profiling run entirely and feeds the stored
-  statistics straight into the selector.  The simulator is
+  ``jrpm serve`` daemon).  It keeps one exact record per (program,
+  args, options) input: a cold run replaces its input's record,
+  carrying forward only the run counts, the adaptation outcome sums
+  and the buffer high-water marks;
+* :mod:`repro.profdb.warmstart` — the warm-start path: when the DB
+  holds a record for the exact input, ``Jrpm.run`` skips the
+  sequential baseline *and* the TEST profiling run entirely and feeds
+  the stored statistics straight into the selector.  The simulator is
   deterministic, so a warm run is plan-equivalent to a cold one (the
   ``slow`` differential sweep in ``tests/test_profdb_sweep.py`` proves
   it over all 26 registry workloads).
@@ -32,8 +32,6 @@ numbers.
 """
 
 from .db import ProfileDb, default_profdb_path
-from .merge import (DEFAULT_DECAY, MIN_CONFIDENCE, confidence,
-                    merge_measurement, merge_stats_dict, merge_value)
 from .records import (InputProfile, LoopProfile, PROFDB_SCHEMA_VERSION,
                       PROVENANCE_COLD, PROVENANCE_CONFIRMED,
                       PROVENANCE_WARM, PROVENANCES, ProgramProfile,
@@ -45,6 +43,4 @@ __all__ = ["ProfileDb", "default_profdb_path",
            "PROVENANCE_WARM", "PROVENANCE_CONFIRMED",
            "LoopProfile", "InputProfile", "ProgramProfile",
            "site_key", "split_site_key", "validate_profdb_dict",
-           "DEFAULT_DECAY", "MIN_CONFIDENCE", "confidence",
-           "merge_value", "merge_stats_dict", "merge_measurement",
            "StoredProfiler", "rejoin_stats", "warm_report"]

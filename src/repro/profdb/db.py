@@ -7,17 +7,17 @@ are stored.  The concurrency story mirrors ``runner/cache.py`` and adds
 a lock::
 
     PATH/                      the store (``--profdb PATH``)
-        <program key>.json     {"schema": 1, "programs": {key: entry}}
+        <program key>.json     {"schema": 2, "programs": {key: entry}}
     PATH.lock                  the one writer lock
 
 * **writers** take an exclusive ``fcntl.flock`` on the ``.lock``
-  sidecar around their read-merge-write cycle, which reads and rewrites
-  one shard, then publish it atomically (tempfile + ``os.replace``), so
-  two processes recording at once never interleave partial writes or
-  lose each other's merge;
+  sidecar around their read-modify-write cycle, which reads and
+  rewrites one shard, then publish it atomically (tempfile +
+  ``os.replace``), so two processes recording at once never interleave
+  partial writes or lose each other's record;
 * **readers** never lock: ``os.replace`` guarantees any shard they
   open is a complete past state, and a corrupt, truncated or
-  newer-schema shard simply reads as a miss (a warm-start miss, never
+  other-schema shard simply reads as a miss (a warm-start miss, never
   an error);
 * **GC** bounds the store: a write trims its own program's inputs to
   ``max_inputs``; it then lists the shards and, only when there are
@@ -31,13 +31,17 @@ an empty store, and the first write replaces it with the directory:
 its programs are re-profiled cold once.
 
 Keying: programs are keyed by their *shape* (the workload name plus
-the qualified method names), so edits to a method land in the same
-entry and the per-method structural fingerprints stored there can
-invalidate exactly the stale loops, while distinct workloads that
-share method names stay apart.  Inputs within a program are keyed by the exact
-program fingerprint plus guest argv plus the run-options fingerprint,
-so a stored measurement is only replayed for the byte-equivalent
-configuration that produced it.
+the qualified method names), so the sizes and edits of one program
+share a shard while distinct workloads that share method names stay
+apart.  Inputs within a program are keyed by the exact program
+fingerprint plus guest argv plus the run-options fingerprint, so a
+stored measurement is only replayed for the byte-equivalent
+configuration that produced it.  The simulator is deterministic, so a
+stored record already is what a new profile of its input would find: a
+cold run replaces its input's record, carrying forward only the run
+counters, the adaptation outcome sums and the buffer high-water marks.
+An edited program misses on its own input key; the inputs it leaves
+behind age out through the ``max_inputs`` LRU.
 """
 
 import contextlib
@@ -51,20 +55,16 @@ try:
 except ImportError:          # non-POSIX: single-process use still works
     fcntl = None
 
-from .fingerprint import method_fingerprints, program_fingerprint
-from ..log import get_logger
+from .fingerprint import program_fingerprint
 from ..metrics import get_registry
 from ..runner.cache import atomic_write, options_fingerprint
-from .merge import DEFAULT_DECAY, MIN_CONFIDENCE, merge_input_profile
 from .records import (InputProfile, LoopProfile, PROFDB_SCHEMA_VERSION,
                       PROVENANCE_COLD, PROVENANCE_CONFIRMED,
-                      ProgramProfile, site_key)
+                      ProgramProfile, schema_problem, site_key)
 
 #: GC caps: at most this many program entries, and inputs per program.
 DEFAULT_MAX_PROGRAMS = 64
 DEFAULT_MAX_INPUTS = 8
-
-_log = get_logger("profdb")
 
 
 def _profdb_counter(name, help_text, amount=1, **labels):
@@ -87,14 +87,10 @@ def default_profdb_path():
 class ProfileDb:
     """Persistent, file-locked, size-bounded profile repository."""
 
-    def __init__(self, path=None, decay=DEFAULT_DECAY,
-                 min_confidence=MIN_CONFIDENCE,
-                 max_programs=DEFAULT_MAX_PROGRAMS,
+    def __init__(self, path=None, max_programs=DEFAULT_MAX_PROGRAMS,
                  max_inputs=DEFAULT_MAX_INPUTS):
         #: the store directory (one shard per program)
         self.path = path or default_profdb_path()
-        self.decay = decay
-        self.min_confidence = min_confidence
         self.max_programs = max_programs
         self.max_inputs = max_inputs
 
@@ -105,14 +101,13 @@ class ProfileDb:
         """Shape key: SHA-256 over the workload name and the
         deterministic method-name list.
 
-        Deliberately *structural*, not content-addressed: editing a
-        method keeps the program in the same entry (so the per-method
-        fingerprint check can invalidate just the affected loops), and
-        input-size variants share one consensus.  The workload name
-        disambiguates distinct programs that happen to declare the
-        same method names (every MiniJava workload has a
-        ``Main.main``) — without it, two such programs would share an
-        entry and invalidate each other's inputs on every record.
+        Deliberately *structural*, not content-addressed: the input-size
+        variants and edits of one program share a shard (each under its
+        own exact :meth:`input_key`), bounded together by
+        ``max_inputs``.  The workload name disambiguates distinct
+        programs that happen to declare the same method names (every
+        MiniJava workload has a ``Main.main``) — without it, two such
+        programs would share a shard and evict each other's inputs.
         """
         digest = hashlib.sha256()
         digest.update(name.encode())
@@ -137,7 +132,7 @@ class ProfileDb:
 
     @contextlib.contextmanager
     def _lock(self):
-        """Exclusive advisory lock for the read-merge-write cycle."""
+        """Exclusive advisory lock for the read-modify-write cycle."""
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         if fcntl is None:
@@ -167,14 +162,15 @@ class ProfileDb:
     def _read(self, program_key):
         """One shard → :class:`ProgramProfile`, or ``None``.
 
-        Missing, truncated, corrupt or newer-schema shards all read as
-        ``None`` — same degrade-to-miss contract as ``ReportCache.get``.
+        Missing, truncated or corrupt shards, and shards of any other
+        schema (:func:`~repro.profdb.records.schema_problem`), all read
+        as ``None`` — same degrade-to-miss contract as
+        ``ReportCache.get``.
         """
         try:
             with open(self.shard_path(program_key), "r") as handle:
                 payload = json.load(handle)
-            schema = payload.get("schema")
-            if not isinstance(schema, int) or schema > PROFDB_SCHEMA_VERSION:
+            if schema_problem(payload.get("schema")) is not None:
                 return None
             return ProgramProfile.from_dict(
                 payload["programs"][program_key])
@@ -205,7 +201,7 @@ class ProfileDb:
 
     def _input_of_report(self, report, args, config, stl_options,
                            vm_options, now):
-        """Build a fresh :class:`InputProfile` snapshot of one cold run."""
+        """Build the :class:`InputProfile` record of one cold run."""
         from ..tracer.selector import Selector
         selector = Selector(
             report.config, report.loop_table,
@@ -240,7 +236,7 @@ class ProfileDb:
                      report.loop_table[loop_id].ordinal)
             for loop_id in report.plans)
         return InputProfile(
-            runs=1, warm_runs=0, weight=1.0, drift=0.0, updated=now,
+            runs=1, warm_runs=0, updated=now,
             args=list(args),
             options=options_fingerprint(config, stl_options, vm_options),
             sequential=report.sequential.to_dict(),
@@ -252,44 +248,17 @@ class ProfileDb:
             max_dynamic_depth=report.max_dynamic_depth,
             plan_sites=plan_sites, tls_cycles=report.tls.cycles)
 
-    def _invalidate_stale(self, entry, fresh_methods):
-        """Drop loop entries whose method's structural fingerprint
-        changed; inputs that lost loops also lose their evidence weight
-        (their old statistics no longer describe the current code)."""
-        stale = {name for name, fingerprint in entry.methods.items()
-                 if fresh_methods.get(name) != fingerprint}
-        if not stale:
-            entry.methods = fresh_methods
-            return 0
-        dropped = 0
-        for input_entry in entry.inputs.values():
-            keep = {}
-            for key, loop in input_entry.loops.items():
-                method_name, _, _ = key.rpartition("#")
-                if method_name in stale:
-                    dropped += 1
-                else:
-                    keep[key] = loop
-            if len(keep) != len(input_entry.loops):
-                input_entry.loops = keep
-                input_entry.weight = 0.0
-        entry.methods = fresh_methods
-        _profdb_counter("jrpm_profdb_invalidated_loops",
-                        "Loop entries dropped on stale method "
-                        "fingerprints", amount=dropped)
-        if dropped:
-            _log.info("invalidated %d stale loop entries for %s",
-                      dropped, entry.name)
-        return dropped
-
     def record(self, program, report, args, config, stl_options,
                vm_options):
-        """Fold one cold run into the consensus; returns provenance.
+        """Record one cold run as its input's entry; returns provenance.
 
-        ``"confirmed"`` when a confident consensus already existed for
-        this input and the fresh run selected exactly the stored plan
-        sites — i.e. full profiling re-derived what the DB already
-        knew; ``"cold"`` otherwise.
+        The fresh record replaces the stored one, carrying forward the
+        ``runs``/``warm_runs`` counts, each loop site's decommit and
+        escalation sums and its buffer high-water marks.
+        ``"confirmed"`` when a record already existed for this input
+        with exactly the plan sites the fresh run selected — i.e. full
+        profiling re-derived what the DB already knew; ``"cold"``
+        otherwise.
         """
         now = time.time()
         fresh = self._input_of_report(report, args, config,
@@ -297,22 +266,17 @@ class ProfileDb:
         program_key = self.program_key(program, report.name)
         input_key = self.input_key(program, args, config, stl_options,
                                    vm_options)
-        fresh_methods = method_fingerprints(program)
         with self._lock():
             entry = self._read(program_key)
             if entry is None:
                 entry = ProgramProfile(name=report.name)
-            self._invalidate_stale(entry, fresh_methods)
             previous = entry.inputs.get(input_key)
             provenance = PROVENANCE_COLD
-            if (previous is not None
-                    and previous.confidence >= self.min_confidence
-                    and sorted(previous.plan_sites) == fresh.plan_sites):
-                provenance = PROVENANCE_CONFIRMED
-            if previous is None:
-                entry.inputs[input_key] = fresh
-            else:
-                merge_input_profile(previous, fresh, decay=self.decay)
+            if previous is not None:
+                if sorted(previous.plan_sites) == fresh.plan_sites:
+                    provenance = PROVENANCE_CONFIRMED
+                _carry_totals(previous, fresh)
+            entry.inputs[input_key] = fresh
             entry.name = report.name
             entry.runs += 1
             entry.updated = now
@@ -321,18 +285,15 @@ class ProfileDb:
             evicted += self._evict_programs()
         self._count_evictions(evicted)
         _profdb_counter("jrpm_profdb_records",
-                        "Cold-run folds into the consensus DB",
+                        "Cold runs recorded into the profile DB",
                         provenance=provenance)
-        _profdb_counter("jrpm_profdb_merges",
-                        "Consensus merges (existing input re-observed)",
-                        amount=1 if previous is not None else 0)
         return provenance
 
     def record_warm(self, program, report, input_key):
         """Book-keep a warm-start hit under the :meth:`input_key` its
         :meth:`warm_entry` lookup used: bump counters and speculative
-        buffer high-water marks only — the merged statistics are left
-        untouched so warm runs never perturb the consensus they were
+        buffer high-water marks only — the stored statistics are left
+        untouched so warm runs never perturb the record they were
         derived from."""
         now = time.time()
         program_key = self.program_key(program, report.name)
@@ -359,21 +320,16 @@ class ProfileDb:
 
     # ------------------------------------------------------------ query
 
-    def warm_entry(self, program, name, input_key, force=False):
+    def warm_entry(self, program, name, input_key):
         """The stored :class:`InputProfile` under *input_key* (see
         :meth:`input_key`) usable for a warm start, or ``None`` (unknown
-        program/input, stale method fingerprints, or consensus below the
-        confidence gate unless *force*)."""
+        program or input)."""
         entry = self._read(self.program_key(program, name))
         if entry is None:
-            return None
-        if entry.methods != method_fingerprints(program):
             return None
         input_entry = entry.inputs.get(input_key)
         if (input_entry is None or input_entry.sequential is None
                 or input_entry.profiling is None):
-            return None
-        if not force and input_entry.confidence < self.min_confidence:
             return None
         return input_entry
 
@@ -461,9 +417,6 @@ class ProfileDb:
             "loops": sum(len(entry.loops) for entry in inputs),
             "runs": sum(program.runs for program in data.values()),
             "warm_runs": sum(entry.warm_runs for entry in inputs),
-            "confident_inputs": sum(
-                1 for entry in inputs
-                if entry.confidence >= self.min_confidence),
             "per_program": sorted(
                 ({"name": program.name, "runs": program.runs,
                   "inputs": len(program.inputs),
@@ -471,3 +424,20 @@ class ProfileDb:
                  for program in data.values()),
                 key=lambda row: row["name"]),
         }
+
+
+def _carry_totals(previous, fresh):
+    """Carry *previous*'s running totals into the *fresh* record of the
+    same input: the run counts, and per loop site still present the
+    decommit/escalation sums and the buffer high-water marks."""
+    fresh.runs += previous.runs
+    fresh.warm_runs = previous.warm_runs
+    for key, loop in fresh.loops.items():
+        old = previous.loops.get(key)
+        if old is not None:
+            loop.decommits += old.decommits
+            loop.escalations += old.escalations
+            loop.max_load_lines = max(loop.max_load_lines,
+                                      old.max_load_lines)
+            loop.max_store_lines = max(loop.max_store_lines,
+                                       old.max_store_lines)

@@ -6,17 +6,11 @@ profiles by *what code produced them*.  Two granularities:
 * the **structural** fingerprint masks the values of ``ICONST`` /
   ``FCONST`` operands, so the small/default/large sizes of one
   registry workload — which differ only in embedded constants — hash
-  to the same program key and their profiles can be merged into one
-  cross-input consensus;
-* the **exact** fingerprint keeps constant values, so a stored
+  alike;
+* the **exact** fingerprint keeps constant values; it keys each stored
+  record (:meth:`~repro.profdb.db.ProfileDb.input_key`), so a stored
   sequential measurement is only ever replayed for the byte-equivalent
-  program it was measured on.
-
-Per-method fingerprints are stored alongside each program entry: when a
-method's structural hash changes between runs, every profile recorded
-against loops of that method is invalidated (staleness is detected at
-the *method* grain, not the whole program, so editing one method does
-not throw away the profiles of the others).
+  program it was measured on, and an edited program misses.
 
 Everything here is deterministic: :meth:`Program.all_methods` iterates
 in sorted (class, method) order and instruction arguments are scalars,
@@ -65,8 +59,9 @@ def program_fingerprint(program, include_constants=False):
 
     Combines the per-method fingerprints in the deterministic
     :meth:`Program.all_methods` order.  The structural form
-    (``include_constants=False``) is the profile DB's program key; the
-    exact form keys stored measurements to one specific input size.
+    (``include_constants=False``) hashes every size of one program
+    alike; the exact form keys stored measurements to one specific
+    input size.
     """
     digest = hashlib.sha256()
     for method in program.all_methods():
@@ -77,10 +72,3 @@ def program_fingerprint(program, include_constants=False):
         digest.update(b";")
     return digest.hexdigest()
 
-
-def method_fingerprints(program):
-    """``{qualified_name: structural fingerprint}`` for every method —
-    the per-method staleness map stored with each profile-DB program
-    entry."""
-    return {method.qualified_name: method_fingerprint(method)
-            for method in program.all_methods()}

@@ -2,15 +2,15 @@
 
 Three nested layers, mirroring how profiles are keyed:
 
-* :class:`ProgramProfile` — one entry per *program shape* (the set of
-  qualified method names), carrying the per-method structural
-  fingerprints used for staleness invalidation and a dict of inputs;
-* :class:`InputProfile` — one consensus profile per (exact program
+* :class:`ProgramProfile` — one entry per *program shape* (the
+  workload name plus the qualified method names), holding a dict of
+  inputs;
+* :class:`InputProfile` — one exact record per (exact program
   fingerprint, args, options fingerprint) triple: the stored sequential
-  and TEST measurements, annotation count, dynamic nesting, the merged
-  per-loop statistics, the selected plan sites and the merge bookkeeping
-  (weight, drift, confidence);
-* :class:`LoopProfile` — one entry per loop site: the merged
+  and TEST measurements, annotation count, dynamic nesting, the
+  per-loop statistics, the selected plan sites and the run counters;
+  the next cold run of the same input replaces it;
+* :class:`LoopProfile` — one entry per loop site: the
   :class:`~repro.tracer.stats.LoopStats` payload (dependence arcs,
   thread sizes, speculative buffer footprints), the selector's
   :class:`~repro.tracer.selector.Prediction`, TLS-run buffer high-water
@@ -22,15 +22,16 @@ whole database payload is gated by :func:`validate_profdb_dict`, in the
 same style as ``repro.adapt.log.validate_log_dict`` and friends.
 """
 
-#: Bump when the stored payload shape changes.  Readers treat any file
-#: with a *newer* schema as empty rather than guessing at its layout.
-PROFDB_SCHEMA_VERSION = 1
+#: Bump when the stored payload shape changes.  A shard of any other
+#: schema is a miss (:func:`schema_problem`); the next record of its
+#: program replaces it.
+PROFDB_SCHEMA_VERSION = 2
 
 #: Report provenance values (``JrpmReport.profile_provenance``).
 PROVENANCE_COLD = "cold"          # full TEST profiling ran
 PROVENANCE_WARM = "warm"          # profiling skipped, stats from the DB
 PROVENANCE_CONFIRMED = "confirmed"  # full profiling ran AND reproduced
-                                    # the stored consensus plan
+                                    # the stored record's plan
 PROVENANCES = (PROVENANCE_COLD, PROVENANCE_WARM, PROVENANCE_CONFIRMED)
 
 
@@ -38,8 +39,8 @@ def site_key(method_name, ordinal):
     """Stable string key for a loop site: ``"Method.name#ordinal"``.
 
     Loop ids are deterministic for one compile but are not meaningful
-    across program edits; (method, ordinal) survives as long as the
-    method's structural fingerprint does.
+    across program edits; (method, ordinal) names the site across
+    re-records of one input.
     """
     return "%s#%d" % (method_name, ordinal)
 
@@ -51,7 +52,7 @@ def split_site_key(key):
 
 
 class LoopProfile:
-    """Consensus profile of one loop site within one input."""
+    """Stored profile of one loop site within one input."""
 
     __slots__ = ("loop_id", "line", "stats", "prediction", "selected",
                  "max_load_lines", "max_store_lines", "decommits",
@@ -64,16 +65,18 @@ class LoopProfile:
         self.loop_id = loop_id
         #: source line of the loop header
         self.line = line
-        #: merged ``LoopStats.to_dict()`` payload (arcs and all)
+        #: ``LoopStats.to_dict()`` payload (arcs and all)
         self.stats = stats
         #: ``Prediction.to_dict()`` payload or None if never predicted
         self.prediction = prediction
         #: True if the selector picked this loop on the last cold run
         self.selected = selected
-        #: speculative-buffer high-water marks from real TLS runs
+        #: speculative-buffer high-water marks from real TLS runs (the
+        #: max over every run of this input, cold and warm)
         self.max_load_lines = max_load_lines
         self.max_store_lines = max_store_lines
-        #: adaptation outcomes written back from ``AdaptationLog``
+        #: adaptation outcomes written back from ``AdaptationLog``,
+        #: summed over this input's cold runs
         self.decommits = decommits
         self.escalations = escalations
 
@@ -88,24 +91,21 @@ class LoopProfile:
 
 
 class InputProfile:
-    """Consensus profile for one (program, args, options) input."""
+    """The stored record for one (program, args, options) input."""
 
-    __slots__ = ("runs", "warm_runs", "weight", "drift", "updated",
-                 "args", "options", "sequential", "profiling",
-                 "compile_cycles", "annotations", "loops", "nesting",
-                 "max_dynamic_depth", "plan_sites", "tls_cycles")
+    __slots__ = ("runs", "warm_runs", "updated", "args", "options",
+                 "sequential", "profiling", "compile_cycles",
+                 "annotations", "loops", "nesting", "max_dynamic_depth",
+                 "plan_sites", "tls_cycles")
 
-    def __init__(self, runs=0, warm_runs=0, weight=0.0, drift=0.0,
-                 updated=0.0, args=(), options="", sequential=None,
-                 profiling=None, compile_cycles=0, annotations=0,
+    def __init__(self, runs=0, warm_runs=0, updated=0.0, args=(),
+                 options="", sequential=None, profiling=None,
+                 compile_cycles=0, annotations=0,
                  loops=None, nesting=(), max_dynamic_depth=1,
                  plan_sites=(), tls_cycles=0.0):
-        #: cold runs merged into this consensus / warm-start hits served
+        #: cold runs recorded for this input / warm-start hits served
         self.runs = runs
         self.warm_runs = warm_runs
-        #: decayed evidence weight and run-to-run relative drift
-        self.weight = weight
-        self.drift = drift
         #: unix timestamp of the last write (GC eviction order)
         self.updated = updated
         #: guest argv and options fingerprint this input was keyed by
@@ -125,13 +125,6 @@ class InputProfile:
         self.plan_sites = list(plan_sites)
         #: TLS cycles of the last cold run (amortization reporting)
         self.tls_cycles = tls_cycles
-
-    @property
-    def confidence(self):
-        """Confidence score in [0, 1): grows with merged evidence,
-        shrinks with observed run-to-run drift."""
-        from .merge import confidence
-        return confidence(self.weight, self.drift)
 
     def to_dict(self):
         """Lossless JSON-able payload."""
@@ -154,25 +147,21 @@ class InputProfile:
 class ProgramProfile:
     """All stored knowledge about one program shape."""
 
-    __slots__ = ("name", "runs", "updated", "methods", "inputs")
+    __slots__ = ("name", "runs", "updated", "inputs")
 
-    def __init__(self, name="program", runs=0, updated=0.0,
-                 methods=None, inputs=None):
+    def __init__(self, name="program", runs=0, updated=0.0, inputs=None):
         #: last name the program was run under (informational)
         self.name = name
         #: total cold runs recorded against this program
         self.runs = runs
         self.updated = updated
-        #: {qualified_name: structural method fingerprint} — the
-        #: staleness map; a mismatch invalidates that method's loops
-        self.methods = {} if methods is None else methods
         #: {input_key: InputProfile}
         self.inputs = {} if inputs is None else inputs
 
     def to_dict(self):
         """Lossless JSON-able payload."""
         return {"name": self.name, "runs": self.runs,
-                "updated": self.updated, "methods": dict(self.methods),
+                "updated": self.updated,
                 "inputs": {key: entry.to_dict()
                            for key, entry in self.inputs.items()}}
 
@@ -180,9 +169,25 @@ class ProgramProfile:
     def from_dict(cls, data):
         """Inverse of :meth:`to_dict`."""
         return cls(name=data["name"], runs=data["runs"],
-                   updated=data["updated"], methods=dict(data["methods"]),
+                   updated=data["updated"],
                    inputs={key: InputProfile.from_dict(entry)
                            for key, entry in data["inputs"].items()})
+
+
+def schema_problem(schema):
+    """Why a payload's ``schema`` value is unreadable, or ``None``.
+
+    The one rule shared by the shard reader (a problem is a miss) and
+    :func:`validate_profdb_dict` (a problem is reported): only
+    :data:`PROFDB_SCHEMA_VERSION` is readable, older and newer alike
+    are not.
+    """
+    if not isinstance(schema, int):
+        return "'schema' is not an integer"
+    if schema != PROFDB_SCHEMA_VERSION:
+        return "schema %d is not the current %d" % (
+            schema, PROFDB_SCHEMA_VERSION)
+    return None
 
 
 def _check_number(problems, data, key, where, optional=False):
@@ -223,9 +228,8 @@ def _check_input(problems, data, where):
     if not isinstance(data, dict):
         problems.append("%s: not an object" % where)
         return
-    for key in ("runs", "warm_runs", "weight", "drift", "updated",
-                "compile_cycles", "annotations", "max_dynamic_depth",
-                "tls_cycles"):
+    for key in ("runs", "warm_runs", "updated", "compile_cycles",
+                "annotations", "max_dynamic_depth", "tls_cycles"):
         _check_number(problems, data, key, where)
     if not isinstance(data.get("args"), list):
         problems.append("%s: 'args' is not a list" % where)
@@ -263,12 +267,9 @@ def validate_profdb_dict(data):
     problems = []
     if not isinstance(data, dict):
         return ["top level: not an object"]
-    schema = data.get("schema")
-    if not isinstance(schema, int):
-        problems.append("top level: 'schema' is not an integer")
-    elif schema > PROFDB_SCHEMA_VERSION:
-        problems.append("top level: schema %d is newer than supported %d"
-                        % (schema, PROFDB_SCHEMA_VERSION))
+    problem = schema_problem(data.get("schema"))
+    if problem is not None:
+        problems.append("top level: " + problem)
     programs = data.get("programs")
     if not isinstance(programs, dict):
         problems.append("top level: 'programs' is not an object")
@@ -282,14 +283,6 @@ def validate_profdb_dict(data):
             problems.append("%s: 'name' is not a string" % where)
         for key in ("runs", "updated"):
             _check_number(problems, program, key, where)
-        methods = program.get("methods")
-        if not isinstance(methods, dict):
-            problems.append("%s: 'methods' is not an object" % where)
-        else:
-            for name, fingerprint in methods.items():
-                if not isinstance(fingerprint, str):
-                    problems.append("%s.methods[%s]: fingerprint is not "
-                                    "a string" % (where, name))
         inputs = program.get("inputs")
         if not isinstance(inputs, dict):
             problems.append("%s: 'inputs' is not an object" % where)

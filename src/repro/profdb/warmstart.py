@@ -1,30 +1,42 @@
-"""Warm-start execution from a stored consensus profile.
+"""Warm-start execution from a stored profile record.
 
 A cold run pays three sequential executions (plain baseline, annotated
 TEST run, speculative TLS run); a warm start pays only the last.  The
 simulator is fully deterministic — same source, args and options always
 produce the same cycle counts, loop ids and TEST statistics — so when
-the profile DB holds a confident consensus for the exact (program,
-args, options) input, the stored baseline/TEST measurements and merged
-per-loop statistics *are* what profiling would re-derive, and the
-pipeline can skip straight to selection.
+the profile DB holds a record for the exact (program, args, options)
+input, the stored baseline/TEST measurements and per-loop statistics
+*are* what profiling would re-derive, and the pipeline can skip
+straight to selection.
 
 The rejoin step is deliberately paranoid: every stored loop must match
 the freshly annotated loop table on loop id, method, ordinal and line,
 or the whole warm start is abandoned in favour of a cold run.  Warm
 runs write back only usage counters and speculative-buffer high-water
-marks (:meth:`~repro.profdb.db.ProfileDb.record_warm`), never merged
-statistics, so a warm run can never perturb the consensus it was
-derived from — warm run N+1 equals warm run 1 equals cold.
+marks (:meth:`~repro.profdb.db.ProfileDb.record_warm`), never
+statistics, so a warm run can never perturb the record it was derived
+from — warm run N+1 equals warm run 1 equals cold.
 """
 
 from ..tracer.stats import LoopStats
 from .records import PROVENANCE_WARM, site_key, split_site_key
 
+#: ``warm_start`` values: ``auto`` warm-starts whenever the DB holds a
+#: record for the exact input; ``off`` always profiles (and records).
+WARM_STARTS = ("auto", "off")
+
+
+def check_warm_start(warm_start):
+    """Raise ``ValueError`` unless *warm_start* is one of
+    :data:`WARM_STARTS`."""
+    if warm_start not in WARM_STARTS:
+        raise ValueError("unknown warm_start %r (known: %s)"
+                         % (warm_start, ", ".join(WARM_STARTS)))
+
 
 class StoredProfiler:
     """A :class:`~repro.tracer.profiler.TestProfiler` stand-in rebuilt
-    from stored consensus statistics — exposes exactly the three
+    from stored statistics — exposes exactly the three
     attributes ``Jrpm.assemble_report`` reads off a profiler."""
 
     def __init__(self, stats, dynamic_nesting, max_dynamic_depth):
@@ -74,8 +86,7 @@ def warm_report(jrpm, program, name, args):
     db = jrpm.profdb
     input_key = db.input_key(program, args, jrpm.config, jrpm.stl_options,
                              jrpm.vm_options)
-    entry = db.warm_entry(program, name, input_key,
-                          force=jrpm.warm_start == "force")
+    entry = db.warm_entry(program, name, input_key)
     if entry is None:
         return None
     annotated = jrpm.annotate(program)

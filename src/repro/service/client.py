@@ -83,11 +83,12 @@ class Session:
         """Package/protocol/schema versions of the executing side."""
         raise NotImplementedError
 
-    def profdb(self, op="stats", path=None, **payload):
+    def profdb(self, op="stats", **caps):
         """Inspect or maintain a persistent profile DB: ``op`` is
         ``stats`` (summary counters), ``export`` (the full validated
         payload) or ``gc`` (evict beyond the size caps, which may be
-        tightened via ``max_programs=``/``max_inputs=``)."""
+        tightened via ``max_programs=``/``max_inputs=``, non-negative
+        ints).  Any other keyword is an error."""
         raise NotImplementedError
 
     def metrics(self, format="json"):
@@ -168,13 +169,12 @@ class LocalSession(Session):
         daemon would expose — LocalSession jobs fold into it too)."""
         return metrics_answer(format)
 
-    def profdb(self, op="stats", path=None, **payload):
+    def profdb(self, op="stats", path=None, **caps):
         """Operate on the profile DB at *path* (default location when
-        omitted) without a daemon."""
+        omitted) without a daemon; an unknown keyword is a
+        ``TypeError``."""
         from ..profdb import ProfileDb
-        return profdb_answer(ProfileDb(path), op,
-                             payload.get("max_programs"),
-                             payload.get("max_inputs"))
+        return profdb_answer(ProfileDb(path), op, **caps)
 
 
 class JrpmClient(Session):
@@ -306,14 +306,10 @@ class JrpmClient(Session):
         """The daemon's metrics registry (see :class:`Session`)."""
         return self.request("metrics", {"format": format})
 
-    def profdb(self, op="stats", path=None, **payload):
-        """Operate on the daemon's shared profile DB (or the one at
-        *path*): ``stats`` / ``export`` / ``gc``."""
-        request = {"op": op}
-        if path:
-            request["path"] = path
-        request.update(payload)
-        return self.request("profdb", request)
+    def profdb(self, op="stats", **caps):
+        """Operate on the daemon's own ``--profdb`` DB: ``stats`` /
+        ``export`` / ``gc``."""
+        return self.request("profdb", dict(caps, op=op))
 
     def close(self):
         """Close the socket (the daemon keeps running)."""

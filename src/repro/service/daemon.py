@@ -243,9 +243,8 @@ class JrpmServer:
             return reply(self.stats_snapshot())
         if verb == "metrics":
             try:
-                result = metrics_answer((payload or {}).get("format",
-                                                            "json"))
-            except ValueError as error:
+                result = metrics_answer(**payload)
+            except (TypeError, ValueError) as error:
                 return protocol.make_error(request_id, "bad-request",
                                            str(error))
             if self.metrics_server is not None:
@@ -256,8 +255,11 @@ class JrpmServer:
             return reply(version_answer())
         if verb == "profdb":
             try:
-                result = self._profdb_op(payload or {})
-            except (KeyError, TypeError, ValueError) as error:
+                if self.profdb is None:
+                    raise ValueError("no profile DB configured (start "
+                                     "the daemon with --profdb)")
+                result = profdb_answer(self.profdb, **payload)
+            except (TypeError, ValueError) as error:
                 return protocol.make_error(request_id, "bad-request",
                                            str(error))
             return reply(result)
@@ -303,26 +305,12 @@ class JrpmServer:
             request_id, self.store.result_text(job.key, result),
             cached=job.cached, elapsed=time.perf_counter() - started)
 
-    def _profdb_op(self, payload):
-        """The ``profdb`` control verb: stats / export / gc on the
-        daemon's shared profile DB (or the one named in the payload)."""
-        db = self.profdb
-        path = payload.get("path")
-        if path:
-            db = ProfileDb(path)
-        if db is None:
-            raise ValueError("no profile DB configured (start the "
-                             "daemon with --profdb, or pass 'path')")
-        return profdb_answer(db, payload.get("op", "stats"),
-                             payload.get("max_programs"),
-                             payload.get("max_inputs"))
-
     def _spec_of(self, verb, payload, request_id=None):
         """Build the JobSpec for one request (:func:`job_spec`).  A key
         outside :data:`JOB_PAYLOAD_KEYS`, or one besides ``options``
-        that is not a string, is an error.  The daemon's shared profile
-        DB is injected into run/run_adaptive jobs that did not bring
-        their own."""
+        that is not a string, is an error, and so is an
+        ``options.profile_db``: the daemon injects its own ``--profdb``
+        DB into run/run_adaptive jobs and opens no other."""
         fields = {}
         for key, value in payload.items():
             if key not in JOB_PAYLOAD_KEYS:
@@ -334,8 +322,10 @@ class JrpmServer:
                                     "not %s" % (key, type(value).__name__))
                 fields[key] = value
         options = RunOptions.from_dict(payload.get("options") or {})
-        if (self.profdb is not None and not options.profile_db
-                and verb in ("run", "run_adaptive")):
+        if options.profile_db:
+            raise ValueError("options.profile_db is not accepted: the "
+                             "daemon uses its own --profdb DB")
+        if self.profdb is not None and verb in ("run", "run_adaptive"):
             options.profile_db = self.profdb.path
         return job_spec(verb, options,
                         request_id=(str(request_id)

@@ -9,7 +9,9 @@ and never re-executes an identical spec.  The daemon, ``Session`` and
 ``jrpm suite`` all run jobs this way, and :func:`resolve_workload` is
 the one registry lookup behind their ``workload=`` references.  The
 control answers both sessions give (``version``, ``metrics``,
-``profdb``) live here too, one function each.
+``profdb``) live here too, one function each; a control payload is
+passed to its function as keyword arguments, so an unknown key is a
+``TypeError`` on both sides.
 
 ``execute_job`` and :class:`CachedExecutor` must stay module-level
 (picklable under ``spawn``).
@@ -280,24 +282,29 @@ def version_answer():
             "profdb_schema": PROFDB_SCHEMA_VERSION}
 
 
-def metrics_answer(fmt="json"):
+def metrics_answer(format="json"):
     """The ``metrics`` answer: this process's registry as its lossless
     ``to_dict`` payload (``json``) or as OpenMetrics text
     (``openmetrics``); any other format is a :class:`ValueError`."""
     registry = get_registry()
-    if fmt == "openmetrics":
+    if format == "openmetrics":
         return {"openmetrics": render(registry)}
-    if fmt == "json":
+    if format == "json":
         return {"metrics": registry.to_dict()}
     raise ValueError("unknown metrics format %r (json, openmetrics)"
-                     % (fmt,))
+                     % (format,))
 
 
 def profdb_answer(db, op="stats", max_programs=None, max_inputs=None):
     """The ``profdb`` answer: ``stats``, ``export`` or ``gc`` (evict
     beyond the size caps, optionally tightened) on the
-    :class:`~repro.profdb.ProfileDb` *db*; any other op is a
-    :class:`ValueError`."""
+    :class:`~repro.profdb.ProfileDb` *db*; any other op, or a cap that
+    is not a non-negative int, is a :class:`ValueError`."""
+    for cap in (max_programs, max_inputs):
+        if cap is not None and (isinstance(cap, bool)
+                                or not isinstance(cap, int) or cap < 0):
+            raise ValueError("profdb caps are non-negative integers, "
+                             "not %r" % (cap,))
     if op == "stats":
         return {"profdb": db.stats_dict()}
     if op == "export":

@@ -45,7 +45,7 @@ Payload layouts (``data``):
 * ``EV_PROFDB``    — ``(outcome, name)``: a persistent profile DB
   interaction (:mod:`repro.profdb`): ``outcome`` is the run's profile
   provenance (``cold`` = recorded a fresh profile, ``confirmed`` =
-  recorded and reproduced the stored consensus plan, ``warm`` = TEST
+  recorded and reproduced the stored record's plan, ``warm`` = TEST
   profiling skipped and replayed from the DB) and ``name`` is the
   workload name.
 """

@@ -1,10 +1,11 @@
 """Unit and integration tests for the persistent profile repository.
 
-Covers the record model round-trips and schema gate, the weighted
-merge's fixed-point property, fingerprint-driven invalidation,
-corrupt-file tolerance, warm-start plan equivalence on a small program,
-provenance bookkeeping (cold → warm → confirmed), adaptation outcome
-write-back, and the version/profdb service verbs.  Warm starts over
+Covers the record model round-trips and schema gate, the record path
+(one exact record per input, with its running totals), exact-key
+misses on edits, corrupt-file and other-schema tolerance, warm-start
+plan equivalence on a small program, provenance bookkeeping (cold →
+warm → confirmed), adaptation outcome write-back, and the
+version/profdb service verbs.  Warm starts over
 all 26 workloads are checked by the registry sweep
 (``test_golden_reports.py``).
 """
@@ -16,14 +17,10 @@ import pytest
 
 from repro import Jrpm, compile_source, package_version
 from repro.profdb.fingerprint import (method_fingerprint,
-                                      method_fingerprints,
                                       program_fingerprint)
-from repro.profdb import (MIN_CONFIDENCE, PROFDB_SCHEMA_VERSION,
-                          InputProfile, LoopProfile, ProfileDb,
-                          ProgramProfile, confidence, merge_stats_dict,
-                          merge_value, site_key, split_site_key,
+from repro.profdb import (PROFDB_SCHEMA_VERSION, ProfileDb,
+                          ProgramProfile, site_key, split_site_key,
                           validate_profdb_dict)
-from repro.profdb.merge import merge_input_profile
 from repro.service import JobSpec, RunOptions, Session
 from repro.workloads import lookup
 
@@ -79,9 +76,9 @@ def test_method_fingerprint_masks_constants():
 
 def test_method_fingerprint_sees_real_edits():
     edited = LOOPY.replace("sum + i * 3", "sum + i + 3")
-    a = method_fingerprints(compile_source(LOOPY))
-    b = method_fingerprints(compile_source(edited))
-    assert a != b
+    (a,) = compile_source(LOOPY).all_methods()
+    (b,) = compile_source(edited).all_methods()
+    assert method_fingerprint(a) != method_fingerprint(b)
 
 
 # -- record model -------------------------------------------------------------
@@ -124,14 +121,17 @@ def test_store_file_is_json_dumps_of_its_payload(db_path):
 def test_validate_profdb_dict_rejects_malformed():
     assert validate_profdb_dict([]) == ["top level: not an object"]
     assert any("schema" in p for p in validate_profdb_dict({}))
-    newer = {"schema": PROFDB_SCHEMA_VERSION + 1, "programs": {}}
-    assert any("newer" in p for p in validate_profdb_dict(newer))
+    # one rule for older and newer schemas alike
+    for schema in (PROFDB_SCHEMA_VERSION - 1, PROFDB_SCHEMA_VERSION + 1):
+        assert validate_profdb_dict({"schema": schema, "programs": {}}) \
+            == ["top level: schema %d is not the current %d"
+                % (schema, PROFDB_SCHEMA_VERSION)]
     bad_loop = {
         "schema": PROFDB_SCHEMA_VERSION,
         "programs": {"p": {
-            "name": "x", "runs": 1, "updated": 0.0, "methods": {},
+            "name": "x", "runs": 1, "updated": 0.0,
             "inputs": {"i": {
-                "runs": 1, "warm_runs": 0, "weight": 1.0, "drift": 0.0,
+                "runs": 1, "warm_runs": 0,
                 "updated": 0.0, "compile_cycles": 0, "annotations": 0,
                 "max_dynamic_depth": 1, "tls_cycles": 0.0, "args": [],
                 "options": "", "sequential": {"cycles": 1},
@@ -145,49 +145,83 @@ def test_validate_profdb_dict_rejects_malformed():
     assert any("loop_id" in p for p in problems)
 
 
-# -- merging ------------------------------------------------------------------
+# -- the record path ---------------------------------------------------------
 
-def test_merge_value_fixed_point_on_equal_inputs():
-    # equality short-circuits before float arithmetic: no drift ever
-    assert merge_value(3, 3, 0.9, 1.0) == 3
-    assert isinstance(merge_value(3, 3, 0.9, 1.0), int)
-    assert merge_value(0.7, 0.7, 123.4, 1.0) == 0.7
-    assert merge_value("x", "y", 1.0, 1.0) == "y"
-    assert merge_value(2.0, 4.0, 1.0, 1.0) == 3.0
+def test_rerecord_keeps_running_totals(db_path):
+    """A cold re-record replaces its input's entry but carries forward
+    ``runs``/``warm_runs``, each site's decommit/escalation sums and
+    its buffer high-water maxima; everything else is the fresh run's."""
+    _run(db_path)
+    assert _run(db_path).profile_provenance == "warm"
+    db = ProfileDb(db_path)
+    program = compile_source(LOOPY)
+    key = db.program_key(program, "loopy")
+    payload = db.export()
+    (input_key,) = payload["programs"][key]["inputs"]
+    first = payload["programs"][key]["inputs"][input_key]
+    assert (first["runs"], first["warm_runs"]) == (1, 1)
+    # seed the stored totals as earlier runs would have left them
+    entry = ProgramProfile.from_dict(payload["programs"][key])
+    stored = entry.inputs[input_key]
+    site, loop = next(iter(stored.loops.items()))
+    loop.decommits, loop.escalations = 2, 3
+    loop.max_load_lines = loop.max_store_lines = 10 ** 6
+    db._write(key, entry)
+    assert _run(db_path, warm_start="off").profile_provenance \
+        == "confirmed"
+    again = ProfileDb(db_path).export()["programs"][key]["inputs"]
+    record = again[input_key]
+    assert (record["runs"], record["warm_runs"]) == (2, 1)
+    assert record["loops"][site]["decommits"] == 2
+    assert record["loops"][site]["escalations"] == 3
+    assert record["loops"][site]["max_load_lines"] == 10 ** 6
+    assert record["loops"][site]["max_store_lines"] == 10 ** 6
+    # the rest is the fresh (deterministic, hence equal) cold record
+    for field in ("sequential", "profiling", "plan_sites", "nesting",
+                  "tls_cycles"):
+        assert record[field] == first[field]
+    for other, fresh in record["loops"].items():
+        assert fresh["stats"] == first["loops"][other]["stats"]
+        if other != site:
+            assert fresh == first["loops"][other]
 
 
-def test_merge_stats_dict_identical_is_identity(db_path):
+def test_edit_then_revert_warm_starts_from_own_record(db_path):
+    """An edit misses on its own exact input key and leaves the
+    original's record alone: reverting warm-starts from it, plan- and
+    cycle-equivalent to a cold run."""
+    cold = _run(db_path)
+    edited = LOOPY.replace("sum + i * 3", "sum + i + 3")
+    assert _run(db_path, source=edited).profile_provenance == "cold"
+    reverted = _run(db_path)
+    assert reverted.profile_provenance == "warm"
+    assert sorted(reverted.plans) == sorted(cold.plans)
+    assert reverted.tls.cycles == cold.tls.cycles
+    assert reverted.tls.output == cold.tls.output
+    assert ProfileDb(db_path).stats_dict()["inputs"] == 2
+
+
+@pytest.mark.parametrize("schema", [PROFDB_SCHEMA_VERSION - 1,
+                                    PROFDB_SCHEMA_VERSION + 1])
+def test_other_schema_shard_is_a_miss_then_replaced(db_path, schema):
+    """A shard of an older or a newer schema reads as a miss (the run
+    profiles cold), and that run's record replaces the shard."""
     _run(db_path)
     db = ProfileDb(db_path)
-    payload = db.export()
-    for entry in payload["programs"].values():
-        for input_entry in entry["inputs"].values():
-            for loop in input_entry["loops"].values():
-                stats = loop["stats"]
-                assert merge_stats_dict(stats, json.loads(
-                    json.dumps(stats)), 0.9, 1.0) == stats
-
-
-def test_merge_weights_and_confidence():
-    assert confidence(0.0, 0.0) == 0.0
-    one_run = confidence(1.0, 0.0)
-    assert one_run == 0.5 > MIN_CONFIDENCE
-    assert confidence(5.0, 0.0) > one_run
-    assert confidence(5.0, 1.0) < confidence(5.0, 0.0)
-
-
-def test_merge_input_profile_accumulates_adapt_counters():
-    def entry(decommits):
-        return InputProfile(
-            runs=1, weight=1.0, updated=1.0, sequential={"cycles": 10},
-            profiling={"cycles": 12},
-            loops={"M#0": LoopProfile(loop_id=1, line=3,
-                                      stats={"loop_id": 1, "arcs": []},
-                                      decommits=decommits)})
-    merged = merge_input_profile(entry(2), entry(1), decay=1.0)
-    assert merged.loops["M#0"].decommits == 3
-    assert merged.runs == 2
-    assert merged.weight == 2.0
+    (key,) = db.export()["programs"]
+    with open(db.shard_path(key)) as fh:
+        shard = json.load(fh)
+    shard["schema"] = schema
+    with open(db.shard_path(key), "w") as fh:
+        json.dump(shard, fh)
+    assert db.stats_dict()["programs"] == 0
+    assert _run(db_path).profile_provenance == "cold"
+    with open(db.shard_path(key)) as fh:
+        replaced = json.load(fh)
+    assert replaced["schema"] == PROFDB_SCHEMA_VERSION
+    assert validate_profdb_dict(replaced) == []
+    assert replaced["programs"][key]["runs"] == 1
+    assert _run(db_path).profile_provenance == "warm"
 
 
 # -- db mechanics -------------------------------------------------------------
@@ -337,8 +371,7 @@ def test_gc_evicts_the_oldest_shard(db_path):
 
 def test_distinct_workloads_sharing_method_names_stay_apart(db_path):
     # every workload declares Main.main; two different programs must
-    # not share a consensus entry (they would invalidate each other's
-    # inputs on every record)
+    # not share an entry (they would evict each other's inputs)
     _run(db_path)
     other = LOOPY.replace("sum + i * 3", "sum - i * 7")
     _run(db_path, source=other, name="other")
@@ -355,11 +388,11 @@ def test_invalidation_on_method_edit(db_path):
     report = _run(db_path)
     assert report.profile_provenance == "cold"
     assert _run(db_path).profile_provenance == "warm"
-    # a real edit (same program shape) must kill the warm start
+    # a real edit (same program shape) misses on its exact input key
     edited = LOOPY.replace("sum + i * 3", "sum + i + 3")
     report = _run(db_path, source=edited)
     assert report.profile_provenance == "cold"
-    # and the edited version then warms on its own merged profile
+    # and the edited version then warms on its own record
     assert _run(db_path, source=edited).profile_provenance == "warm"
 
 
@@ -376,24 +409,20 @@ def test_cold_then_warm_then_confirmed(db_path):
     assert warm.sequential.cycles == cold.sequential.cycles
     assert warm.tls_speedup == cold.tls_speedup
     assert warm.outputs_match()
-    # forcing a full profile over a confident consensus -> confirmed
+    # forcing a full profile over a stored record -> confirmed
     confirmed = _run(db_path, warm_start="off")
     assert confirmed.profile_provenance == "confirmed"
-    # warm hits never perturb the consensus: still warm, still equal
+    # warm hits never perturb the record: still warm, still equal
     again = _run(db_path)
     assert again.profile_provenance == "warm"
     assert again.tls.cycles == cold.tls.cycles
 
 
-def test_warm_start_off_and_force(db_path):
+def test_warm_start_off_still_records(db_path):
     assert _run(db_path, warm_start="off").profile_provenance == "cold"
-    # below the confidence gate nothing warms on auto; force overrides
-    db = ProfileDb(db_path, min_confidence=0.99)
-    assert Jrpm(profdb=db).run(
-        compile_source(LOOPY), name="loopy").profile_provenance == "cold"
-    forced = Jrpm(profdb=db, warm_start="force").run(
-        compile_source(LOOPY), name="loopy")
-    assert forced.profile_provenance == "warm"
+    assert _run(db_path).profile_provenance == "warm"
+    with pytest.raises(ValueError, match="force"):
+        Jrpm(profdb=db_path, warm_start="force")
 
 
 def test_warm_report_round_trips(db_path):
@@ -424,8 +453,7 @@ def test_adapt_outcomes_ban_decommitted_loops(db_path):
         if decision.action == "decommit"}
     assert decommitted, "policy was expected to decommit something"
     # the write-back must ban those sites in later warm starts
-    warm = Jrpm(profdb=db_path, warm_start="force").run(
-        program, name="euler")
+    warm = Jrpm(profdb=db_path).run(program, name="euler")
     assert warm.profile_provenance == "warm"
     assert not (set(warm.plans) & decommitted)
 
@@ -489,6 +517,12 @@ def test_local_session_version_and_profdb(db_path):
         assert stats["programs"] == 1 and stats["warm_runs"] == 1
         exported = session.profdb(op="export", path=db_path)["profdb"]
         assert validate_profdb_dict(exported) == []
+        # a typo'd cap is an error, not a gc under the default caps
+        with pytest.raises(TypeError, match="max_program"):
+            session.profdb(op="gc", path=db_path, max_program=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            session.profdb(op="gc", path=db_path, max_programs=-1)
+        assert session.profdb(path=db_path)["profdb"]["programs"] == 1
         gc = session.profdb(op="gc", path=db_path, max_programs=0)
         assert gc["evicted"] == 1
 
@@ -549,10 +583,10 @@ def test_daemon_version_and_profdb_verbs(tmp_path, db_path):
 
 
 def test_run_options_round_trip_with_profdb_fields(db_path):
-    options = RunOptions(profile_db=db_path, warm_start="force")
+    options = RunOptions(profile_db=db_path, warm_start="off")
     rebuilt = RunOptions.from_dict(options.to_dict())
     assert rebuilt.profile_db == db_path
-    assert rebuilt.warm_start == "force"
+    assert rebuilt.warm_start == "off"
     # legacy payloads without the new keys still load
     legacy = {k: v for k, v in options.to_dict().items()
               if k not in ("profile_db", "warm_start")}
@@ -561,13 +595,22 @@ def test_run_options_round_trip_with_profdb_fields(db_path):
     assert defaults.warm_start == "auto"
 
 
+@pytest.mark.parametrize("field, value", [
+    ("warm_start", "force"), ("warm_start", "bogus"), ("policy", "nope")])
+def test_run_options_reject_unknown_values(field, value):
+    """A retired or mistyped ``warm_start`` and an unregistered adapt
+    ``policy`` are errors at construction, never a plausible run."""
+    with pytest.raises(ValueError, match=value):
+        RunOptions.from_dict({field: value})
+
+
 def test_job_fingerprint_ignores_profdb_fields(db_path):
     from repro.service import JobSpec, job_fingerprint
     plain = JobSpec(verb="run", source=LOOPY, name="x",
                     options=RunOptions())
     backed = JobSpec(verb="run", source=LOOPY, name="x",
                      options=RunOptions(profile_db=db_path,
-                                        warm_start="force"))
+                                        warm_start="off"))
     assert job_fingerprint(plain) == job_fingerprint(backed)
 
 

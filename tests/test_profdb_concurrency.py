@@ -96,7 +96,7 @@ def _race_writers(tmp_path, names, processes):
     stats = db.stats_dict()
     assert stats["programs"] == len(names)
     assert stats["runs"] == processes * RECORDS_PER_PROCESS * len(names)
-    # identical runs merge to a fixed point: one consensus input entry
+    # each re-record replaces its input's entry: one input entry
     # per program
     assert stats["inputs"] == len(names)
     for entry in payload["programs"].values():

@@ -2,7 +2,7 @@
 
 For every workload in the registry (small size) the registry sweep's
 fast-engine case (``conftest.registry_case``) records its cold report
-into a fresh profile DB and runs warm from that consensus.  The warm
+into a fresh profile DB and runs warm from that record.  The warm
 run must be *indistinguishable* from the cold one where it matters:
 same selected STL plan sites, same TLS cycle count and speedup (exact,
 not approximate — the simulator is deterministic and the warm path
@@ -42,13 +42,17 @@ def test_warm_start_plan_equivalent_to_cold(name):
 
 @pytest.mark.slow
 def test_third_run_confirms_consensus(tmp_path):
+    """The sweep's cold euler run seeds the DB (the record ``run_case``
+    makes), a second run warm-starts from it, and a third, forced to
+    re-profile, is "confirmed": it re-derives the stored plan."""
+    case = registry_case("euler", "fast")
     db_path = str(tmp_path / "profdb")
+    jrpm = Jrpm(profdb=db_path)
+    assert jrpm.profdb.record(case.program, case.report, (), jrpm.config,
+                              jrpm.stl_options, jrpm.vm_options) == "cold"
     source = lookup("euler").source("small")
-    Jrpm(profdb=db_path).run(compile_source(source), name="euler")
-    warm = Jrpm(profdb=db_path).run(compile_source(source), name="euler")
+    warm = jrpm.run(compile_source(source), name="euler")
     assert warm.profile_provenance == "warm"
-    # forcing a cold re-profile against an established consensus marks
-    # the run "confirmed" when it re-derives the same plan
     confirmed = Jrpm(profdb=db_path, warm_start="off").run(
         compile_source(source), name="euler")
     assert confirmed.profile_provenance == "confirmed"

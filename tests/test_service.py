@@ -290,6 +290,65 @@ def test_bad_engine_is_a_bad_request_before_queueing(fresh_registry,
         assert fresh_registry.total("jrpm_scheduler_submits") == 0
 
 
+def test_bad_run_option_values_are_bad_requests_before_queueing(
+        fresh_registry, service):
+    """An unknown ``warm_start`` (the retired ``force`` included) or
+    adapt ``policy`` is rejected before any job is queued."""
+    with service.client() as client:
+        for options in ({"warm_start": "force"}, {"warm_start": "bogus"},
+                        {"policy": "nope"}):
+            with pytest.raises(JrpmServiceError) as excinfo:
+                client.request("run_adaptive", {"source": TINY,
+                                                "options": options})
+            assert excinfo.value.kind == "bad-request"
+            assert next(iter(options.values())) in str(excinfo.value)
+        assert fresh_registry.total("jrpm_scheduler_submits") == 0
+
+
+def test_control_payloads_are_strict(fresh_registry, tmp_path):
+    """The ``profdb`` verb works on the daemon's own ``--profdb`` DB
+    only and takes only ``op`` and non-negative int caps; ``metrics``
+    takes only ``format``; a job naming its own ``profile_db`` is
+    refused.  A refused path gets no directory and no ``.lock``, and a
+    typo'd cap evicts nothing."""
+    fixture = ServiceFixture(tmp_path, jobs=1,
+                             profdb_path=str(tmp_path / "daemon"))
+    elsewhere = tmp_path / "elsewhere" / "db"
+    try:
+        with fixture.client() as client:
+            client.run(TINY, name="tiny")
+            bad = [("profdb", {"op": "gc", "max_programs": 0,
+                               "path": str(elsewhere)}),
+                   ("profdb", {"op": "gc", "max_program": 0}),
+                   ("profdb", {"op": "gc", "max_programs": -1}),
+                   ("profdb", {"op": "gc", "max_inputs": "0"}),
+                   ("metrics", {"format": "json", "verbose": True}),
+                   ("run", {"source": TINY, "options": {
+                       "profile_db": str(elsewhere)}})]
+            settled = client.request_many(bad)
+            kinds = [getattr(result, "kind", "ok")
+                     for result, _, _ in settled]
+            assert kinds == ["bad-request"] * len(bad)
+            for (result, _, _), needle in zip(settled, (
+                    "path", "max_program", "-1", "'0'", "verbose",
+                    "profile_db")):
+                assert needle in str(result)
+            stats = client.profdb()["profdb"]
+            assert (stats["programs"], stats["runs"]) == (1, 1)
+    finally:
+        fixture.stop()
+    assert not (tmp_path / "elsewhere").exists()
+    assert fresh_registry.total("jrpm_scheduler_submits") == 1
+
+
+def test_profdb_verb_needs_a_daemon_db(service):
+    with service.client() as client:
+        with pytest.raises(JrpmServiceError) as excinfo:
+            client.profdb()
+        assert excinfo.value.kind == "bad-request"
+        assert "--profdb" in str(excinfo.value)
+
+
 def test_protocol_version_mismatch_is_rejected(service):
     raw = socket_module.socket(socket_module.AF_UNIX,
                                socket_module.SOCK_STREAM)

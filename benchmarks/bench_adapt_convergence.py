@@ -1,34 +1,37 @@
-"""Adaptive recompilation convergence guard.
+"""Adaptive recompilation guard: what the controller does on the corpus.
 
 The epoch-based feedback controller (``repro.adapt``) must (a) settle
 quickly — a handful of epochs, not an unbounded hunt — and (b) actually
 pay for itself when the profile-time prediction is wrong.  Two
 experiments:
 
-* **convergence** — for one workload per paper category, run
-  :meth:`Jrpm.run_adaptive` with the default threshold policy and
-  record the epoch at which the plan set stops changing plus the final
-  speedup next to the one-shot pipeline's.  Steady state must arrive
-  within the epoch budget, and the converged plan must never be slower
-  than one-shot beyond simulation noise.
+* **corpus** — every registry workload at size ``small`` and
+  ``default`` runs under :meth:`Jrpm.run_adaptive` with the threshold
+  policy, every epoch's output checked against the sequential
+  baseline.  One row per run: epochs, the epoch from which the plan set
+  stayed stable, applied decisions by action and the steady-state gain
+  (epoch-0 cycles, i.e. the one-shot selection's, over the final
+  epoch's), with a totals row.  Every run must settle before the epoch
+  budget runs out, and its final plan set must never be slower than
+  the one-shot selection beyond simulation noise.
 
 * **misprediction recovery** — a deliberately permissive admission
   configuration (everything looks profitable to TEST) applied to a
   serially-dependent loop makes the one-shot selector pick an STL that
   mostly violates.  The controller must end strictly faster than its
   own first epoch, and the decision log must name the actions that got
-  it there (this is the ISSUE acceptance scenario).
+  it there.
 """
 
+from repro.adapt import ACTIONS
 from repro.core.pipeline import Jrpm
 from repro.hydra.config import HydraConfig
 from repro.minijava import compile_source
-from repro.workloads import lookup
+from repro.workloads import all_workloads
 
-from harness import write_result
+from harness import geomean, write_result
 
-#: one workload per paper category (integer / floating point / multimedia)
-WORKLOADS = ("BitOps", "LuFactor", "decJpeg")
+SIZES = ("small", "default")
 EPOCH_BUDGET = 4
 
 #: every iteration carries a dependence through ``s`` — speculation on
@@ -60,29 +63,43 @@ def _mispredicting_config():
 
 
 def test_adapt_converges_within_epoch_budget():
-    rows = ["adaptive recompilation convergence (size small, "
+    rows = ["adaptive recompilation over the corpus (threshold policy, "
             "epoch budget %d)" % EPOCH_BUDGET,
-            "  %-10s %8s %10s %10s %10s %9s" % (
-                "workload", "epochs", "converged", "one-shot", "adaptive",
-                "decisions")]
-    for name in WORKLOADS:
-        program = compile_source(lookup(name).source("small"))
-        one_shot = Jrpm().run(program, name=name)
-        report = Jrpm().run_adaptive(program, name=name,
-                                     epochs=EPOCH_BUDGET, verify=True)
-        log = report.adaptation
-        assert report.outputs_match()
-        assert log.converged_epoch is not None, (
-            "%s did not reach a stable plan set in %d epochs"
-            % (name, EPOCH_BUDGET))
-        # the settled plan is never materially slower than one-shot
-        assert log.final_cycles <= one_shot.tls.cycles * 1.02, (
-            "%s: adaptive steady state %.0f cycles vs one-shot %.0f"
-            % (name, log.final_cycles, one_shot.tls.cycles))
-        rows.append("  %-10s %8d %10d %9.2fx %9.2fx %9d"
-                    % (name, log.epochs_run, log.converged_epoch,
-                       one_shot.tls_speedup, report.tls_speedup,
-                       len(log.applied_decisions())))
+            "  %-13s %-8s %6s %9s %8s %8s %8s %7s" % (
+                "workload", "size", "epochs", "converged", "decommit",
+                "escalate", "promote", "gain")]
+    epochs, gains = 0, []
+    totals = dict.fromkeys(ACTIONS, 0)
+    for workload in all_workloads():
+        for size in SIZES:
+            program = compile_source(workload.source(size))
+            report = Jrpm().run_adaptive(program, name=workload.name,
+                                         epochs=EPOCH_BUDGET, verify=True)
+            log = report.adaptation
+            where = "%s (%s)" % (workload.name, size)
+            assert report.outputs_match(), where
+            # the policy was consulted on the final plan set and left it
+            assert log.epochs_run < EPOCH_BUDGET, (
+                "%s: plan set still changing after %d epochs"
+                % (where, log.epochs_run))
+            # the settled plan is never materially slower than one-shot
+            assert log.final_cycles <= log.initial_cycles * 1.02, (
+                "%s: adaptive steady state %.0f cycles vs one-shot %.0f"
+                % (where, log.final_cycles, log.initial_cycles))
+            counts = log.decisions_by_action()
+            rows.append("  %-13s %-8s %6d %9d %8d %8d %8d %6.3fx"
+                        % ((workload.name, size, log.epochs_run,
+                            log.converged_epoch)
+                           + tuple(counts[action] for action in ACTIONS)
+                           + (log.steady_state_gain,)))
+            epochs += log.epochs_run
+            gains.append(log.steady_state_gain)
+            for action in ACTIONS:
+                totals[action] += counts[action]
+    rows.append("  %-13s %-8s %6d %9s %8d %8d %8d %6.3fx"
+                % (("total", "%d runs" % len(gains), epochs, "")
+                   + tuple(totals[action] for action in ACTIONS)
+                   + (geomean(gains),)))
     write_result("adapt_convergence", rows)
 
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
-"""Validate an adaptation log JSON produced by ``jrpm adapt --json``.
+"""Validate an adaptation log JSON produced by ``jrpm run --adapt --json``.
 
 Usage::
 
     python scripts/check_adapt_log.py adapt.json [more.json ...]
-    jrpm adapt BitOps --json | python scripts/check_adapt_log.py -
+    jrpm run BitOps --adapt --json | python scripts/check_adapt_log.py -
 
 Checks each file (or stdin, for ``-``) against the
 :func:`repro.adapt.validate_log_dict` schema and the extra invariants

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Validate a Chrome trace-event JSON produced by ``jrpm trace``.
+"""Validate a Chrome trace-event JSON produced by ``jrpm run --trace-out``.
 
 Usage::
 

@@ -66,13 +66,13 @@ time python -m repro suite --size small --only "$WORKLOADS" \
 
 echo
 echo "== smoke: traced run + Chrome-trace schema check =="
-python -m repro trace BitOps --size small --out "$CACHE_DIR/trace.json" \
-    > /dev/null
+python -m repro run BitOps --size small \
+    --trace-out "$CACHE_DIR/trace.json" > /dev/null
 python scripts/check_trace_schema.py "$CACHE_DIR/trace.json"
 
 echo
 echo "== smoke: adaptive recompilation + decision-log schema check =="
-python -m repro adapt BitOps --size small --epochs 3 --json \
+python -m repro run BitOps --size small --adapt --epochs 3 --json \
     > "$CACHE_DIR/adapt.json"
 python scripts/check_adapt_log.py "$CACHE_DIR/adapt.json"
 

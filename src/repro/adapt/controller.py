@@ -9,7 +9,7 @@ system must react when measured behaviour diverges from prediction.
 1. builds :class:`~repro.adapt.epochs.EpochTelemetry` from the always-on
    per-STL run statistics (realized speedup, violation frequency,
    buffer high-water marks);
-2. asks the pluggable :class:`~repro.adapt.policy.AdaptPolicy` for
+2. asks the :class:`~repro.adapt.policy.ThresholdPolicy` for
    decisions;
 3. applies them — **decommit** reverts a mispredicted loop to
    sequential execution via :meth:`Jrpm.recompile` with a pruned plan
@@ -23,9 +23,13 @@ system must react when measured behaviour diverges from prediction.
 
 Hysteresis lives in the policy (per-loop cooldown stamps in
 :class:`~repro.adapt.policy.AdaptState`), and the banned set only ever
-grows, so the plan set converges instead of thrashing.
+grows, so the plan set converges instead of thrashing.  The first
+epoch with no applied decision ends the run: its plan set is the
+converged one.
 """
 
+from ..core.pipeline import outputs_equal
+from ..errors import DivergenceError
 from .epochs import observe_epoch
 from .log import (ACTION_DECOMMIT, ACTION_LOCK_ESCALATE, ACTION_PROMOTE,
                   AdaptDecision, AdaptationLog, EpochRecord)
@@ -35,12 +39,13 @@ from .policy import AdaptState, ThresholdPolicy
 class AdaptController:
     """Drives one adaptive run of one program on one :class:`Jrpm`."""
 
-    def __init__(self, jrpm, policy=None, epochs=4,
-                 stop_on_converged=True, verify=False):
+    def __init__(self, jrpm, policy=None, epochs=4, verify=False):
+        """*policy* is a :class:`ThresholdPolicy` (``None``: its
+        defaults); *verify* checks every epoch's output against the
+        sequential baseline (:class:`~repro.errors.DivergenceError`)."""
         self.jrpm = jrpm
         self.policy = policy if policy is not None else ThresholdPolicy()
         self.epochs = max(1, int(epochs))
-        self.stop_on_converged = stop_on_converged
         self.verify = verify
 
     # -- main loop -----------------------------------------------------------
@@ -98,7 +103,7 @@ class AdaptController:
                 recompiled = jrpm.recompile(program, state.plans)
                 if recompiled is not None:
                     log.recompile_cycles += recompiled.compile_cycles
-            elif self.stop_on_converged:
+            else:
                 break
 
         log.converged_epoch = last_decision_epoch + 1
@@ -125,14 +130,10 @@ class AdaptController:
             if decision.action == ACTION_DECOMMIT:
                 self._decommit(decision, plan, state, epoch)
                 decommitted_now.append(decision.loop_id)
-            elif decision.action == ACTION_LOCK_ESCALATE:
+            else:               # the policy proposes only these two
                 self._lock_escalate(decision, plan, state, selector,
                                     profile_stats, epoch)
-            else:
-                decision.applied = False
-                decision.evidence["skipped"] = (
-                    "policy proposed unknown action %r" % decision.action)
-        if decommitted_now and getattr(self.policy, "promote", False):
+        if decommitted_now and self.policy.promote:
             applied.extend(self._promote(state, selector, profile_stats,
                                          nesting, decommitted_now, epoch))
         return applied
@@ -242,9 +243,8 @@ class AdaptController:
         return "predicted %.2fx" % evidence.get("predicted_speedup", 0.0)
 
     def _check_outputs(self, name, epoch, baseline, tls_artifact):
-        from ..core.pipeline import outputs_equal
         if not outputs_equal(baseline.measurement.output,
                              tls_artifact.measurement.output):
-            raise AssertionError(
+            raise DivergenceError(
                 "%s: epoch %d speculative output diverged from the "
                 "sequential baseline" % (name, epoch))

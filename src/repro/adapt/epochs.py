@@ -7,7 +7,7 @@ violations, restarts, buffer high-water marks, master wall cycles) into
 :class:`StlObservation` objects that pair each STL's *realized* speedup
 with the :class:`~repro.tracer.selector.Prediction` the selector
 trusted, which is exactly the divergence signal the
-:class:`~repro.adapt.policy.AdaptPolicy` feeds on.
+:class:`~repro.adapt.policy.ThresholdPolicy` feeds on.
 
 Realized speedup is measured as ``work_cycles / wall_cycles``:
 

@@ -246,7 +246,7 @@ def _check_number(problems, data, key, where, optional=False):
 
 def validate_log_dict(data):
     """Check an adapt-log dict (``AdaptationLog.to_dict()`` or the
-    ``jrpm adapt --json`` payload).  Returns a list of problem strings;
+    ``jrpm run --adapt --json`` payload).  Returns a list of problem strings;
     empty means the log is schema-conformant."""
     problems = []
     if not isinstance(data, dict):

@@ -1,14 +1,16 @@
-"""Pluggable adaptation policies: telemetry in, decisions out.
+"""The adaptation policy: telemetry in, decisions out.
 
-A policy is a pure function of :class:`~repro.adapt.epochs
+The policy is a pure function of :class:`~repro.adapt.epochs
 .EpochTelemetry` and the controller's :class:`AdaptState` — it never
 touches the compiler, so it is unit-testable with fabricated telemetry
 (the hysteresis tests do exactly that).  The controller applies the
 returned :class:`~repro.adapt.log.AdaptDecision` proposals: decommits
 prune the plan set, lock escalations synthesize a
 :class:`~repro.tracer.selector.SyncPlan` through the selector hook, and
-(policy permitting) promotions re-select previously conflicting
-candidates.
+(``promote`` permitting) promotions re-select previously conflicting
+candidates.  :class:`ThresholdPolicy` is the one policy; its knobs are
+constructor arguments, and tests pass a tuned instance to force
+decommits and escalations.
 
 Hysteresis: every decision stamps ``state.last_action_epoch[loop]``;
 :class:`ThresholdPolicy` refuses to touch the same STL again within
@@ -18,7 +20,6 @@ between committed and decommitted states.
 
 from dataclasses import dataclass, field
 
-from .epochs import EpochTelemetry, StlObservation  # noqa: F401 (re-export)
 from .log import ACTION_DECOMMIT, ACTION_LOCK_ESCALATE, AdaptDecision
 
 
@@ -38,36 +39,8 @@ class AdaptState:
         self.last_action_epoch[loop_id] = epoch
 
 
-class AdaptPolicy:
-    """Base policy: observe an epoch, propose plan-set changes."""
-
-    name = "base"
-    #: whether the controller may promote unblocked candidates after a
-    #: decommit (see AdaptController._promote)
-    promote = False
-    #: hysteresis window consulted by the controller for promotions too
-    cooldown = 1
-
-    def params(self):
-        """JSON-safe knob dict (rides cache keys and the adapt log)."""
-        return {}
-
-    def decide(self, telemetry, state):
-        """Return a list of :class:`AdaptDecision` proposals."""
-        raise NotImplementedError
-
-
-class NullPolicy(AdaptPolicy):
-    """Never adapts — the one-shot A/B baseline."""
-
-    name = "null"
-
-    def decide(self, telemetry, state):
-        return []
-
-
-class ThresholdPolicy(AdaptPolicy):
-    """The default controller policy: fixed thresholds + cooldown.
+class ThresholdPolicy:
+    """The controller's one policy: fixed thresholds + cooldown.
 
     * **decommit** when realized speedup < ``decommit_threshold``
       (default 1.0: the STL ran slower than sequential code would);
@@ -79,8 +52,8 @@ class ThresholdPolicy(AdaptPolicy):
       ``min_threads`` committed threads before it is judged at all.
     """
 
+    #: the name the adaptation log records
     name = "threshold"
-    promote = True
 
     def __init__(self, decommit_threshold=1.0, violation_cutoff=0.25,
                  cooldown=1, min_threads=1, promote=True):
@@ -91,6 +64,7 @@ class ThresholdPolicy(AdaptPolicy):
         self.promote = bool(promote)
 
     def params(self):
+        """JSON-safe knob dict (rides the adaptation log)."""
         return {"decommit_threshold": self.decommit_threshold,
                 "violation_cutoff": self.violation_cutoff,
                 "cooldown": self.cooldown,
@@ -98,6 +72,7 @@ class ThresholdPolicy(AdaptPolicy):
                 "promote": self.promote}
 
     def decide(self, telemetry, state):
+        """Return a list of :class:`AdaptDecision` proposals."""
         decisions = []
         for loop_id in sorted(telemetry.per_stl):
             observation = telemetry.per_stl[loop_id]
@@ -140,25 +115,3 @@ class ThresholdPolicy(AdaptPolicy):
                     }))
         return decisions
 
-
-#: CLI / ``RunOptions.policy`` registry: ``--policy`` names map here.
-POLICIES = {
-    ThresholdPolicy.name: ThresholdPolicy,
-    NullPolicy.name: NullPolicy,
-}
-
-
-def make_policy(name="threshold", **knobs):
-    """Instantiate a registered policy, ignoring knobs it does not
-    accept (so the CLI can pass every flag unconditionally) and knobs
-    whose value is ``None`` (flag not given)."""
-    try:
-        factory = POLICIES[name]
-    except KeyError:
-        raise ValueError("unknown adapt policy %r (have: %s)"
-                         % (name, ", ".join(sorted(POLICIES))))
-    import inspect
-    accepted = set(inspect.signature(factory.__init__).parameters)
-    kwargs = {key: value for key, value in knobs.items()
-              if value is not None and key in accepted}
-    return factory(**kwargs)

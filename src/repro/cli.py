@@ -2,19 +2,18 @@
 
 Commands:
 
-* ``run FILE [--verbose]``      — run the full pipeline on a MiniJava file
-* ``bench NAME [--size S]``     — run one of the 26 paper benchmarks
+* ``run FILE|NAME [--size S] [--trace-out T.json] [--adapt] [--json]``
+  — run one program, a MiniJava file or one of the 26 paper
+  benchmarks, through the full pipeline and print its report; with
+  ``--trace``/``--trace-out``/``--timeline`` the cycle-level event
+  collector is attached (see docs/observability.md), with ``--adapt``
+  it runs under the epoch-based adaptive recompilation controller
+  (see docs/adaptation.md)
 * ``suite [--size S] [--jobs N]`` — run the whole suite in parallel,
   memoized in the report cache, and print the summary
 * ``list``                      — list the available benchmarks
 * ``profile FILE``              — show only the TEST profile + verdicts
-* ``trace NAME|FILE --out T.json`` — run with the cycle-level event
-  collector attached and export a Chrome/Perfetto trace (see
-  docs/observability.md)
-* ``adapt NAME|FILE [--epochs N] [--policy P] [--json]`` — run under
-  the epoch-based adaptive recompilation controller and print the
-  decision log (see docs/adaptation.md)
-* ``analyze NAME|FILE [--json]`` — static dependence analysis: per-loop
+* ``analyze FILE|NAME [--json]`` — static dependence analysis: per-loop
   carried-dependence classification (must/may/absent), predicted
   violation arcs, and agreement with what the TEST profiler actually
   observed (see docs/analysis.md)
@@ -43,6 +42,7 @@ import sys
 
 from .core.pipeline import Jrpm
 from .core.report import format_report, format_suite_summary
+from .errors import DivergenceError
 from .hydra.config import ENGINES
 from .minijava import compile_source
 
@@ -58,6 +58,14 @@ def _add_profdb_flags(parser):
                              "whenever the exact input is stored "
                              "(default), off = always profile (still "
                              "records)")
+
+
+def _add_target_flags(parser):
+    parser.add_argument("--size", default="default",
+                        choices=["small", "default", "large"],
+                        help="benchmark input size (default: default)")
+    parser.add_argument("--manual", action="store_true",
+                        help="the benchmark's hand-transformed variant")
 
 
 def _add_hw_flags(parser):
@@ -80,45 +88,34 @@ def _options_from(args):
     from .service.options import RunOptions
     return RunOptions(
         cpus=args.cpus,
-        old_handlers=getattr(args, "old_handlers", False),
-        engine=getattr(args, "engine", "fast"),
+        old_handlers=args.old_handlers,
+        engine=args.engine,
         trace=bool(getattr(args, "trace", False)
-                   or getattr(args, "trace_out", None)),
-        adapt=bool(getattr(args, "adapt", False)),
-        epochs=getattr(args, "adapt_epochs", None)
-               or getattr(args, "epochs", None) or 4,
-        policy=getattr(args, "policy", None) or "threshold",
+                   or getattr(args, "trace_out", None)
+                   or getattr(args, "timeline", False)),
+        adapt=getattr(args, "adapt", False),
+        epochs=getattr(args, "epochs", 4),
         profile_db=getattr(args, "profdb", None),
         warm_start=getattr(args, "warm_start", "auto"))
 
 
-def cmd_run(args):
-    from .service import Session
-    with open(args.file) as fh:
-        source = fh.read()
-    options = _options_from(args)
-    options.verify = False       # mismatch is this command's exit code
-    with Session.local(use_store=False) as session:
-        report = session.run(source, name=args.file, options=options)
-    print(format_report(report, verbose=args.verbose))
-    return 0 if report.outputs_match() else 1
-
-
 def _workload_source(args):
-    """(source, name) for a bench/trace/adapt/analyze target: a MiniJava
-    file path (anything that exists on disk), else a registry workload.
-    Raises :class:`ValueError` for an unusable target (unknown workload,
-    no manual variant)."""
-    if os.path.exists(args.name):
-        with open(args.name) as fh:
-            return fh.read(), args.name
+    """(source, name) for a run/analyze target: a MiniJava file path
+    (anything that exists on disk), else a registry workload.  Raises
+    :class:`ValueError` for an unusable target (unknown workload, no
+    manual variant)."""
+    if os.path.exists(args.target):
+        with open(args.target) as fh:
+            return fh.read(), args.target
     from .service.jobs import resolve_workload
-    return resolve_workload(
-        args.name, args.size,
-        "manual" if getattr(args, "manual", False) else "base")
+    return resolve_workload(args.target, args.size,
+                            "manual" if args.manual else "base")
 
 
-def cmd_bench(args):
+def cmd_run(args):
+    """Run one program through the pipeline (under the adaptive
+    controller with ``--adapt``) and print its report, adaptation log
+    or trace; exit 1 if the speculative output differs."""
     try:
         source, name = _workload_source(args)
     except ValueError as error:
@@ -126,14 +123,28 @@ def cmd_bench(args):
         return 2
     options = _options_from(args)
     jrpm = Jrpm(options=options)
+    program = compile_source(source)
     if options.adapt:
-        report = jrpm.run_adaptive(compile_source(source), name=name,
-                                   epochs=options.epochs)
+        try:
+            report = jrpm.run_adaptive(program, name=name,
+                                       epochs=options.epochs, verify=True)
+        except DivergenceError as error:
+            print("run: %s" % error, file=sys.stderr)
+            return 1
     else:
-        report = jrpm.run(compile_source(source), name=name)
-    print(format_report(report, verbose=args.verbose))
-    if options.trace:
-        _emit_trace(report, name, args.trace_out, timeline=False)
+        report = jrpm.run(program, name=name)
+    if args.json:
+        if report.adaptation is not None:
+            payload = report.adaptation.to_dict()
+            payload["outputs_match"] = report.outputs_match()
+            payload["tls_speedup"] = report.tls_speedup
+        else:
+            payload = dict(_workload_json(report), name=name)
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(format_report(report, verbose=args.verbose))
+    if report.trace is not None:
+        _emit_trace(report, name, args.trace_out, timeline=args.timeline)
     return 0 if report.outputs_match() else 1
 
 
@@ -145,61 +156,14 @@ def _emit_trace(report, name, out, timeline=False):
     if aggregates is not None:
         for line in aggregates.summary_lines():
             print(line, file=sys.stderr)
-    if out and report.trace is not None:
+    if out:
         write_chrome_trace(report.trace, out, name=name)
         print("trace:  wrote %s (%d events; open in "
               "https://ui.perfetto.dev or chrome://tracing)"
               % (out, aggregates.events_recorded if aggregates else 0),
               file=sys.stderr)
-    if timeline and report.trace is not None:
+    if timeline:
         print(format_timeline(report.trace))
-
-
-def cmd_trace(args):
-    try:
-        source, name = _workload_source(args)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    from .trace import TraceOptions
-    trace_options = TraceOptions(capacity=args.ring)
-    report = Jrpm(options=_options_from(args),
-                  trace=trace_options).run(
-        compile_source(source), name=name)
-    print(format_report(report, verbose=args.verbose))
-    _emit_trace(report, name, args.out, timeline=args.timeline)
-    return 0 if report.outputs_match() else 1
-
-
-def cmd_adapt(args):
-    """Adaptive recompilation: run epochs under the feedback
-    controller, print (or emit as JSON) the decision log."""
-    try:
-        source, name = _workload_source(args)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    from .adapt import make_policy
-    options = _options_from(args)
-    policy = make_policy(options.policy,
-                         decommit_threshold=args.decommit_threshold,
-                         violation_cutoff=args.violation_cutoff,
-                         cooldown=args.cooldown)
-    jrpm = Jrpm(options=options)
-    report = jrpm.run_adaptive(compile_source(source), name=name,
-                               args=(), policy=policy,
-                               epochs=options.epochs, verify=True)
-    log = report.adaptation
-    if args.json:
-        payload = log.to_dict()
-        payload["outputs_match"] = report.outputs_match()
-        payload["tls_speedup"] = report.tls_speedup
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(format_report(report, verbose=args.verbose))
-    if args.trace and args.trace_out:
-        _emit_trace(report, name, args.trace_out, timeline=False)
-    return 0 if report.outputs_match() else 1
 
 
 def cmd_analyze(args):
@@ -440,34 +404,37 @@ def main(argv=None):
                              "default: $JRPM_LOG or warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the pipeline on a MiniJava file")
-    p_run.add_argument("file")
+    p_run = sub.add_parser(
+        "run", help="run one program: a MiniJava file or a benchmark")
+    p_run.add_argument("target",
+                       help="MiniJava file path or benchmark name")
+    _add_target_flags(p_run)
     p_run.add_argument("--verbose", "-v", action="store_true")
+    p_run.add_argument("--trace", action="store_true",
+                       help="attach the event collector and print "
+                            "trace aggregates on stderr")
+    p_run.add_argument("--trace-out", default=None, metavar="FILE",
+                       help="also export a Chrome trace JSON (load in "
+                            "Perfetto / chrome://tracing; implies "
+                            "--trace)")
+    p_run.add_argument("--adapt", action="store_true",
+                       help="run under the adaptive recompilation "
+                            "controller, checking every epoch's output "
+                            "(docs/adaptation.md)")
+    p_run.add_argument("--epochs", type=int, default=4, metavar="N",
+                       help="maximum epochs for --adapt (default 4)")
+    shown = p_run.add_mutually_exclusive_group()
+    shown.add_argument("--timeline", action="store_true",
+                       help="print the per-loop text timeline on stdout "
+                            "(implies --trace)")
+    shown.add_argument("--json", action="store_true",
+                       help="print JSON instead of the report: the "
+                            "adaptation log with --adapt (schema "
+                            "checked by scripts/check_adapt_log.py), "
+                            "else the suite's per-workload entry")
     _add_hw_flags(p_run)
     _add_profdb_flags(p_run)
     p_run.set_defaults(fn=cmd_run)
-
-    p_bench = sub.add_parser("bench", help="run one paper benchmark")
-    p_bench.add_argument("name")
-    p_bench.add_argument("--size", default="default",
-                         choices=["small", "default", "large"])
-    p_bench.add_argument("--manual", action="store_true")
-    p_bench.add_argument("--verbose", "-v", action="store_true")
-    p_bench.add_argument("--trace", action="store_true",
-                         help="attach the event collector and print "
-                              "trace aggregates on stderr")
-    p_bench.add_argument("--trace-out", default=None, metavar="FILE",
-                         help="also export a Chrome trace JSON "
-                              "(implies --trace)")
-    p_bench.add_argument("--adapt", action="store_true",
-                         help="run under the adaptive recompilation "
-                              "controller (docs/adaptation.md)")
-    p_bench.add_argument("--adapt-epochs", type=int, default=4,
-                         metavar="N",
-                         help="epochs for --adapt (default 4)")
-    _add_hw_flags(p_bench)
-    _add_profdb_flags(p_bench)
-    p_bench.set_defaults(fn=cmd_bench)
 
     p_suite = sub.add_parser("suite", help="run the whole 26-benchmark "
                                            "suite")
@@ -493,9 +460,8 @@ def main(argv=None):
                          help="run every workload under the adaptive "
                               "recompilation controller (separate "
                               "cache keys)")
-    p_suite.add_argument("--adapt-epochs", type=int, default=4,
-                         metavar="N",
-                         help="epochs for --adapt (default 4)")
+    p_suite.add_argument("--epochs", type=int, default=4, metavar="N",
+                         help="maximum epochs for --adapt (default 4)")
     _add_hw_flags(p_suite)
     _add_profdb_flags(p_suite)
     p_suite.set_defaults(fn=cmd_suite)
@@ -509,75 +475,12 @@ def main(argv=None):
     _add_hw_flags(p_prof)
     p_prof.set_defaults(fn=cmd_profile)
 
-    p_trace = sub.add_parser(
-        "trace", help="run one workload with cycle-level event tracing")
-    p_trace.add_argument("name",
-                         help="benchmark name or MiniJava file path")
-    p_trace.add_argument("--size", default="default",
-                         choices=["small", "default", "large"])
-    p_trace.add_argument("--manual", action="store_true")
-    p_trace.add_argument("--out", "-o", default=None, metavar="FILE",
-                         help="write a Chrome trace-event JSON "
-                              "(load in Perfetto / chrome://tracing)")
-    p_trace.add_argument("--timeline", action="store_true",
-                         help="print the per-loop text timeline on "
-                              "stdout")
-    p_trace.add_argument("--ring", type=int, default=65536,
-                         help="trace ring-buffer capacity in events "
-                              "(default 65536; oldest events drop "
-                              "first)")
-    p_trace.add_argument("--verbose", "-v", action="store_true")
-    _add_hw_flags(p_trace)
-    p_trace.set_defaults(fn=cmd_trace)
-
-    p_adapt = sub.add_parser(
-        "adapt", help="run one workload under the adaptive "
-                      "recompilation controller")
-    p_adapt.add_argument("name",
-                         help="benchmark name or MiniJava file path")
-    p_adapt.add_argument("--size", default="default",
-                         choices=["small", "default", "large"])
-    p_adapt.add_argument("--manual", action="store_true")
-    p_adapt.add_argument("--epochs", type=int, default=4,
-                         help="maximum epochs (default 4)")
-    p_adapt.add_argument("--policy", default="threshold",
-                         choices=["threshold", "null"],
-                         help="adaptation policy (default threshold)")
-    p_adapt.add_argument("--decommit-threshold", type=float,
-                         default=None, metavar="X",
-                         help="decommit STLs whose realized speedup "
-                              "falls below X (policy default 1.0)")
-    p_adapt.add_argument("--violation-cutoff", type=float, default=None,
-                         metavar="X",
-                         help="lock-escalate above X violations per "
-                              "committed thread (policy default 0.25)")
-    p_adapt.add_argument("--cooldown", type=int, default=None,
-                         metavar="N",
-                         help="hysteresis: leave an acted-on STL alone "
-                              "for N epochs (policy default 1)")
-    p_adapt.add_argument("--json", action="store_true",
-                         help="emit the adaptation log as JSON on "
-                              "stdout (schema checked by "
-                              "scripts/check_adapt_log.py)")
-    p_adapt.add_argument("--trace", action="store_true",
-                         help="attach the event collector (adapt "
-                              "decisions appear on the Perfetto "
-                              "timeline)")
-    p_adapt.add_argument("--trace-out", default=None, metavar="FILE",
-                         help="export a Chrome trace JSON (with "
-                              "--trace)")
-    p_adapt.add_argument("--verbose", "-v", action="store_true")
-    _add_hw_flags(p_adapt)
-    p_adapt.set_defaults(fn=cmd_adapt)
-
     p_analyze = sub.add_parser(
         "analyze", help="static dependence analysis vs the TEST "
                         "profile")
-    p_analyze.add_argument("name",
-                           help="benchmark name or MiniJava file path")
-    p_analyze.add_argument("--size", default="default",
-                           choices=["small", "default", "large"])
-    p_analyze.add_argument("--manual", action="store_true")
+    p_analyze.add_argument("target",
+                           help="MiniJava file path or benchmark name")
+    _add_target_flags(p_analyze)
     p_analyze.add_argument("--json", action="store_true",
                            help="emit the analysis report as JSON on "
                                 "stdout (schema checked by "

@@ -700,8 +700,7 @@ class Jrpm:
                               report.name)
 
     def run_adaptive(self, source_or_program, name="program", args=(),
-                     policy=None, epochs=4, stop_on_converged=True,
-                     verify=False):
+                     policy=None, epochs=4, verify=False):
         """Run the pipeline under the epoch-based feedback controller.
 
         Unlike :meth:`run` (one-shot: the TEST profile is trusted
@@ -709,15 +708,13 @@ class Jrpm:
         :class:`~repro.adapt.log.AdaptationLog` recording every epoch,
         decommit, lock escalation and promotion the
         :class:`~repro.adapt.controller.AdaptController` performed.
-        ``policy`` may be an :class:`~repro.adapt.policy.AdaptPolicy`
-        instance, a registered policy name, or ``None`` (threshold
-        defaults).
+        ``policy`` is a :class:`~repro.adapt.policy.ThresholdPolicy`
+        (``None``: its defaults); ``verify`` raises
+        :class:`~repro.errors.DivergenceError` at the first epoch whose
+        output differs from the sequential baseline's.
         """
-        from ..adapt import AdaptController, make_policy
-        if isinstance(policy, str):
-            policy = make_policy(policy)
+        from ..adapt import AdaptController
         controller = AdaptController(self, policy=policy, epochs=epochs,
-                                     stop_on_converged=stop_on_converged,
                                      verify=verify)
         program = self._program_of(source_or_program)
         report = controller.run(program, name=name, args=args)

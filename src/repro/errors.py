@@ -23,6 +23,12 @@ class JitError(JrpmError):
     """Raised by the microJIT compiler for untranslatable bytecode."""
 
 
+class DivergenceError(JrpmError):
+    """Raised when a speculative run's output differs from the
+    sequential baseline's (an adaptive epoch checked with
+    ``verify=True``)."""
+
+
 class VMError(JrpmError):
     """Raised by the runtime for machine-level faults (bad address, ...)."""
 

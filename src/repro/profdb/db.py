@@ -121,8 +121,7 @@ class ProfileDb:
     def input_key(program, args, config, stl_options, vm_options):
         """Input key: exact program fingerprint + argv + options."""
         digest = hashlib.sha256()
-        digest.update(program_fingerprint(
-            program, include_constants=True).encode())
+        digest.update(program_fingerprint(program).encode())
         digest.update(json.dumps(list(args)).encode())
         digest.update(options_fingerprint(
             config, stl_options, vm_options).encode())

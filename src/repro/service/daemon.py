@@ -35,6 +35,9 @@ from .store import ArtifactStore
 
 _log = get_logger("service.daemon")
 
+#: control verbs whose payload must be empty
+_BARE_VERBS = ("ping", "stats", "version", "drain")
+
 #: the keys a job request's payload may carry; every one but
 #: ``options`` (a :meth:`RunOptions.from_dict` dict) is a string
 JOB_PAYLOAD_KEYS = ("source", "workload", "name", "size", "variant",
@@ -234,6 +237,11 @@ class JrpmServer:
                 request_id, protocol.encode_result(result),
                 elapsed=time.perf_counter() - started)
 
+        if verb in _BARE_VERBS and payload:
+            return protocol.make_error(
+                request_id, "bad-request",
+                "%s takes no payload (got %s)"
+                % (verb, ", ".join(sorted(payload))))
         if verb == "ping":
             return reply({"pong": True,
                           "protocol": protocol.PROTOCOL_VERSION,

@@ -69,13 +69,13 @@ VERBS = ("profile", "run", "run_adaptive", "analyze")
 #: first-class key material; the profile DB is mutable cross-run state
 #: (the store bypasses jobs that attach one), so it must not fork the
 #: keyspace either.  ``adapt`` only picks a caller's verb (``jrpm
-#: suite``, ``jrpm bench``), and the verb is key material itself.
+#: suite``, ``jrpm run``), and the verb is key material itself.
 _UNKEYED_OPTIONS = ("timeout", "verify", "args", "profile_db",
                     "warm_start", "adapt")
 
-#: the adaptive controller's knobs: key material under ``run_adaptive``
+#: the adaptive controller's knob: key material under ``run_adaptive``
 #: only, inert for every other verb
-_ADAPT_OPTIONS = ("epochs", "policy")
+_ADAPT_OPTIONS = ("epochs",)
 
 #: the keyed :class:`RunOptions` fields under ``run_adaptive`` and under
 #: every other verb
@@ -384,7 +384,6 @@ def _do_run_adaptive(spec, jrpm, program):
     _stamp_request(jrpm, spec)
     report = jrpm.run_adaptive(program, name=spec.name,
                                args=spec.options.args,
-                               policy=spec.options.policy,
                                epochs=spec.options.epochs)
     return _finish_run(spec, report)
 

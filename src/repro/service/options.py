@@ -10,7 +10,6 @@ each knob has a single spelling everywhere.
 
 from dataclasses import dataclass, fields
 
-from ..adapt.policy import POLICIES
 from ..core.pipeline import VmOptions
 from ..hydra.config import HydraConfig, SpeculationOverheads, check_engine
 from ..jit.stl import StlOptions
@@ -34,7 +33,6 @@ class RunOptions:
     trace: bool = False                  # attach the repro.trace collector
     adapt: bool = False                  # run under the adapt controller
     epochs: int = 4                      # adaptive epochs
-    policy: str = "threshold"            # adaptive policy (adapt.POLICIES)
 
     # -- persistent profile DB (repro.profdb) --------------------------------
     profile_db: str = None               # ProfileDb path ("" / None = off)
@@ -46,14 +44,11 @@ class RunOptions:
     timeout: float = None                # per-run seconds (pool workers)
 
     def __post_init__(self):
-        """Reject an unknown ``engine``, ``warm_start`` or ``policy``
+        """Reject an unknown ``engine`` or ``warm_start``
         (``ValueError``): a mistyped value must not yield a run."""
         self.args = tuple(self.args)
         check_engine(self.engine)
         check_warm_start(self.warm_start)
-        if self.policy not in POLICIES:
-            raise ValueError("unknown adapt policy %r (known: %s)"
-                             % (self.policy, ", ".join(sorted(POLICIES))))
 
     # -- projections to the per-subsystem option objects ---------------------
     def hydra_config(self):

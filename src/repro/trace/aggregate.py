@@ -118,7 +118,8 @@ class TraceAggregates:
         return aggregates
 
     def summary_lines(self):
-        """Human summary used by ``jrpm trace`` and verbose reports."""
+        """Human summary used by ``jrpm run --trace`` and verbose
+        reports."""
         lines = []
         lines.append("trace: %d events recorded (%d dropped, ring %d)"
                      % (self.events_recorded, self.events_dropped,

@@ -15,8 +15,8 @@ import pytest
 from repro.adapt import (ACTION_DECOMMIT, ACTION_LOCK_ESCALATE,
                          ACTION_PROMOTE, AdaptDecision, AdaptState,
                          AdaptationLog, EpochRecord, EpochTelemetry,
-                         NullPolicy, StlObservation, ThresholdPolicy,
-                         make_policy, validate_log_dict)
+                         StlObservation, ThresholdPolicy,
+                         validate_log_dict)
 from repro.core.pipeline import Jrpm, JrpmReport
 from repro.hydra.config import HydraConfig
 from repro.minijava import compile_source
@@ -55,13 +55,6 @@ def _telemetry(epoch, loop_id, realized, violations=0, threads=100,
 # ---------------------------------------------------------------------------
 # policy units
 # ---------------------------------------------------------------------------
-
-
-def test_null_policy_never_decides():
-    plan = _plan(1)
-    state = AdaptState(plans={1: plan})
-    telemetry = _telemetry(0, 1, realized=0.1, plan=plan)
-    assert NullPolicy().decide(telemetry, state) == []
 
 
 def test_threshold_policy_decommits_slow_stl():
@@ -109,17 +102,6 @@ def test_threshold_policy_min_threads_gate():
     telemetry = _telemetry(0, 1, realized=0.2, threads=2, plan=plan)
     assert ThresholdPolicy(min_threads=8).decide(telemetry, state) == []
     assert ThresholdPolicy(min_threads=1).decide(telemetry, state)
-
-
-def test_make_policy_registry_and_knob_filtering():
-    policy = make_policy("threshold", decommit_threshold=0.5,
-                         violation_cutoff=None, bogus_knob=7)
-    assert isinstance(policy, ThresholdPolicy)
-    assert policy.decommit_threshold == 0.5
-    assert policy.violation_cutoff == 0.25          # None -> default
-    assert isinstance(make_policy("null"), NullPolicy)
-    with pytest.raises(ValueError):
-        make_policy("nonexistent")
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +452,17 @@ def test_well_predicted_program_converges_without_decisions():
     log = report.adaptation
     assert log.applied_decisions() == []
     assert log.converged_epoch == 0
-    assert log.epochs_run == 1          # stop_on_converged
+    assert log.epochs_run == 1          # no decision ends the run
     assert report.outputs_match()
 
 
 def test_null_policy_is_one_shot_equivalent():
+    """A run whose policy makes no decision is the one-shot pipeline."""
     jrpm = Jrpm(config=_permissive_config())
+    never = ThresholdPolicy(decommit_threshold=0.0,
+                            violation_cutoff=float("inf"))
     adaptive = jrpm.run_adaptive(SERIAL_DEP, name="serialdep",
-                                 args=(200,), policy="null", epochs=3)
+                                 args=(200,), policy=never, epochs=3)
     one_shot = Jrpm(config=_permissive_config()).run(
         SERIAL_DEP, name="serialdep", args=(200,))
     assert adaptive.adaptation.applied_decisions() == []

@@ -59,26 +59,14 @@ def _run(db_path, source=LOOPY, name="loopy", warm_start=None, **kwargs):
 
 # -- fingerprints -------------------------------------------------------------
 
-def test_method_fingerprint_masks_constants():
-    a = compile_source(LOOPY)
-    b = compile_source(LOOPY_BIGGER)
-    mains_a = {m.qualified_name: m for m in a.all_methods()}
-    mains_b = {m.qualified_name: m for m in b.all_methods()}
-    for name in mains_a:
-        # structural form masks ICONST operands: sizes hash identically
-        assert method_fingerprint(mains_a[name]) \
-            == method_fingerprint(mains_b[name])
-    # exact form keeps them: byte-different programs never collide
-    assert program_fingerprint(a, include_constants=True) \
-        != program_fingerprint(b, include_constants=True)
-    assert program_fingerprint(a) == program_fingerprint(b)
-
-
 def test_method_fingerprint_sees_real_edits():
     edited = LOOPY.replace("sum + i * 3", "sum + i + 3")
     (a,) = compile_source(LOOPY).all_methods()
     (b,) = compile_source(edited).all_methods()
     assert method_fingerprint(a) != method_fingerprint(b)
+    # constants count: two sizes of one program never share a record
+    assert program_fingerprint(compile_source(LOOPY)) \
+        != program_fingerprint(compile_source(LOOPY_BIGGER))
 
 
 # -- record model -------------------------------------------------------------
@@ -329,10 +317,9 @@ def test_warm_run_derives_its_input_key_once(db_path, monkeypatch):
     exact = []
     real = db_module.program_fingerprint
 
-    def counting(program, include_constants=False):
-        if include_constants:
-            exact.append(program)
-        return real(program, include_constants=include_constants)
+    def counting(program):
+        exact.append(program)
+        return real(program)
 
     monkeypatch.setattr(db_module, "program_fingerprint", counting)
     report = _run(db_path)
@@ -595,12 +582,15 @@ def test_run_options_round_trip_with_profdb_fields(db_path):
     assert defaults.warm_start == "auto"
 
 
-@pytest.mark.parametrize("field, value", [
-    ("warm_start", "force"), ("warm_start", "bogus"), ("policy", "nope")])
-def test_run_options_reject_unknown_values(field, value):
-    """A retired or mistyped ``warm_start`` and an unregistered adapt
-    ``policy`` are errors at construction, never a plausible run."""
-    with pytest.raises(ValueError, match=value):
+@pytest.mark.parametrize("field, value, needle", [
+    ("warm_start", "force", "force"), ("warm_start", "bogus", "bogus"),
+    ("policy", "nope", "policy")],
+    ids=["warm_start-force", "warm_start-bogus", "policy-nope"])
+def test_run_options_reject_unknown_values(field, value, needle):
+    """A retired or mistyped ``warm_start`` and the retired adapt
+    ``policy`` field are errors at construction, never a plausible run;
+    the error names the bad value, or the retired field."""
+    with pytest.raises(ValueError, match=needle):
         RunOptions.from_dict({field: value})
 
 

@@ -133,12 +133,9 @@ def test_cache_key_diverges_on_adapt_knobs():
     assert adapt != base
     assert job_fingerprint(tiny_spec(verb="run_adaptive",
                                      epochs=7)) != adapt
-    assert job_fingerprint(tiny_spec(verb="run_adaptive",
-                                     policy="null")) != adapt
-    # the epoch/policy knobs and the verb-implied adapt flag are inert
-    # for every other verb
+    # the epoch knob and the verb-implied adapt flag are inert for
+    # every other verb
     assert job_fingerprint(tiny_spec(epochs=7)) == base
-    assert job_fingerprint(tiny_spec(policy="null")) == base
     assert job_fingerprint(tiny_spec(adapt=True)) == base
     assert job_fingerprint(tiny_spec(verb="profile", epochs=7)) \
         == job_fingerprint(tiny_spec(verb="profile"))
@@ -507,7 +504,7 @@ def test_cli_bench_manual_missing_errors_cleanly(capsys):
     name = next(w.name for w in all_workloads()
                 if not w.has_manual_variant)
     start = time.perf_counter()
-    assert main(["bench", name, "--manual"]) == 2
+    assert main(["run", name, "--manual"]) == 2
     # errors out before compiling/running anything
     assert time.perf_counter() - start < 5.0
     captured = capsys.readouterr()
@@ -537,8 +534,8 @@ def test_cli_suite_json_subset(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["suite", "--only", "Nope"],
-                                  ["bench", "Nope"]],
-                         ids=["suite", "bench"])
+                                  ["run", "Nope"]],
+                         ids=["suite", "run"])
 def test_cli_unknown_workload_is_a_one_line_diagnostic(argv, capsys):
     from repro.cli import main
     assert main(argv) == 2

@@ -293,24 +293,27 @@ def test_bad_engine_is_a_bad_request_before_queueing(fresh_registry,
 def test_bad_run_option_values_are_bad_requests_before_queueing(
         fresh_registry, service):
     """An unknown ``warm_start`` (the retired ``force`` included) or
-    adapt ``policy`` is rejected before any job is queued."""
+    the retired adapt ``policy`` field is rejected before any job is
+    queued; the error names the bad value, or the retired field."""
     with service.client() as client:
-        for options in ({"warm_start": "force"}, {"warm_start": "bogus"},
-                        {"policy": "nope"}):
+        for options, needle in (({"warm_start": "force"}, "force"),
+                                ({"warm_start": "bogus"}, "bogus"),
+                                ({"policy": "nope"}, "policy")):
             with pytest.raises(JrpmServiceError) as excinfo:
                 client.request("run_adaptive", {"source": TINY,
                                                 "options": options})
             assert excinfo.value.kind == "bad-request"
-            assert next(iter(options.values())) in str(excinfo.value)
+            assert needle in str(excinfo.value)
         assert fresh_registry.total("jrpm_scheduler_submits") == 0
 
 
 def test_control_payloads_are_strict(fresh_registry, tmp_path):
     """The ``profdb`` verb works on the daemon's own ``--profdb`` DB
     only and takes only ``op`` and non-negative int caps; ``metrics``
-    takes only ``format``; a job naming its own ``profile_db`` is
-    refused.  A refused path gets no directory and no ``.lock``, and a
-    typo'd cap evicts nothing."""
+    takes only ``format``; ``ping``, ``stats``, ``version`` and
+    ``drain`` take nothing, so a mistyped ``drain`` does not drain; a
+    job naming its own ``profile_db`` is refused.  A refused path gets
+    no directory and no ``.lock``, and a typo'd cap evicts nothing."""
     fixture = ServiceFixture(tmp_path, jobs=1,
                              profdb_path=str(tmp_path / "daemon"))
     elsewhere = tmp_path / "elsewhere" / "db"
@@ -324,15 +327,21 @@ def test_control_payloads_are_strict(fresh_registry, tmp_path):
                    ("profdb", {"op": "gc", "max_inputs": "0"}),
                    ("metrics", {"format": "json", "verbose": True}),
                    ("run", {"source": TINY, "options": {
-                       "profile_db": str(elsewhere)}})]
+                       "profile_db": str(elsewhere)}}),
+                   ("ping", {"bogus": 1}),
+                   ("stats", {"bogus": 1}),
+                   ("version", {"bogus": 1}),
+                   ("drain", {"now": True})]
             settled = client.request_many(bad)
             kinds = [getattr(result, "kind", "ok")
                      for result, _, _ in settled]
             assert kinds == ["bad-request"] * len(bad)
             for (result, _, _), needle in zip(settled, (
                     "path", "max_program", "-1", "'0'", "verbose",
-                    "profile_db")):
+                    "profile_db", "bogus", "bogus", "bogus", "now")):
                 assert needle in str(result)
+            # the refused drain left the daemon serving
+            assert client.ping()["draining"] is False
             stats = client.profdb()["profdb"]
             assert (stats["programs"], stats["runs"]) == (1, 1)
     finally:
@@ -663,6 +672,19 @@ def test_run_options_round_trip_and_strictness():
         RunOptions.from_dict({"adapt_epochs": 3})
 
 
+def test_service_import_leaves_the_adapt_package_unloaded():
+    """``RunOptions`` names no adapt policy, so a daemon that never
+    serves ``run_adaptive`` never imports ``repro.adapt``."""
+    import subprocess
+    import sys
+    code = ("import sys, repro.service; print(sorted(m for m in "
+            "sys.modules if m.startswith('repro.adapt')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
 def test_run_options_reject_an_unknown_engine():
     with pytest.raises(ValueError, match="unknown engine 'bogus'"):
         RunOptions(engine="bogus")
@@ -849,7 +871,8 @@ def test_traced_daemon_run_correlates_request_id(service):
 
 #: ``job_fingerprint(..., salt="s")`` of BitOps at size "small": the key
 #: as computed before its options part was memoized, with no
-#: ``analysis`` option in the key material
+#: ``analysis`` option in the key material and, under ``run_adaptive``,
+#: no ``policy`` option
 PINNED_KEYS = {
     ("run", "default"):
         "9d93295d356005dc0b1088238b39da90aab6ddbd09f08ff595ea3ab22ec0c24e",
@@ -858,11 +881,11 @@ PINNED_KEYS = {
     ("run", "old-reference-epochs3"):
         "a91cce9ca4b3faa71e4956def3aac6b56026e11d119f475f04c19ddf0bc97c2f",
     ("run_adaptive", "default"):
-        "b8720db81729a908169d5a351d1be9f9553b4cbb6d1d7292f7eb696464458cb4",
+        "aa08174794c72aa5fec79d0c960384db32f974a98c4e886344f4e7a05b390e25",
     ("run_adaptive", "cpus2-trace"):
-        "9b440972c49fd319388f7bab5a5139edef1b5cbbeb65eb948ec945981c93abb8",
+        "e8638d93470f1a5486fb0b80bf2ade52822b28ab99cbab4760e164d4b09615b6",
     ("run_adaptive", "old-reference-epochs3"):
-        "95a58a6f3aede2959f0abb3acdda7c8b48307f5018e27983951fdc5f0e7727fe",
+        "aa320b3450325fb4456f2436bea7909c7eaf6f9e79297c7dba25948bca19a13f",
     ("profile", "default"):
         "14f72f5d4c8f65c439b7913b68f44309a42ff7e455ec5f292f640b7e9a99bacf",
     ("profile", "cpus2-trace"):

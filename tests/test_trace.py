@@ -290,8 +290,8 @@ def test_runner_traced_request_uses_distinct_cache_key(tmp_path):
 def test_cli_trace_writes_valid_chrome_json(tmp_path, capsys):
     from repro.cli import main
     out = tmp_path / "bitops.json"
-    code = main(["trace", "BitOps", "--size", "small",
-                 "--out", str(out), "--timeline"])
+    code = main(["run", "BitOps", "--size", "small",
+                 "--trace-out", str(out), "--timeline"])
     assert code == 0
     data = json.loads(out.read_text())
     assert validate_chrome_trace(data) == []
@@ -311,13 +311,13 @@ def test_cli_trace_on_minijava_file(tmp_path, capsys):
         "Sys.printInt(t);\n"
         "return t;"))
     out = tmp_path / "prog.json"
-    assert main(["trace", str(source_path), "--out", str(out)]) == 0
+    assert main(["run", str(source_path), "--trace-out", str(out)]) == 0
     assert validate_chrome_trace(json.loads(out.read_text())) == []
 
 
 def test_cli_bench_trace_flag(capsys):
     from repro.cli import main
-    assert main(["bench", "BitOps", "--size", "small", "--trace"]) == 0
+    assert main(["run", "BitOps", "--size", "small", "--trace"]) == 0
     captured = capsys.readouterr()
     assert "trace:" in captured.err
     assert "events recorded" in captured.err

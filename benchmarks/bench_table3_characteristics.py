@@ -1,6 +1,11 @@
 """Paper Table 3, columns (a)-(k) — benchmark characteristics and TLS
 statistics: loop counts, nesting depth, selected STLs, thread sizes,
-threads per STL entry, serial fraction, and speculative buffer usage."""
+threads per STL entry, serial fraction, and speculative buffer usage.
+
+Columns (a) "statically analyzable" and (b) "data-set sensitive" are
+not measured: they print the ``analyzable`` and ``data_set_sensitive``
+flags set by hand on each workload in ``repro.workloads``, after the
+paper's Table 3."""
 
 from repro.workloads import FLOATING, INTEGER, MULTIMEDIA, by_category
 

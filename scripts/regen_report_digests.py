@@ -12,9 +12,11 @@ from one traced ``Jrpm.run``.  ``reports`` is that report without
 an untraced run reports; ``SURFACES`` and ``FAST_SURFACES`` list the
 rest.  Both engines must produce the same digests, so the manifest
 states fast == reference, and the script refuses to write one where
-they differ.  ``tests/test_golden_reports.py`` checks the manifest
-through :func:`run_case`; a deliberate report change regenerates it in
-the same commit, so the manifest diff is the review surface.
+they differ.  ``replies`` pins, for ``REPLY_WORKLOAD``, the service
+reply of each job verb under default options (:func:`reply_digests`).
+``tests/test_golden_reports.py`` checks the manifest through
+:func:`run_case`; a deliberate report change regenerates it in the
+same commit, so the manifest diff is the review surface.
 """
 
 import hashlib
@@ -35,6 +37,9 @@ SURFACES = ("reports", "traced_reports", "chrome_traces", "profiles")
 #: the report serves, the DB's export after it (``updated`` zeroed),
 #: and a ``run_adaptive(epochs=3, verify=True)`` report
 FAST_SURFACES = ("warm_reports", "shards", "adaptive_reports")
+#: the job verbs whose service reply is pinned, for one workload
+REPLY_VERBS = ("profile", "run", "run_adaptive")
+REPLY_WORKLOAD = "BitOps"
 
 
 def digest(data):
@@ -116,6 +121,31 @@ def run_case(name, engine):
     return case
 
 
+def reply_digest(result):
+    """SHA-256 of a job result's reply text
+    (:func:`~repro.service.protocol.encode_result`) without its
+    ``wall_time``, the one field a rerun changes."""
+    from repro.service.protocol import encode_result
+    stable = {key: value for key, value in result.items()
+              if key != "wall_time"}
+    return hashlib.sha256(encode_result(stable).encode()).hexdigest()
+
+
+def reply_digests():
+    """verb -> :func:`reply_digest` of the final result (metrics folded
+    out, as the artifact store keeps it) each of ``REPLY_VERBS``
+    answers for ``REPLY_WORKLOAD`` under default options."""
+    from repro.service.jobs import execute_job, fold_metrics, job_spec
+    from repro.service.options import RunOptions
+    replies = {}
+    for verb in REPLY_VERBS:
+        result = execute_job(job_spec(verb, RunOptions(),
+                                      workload=REPLY_WORKLOAD, size=SIZE))
+        fold_metrics(result, merge=False)
+        replies[verb] = reply_digest(result)
+    return replies
+
+
 def load_manifest():
     with open(MANIFEST) as handle:
         return json.load(handle)
@@ -136,8 +166,8 @@ def main():
             manifest[surface][name] = value
     os.makedirs(os.path.dirname(MANIFEST), exist_ok=True)
     with open(MANIFEST, "w") as handle:
-        json.dump(dict(manifest, size=SIZE), handle, indent=2,
-                  sort_keys=True)
+        json.dump(dict(manifest, size=SIZE, replies=reply_digests()),
+                  handle, indent=2, sort_keys=True)
         handle.write("\n")
     print("wrote the digests of %d workloads to %s"
           % (len(manifest["reports"]), MANIFEST))

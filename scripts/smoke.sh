@@ -10,16 +10,11 @@
 #    against the repro.trace schema (Perfetto-loadable);
 # 4. runs one workload under the adaptive recompilation controller and
 #    validates the emitted decision log against the repro.adapt schema;
-# 5. runs the static dependence analyzer cross-checked against a
-#    TEST profile (`jrpm analyze --json`) and validates the emitted
-#    payload against the repro.analysis schema — including the
-#    soundness invariant that no loop is both statically pruned and
-#    dynamically selected (see docs/analysis.md);
-# 6. checks the golden report digests of one workload per category
+# 5. checks the golden report digests of one workload per category
 #    in both engines (`--engine fast` and `--engine reference`), which
 #    share one digest per workload: the engines must be cycle-exact,
 #    byte for byte (see docs/performance.md);
-# 7. starts the persistent daemon (`jrpm serve`) on a unix socket,
+# 6. starts the persistent daemon (`jrpm serve`) on a unix socket,
 #    pushes a pipelined client burst through it (second identical
 #    request must be a store hit; a request carrying a payload key no
 #    job reads, here `delay`, must be a `bad-request` that fails no
@@ -30,15 +25,15 @@
 #    byte-identical warm start, and no worker may be spawned after the
 #    first batch (scripts/check_daemon_warm.py — persistent workers
 #    and their compile cache);
-# 8. runs one workload twice against a shared profile DB: the first
+# 7. runs one workload twice against a shared profile DB: the first
 #    run records a profile, the second must warm-start from
 #    it (skipping the baseline and TEST executions) with an identical
 #    plan and TLS cycle count, and the exported DB must pass the
 #    repro.profdb schema gate (see docs/profdb.md);
-# 9. runs the trace and metrics overhead guards
+# 8. runs the trace and metrics overhead guards
 #    (benchmarks/bench_trace_overhead.py: wall-clock budgets for a
 #    traced run and a metrics-enabled run against a plain one);
-# 10. runs the fast test tier (everything not marked `slow`), which
+# 9. runs the fast test tier (everything not marked `slow`), which
 #    includes the docs link lint (tests/test_docs_links.py).  The
 #    exhaustive engine-differential sweep in
 #    tests/test_engine_differential.py is `slow`-marked and runs in
@@ -75,12 +70,6 @@ echo "== smoke: adaptive recompilation + decision-log schema check =="
 python -m repro run BitOps --size small --adapt --epochs 3 --json \
     > "$CACHE_DIR/adapt.json"
 python scripts/check_adapt_log.py "$CACHE_DIR/adapt.json"
-
-echo
-echo "== smoke: static analysis cross-check + schema check =="
-python -m repro analyze BitOps --size small --json \
-    > "$CACHE_DIR/analysis.json"
-python scripts/check_analysis_report.py "$CACHE_DIR/analysis.json"
 
 echo
 echo "== smoke: registry sweep, golden digests fast == reference (fast tier) =="

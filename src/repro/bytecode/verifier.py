@@ -12,8 +12,7 @@ This mirrors (a small part of) JVM bytecode verification and protects
 the microJIT's abstract-stack translator, which relies on consistent
 depths to merge values at control-flow joins.  Control-flow graphs,
 dominators and natural loops exist only over the microJIT's IR
-(:mod:`repro.jit.cfg`); the static dependence analyzer
-(:mod:`repro.analysis`) reads them there too.
+(:mod:`repro.jit.cfg`).
 """
 
 from ..errors import VerifyError

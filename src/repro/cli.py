@@ -12,11 +12,8 @@ Commands:
 * ``suite [--size S] [--jobs N]`` — run the whole suite in parallel,
   memoized in the report cache, and print the summary
 * ``list``                      — list the available benchmarks
-* ``profile FILE``              — show only the TEST profile + verdicts
-* ``analyze FILE|NAME [--json]`` — static dependence analysis: per-loop
-  carried-dependence classification (must/may/absent), predicted
-  violation arcs, and agreement with what the TEST profiler actually
-  observed (see docs/analysis.md)
+* ``profile FILE|NAME [--size S]`` — show only the TEST profile +
+  verdicts
 * ``serve --socket PATH | --port N`` — start the persistent execution
   daemon: a shared artifact store + batched scheduler behind a
   line-delimited JSON protocol (see docs/service.md); talk to it with
@@ -30,9 +27,10 @@ Commands:
 
 Every subcommand builds one :class:`repro.service.RunOptions` from its
 flags — the single options dataclass shared with the ``Session`` API
-and the wire protocol.  The global ``--log-level`` flag (or the
-``JRPM_LOG`` environment variable) turns on structured logging for
-every ``repro.*`` logger.
+and the wire protocol.  ``profile``, ``suite`` and ``serve`` run the
+service's three job verbs (``profile``, ``run``, ``run_adaptive``).
+The global ``--log-level`` flag (or the ``JRPM_LOG`` environment
+variable) turns on structured logging for every ``repro.*`` logger.
 """
 
 import argparse
@@ -100,7 +98,7 @@ def _options_from(args):
 
 
 def _workload_source(args):
-    """(source, name) for a run/analyze target: a MiniJava file path
+    """(source, name) for a run/profile target: a MiniJava file path
     (anything that exists on disk), else a registry workload.  Raises
     :class:`ValueError` for an unusable target (unknown workload, no
     manual variant)."""
@@ -164,52 +162,6 @@ def _emit_trace(report, name, out, timeline=False):
               file=sys.stderr)
     if timeline:
         print(format_timeline(report.trace))
-
-
-def cmd_analyze(args):
-    """Static dependence analysis cross-checked against a TEST run
-    (``analyze`` verb; docs/analysis.md)."""
-    try:
-        source, name = _workload_source(args)
-    except ValueError as error:
-        print(error, file=sys.stderr)
-        return 2
-    from .analysis import AnalysisReport
-    from .core.report import format_analysis
-    from .service import Session
-    with Session.local(use_store=False) as session:
-        result = session.analyze(source, name=name,
-                                 options=_options_from(args))
-    if args.json:
-        payload = {"name": name,
-                   "analysis": result["analysis"],
-                   "loops": result["loops"],
-                   "selected": result["selected"]}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    analysis = AnalysisReport.from_dict(result["analysis"])
-    print(format_analysis(analysis, verbose=args.verbose))
-    print()
-    print("dynamic selector agreement:")
-    for entry in result["loops"]:
-        if entry["pruned"] and entry["selected"]:
-            verdict = "DISAGREE: static bound below threshold but " \
-                      "selected"
-        elif entry["pruned"]:
-            verdict = "agree: static bound below threshold, not " \
-                      "selected"
-        elif entry["selected"]:
-            verdict = "selected"
-        else:
-            verdict = "not selected"
-        print("  %-24s line %-5s %s"
-              % ("%s#%d" % (entry["method"], entry["ordinal"]),
-                 entry["line"], verdict))
-    # a loop whose static bound rules it out (``pruned``) but which the
-    # dynamic selector commits is an analyzer soundness bug — make it
-    # the exit code
-    return 1 if any(entry["pruned"] and entry["selected"]
-                    for entry in result["loops"]) else 0
 
 
 def cmd_suite(args):
@@ -294,10 +246,14 @@ def cmd_list(args):
 def cmd_profile(args):
     """TEST profile via the session API (``profile`` verb, steps 1-3)."""
     from .service import Session
-    with open(args.file) as fh:
-        source = fh.read()
+    try:
+        source, name = _workload_source(args)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     with Session.local(use_store=False) as session:
-        result = session.profile(source, options=_options_from(args))
+        result = session.profile(source, name=name,
+                                 options=_options_from(args))
     print("%-5s %-6s %8s %9s %8s %8s  %s"
           % ("loop", "line", "threads", "avg cyc", "arcfreq", "pred",
              "verdict"))
@@ -469,27 +425,14 @@ def main(argv=None):
     p_list = sub.add_parser("list", help="list the benchmarks")
     p_list.set_defaults(fn=cmd_list)
 
-    p_prof = sub.add_parser("profile", help="show the TEST profile of a "
-                                            "MiniJava file")
-    p_prof.add_argument("file")
+    p_prof = sub.add_parser(
+        "profile", help="show the TEST profile of a MiniJava file or a "
+                        "benchmark")
+    p_prof.add_argument("target",
+                        help="MiniJava file path or benchmark name")
+    _add_target_flags(p_prof)
     _add_hw_flags(p_prof)
     p_prof.set_defaults(fn=cmd_profile)
-
-    p_analyze = sub.add_parser(
-        "analyze", help="static dependence analysis vs the TEST "
-                        "profile")
-    p_analyze.add_argument("target",
-                           help="MiniJava file path or benchmark name")
-    _add_target_flags(p_analyze)
-    p_analyze.add_argument("--json", action="store_true",
-                           help="emit the analysis report as JSON on "
-                                "stdout (schema checked by "
-                                "scripts/check_analysis_report.py)")
-    p_analyze.add_argument("--verbose", "-v", action="store_true",
-                           help="also list every predicted dependence "
-                                "arc")
-    _add_hw_flags(p_analyze)
-    p_analyze.set_defaults(fn=cmd_analyze)
 
     p_serve = sub.add_parser(
         "serve", help="start the persistent execution daemon")

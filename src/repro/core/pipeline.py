@@ -307,9 +307,8 @@ class JrpmReport:
                                  if self.trace_aggregates else None),
             "adaptation": (self.adaptation.to_dict()
                            if self.adaptation else None),
-            # runs carry no static analysis (``jrpm analyze`` reports
-            # it on its own); the slot stays null so the report keeps
-            # its bytes
+            # no run fills this slot; it stays null so the report
+            # keeps its bytes
             "analysis": None,
             "profile_provenance": self.profile_provenance,
         }
@@ -636,24 +635,6 @@ class Jrpm:
             report.trace = self.trace
             report.trace_aggregates = self.trace.finish()
         return report
-
-    def analyze(self, source_or_program, args=()):
-        """Static dependence analysis cross-checked against a TEST run.
-
-        Every loop is profiled, so the analyzer's predicted arcs can be
-        diffed against what TEST actually observed (the ``jrpm
-        analyze`` verb).  Returns ``(analysis, profile_artifact)`` where
-        ``analysis`` is the cross-checked
-        :class:`~repro.analysis.AnalysisReport`.
-        """
-        from ..analysis import analyze_program
-        program = self._program_of(source_or_program)
-        analysis = analyze_program(
-            program, threshold=self.config.min_predicted_speedup)
-        profile_artifact = self.profile(program, args)
-        analysis.cross_check(profile_artifact.loop_table,
-                             profile_artifact.stats)
-        return analysis, profile_artifact
 
     # -- facade --------------------------------------------------------------
     def run(self, source_or_program, name="program", args=()):

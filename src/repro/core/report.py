@@ -113,63 +113,6 @@ def format_report(report, verbose=False):
     return "\n".join(lines)
 
 
-def format_analysis(analysis, verbose=False):
-    """Render an :class:`~repro.analysis.AnalysisReport` as a per-loop
-    table: lattice classification, carried-local kinds, predicted arcs
-    and (when a TEST profile was cross-checked) profiler agreement."""
-    lines = []
-    out = lines.append
-    counts = analysis.counts()
-    out("static dependence analysis (%d methods, %d loops; "
-        "absent %d / may %d / must %d; %d pruned, threshold %.2fx):"
-        % (analysis.methods_analyzed, len(analysis.loops),
-           counts["absent"], counts["may"], counts["must"],
-           len(analysis.pruned()), analysis.threshold))
-    out("  %-24s %-6s %-7s %-8s %-18s %s" % (
-        "loop", "line", "class", "bound", "agreement", "notes"))
-    for loop in analysis.loops:
-        label = "%s#%d" % (loop.method, loop.ordinal)
-        bound = ("%.2fx" % loop.speedup_bound
-                 if loop.speedup_bound is not None else "-")
-        agreement = loop.agreement
-        if agreement is None:
-            agree_text = "-"
-        else:
-            benign = (len(agreement.get("allocator", ()))
-                      + len(agreement.get("privatized", ())))
-            agree_text = "+%d/?%d/~%d/!%d" % (
-                len(agreement["confirmed"]),
-                len(agreement["unobserved"]), benign,
-                len(agreement["missed"]))
-        notes = []
-        if loop.pruned:
-            notes.append("PRUNED")
-        if loop.has_calls:
-            notes.append("calls")
-        kinds = {}
-        for reg in loop.carried:
-            kinds[reg.kind] = kinds.get(reg.kind, 0) + 1
-        notes.extend("%d %s" % (count, kind)
-                     for kind, count in sorted(kinds.items()))
-        out("  %-24s %-6s %-7s %-8s %-18s %s" % (
-            label, loop.line, loop.classification, bound, agree_text,
-            ", ".join(notes)))
-        if verbose:
-            for dep in loop.deps:
-                distance = ("d=%s" % dep.distance
-                            if dep.distance is not None else "")
-                out("      %-6s %-7s %-14s line %s->%s %-5s %s" % (
-                    dep.kind, dep.classification, dep.target,
-                    dep.store_line, dep.load_line, distance,
-                    dep.reason))
-    if any(loop.agreement is not None for loop in analysis.loops):
-        out("  (agreement: +confirmed / ?predicted-but-unobserved "
-            "(TEST records only critical arcs) /")
-        out("   ~benign-observed (allocator metadata or privatized "
-            "locals) / !observed-but-missed)")
-    return "\n".join(lines)
-
-
 def format_suite_summary(reports):
     """Summarize a {name: report} sweep by paper category."""
     from ..workloads import lookup

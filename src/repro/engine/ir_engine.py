@@ -36,8 +36,8 @@ Every handler reproduces the legacy ``step()`` observable effects
 bit-for-bit: ``frame.pc`` and ``ctx.instret`` are incremented *before*
 the instruction's effect (so a raising instruction is counted, exactly
 as the legacy dispatcher counts it), per-op cycle costs come from the
-same cost model, ``ctx.time``/``ctx.compute_cycles`` for a raising
-instruction's *predecessors* are flushed before the raise, and
+same cost model, ``ctx.time`` for a raising instruction's
+*predecessors* is flushed before the raise, and
 ``ctx.current_site`` / profiler hook arguments are bound to
 content-identical ``(unit_name, instr)`` tuples.
 
@@ -506,7 +506,6 @@ def _gen_block(code, start, leaders, consts, block_ops):
             lines.append("    ctx.annotation_instret += %d"
                          % annotations_done)
         lines.append("    ctx.time += %d" % cost_done)
-        lines.append("    ctx.compute_cycles += %d" % cost_done)
         lines.append("    return None")
         return name, lines
 
@@ -520,7 +519,6 @@ def _gen_block(code, start, leaders, consts, block_ops):
     if annotations_done:
         lines.append("    ctx.annotation_instret += %d" % annotations_done)
     lines.append("    ctx.time += %d" % total)
-    lines.append("    ctx.compute_cycles += %d" % total)
     if branch.op == IROp.J:
         lines.append("    frame.pc = %d" % branch.target)
     else:
@@ -544,7 +542,6 @@ def _raise_flush(start, pc, cost_done, annotations_done):
                    % annotations_done)
     if cost_done:
         out.append("        ctx.time += %d" % cost_done)
-        out.append("        ctx.compute_cycles += %d" % cost_done)
     return out
 
 
@@ -584,7 +581,6 @@ def _make_lw(instr, pc, unit_name):
             value, latency = ctx.mem.load(imm)
             frame.regs[dst] = value
             ctx.time += latency
-            ctx.compute_cycles += latency
             return None
         return lw_abs
 
@@ -596,7 +592,6 @@ def _make_lw(instr, pc, unit_name):
         value, latency = ctx.mem.load(regs[a] + imm)
         regs[dst] = value
         ctx.time += latency
-        ctx.compute_cycles += latency
         return None
     return lw
 
@@ -613,7 +608,6 @@ def _make_lwnv(instr, pc, unit_name):
             value, latency = ctx.mem.lwnv(imm)
             frame.regs[dst] = value
             ctx.time += latency
-            ctx.compute_cycles += latency
             return None
         return lwnv_abs
 
@@ -625,7 +619,6 @@ def _make_lwnv(instr, pc, unit_name):
         value, latency = ctx.mem.lwnv(regs[a] + imm)
         regs[dst] = value
         ctx.time += latency
-        ctx.compute_cycles += latency
         return None
     return lwnv
 
@@ -641,7 +634,6 @@ def _make_sw(instr, pc, unit_name):
             ctx.current_site = site
             cost = ctx.mem.store(imm, frame.regs[src])
             ctx.time += cost
-            ctx.compute_cycles += cost
             return None
         return sw_abs
 
@@ -652,7 +644,6 @@ def _make_sw(instr, pc, unit_name):
         regs = frame.regs
         cost = ctx.mem.store(regs[b] + imm, regs[src])
         ctx.time += cost
-        ctx.compute_cycles += cost
         return None
     return sw
 
@@ -675,7 +666,6 @@ def _make_call(instr, pc):
         ctx.frames.append(Frame(compiled, args, dst))
         cost = machine.config.call_overhead_cycles + nargs
         ctx.time += cost
-        ctx.compute_cycles += cost
         return None
     return call
 
@@ -694,12 +684,10 @@ def _make_ret(instr, pc):
             ctx.status = "done"
             ctx.return_value = value
             ctx.time += 1
-            ctx.compute_cycles += 1
             return "done"                      # SIG_DONE
         if popped.ret_reg is not None and value is not None:
             frames[-1].regs[popped.ret_reg] = value
         ctx.time += 2
-        ctx.compute_cycles += 2
         return None
     return ret
 
@@ -723,7 +711,6 @@ def _make_thread_signal(instr, pc):
             ctx.instret += 1
             cost = ctx._do_signal(instr, frame.regs)
             ctx.time += cost
-            ctx.compute_cycles += cost
             return None
         return signal
     sig = SIG_EOI if op is IROp.STL_EOI_END else SIG_EXIT
@@ -732,7 +719,6 @@ def _make_thread_signal(instr, pc):
         frame.pc = next_pc
         ctx.instret += 1
         ctx.time += 1
-        ctx.compute_cycles += 1
         return sig
     return thread_end
 
@@ -763,6 +749,5 @@ def _make_intrin(instr, pc):
             if dst is not None:
                 regs[dst] = result
         ctx.time += cycles
-        ctx.compute_cycles += cycles
         return None
     return intrin

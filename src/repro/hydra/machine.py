@@ -118,8 +118,7 @@ class CpuContext:
 
     __slots__ = ("machine", "cpu_id", "time", "frames", "mem", "status",
                  "return_value", "spec", "output_buffer", "instret",
-                 "annotation_instret", "current_site", "compute_cycles",
-                 "fast")
+                 "annotation_instret", "current_site", "fast")
 
     def __init__(self, machine, cpu_id):
         self.machine = machine
@@ -139,7 +138,6 @@ class CpuContext:
         #: each: ``instret``/``time`` minus this is the plain run's
         self.annotation_instret = 0
         self.current_site = None
-        self.compute_cycles = 0
 
     # -- frame management ---------------------------------------------------
     def push_entry(self, compiled, args):
@@ -332,7 +330,6 @@ class CpuContext:
                 self.status = "done"
                 self.return_value = value
                 self.time += cost
-                self.compute_cycles += cost
                 return SIG_DONE
             if popped.ret_reg is not None and value is not None:
                 self.frames[-1].regs[popped.ret_reg] = value
@@ -375,11 +372,9 @@ class CpuContext:
             cost = 0
         elif op == IROp.STL_EOI_END:
             self.time += cost
-            self.compute_cycles += cost
             return SIG_EOI
         elif op == IROp.STL_EXIT:
             self.time += cost
-            self.compute_cycles += cost
             return SIG_EXIT
         elif op == IROp.WAITLOCK:
             return SIG_WAIT      # TLS runtime resolves; pc already advanced
@@ -391,7 +386,6 @@ class CpuContext:
             raise VMError("unhandled IR op %s" % op)
 
         self.time += cost
-        self.compute_cycles += cost
         return None
 
     # -- helpers ----------------------------------------------------------------

@@ -96,7 +96,7 @@ def identify_loops(ir_method):
 
 def header_line(cfg, loop):
     """Source line of the loop header's first instruction that has one
-    (the line :class:`LoopMeta` and the static analyzer key loops by)."""
+    (the line :class:`LoopMeta` keys loops by)."""
     for instr in cfg.blocks[loop.header].instrs:
         if instr.line is not None:
             return instr.line

@@ -86,8 +86,8 @@ def translated_methods(program, layout):
     """Yield ``(method, ir_method)`` for every method of *program*, in
     :meth:`~repro.bytecode.module.Program.all_methods` order: the
     translated and optimized IR, before any annotation.  The compiles
-    below and the static analyzer (:mod:`repro.analysis`) read the same
-    IR through this one function."""
+    below and the STL thread-code builder (:mod:`repro.jit.stl`) read
+    the same IR through this one function."""
     translator = Translator(program, layout)
     for method in program.all_methods():
         ir_method = translator.translate(method)

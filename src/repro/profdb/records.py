@@ -260,8 +260,8 @@ def validate_profdb_dict(data):
     """Validate a whole serialized profile database.
 
     Returns a list of human-readable problem strings; an empty list
-    means the payload is well-formed.  Shape-only (like the trace,
-    adapt-log and analysis validators): values are checked for type,
+    means the payload is well-formed.  Shape-only (like the trace and
+    adapt-log validators): values are checked for type,
     not plausibility.
     """
     problems = []

@@ -1,8 +1,8 @@
 """The unified user-facing API: one ``Session``, two transports.
 
 :class:`Session` is the abstraction every caller programs against —
-the four job verbs ``profile``, ``analyze``, ``run`` and
-``run_adaptive``, each taking one
+the three job verbs ``profile``, ``run`` and ``run_adaptive``, each
+taking one
 :class:`~repro.service.options.RunOptions`:
 
 * ``Session.local()`` executes in-process (no daemon, no sockets) with
@@ -14,8 +14,8 @@ the four job verbs ``profile``, ``analyze``, ``run`` and
   every other client.
 
 Both return the same shapes: ``run``/``run_adaptive`` yield a live
-:class:`~repro.core.pipeline.JrpmReport`; ``profile``/``analyze``
-yield the JSON-safe result dicts documented in
+:class:`~repro.core.pipeline.JrpmReport`; ``profile`` yields the
+JSON-safe result dict documented in
 :mod:`repro.service.jobs`.
 """
 
@@ -70,13 +70,6 @@ class Session:
         """The pipeline under the epoch-based adaptive controller."""
         return self._report_of(
             self._job("run_adaptive", source, kwargs))
-
-    def analyze(self, source=None, **kwargs):
-        """Static dependence analysis cross-checked against a TEST
-        profile; returns the JSON-safe dict from
-        :func:`repro.service.jobs._do_analyze` (``analysis`` payload +
-        per-loop selection agreement)."""
-        return self._job("analyze", source, kwargs)
 
     # -- introspection -----------------------------------------------------
     def version(self):

@@ -1,6 +1,7 @@
 """Self-contained service jobs (the worker-process entry point).
 
-A :class:`JobSpec` is one verb applied to one MiniJava source under one
+A :class:`JobSpec` is one of the three job verbs (``profile``, ``run``,
+``run_adaptive``) applied to one MiniJava source under one
 :class:`~repro.service.options.RunOptions` — nothing else.  Every verb
 recomputes its own prerequisites from the source, so a spec is fully
 picklable, shippable to a crash-isolated worker, and memoizable by
@@ -61,8 +62,8 @@ class JobSpec:
     request_id: str = None
 
 
-#: the job verbs: each runs the chain from the source to its answer
-VERBS = ("profile", "run", "run_adaptive", "analyze")
+#: the three job verbs: each runs the chain from the source to its answer
+VERBS = ("profile", "run", "run_adaptive")
 
 #: RunOptions fields that are not fingerprint material: ``timeout`` and
 #: ``verify`` shape *how* a job runs, not what it computes; ``args`` is
@@ -388,39 +389,8 @@ def _do_run_adaptive(spec, jrpm, program):
     return _finish_run(spec, report)
 
 
-def _do_analyze(spec, jrpm, program):
-    """Static dependence analysis cross-checked against a TEST profile.
-
-    Every predicted arc is compared against the observed arcs; the
-    dynamic selector's verdicts ride along so callers can see where the
-    static speedup bound (``pruned``) and dynamic selection agree.
-    """
-    analysis, profile = jrpm.analyze(program, spec.options.args)
-    selector = jrpm.make_selector(profile.loop_table)
-    plans = selector.select(profile.stats,
-                            profile.profiler.dynamic_nesting)
-    selected = {(meta.method_name, meta.ordinal)
-                for loop_id, meta in profile.loop_table.items()
-                if loop_id in plans}
-    loops = []
-    for loop in analysis.loops:
-        loops.append({
-            "method": loop.method,
-            "ordinal": loop.ordinal,
-            "line": loop.line,
-            "classification": loop.classification,
-            "pruned": loop.pruned,
-            "speedup_bound": loop.speedup_bound,
-            "selected": loop.key in selected,
-        })
-    return {"analysis": analysis.to_dict(),
-            "loops": loops,
-            "selected": sorted(plans)}
-
-
 _VERB_TABLE = {
     "profile": _do_profile,
     "run": _do_run,
     "run_adaptive": _do_run_adaptive,
-    "analyze": _do_analyze,
 }

@@ -24,11 +24,10 @@ class SpecThreadState:
 
     __slots__ = ("cpu_id", "iteration", "store_buffer", "store_lines",
                  "read_versions", "read_lines", "read_sites", "state",
-                 "exit_id", "fp_addr", "violated", "overflowed",
-                 "request_reset", "pending_exception", "acc_compute",
-                 "acc_wait", "acc_overhead", "start_time",
-                 "switch_request", "pending_resets", "pending_output",
-                 "block_time")
+                 "exit_id", "fp_addr", "overflowed", "request_reset",
+                 "pending_exception", "acc_compute", "acc_wait",
+                 "acc_overhead", "start_time", "pending_resets",
+                 "pending_output", "block_time")
 
     RUNNING = "running"
     WAIT_HEAD = "wait_head"       # finished EOI, waiting to commit
@@ -48,11 +47,9 @@ class SpecThreadState:
         self.read_sites = {}          # addr -> load site (tracing only)
         self.state = self.RUNNING
         self.exit_id = None
-        self.violated = False
         self.overflowed = False
         self.request_reset = False
         self.pending_exception = None
-        self.switch_request = None
         self.acc_compute = 0.0
         self.acc_wait = 0.0
         self.acc_overhead = 0.0
@@ -72,11 +69,9 @@ class SpecThreadState:
             self.read_sites.clear()
         self.state = self.RUNNING
         self.exit_id = None
-        self.violated = False
         self.overflowed = False
         self.request_reset = False
         self.pending_exception = None
-        self.switch_request = None
         self.pending_resets = []
         # Cleared in place: the CPU's ``output_buffer`` aliases this
         # list for the whole STL entry (a callee's prints land there).
@@ -329,7 +324,6 @@ def _thread_lw(instr, pc, unit_name):
                     runtime.flag_overflow(my)
         regs[dst] = value
         ctx.time += latency
-        ctx.compute_cycles += latency
         return None
     return lw
 
@@ -362,6 +356,5 @@ def _thread_sw(instr, pc, unit_name):
                 runtime.notify_store(my, addr)
                 break
         ctx.time += 1
-        ctx.compute_cycles += 1
         return None
     return sw

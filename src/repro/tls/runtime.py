@@ -189,8 +189,8 @@ class _StlExecution:
         self.max_steps = 200_000_000
         # -- event-driven scheduler state (None => stepwise mode) ------
         #: per-CPU segment snapshot for run-ahead truncation:
-        #: (time, instret, compute_cycles, acc_compute, pending-output
-        #: length, [(frame, pc, regs-copy), ...])
+        #: (time, instret, acc_compute, pending-output length,
+        #: [(frame, pc, regs-copy), ...])
         self._seg = None
         self._park_kind = None       # "op" | "run" | "poll" | "stl" | "exc"
         self._park_time = None
@@ -719,7 +719,6 @@ class _StlExecution:
                             ctx.return_value = None
                             ctx.time -= 1
                             ctx.instret -= 1
-                            ctx.compute_cycles -= 1
                             t = ctx.time
                             if t < second_t \
                                     or (t == second_t and best < second):
@@ -805,12 +804,12 @@ class _StlExecution:
         frames = ctx.frames
         if len(frames) == 1:
             frame = frames[0]
-            snapshot = (ctx.time, ctx.instret, ctx.compute_cycles,
-                        acc_compute, len(ctx.spec.pending_output),
+            snapshot = (ctx.time, ctx.instret, acc_compute,
+                        len(ctx.spec.pending_output),
                         frame, frame.pc, frame.regs[:])
         else:
-            snapshot = (ctx.time, ctx.instret, ctx.compute_cycles,
-                        acc_compute, len(ctx.spec.pending_output),
+            snapshot = (ctx.time, ctx.instret, acc_compute,
+                        len(ctx.spec.pending_output),
                         [(f, f.pc, f.regs[:]) for f in frames])
         self._seg[cpu] = snapshot
         return snapshot
@@ -897,13 +896,13 @@ class _StlExecution:
             return
         ctx = self.ctxs[cpu]
         spec = ctx.spec
-        if len(seg) == 8:                # flat single-frame snapshot
-            t0, i0, c0, acc0, out0, f, pc, regs = seg
+        if len(seg) == 7:                # flat single-frame snapshot
+            t0, i0, acc0, out0, f, pc, regs = seg
             f.pc = pc
             f.regs[:] = regs
             ctx.frames = [f]
         else:
-            t0, i0, c0, acc0, out0, frames0 = seg
+            t0, i0, acc0, out0, frames0 = seg
             restored = []
             for f, pc, regs in frames0:
                 f.pc = pc
@@ -913,7 +912,6 @@ class _StlExecution:
         ctx.status = "running"
         ctx.time = t0
         ctx.instret = i0
-        ctx.compute_cycles = c0
         del spec.pending_output[out0:]
         cut_t = self._cut_t
         cut_i = self._cut_i

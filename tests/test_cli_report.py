@@ -79,6 +79,29 @@ def test_cli_profile(tmp_path, capsys):
     assert "SELECTED" in out
 
 
+def test_cli_profile_unusable_target_is_one_line(capsys):
+    assert main(["profile", "nope.mj"]) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "nope.mj" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_profile_file_and_workload_print_the_same_table(tmp_path,
+                                                            capsys):
+    from repro.workloads import lookup
+    path = tmp_path / "bitops.mj"
+    path.write_text(lookup("BitOps").source("small"))
+    assert main(["profile", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["profile", "BitOps", "--size", "small"]) == 0
+    from_registry = capsys.readouterr().out
+    assert from_registry.splitlines()[0].split()[:3] \
+        == ["loop", "line", "threads"]
+    assert "SELECTED" in from_registry
+    assert from_registry == from_file
+
+
 def test_cli_bench_small(capsys):
     assert main(["run", "FourierTest", "--size", "small"]) == 0
     out = capsys.readouterr().out
@@ -122,9 +145,9 @@ def test_cli_run_file_and_workload_print_the_same_report(tmp_path,
     ["bench", "BitOps"], ["trace", "BitOps"], ["adapt", "BitOps"],
     ["run", "BitOps", "--adapt-epochs", "2"],
     ["run", "BitOps", "--adapt", "--policy", "null"],
-    ["suite", "--adapt-epochs", "2"]],
+    ["suite", "--adapt-epochs", "2"], ["analyze", "BitOps"]],
     ids=["bench", "trace", "adapt", "adapt-epochs", "policy",
-         "suite-adapt-epochs"])
+         "suite-adapt-epochs", "analyze"])
 def test_cli_retired_spellings_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)

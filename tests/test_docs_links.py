@@ -63,8 +63,7 @@ def test_docs_are_linked_from_readme():
     for doc in ("docs/architecture.md", "docs/observability.md",
                 "docs/adaptation.md", "docs/minijava.md",
                 "docs/performance.md", "docs/service.md",
-                "docs/analysis.md", "docs/profdb.md",
-                "docs/metrics.md", "docs/index.md"):
+                "docs/profdb.md", "docs/metrics.md", "docs/index.md"):
         assert doc in readme, "%s not linked from README" % doc
 
 

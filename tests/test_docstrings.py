@@ -1,10 +1,9 @@
 """Docstring coverage gate for the documented-API packages.
 
-`repro.analysis`, `repro.service`, `repro.profdb` and `repro.metrics`
-are the packages whose docs pages promise a stable, navigable API —
-every public module, class, function and method in them must say what
-it is for.  Private names (leading underscore) and inherited/imported
-members are exempt.
+`repro.service`, `repro.profdb` and `repro.metrics` are the packages
+whose docs pages promise a stable, navigable API — every public module,
+class, function and method in them must say what it is for.  Private
+names (leading underscore) and inherited/imported members are exempt.
 """
 
 import importlib
@@ -13,8 +12,7 @@ import pkgutil
 
 import pytest
 
-PACKAGES = ("repro.analysis", "repro.service", "repro.profdb",
-            "repro.metrics")
+PACKAGES = ("repro.service", "repro.profdb", "repro.metrics")
 
 
 def public_modules():

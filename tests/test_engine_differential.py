@@ -364,7 +364,6 @@ def _run_to_raise(unit, engine):
         "instret": ctx.instret,
         "annotation_instret": ctx.annotation_instret,
         "time": ctx.time,
-        "compute_cycles": ctx.compute_cycles,
     }, dispatches
 
 

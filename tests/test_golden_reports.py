@@ -6,11 +6,11 @@ Each case compares the surface digests of
 ``Jrpm.run``) with ``tests/golden/report_digests.json``, whose digests
 both engines share.  The run is ``conftest.registry_case``, memoized:
 the registry tests of ``test_pipeline`` (derived baseline),
-``test_integration_suite`` (bytecode oracle), ``test_analysis``
-(static cross-check), ``test_profdb_sweep`` (warm start),
-``test_adapt_properties`` (adaptive run), ``test_profiler_differential``
-and ``test_scheduler_differential`` (fast == reference) check their
-properties from the same execution instead of profiling again.  The
+``test_integration_suite`` (bytecode oracle), ``test_profdb_sweep``
+(warm start), ``test_adapt_properties`` (adaptive run),
+``test_profiler_differential`` and ``test_scheduler_differential``
+(fast == reference) check their properties from the same execution
+instead of profiling again.  The
 default tier runs one workload per category and the reports ``jrpm
 suite`` produces for them on two workers; the ``slow`` tier runs the
 rest.
@@ -37,7 +37,8 @@ def _cases():
 def test_manifest_covers_the_registry():
     names = sorted(workload.name for workload in all_workloads())
     surfaces = digests.SURFACES + digests.FAST_SURFACES
-    assert sorted(MANIFEST) == sorted(surfaces + ("size",))
+    assert sorted(MANIFEST) == sorted(surfaces + ("replies", "size"))
+    assert sorted(MANIFEST["replies"]) == sorted(digests.REPLY_VERBS)
     assert MANIFEST["size"] == digests.SIZE
     for surface in surfaces:
         assert sorted(MANIFEST[surface]) == names, surface

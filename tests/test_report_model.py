@@ -125,3 +125,17 @@ def test_breakdown_add():
     a.add(b)
     assert a.run_used == 15
     assert a.commits == 2 and a.violations == 1
+
+
+def test_report_writes_null_analysis_through_round_trip():
+    """No run carries a static analysis; the report keeps its
+    ``analysis`` slot, null, so report bytes do not move."""
+    from repro.core.pipeline import Jrpm
+    from repro.minijava import compile_source
+    from repro.workloads import lookup
+    program = compile_source(lookup("BitOps").source("small"))
+    report = Jrpm().run(program, name="BitOps")
+    assert report.outputs_match()
+    data = report.to_dict()
+    assert data["analysis"] is None
+    assert JrpmReport.from_dict(data).to_dict() == data

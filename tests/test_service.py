@@ -132,6 +132,25 @@ def test_second_identical_profile_request_skips_recompilation(
         "second identical request must not recompile"
 
 
+def test_replies_match_the_pinned_digests_on_miss_and_hit(service):
+    """Each job verb's reply for the pinned workload, on the store miss
+    that computes it and on the store hit that repeats it, is the one
+    in ``tests/golden/report_digests.json`` (``replies``)."""
+    import regen_report_digests as digests
+    pinned = digests.load_manifest()["replies"]
+    with service.client() as client:
+        payload = client.job_payload(workload=digests.REPLY_WORKLOAD,
+                                     size=digests.SIZE)
+        requests = [(verb, payload) for verb in digests.REPLY_VERBS]
+        for expect_cached in (False, True):
+            settled = client.request_many(requests)
+            assert [cached for _, cached, _ in settled] \
+                == [expect_cached] * len(requests)
+            assert {verb: digests.reply_digest(result) for verb,
+                    (result, _, _) in zip(digests.REPLY_VERBS, settled)} \
+                == pinned
+
+
 def test_identical_burst_is_coalesced_to_one_execution(fresh_registry,
                                                        service):
     """Ten pipelined identical requests in one burst → one pipeline
@@ -238,7 +257,7 @@ def test_job_payloads_are_strict_before_queueing(fresh_registry, service,
                                                 tmp_path):
     """A job payload carries only what a job computes: a retired test
     hook, a non-string ``source``/``name``/``workload`` and a retired
-    stage verb are each a ``bad-request``, answered before anything is
+    verb are each a ``bad-request``, answered before anything is
     queued, so no hook can touch a file."""
     exec_log = tmp_path / "exec.log"
     marker = tmp_path / "crash.marker"
@@ -249,14 +268,14 @@ def test_job_payloads_are_strict_before_queueing(fresh_registry, service,
                 ("run", {"source": TINY, "name": [1, 2]}),
                 ("profile", {"workload": 7})]
     requests += [(verb, {"source": TINY})
-                 for verb in ("compile", "select", "recompile")]
+                 for verb in ("compile", "select", "recompile", "analyze")]
     with service.client() as client:
         settled = client.request_many(requests)
     kinds = [getattr(result, "kind", "ok") for result, _, _ in settled]
     assert kinds == ["bad-request"] * len(requests)
     for (result, _, _), needle in zip(settled, (
             "exec_log", "crash_marker", "delay", "source", "name",
-            "workload", "compile", "select", "recompile")):
+            "workload", "compile", "select", "recompile", "analyze")):
         assert needle in str(result)
     assert fresh_registry.total("jrpm_scheduler_submits") == 0
     assert not exec_log.exists() and not marker.exists()
@@ -616,14 +635,14 @@ def warm_compile_cache():
     from repro.service.jobs import CompileCache
     cache = CompileCache()
     source = lookup("BitOps").source("small")
-    for verb in ("run", "profile", "analyze", "run_adaptive"):
+    for verb in ("run", "profile", "run_adaptive"):
         execute_job(JobSpec(verb, source, name="BitOps",
                             options=RunOptions(epochs=3)),
                     compile_cache=cache)
     return cache
 
 
-@pytest.mark.parametrize("verb", ["profile", "analyze", "run_adaptive"])
+@pytest.mark.parametrize("verb", ["profile", "run_adaptive"])
 def test_cached_compiles_serve_every_verb_like_a_fresh_worker(
         warm_compile_cache, verb):
     """Runs never write into the cached Program or compiled programs: a

@@ -220,8 +220,8 @@ def _observe(world):
     machine, ctxs, threads, execution, frames = world
     hierarchy = machine.hierarchy
     return {
-        "ctx": [(ctx.time, ctx.instret, ctx.compute_cycles,
-                 ctx.current_site) for ctx in ctxs],
+        "ctx": [(ctx.time, ctx.instret, ctx.current_site)
+                for ctx in ctxs],
         "frames": [(frame.pc, list(frame.regs)) for frame in frames],
         "threads": [(dict(t.read_versions), set(t.read_lines),
                      dict(t.read_sites), dict(t.store_buffer),
